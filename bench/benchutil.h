@@ -210,10 +210,7 @@ parseBenchOptions(int argc, char** argv)
     }
     if (options.uarch_report || !options.uarch_report_out.empty()
         || !options.uarch_baseline.empty()) {
-        // Attribution implies hotspot collection: the report needs the
-        // per-site instruction denominators for CPI/MPKI.
         obs::setUarchAttributionEnabled(true);
-        obs::setHotspotsEnabled(true);
     }
     obs::setPhaseWindow(options.phase_window);
     if (!options.trace_out.empty() || options.phase_window > 0) {

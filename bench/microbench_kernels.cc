@@ -14,7 +14,7 @@
  *
  * --min-speedup gates the *best* vector backend's speedup on the ME cost
  * kernels (sad16x16, satd4x4) — the kernels the paper's hotspot profile
- * is dominated by; tools/check.sh runs this gate at 2.0 on Release
+ * is dominated by; tools/check.sh runs this gate at 1.5 on Release
  * builds. The other kernels are reported but not gated (the 4x4
  * transforms are too small to promise a fixed margin on every host).
  *

@@ -273,7 +273,6 @@ main(int argc, char** argv)
     // measured service runs, not the cache-priming transcodes.
     if (uarch_report || !uarch_out.empty()) {
         obs::setUarchAttributionEnabled(true);
-        obs::setHotspotsEnabled(true);
         obs::hotspotReport().reset();
     }
     obs::setPhaseWindow(phase <= 0 ? 0 : static_cast<uint64_t>(phase));

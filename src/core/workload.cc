@@ -16,8 +16,9 @@ namespace vtrans::core {
 namespace {
 
 /** Applies the process-wide obs toggles to a run's core parameters:
- *  global attribution enables CoreParams::attribute_sites, and a global
- *  phase window fills in a zero per-run one. */
+ *  global hotspots/attribution (one flag) enables
+ *  CoreParams::attribute_sites, and a global phase window fills in a
+ *  zero per-run one. */
 uarch::CoreParams
 effectiveCoreParams(const RunConfig& config)
 {
@@ -93,25 +94,11 @@ runInstrumented(const RunConfig& config)
     // Deterministic data addresses for this run, whatever ran before.
     trace::arena().reset();
 
-    // When hotspot collection is on, tap the event stream through a tee
-    // so the profiler observes exactly what the model accounts; the model
-    // stays first in the chain and sees an unchanged stream either way.
-    // µarch attribution implies profiling: the report needs the
-    // profiler's per-site instruction counts as CPI/MPKI denominators.
     uarch::CoreModel model(effectiveCoreParams(config));
-    obs::HotspotProfiler profiler;
-    trace::TeeSink tee({&model, &profiler});
-    const bool profiled =
-        obs::hotspotsEnabled() || model.attributionEnabled();
-    trace::setSink(profiled ? static_cast<trace::ProbeSink*>(&tee)
-                            : &model,
-                   trace::defaultBatchCapacity());
+    trace::setSink(&model, trace::defaultBatchCapacity());
     codec::TranscodeResult transcoded =
         codec::transcode(source, config.params);
     trace::setSink(nullptr); // Flushes any pending batched events.
-    if (profiled) {
-        obs::hotspotReport().merge(profiler);
-    }
 
     RunResult result;
     result.core = model.finish();
@@ -147,13 +134,7 @@ runInstrumentedChunk(
     trace::arena().reset();
 
     uarch::CoreModel model(effectiveCoreParams(config));
-    obs::HotspotProfiler profiler;
-    trace::TeeSink tee({&model, &profiler});
-    const bool profiled =
-        obs::hotspotsEnabled() || model.attributionEnabled();
-    trace::setSink(profiled ? static_cast<trace::ProbeSink*>(&tee)
-                            : &model,
-                   trace::defaultBatchCapacity());
+    trace::setSink(&model, trace::defaultBatchCapacity());
 
     // Each slice is an independent closed-GOP transcode (its own encoder
     // state) — the segment-atom contract that makes the stitched stream
@@ -173,9 +154,6 @@ runInstrumentedChunk(
     std::vector<uint8_t> stitched = chunk::stitch(outputs);
 
     trace::setSink(nullptr);
-    if (profiled) {
-        obs::hotspotReport().merge(profiler);
-    }
 
     RunResult result;
     result.core = model.finish();

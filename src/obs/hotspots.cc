@@ -12,42 +12,9 @@ namespace vtrans::obs {
 void
 SiteCounters::merge(const SiteCounters& other)
 {
-    blocks += other.blocks;
+    add(other);
     instructions += other.instructions;
     code_bytes += other.code_bytes;
-    branches += other.branches;
-    taken += other.taken;
-    loads += other.loads;
-    stores += other.stores;
-    load_bytes += other.load_bytes;
-    store_bytes += other.store_bytes;
-    cycles += other.cycles;
-    slots_retiring += other.slots_retiring;
-    slots_frontend += other.slots_frontend;
-    slots_bad_spec += other.slots_bad_spec;
-    slots_backend_memory += other.slots_backend_memory;
-    slots_backend_core += other.slots_backend_core;
-    branch_mispredicts += other.branch_mispredicts;
-    l1d_accesses += other.l1d_accesses;
-    l1d_misses += other.l1d_misses;
-    l2_misses += other.l2_misses;
-    l3_misses += other.l3_misses;
-    l1i_accesses += other.l1i_accesses;
-    l1i_misses += other.l1i_misses;
-    itlb_misses += other.itlb_misses;
-    btb_misses += other.btb_misses;
-}
-
-bool
-SiteCounters::any() const
-{
-    return (blocks | instructions | code_bytes | branches | taken | loads
-            | stores | load_bytes | store_bytes | cycles | slots_retiring
-            | slots_frontend | slots_bad_spec | slots_backend_memory
-            | slots_backend_core | branch_mispredicts | l1d_accesses
-            | l1d_misses | l2_misses | l3_misses | l1i_accesses
-            | l1i_misses | itlb_misses | btb_misses)
-           != 0;
 }
 
 namespace {
@@ -144,108 +111,6 @@ double
 SiteCounters::l1iMpki() const
 {
     return perKiloInstructions(l1i_misses, instructions);
-}
-
-SiteCounters&
-HotspotProfiler::at(uint32_t site_id)
-{
-    if (site_id >= per_site_.size()) {
-        per_site_.resize(site_id + 1);
-    }
-    return per_site_[site_id];
-}
-
-void
-HotspotProfiler::onBlock(const trace::CodeSite& site)
-{
-    SiteCounters& c = at(site.id);
-    ++c.blocks;
-    c.instructions += site.instructions;
-    c.code_bytes += site.bytes;
-    current_site_ = site.id;
-}
-
-void
-HotspotProfiler::onBranch(const trace::CodeSite& site, bool taken)
-{
-    SiteCounters& c = at(site.id);
-    c.instructions += 1;
-    c.branches += 1;
-    c.taken += taken ? 1 : 0;
-    current_site_ = site.id;
-}
-
-void
-HotspotProfiler::onLoad(uint64_t addr, uint32_t bytes)
-{
-    (void)addr;
-    SiteCounters& c = current_site_ >= 0
-                          ? at(static_cast<uint32_t>(current_site_))
-                          : unattributed_;
-    c.instructions += 1;
-    c.loads += 1;
-    c.load_bytes += bytes;
-}
-
-void
-HotspotProfiler::onStore(uint64_t addr, uint32_t bytes)
-{
-    (void)addr;
-    SiteCounters& c = current_site_ >= 0
-                          ? at(static_cast<uint32_t>(current_site_))
-                          : unattributed_;
-    c.instructions += 1;
-    c.stores += 1;
-    c.store_bytes += bytes;
-}
-
-void
-HotspotProfiler::onBatch(const trace::ProbeEvent* events, size_t count)
-{
-    // Direct batch consumption mirroring the per-event handlers exactly
-    // (qualified calls — no virtual dispatch), so every tally matches the
-    // per-event path bit-for-bit.
-    trace::SiteRegistry& reg = trace::registry();
-    for (size_t i = 0; i < count; ++i) {
-        const trace::ProbeEvent& e = events[i];
-        switch (e.kind) {
-        case trace::ProbeEvent::kBlock:
-            HotspotProfiler::onBlock(reg.site(e.aux));
-            break;
-        case trace::ProbeEvent::kBlockBranch: {
-            const trace::CodeSite& site = reg.site(e.aux);
-            HotspotProfiler::onBlock(site);
-            HotspotProfiler::onBranch(site, (e.flags & 1) != 0);
-            break;
-        }
-        case trace::ProbeEvent::kLoad:
-            HotspotProfiler::onLoad(e.addr, e.aux);
-            break;
-        case trace::ProbeEvent::kStore:
-            HotspotProfiler::onStore(e.addr, e.aux);
-            break;
-        default:
-            break; // Unknown kinds are rejected by the default replay.
-        }
-    }
-}
-
-uint64_t
-HotspotProfiler::totalInstructions() const
-{
-    uint64_t total = unattributed_.instructions;
-    for (const SiteCounters& c : per_site_) {
-        total += c.instructions;
-    }
-    return total;
-}
-
-void
-HotspotProfiler::reset()
-{
-    per_site_.clear();
-    unattributed_ = SiteCounters{};
-    current_site_ = -1;
 }
 
 std::string
@@ -433,28 +298,6 @@ appendRowsJson(std::ostringstream* os, const char* key,
 }
 
 } // namespace
-
-void
-HotspotReport::merge(const HotspotProfiler& profiler)
-{
-    mergeBySiteId(profiler.perSite(), profiler.unattributed());
-}
-
-void
-HotspotReport::mergeBySiteId(const std::vector<SiteCounters>& per_site,
-                             const SiteCounters& unattributed)
-{
-    const auto& sites = trace::registry().sites();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t id = 0; id < per_site.size() && id < sites.size(); ++id) {
-        const SiteCounters& c = per_site[id];
-        if (!c.any()) {
-            continue;
-        }
-        by_name_[sites[id]->name].merge(c);
-    }
-    unattributed_.merge(unattributed);
-}
 
 std::map<std::string, SiteCounters>
 HotspotReport::snapshot() const

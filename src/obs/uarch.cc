@@ -6,29 +6,21 @@
 namespace vtrans::obs {
 
 namespace {
-std::atomic<bool> g_uarch_attribution{false};
 std::atomic<uint64_t> g_phase_window{0};
 
+/** A model's per-site tallies plus the fields derived from `site`'s
+ *  static shape (null for the unattributed bucket, which has no blocks
+ *  or branches). */
 SiteCounters
-toSiteCounters(const uarch::SiteUarch& u)
+withDerived(const uarch::SiteUarch& u, const trace::CodeSite* site)
 {
     SiteCounters c;
-    c.cycles = u.cycles;
-    c.slots_retiring = u.slots_retiring;
-    c.slots_frontend = u.slots_frontend;
-    c.slots_bad_spec = u.slots_bad_spec;
-    c.slots_backend_memory = u.slots_backend_memory;
-    c.slots_backend_core = u.slots_backend_core;
-    // u.branches is deliberately not copied (see header).
-    c.branch_mispredicts = u.branch_mispredicts;
-    c.l1d_accesses = u.l1d_accesses;
-    c.l1d_misses = u.l1d_misses;
-    c.l2_misses = u.l2_misses;
-    c.l3_misses = u.l3_misses;
-    c.l1i_accesses = u.l1i_accesses;
-    c.l1i_misses = u.l1i_misses;
-    c.itlb_misses = u.itlb_misses;
-    c.btb_misses = u.btb_misses;
+    static_cast<uarch::SiteUarch&>(c) = u;
+    c.instructions = u.branches + u.loads + u.stores;
+    if (site != nullptr) {
+        c.instructions += u.blocks * site->instructions;
+        c.code_bytes = u.blocks * site->bytes;
+    }
     return c;
 }
 
@@ -46,13 +38,13 @@ perKilo(uint64_t events, uint64_t instructions)
 void
 setUarchAttributionEnabled(bool enabled)
 {
-    g_uarch_attribution.store(enabled, std::memory_order_relaxed);
+    setHotspotsEnabled(enabled);
 }
 
 bool
 uarchAttributionEnabled()
 {
-    return g_uarch_attribution.load(std::memory_order_relaxed);
+    return hotspotsEnabled();
 }
 
 void
@@ -74,13 +66,19 @@ mergeAttribution(HotspotReport* report, const uarch::CoreModel& model)
         return;
     }
     const std::vector<uarch::SiteUarch>& per_site = model.attributionPerSite();
-    std::vector<SiteCounters> converted;
-    converted.reserve(per_site.size());
-    for (const uarch::SiteUarch& u : per_site) {
-        converted.push_back(toSiteCounters(u));
+    const auto& sites = trace::registry().sites();
+    std::lock_guard<std::mutex> lock(report->mu_);
+    for (size_t id = 0; id < per_site.size() && id < sites.size(); ++id) {
+        const uarch::SiteUarch& u = per_site[id];
+        // Every charge lands on a site its block or branch made current,
+        // so a site with neither saw nothing at all.
+        if (u.blocks == 0 && u.branches == 0) {
+            continue;
+        }
+        report->by_name_[sites[id]->name].merge(withDerived(u, sites[id]));
     }
-    report->mergeBySiteId(converted,
-                          toSiteCounters(model.attributionUnattributed()));
+    report->unattributed_.merge(
+        withDerived(model.attributionUnattributed(), nullptr));
 }
 
 void

@@ -5,11 +5,11 @@
  * @file
  * The bridge between the core timing model's per-site µarch attribution
  * (uarch::CoreModel with CoreParams::attribute_sites) and the obs
- * reporting layer: process-wide enable toggles that instrumented runs
- * consult (like setHotspotsEnabled), the merge that folds a finished
- * model's SiteUarch tallies into the HotspotReport, and the phase
- * time-series exporter that renders PhaseSamples as Chrome trace-event
- * counter tracks ("ph":"C") next to the job-lifecycle spans.
+ * reporting layer: process-wide toggles that instrumented runs consult
+ * (attribution is setHotspotsEnabled by another name), the merge that
+ * folds a finished model's SiteUarch tallies into the HotspotReport, and
+ * the phase time-series exporter that renders PhaseSamples as Chrome
+ * trace-event counter tracks ("ph":"C") next to the job-lifecycle spans.
  */
 
 #include <cstdint>
@@ -22,10 +22,9 @@
 namespace vtrans::obs {
 
 /** Turns process-wide per-site µarch attribution on/off (default off).
- *  When on, core::runInstrumented sets CoreParams::attribute_sites and
- *  merges the finished model's tallies into hotspotReport(); hotspot
- *  collection rides along so the report also has the per-site
- *  instruction denominators for CPI/MPKI. */
+ *  The same flag as setHotspotsEnabled: when on, core::runInstrumented
+ *  sets CoreParams::attribute_sites and merges the finished model's
+ *  tallies into hotspotReport(). */
 void setUarchAttributionEnabled(bool enabled);
 
 /** True when instrumented runs should attribute µarch events to sites. */
@@ -38,10 +37,10 @@ void setPhaseWindow(uint64_t instructions);
 uint64_t phaseWindow();
 
 /** Merges a finished model's per-site attribution into `report`, keyed
- *  by registry site name (thread-safe through the report's lock). The
- *  model's per-site `branches` tally is intentionally dropped: the
- *  instruction profiler merged alongside counts the identical value,
- *  and double-merging would break the exactness contract. */
+ *  by registry site name (thread-safe through the report's lock), and
+ *  derives each site's instructions and code bytes from its static
+ *  shape. The only way tallies enter a HotspotReport; a no-op when the
+ *  model ran without CoreParams::attribute_sites. */
 void mergeAttribution(HotspotReport* report, const uarch::CoreModel& model);
 
 /** The trace process id phase counter tracks are grouped under (clear

@@ -7,11 +7,11 @@
 
 namespace vtrans::trace {
 
-thread_local ProbeSink* g_sink = nullptr;
+VTRANS_PROBE_TLS ProbeSink* g_sink = nullptr;
 
 namespace detail {
 
-thread_local BatchCursor g_cursor;
+VTRANS_PROBE_TLS BatchCursor g_cursor;
 
 namespace {
 
@@ -138,69 +138,14 @@ ProbeSink::onBatch(const ProbeEvent* events, size_t count)
     }
 }
 
-TeeSink::TeeSink(std::vector<ProbeSink*> sinks)
-{
-    for (ProbeSink* sink : sinks) {
-        add(sink);
-    }
-}
-
-void
-TeeSink::add(ProbeSink* sink)
-{
-    VT_ASSERT(sink != nullptr, "cannot chain a null probe sink");
-    sinks_.push_back(sink);
-}
-
-void
-TeeSink::onBlock(const CodeSite& site)
-{
-    for (ProbeSink* sink : sinks_) {
-        sink->onBlock(site);
-    }
-}
-
-void
-TeeSink::onBranch(const CodeSite& site, bool taken)
-{
-    for (ProbeSink* sink : sinks_) {
-        sink->onBranch(site, taken);
-    }
-}
-
-void
-TeeSink::onLoad(uint64_t addr, uint32_t bytes)
-{
-    for (ProbeSink* sink : sinks_) {
-        sink->onLoad(addr, bytes);
-    }
-}
-
-void
-TeeSink::onStore(uint64_t addr, uint32_t bytes)
-{
-    for (ProbeSink* sink : sinks_) {
-        sink->onStore(addr, bytes);
-    }
-}
-
-void
-TeeSink::onBatch(const ProbeEvent* events, size_t count)
-{
-    // Forward the batch whole: each sink consumes the identical event
-    // sequence in the identical order, so per-sink results match the
-    // per-event tee exactly; only the (unobservable) interleaving between
-    // independent sinks differs.
-    for (ProbeSink* sink : sinks_) {
-        sink->onBatch(events, count);
-    }
-}
-
 SiteRegistry&
 registry()
 {
-    static SiteRegistry instance;
-    return instance;
+    // Never destroyed: sites live for the whole process, and a static
+    // destructor that ran first would leave the CodeSites (and every
+    // VT_SITE reference to them) unowned at exit.
+    static SiteRegistry* instance = new SiteRegistry;
+    return *instance;
 }
 
 SimArena&

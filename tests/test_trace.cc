@@ -123,72 +123,21 @@ TEST(Probe, ResetLayoutRestoresDefaults)
     EXPECT_FALSE(a.invert);
 }
 
-TEST(TeeSink, ForwardsEveryEventToAllSinksInOrder)
+TEST(Probe, PerThreadAttachmentDoesNotCrossTalk)
 {
-    RecordingSink first;
-    RecordingSink second;
-    trace::TeeSink tee({&first, &second});
-    ASSERT_EQ(tee.sinks().size(), 2u);
-
-    trace::setSink(&tee);
-    VT_SITE(site, "test.tee.block", 32, 4, Block);
-    VT_SITE(br, "test.tee.branch", 8, 1, Branch);
-    trace::block(site);
-    trace::load(0x2000, 16);
-    trace::branch(br, false);
-    trace::store(0x3000, 4);
-    trace::setSink(nullptr);
-
-    // Both sinks saw the identical stream: same kinds, same operands,
-    // same order (branch() fans out as block + branch).
-    ASSERT_EQ(first.events.size(), 5u);
-    ASSERT_EQ(second.events.size(), first.events.size());
-    for (size_t i = 0; i < first.events.size(); ++i) {
-        EXPECT_EQ(first.events[i].kind, second.events[i].kind) << i;
-        EXPECT_EQ(first.events[i].a, second.events[i].a) << i;
-        EXPECT_EQ(first.events[i].b, second.events[i].b) << i;
-    }
-    EXPECT_EQ(first.events[0].kind, 'B');
-    EXPECT_EQ(first.events[1].kind, 'L');
-    EXPECT_EQ(first.events[2].kind, 'B');
-    EXPECT_EQ(first.events[3].kind, 'J');
-    EXPECT_EQ(first.events[4].kind, 'S');
-}
-
-TEST(TeeSink, AddGrowsTheChain)
-{
-    RecordingSink a;
-    RecordingSink b;
-    trace::TeeSink tee;
-    tee.add(&a);
-    trace::setSink(&tee);
-    VT_SITE(site, "test.tee.add", 16, 2, Block);
-    trace::block(site);
-    tee.add(&b);
-    trace::block(site);
-    trace::setSink(nullptr);
-
-    EXPECT_EQ(a.events.size(), 2u); // Saw both blocks.
-    EXPECT_EQ(b.events.size(), 1u); // Attached after the first.
-}
-
-TEST(TeeSink, PerThreadAttachmentDoesNotCrossTalk)
-{
-    // Sinks are thread-local: a tee attached on one thread must never
+    // Sinks are thread-local: a sink attached on one thread must never
     // observe another thread's events, and attaching/detaching mid-run
-    // on one thread must not disturb a sibling's chain.
-    VT_SITE(site, "test.tee.threads", 16, 2, Block);
+    // on one thread must not disturb a sibling's sink.
+    VT_SITE(site, "test.probe.threads", 16, 2, Block);
 
     RecordingSink main_sink;
-    trace::TeeSink main_tee({&main_sink});
-    trace::setSink(&main_tee);
+    trace::setSink(&main_sink);
 
     RecordingSink worker_sink;
     std::thread worker([&worker_sink, &site] {
         // This thread starts with no sink; emitting is a no-op.
         trace::block(site);
-        trace::TeeSink tee({&worker_sink});
-        trace::setSink(&tee);
+        trace::setSink(&worker_sink);
         trace::block(site);
         trace::block(site);
         trace::setSink(nullptr); // Detach mid-run...
@@ -387,30 +336,6 @@ TEST(BatchPipeline, DefaultCapacityOverride)
     EXPECT_EQ(trace::defaultBatchCapacity(), 7u);
     trace::setDefaultBatchCapacity(original);
     EXPECT_EQ(trace::defaultBatchCapacity(), original);
-}
-
-TEST(BatchPipeline, TeeForwardsBatchesToEverySink)
-{
-    VT_SITE(site, "test.batch.tee", 16, 2, Block);
-    VT_SITE(br, "test.batch.teebranch", 8, 1, Branch);
-    RecordingSink first;
-    RecordingSink second;
-    trace::TeeSink tee({&first, &second});
-    trace::setSink(&tee, 4); // Small capacity: several flushes.
-    for (int i = 0; i < 5; ++i) {
-        trace::block(site);
-        trace::branch(br, i % 2 == 0);
-        trace::load(0x1000 + i, 8);
-    }
-    trace::setSink(nullptr);
-
-    ASSERT_EQ(first.events.size(), 20u); // 5 x (block + block + branch + load)
-    ASSERT_EQ(second.events.size(), first.events.size());
-    for (size_t i = 0; i < first.events.size(); ++i) {
-        EXPECT_EQ(first.events[i].kind, second.events[i].kind) << i;
-        EXPECT_EQ(first.events[i].a, second.events[i].a) << i;
-        EXPECT_EQ(first.events[i].b, second.events[i].b) << i;
-    }
 }
 
 TEST(BatchPipeline, ThreadsBatchIndependently)

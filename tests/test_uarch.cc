@@ -605,6 +605,12 @@ void
 expectSameSite(const SiteUarch& a, const SiteUarch& b,
                const std::string& what)
 {
+    EXPECT_EQ(a.blocks, b.blocks) << what;
+    EXPECT_EQ(a.taken, b.taken) << what;
+    EXPECT_EQ(a.loads, b.loads) << what;
+    EXPECT_EQ(a.stores, b.stores) << what;
+    EXPECT_EQ(a.load_bytes, b.load_bytes) << what;
+    EXPECT_EQ(a.store_bytes, b.store_bytes) << what;
     EXPECT_EQ(a.cycles, b.cycles) << what;
     EXPECT_EQ(a.slots_retiring, b.slots_retiring) << what;
     EXPECT_EQ(a.slots_frontend, b.slots_frontend) << what;
