@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <thread>
 
 #include "codec/decoder.h"
@@ -31,12 +32,27 @@ struct Farm::Attempt
     std::string key;          ///< Task signature of the job.
     int server = 0;           ///< Fleet id.
     int number = 0;           ///< 0-based attempt number.
-    double planned_start = 0; ///< Event clock (predicted time base).
     double predicted = 0;     ///< Predicted seconds on this server.
     bool failed = false;      ///< Fault-injector verdict.
     bool fixed = false;       ///< Known service time (stitch job).
     Cache cache = Cache::None;
     int provider = -1;        ///< Attempt index this Wait rides on.
+    int previous = -1;        ///< This job's earlier attempt; -1 = none.
+    bool final = false;       ///< This attempt's outcome is the job's.
+};
+
+/**
+ * Every scheduling decision of one drain, made once by plan() on
+ * predicted service times. account() re-times it with measured ones and
+ * decides nothing of its own: retry order, dependency release, shedding
+ * and graph failure all come from here.
+ */
+struct Farm::Schedule
+{
+    std::vector<Attempt> attempts;        ///< Every dispatch, in order.
+    std::map<uint64_t, int> last_attempt; ///< Job id -> its last attempt.
+    std::set<uint64_t> shed;              ///< Rejected at admission.
+    std::set<uint64_t> dead;              ///< Killed by a failed dependency.
 };
 
 namespace {
@@ -103,21 +119,10 @@ Farm::Farm(FarmOptions options)
                  : std::make_shared<ResultCache>(options_.cache);
 }
 
-Farm::~Farm()
-{
-    stop();
-}
-
 int
 Farm::workers() const
 {
     return pool_->workers();
-}
-
-void
-Farm::stop()
-{
-    pool_->stop();
 }
 
 uint64_t
@@ -409,16 +414,17 @@ Farm::runTask(const std::string& key, const sched::Task& task,
     return core::runInstrumentedChunk(slices, cfg);
 }
 
-std::vector<Farm::Attempt>
+Farm::Schedule
 Farm::plan(std::vector<Job> jobs)
 {
-    JobQueue queue(options_.queue_policy, options_.queue_capacity);
+    JobQueue queue(options_.queue_policy);
     std::vector<Job> retries; // Waiting out their backoff.
     std::vector<double> busy(fleet_.size(), 0.0);
     Rng rng(options_.rng_seed);
     size_t rr_cursor = 0;
     size_t next_arrival = 0;
-    std::vector<Attempt> attempts;
+    Schedule schedule;
+    std::vector<Attempt>& attempts = schedule.attempts;
 
     // Final-outcome events on the event clock, feeding the queue's
     // dependency bookkeeping: a job's last attempt completing (markDone)
@@ -442,7 +448,7 @@ Farm::plan(std::vector<Job> jobs)
                 return;
             }
             for (const Job& job : dead) {
-                dep_failed_.insert(job.id);
+                schedule.dead.insert(job.id);
                 queue.markFailed(job.id);
             }
         }
@@ -489,29 +495,34 @@ Farm::plan(std::vector<Job> jobs)
         }
         reap();
 
-        // Re-queue retries whose backoff has expired (before admitting
-        // new arrivals, so a waiting retry is not starved of queue space).
-        std::sort(retries.begin(), retries.end(),
-                  [](const Job& a, const Job& b) {
-                      return a.ready_time != b.ready_time
-                                 ? a.ready_time < b.ready_time
-                                 : a.id < b.id;
-                  });
-        while (!retries.empty() && retries.front().ready_time <= t
-               && queue.tryPush(retries.front())) {
-            retries.erase(retries.begin());
+        // Re-queue retries whose backoff has expired, before admitting
+        // new arrivals (a retry takes backlog space first). A retry
+        // belongs to a job already admitted, so it always re-enters:
+        // capacity bounds arrivals only. The queue orders by policy,
+        // never by push order, so the order retries re-enter in is
+        // immaterial.
+        for (auto r = retries.begin(); r != retries.end();) {
+            if (r->ready_time <= t) {
+                queue.push(std::move(*r));
+                r = retries.erase(r);
+            } else {
+                ++r;
+            }
         }
 
-        // Admission control: arrivals into a full backlog are shed. A
-        // shed job counts as failed for dependency purposes — a graph
-        // missing a chunk can never stitch.
-        while (next_arrival < jobs.size()
-               && jobs[next_arrival].submit_time <= t) {
-            if (!queue.tryPush(jobs[next_arrival])) {
-                shed_ids_.insert(jobs[next_arrival].id);
-                queue.markFailed(jobs[next_arrival].id);
+        // Admission control, the one place that sheds: an arrival into a
+        // full backlog is rejected. A shed job counts as failed for
+        // dependency purposes — a graph missing a chunk can never stitch.
+        for (; next_arrival < jobs.size()
+               && jobs[next_arrival].submit_time <= t;
+             ++next_arrival) {
+            const Job& job = jobs[next_arrival];
+            if (queue.size() >= options_.queue_capacity) {
+                schedule.shed.insert(job.id);
+                queue.markFailed(job.id);
+            } else {
+                queue.push(job);
             }
-            ++next_arrival;
         }
         reap();
 
@@ -576,14 +587,19 @@ Farm::plan(std::vector<Job> jobs)
                 fixed ? job.fixed_seconds
                       : predictor_.predict(job.key(), fleet_[server].config);
             const bool fails = injector_.fails(job.id, job.attempts);
+            const int index = static_cast<int>(attempts.size());
             Attempt att;
             att.job_id = job.id;
             att.key = job.key();
             att.server = server;
             att.number = job.attempts;
-            att.planned_start = t;
             att.failed = fails;
             att.fixed = fixed;
+            att.final = !fails || att.number >= job.retry_budget;
+            if (att.number > 0) {
+                att.previous = schedule.last_attempt.at(job.id);
+            }
+            schedule.last_attempt[job.id] = index;
             if (serve && !fixed) {
                 const CacheKey ck =
                     cacheKeyFor(job.key(), fleet_[server].config);
@@ -607,24 +623,22 @@ Farm::plan(std::vector<Job> jobs)
                     predicted = (pv->second.finish - t) + hit_cost;
                 } else {
                     att.cache = Attempt::Cache::Compute;
-                    providers[ck] = {t + predicted,
-                                     static_cast<int>(attempts.size())};
+                    providers[ck] = {t + predicted, index};
                 }
             }
             att.predicted = predicted;
-            attempts.push_back(std::move(att));
             busy[server] = t + predicted;
             idle.erase(std::find(idle.begin(), idle.end(), server));
-
-            const int number = job.attempts++;
-            if (fails && number < job.retry_budget) {
-                job.ready_time =
-                    t + predicted + backoffAfter(options_, number);
-                retries.push_back(job);
-            } else {
+            ++job.attempts;
+            if (att.final) {
                 // Final outcome: queue the dependency event.
                 completions.push_back({t + predicted, job.id, !fails});
+            } else {
+                job.ready_time =
+                    t + predicted + backoffAfter(options_, att.number);
+                retries.push_back(job);
             }
+            attempts.push_back(std::move(att));
         }
 
         // Advance the event clock: next arrival, retry expiry, or server
@@ -652,7 +666,7 @@ Farm::plan(std::vector<Job> jobs)
                   "farm planner stalled at t=", t);
         t = next;
     }
-    return attempts;
+    return schedule;
 }
 
 void
@@ -736,24 +750,52 @@ Farm::execute(const std::vector<Attempt>& attempts)
 }
 
 void
-Farm::account(const std::vector<Job>& jobs,
-              const std::vector<Attempt>& attempts)
+Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
 {
-    // Replay the planned schedule against the *measured* simulated
-    // durations: assignments and per-server order stay as dispatched;
-    // start/finish times shift to what the fleet actually took.
-    // The replay is also where the job-lifecycle spans are emitted:
-    // every quantity a span needs (queue wait, attempt start/finish,
-    // backoff window) is computed right here, in simulated time.
+    // Re-time the planned schedule against the *measured* simulated
+    // durations: assignments, per-server order, retries, dependency
+    // release and graph failure stay exactly as plan() decided; only
+    // start/finish times shift to what the fleet actually took. The
+    // re-timing is also where the job-lifecycle spans are emitted: every
+    // quantity a span needs (queue wait, attempt start/finish, backoff
+    // window) is computed right here, in simulated time.
     constexpr double kUsPerSimSecond = 1e6;
     tracer_.setTrackName(1, 0, "dispatch queue");
     for (size_t s = 0; s < fleet_.size(); ++s) {
         tracer_.setTrackName(1, static_cast<int64_t>(1 + s),
                              "server " + fleet_[s].name);
     }
+    // The two span shapes of the dispatch-queue track: a marker for one
+    // job, and an async begin/end pair paired by job id.
+    auto instant = [&](const char* name, double at, uint64_t job_id) {
+        obs::Span span;
+        span.kind = obs::Span::Kind::Instant;
+        span.category = "farm";
+        span.name = name;
+        span.tid = 0;
+        span.ts_us = at * kUsPerSimSecond;
+        span.args = {{"job", std::to_string(job_id)}};
+        tracer_.recordEvent(std::move(span));
+    };
+    auto asyncPair = [&](const char* name, uint64_t job_id, double begin,
+                         double end, const char* arg_key,
+                         uint64_t arg_value) {
+        obs::Span span;
+        span.kind = obs::Span::Kind::AsyncBegin;
+        span.category = "farm";
+        span.name = name;
+        span.id = job_id;
+        span.tid = 0;
+        span.ts_us = begin * kUsPerSimSecond;
+        span.args = {{arg_key, std::to_string(arg_value)}};
+        tracer_.recordEvent(span);
+        span.kind = obs::Span::Kind::AsyncEnd;
+        span.ts_us = end * kUsPerSimSecond;
+        span.args.clear();
+        tracer_.recordEvent(std::move(span));
+    };
 
     std::map<uint64_t, JobRecord> records;
-    std::map<uint64_t, int> budgets;
     for (const Job& job : jobs) {
         JobRecord rec;
         rec.id = job.id;
@@ -769,31 +811,14 @@ Farm::account(const std::vector<Job>& jobs,
                                   : (job.isChunk() ? "chunk" : "transcode");
         rec.submit = job.submit_time;
         rec.deadline = job.deadline;
-        rec.state = shed_ids_.count(job.id) ? JobState::Shed
-                                            : JobState::Pending;
-        if (rec.state == JobState::Shed) {
+        if (schedule.shed.count(job.id) != 0) {
+            rec.state = JobState::Shed;
             rec.finish = job.submit_time;
-            obs::Span shed;
-            shed.kind = obs::Span::Kind::Instant;
-            shed.category = "farm";
-            shed.name = "shed";
-            shed.tid = 0;
-            shed.ts_us = job.submit_time * kUsPerSimSecond;
-            shed.args = {{"job", std::to_string(job.id)}};
-            tracer_.recordEvent(std::move(shed));
+            instant("shed", job.submit_time, job.id);
         }
         records.emplace(job.id, std::move(rec));
-        budgets.emplace(job.id, job.retry_budget);
     }
 
-    std::vector<double> server_free(fleet_.size(), 0.0);
-    std::map<uint64_t, double> ready;
-    std::map<uint64_t, const Job*> by_id;
-    for (const Job& job : jobs) {
-        by_id.emplace(job.id, &job);
-    }
-    std::map<uint64_t, double> finish_of;       ///< Last attempt finish.
-    std::map<uint64_t, std::string> done_config; ///< Config of Done run.
     std::map<std::string, codec::DecodeResult> mezz_decoded;
     auto mezzFrames = [&](const std::string& video)
         -> const std::vector<video::Frame>& {
@@ -807,12 +832,17 @@ Farm::account(const std::vector<Job>& jobs,
         return it->second.frames;
     };
 
+    const std::vector<Attempt>& attempts = schedule.attempts;
     const double hit_cost = std::max(options_.cache_hit_seconds, 1e-9);
-    std::vector<double> attempt_finish(attempts.size(), 0.0);
+    std::vector<double> server_free(fleet_.size(), 0.0);
+    std::vector<double> finish(attempts.size(), 0.0);
+    // A failed attempt's job becomes ready again one backoff after it.
+    auto retryReady = [&](int i) {
+        return finish[i] + backoffAfter(options_, attempts[i].number);
+    };
     for (size_t ai = 0; ai < attempts.size(); ++ai) {
         const Attempt& a = attempts[ai];
         JobRecord& rec = records.at(a.job_id);
-        const Job& job = *by_id.at(a.job_id);
 
         double actual = 0.0;
         double dep_ready = 0.0;
@@ -820,18 +850,18 @@ Farm::account(const std::vector<Job>& jobs,
         std::vector<uint8_t> stitched;
         if (a.fixed) {
             // The stitch job's real work: remux the chunk bitstreams —
-            // in chunk order — into the final stream. Every dependency
-            // is Done here (the planner never dispatches a blocked job
-            // early), and whichever server config ran a chunk produced
-            // the same bytes, so the result pinned under the config of
-            // the chunk's final successful attempt is authoritative.
+            // in chunk order — into the final stream. The planner only
+            // dispatched it once every chunk's final attempt succeeded,
+            // so those attempts name the results (and the finish times)
+            // it waits on.
             std::vector<const std::vector<uint8_t>*> outputs;
-            for (uint64_t dep : job.blocked_by) {
-                const Job& chunk_job = *by_id.at(dep);
+            for (uint64_t dep : graphs_.at(a.job_id).chunk_ids) {
+                const int d = schedule.last_attempt.at(dep);
                 outputs.push_back(
-                    &resultFor(chunk_job.key(), done_config.at(dep))
+                    &resultFor(attempts[d].key,
+                               fleet_[attempts[d].server].config)
                          .output);
-                dep_ready = std::max(dep_ready, finish_of.at(dep));
+                dep_ready = std::max(dep_ready, finish[d]);
             }
             stitched = chunk::stitch(outputs);
             actual = chunk::stitchSeconds(stitched.size());
@@ -841,47 +871,27 @@ Farm::account(const std::vector<Job>& jobs,
                          ? hit_cost
                          : result->transcode_seconds;
         }
-        const double r = ready.count(a.job_id) ? ready.at(a.job_id)
-                                               : rec.submit;
+        const double ready =
+            a.previous < 0 ? rec.submit : retryReady(a.previous);
         const double start =
-            std::max({r, server_free[a.server], dep_ready});
-        double finish = start + actual;
+            std::max({ready, server_free[a.server], dep_ready});
+        double end = start + actual;
         if (a.cache == Attempt::Cache::Wait) {
             // Single-flight replay with *measured* times: this attempt
             // rides its provider — it serves at hit cost once the
             // provider's (measured) compute lands, however that differs
             // from the planned timeline.
-            finish = std::max(attempt_finish[a.provider], start) + hit_cost;
-            actual = finish - start;
+            end = std::max(finish[a.provider], start) + hit_cost;
+            actual = end - start;
         }
-        server_free[a.server] = finish;
-        finish_of[a.job_id] = finish;
-        attempt_finish[ai] = finish;
-        if (!a.failed) {
-            done_config[a.job_id] = fleet_[a.server].config;
-        }
+        server_free[a.server] = end;
+        finish[ai] = end;
 
-        if (a.number == 0) {
+        if (a.previous < 0) {
             rec.start = start;
             rec.queue_wait = start - rec.submit;
-            // Queue wait as an async pair: submit → first dispatch.
-            obs::Span qb;
-            qb.kind = obs::Span::Kind::AsyncBegin;
-            qb.category = "farm";
-            qb.name = "queue";
-            qb.id = a.job_id;
-            qb.tid = 0;
-            qb.ts_us = rec.submit * kUsPerSimSecond;
-            qb.args = {{"job", std::to_string(a.job_id)}};
-            tracer_.recordEvent(std::move(qb));
-            obs::Span qe;
-            qe.kind = obs::Span::Kind::AsyncEnd;
-            qe.category = "farm";
-            qe.name = "queue";
-            qe.id = a.job_id;
-            qe.tid = 0;
-            qe.ts_us = start * kUsPerSimSecond;
-            tracer_.recordEvent(std::move(qe));
+            asyncPair("queue", a.job_id, rec.submit, start, "job",
+                      a.job_id);
         }
         rec.attempts = a.number + 1;
         rec.server = a.server;
@@ -890,7 +900,7 @@ Farm::account(const std::vector<Job>& jobs,
                         || a.cache == Attempt::Cache::Wait;
         rec.predicted_seconds = a.predicted;
         rec.actual_seconds = actual;
-        rec.finish = finish;
+        rec.finish = end;
         if (a.fixed) {
             // Real measured quality of the stitched stream, against the
             // same reference the unchunked path uses (the decoded
@@ -934,76 +944,47 @@ Farm::account(const std::vector<Job>& jobs,
                                     ? "wait"
                                     : "compute"));
         }
-        if (job.isChunk()) {
+        if (rec.parent_id != 0) {
             attempt.args.emplace_back("parent",
-                                      std::to_string(job.parent_id));
+                                      std::to_string(rec.parent_id));
             attempt.args.emplace_back("chunk",
-                                      std::to_string(job.chunk_index));
+                                      std::to_string(rec.chunk_index));
         }
         if (a.fixed) {
             attempt.args.emplace_back("chunks",
-                                      std::to_string(job.chunk_count));
+                                      std::to_string(rec.chunk_count));
         }
         tracer_.recordComplete(std::move(attempt));
 
-        if (a.failed) {
-            ready[a.job_id] = finish + backoffAfter(options_, a.number);
-            rec.state = a.number < budgets.at(a.job_id)
-                            ? JobState::Pending
-                            : JobState::Failed;
-            if (rec.state == JobState::Pending) {
-                // Retry backoff window as an async pair on the queue
-                // track, distinguished from the queue wait by name.
-                obs::Span bb;
-                bb.kind = obs::Span::Kind::AsyncBegin;
-                bb.category = "farm";
-                bb.name = "backoff";
-                bb.id = a.job_id;
-                bb.tid = 0;
-                bb.ts_us = finish * kUsPerSimSecond;
-                bb.args = {{"attempt", std::to_string(a.number)}};
-                tracer_.recordEvent(std::move(bb));
-                obs::Span be;
-                be.kind = obs::Span::Kind::AsyncEnd;
-                be.category = "farm";
-                be.name = "backoff";
-                be.id = a.job_id;
-                be.tid = 0;
-                be.ts_us = ready[a.job_id] * kUsPerSimSecond;
-                tracer_.recordEvent(std::move(be));
-            }
-        } else {
+        if (!a.failed) {
             rec.state = JobState::Done;
+        } else if (a.final) {
+            rec.state = JobState::Failed;
+        } else {
+            // Retry backoff window as an async pair on the queue track,
+            // distinguished from the queue wait by name.
+            rec.state = JobState::Pending;
+            asyncPair("backoff", a.job_id, end, retryReady(ai), "attempt",
+                      a.number);
         }
     }
 
     // Jobs killed by a failed dependency never dispatched: record the
     // graph failure at the moment the last dependency resolved.
     for (const Job& job : jobs) {
-        if (dep_failed_.count(job.id) == 0) {
+        if (schedule.dead.count(job.id) == 0) {
             continue;
         }
         JobRecord& rec = records.at(job.id);
-        if (rec.state == JobState::Shed) {
-            continue; // Shed at admission: already accounted.
-        }
         rec.state = JobState::Failed;
-        double fin = rec.submit;
+        rec.finish = rec.submit;
         for (uint64_t dep : job.blocked_by) {
-            const auto it = finish_of.find(dep);
-            if (it != finish_of.end()) {
-                fin = std::max(fin, it->second);
+            const auto d = schedule.last_attempt.find(dep);
+            if (d != schedule.last_attempt.end()) {
+                rec.finish = std::max(rec.finish, finish[d->second]);
             }
         }
-        rec.finish = fin;
-        obs::Span dead;
-        dead.kind = obs::Span::Kind::Instant;
-        dead.category = "farm";
-        dead.name = "dep-failed";
-        dead.tid = 0;
-        dead.ts_us = fin * kUsPerSimSecond;
-        dead.args = {{"job", std::to_string(job.id)}};
-        tracer_.recordEvent(std::move(dead));
+        instant("dep-failed", rec.finish, job.id);
     }
 
     for (const Job& job : jobs) {
@@ -1037,9 +1018,9 @@ Farm::drain()
 
     if (!jobs.empty()) {
         characterize(jobs);
-        const auto attempts = plan(jobs);
-        execute(attempts);
-        account(jobs, attempts);
+        const Schedule schedule = plan(jobs);
+        execute(schedule.attempts);
+        account(jobs, schedule);
     }
     recordMetrics();
     // Age the cache by the drain's simulated duration: TTL expiry runs

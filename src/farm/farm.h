@@ -16,15 +16,19 @@
  *  - *Wall-clock* time: the worker pool executes the actual instrumented
  *    transcodes on real threads, in parallel.
  *
- * Dispatch is an online discrete-event simulation driven by *predicted*
+ * A drain runs four steps: characterize → plan → execute → account.
+ * Planning is an online discrete-event simulation driven by *predicted*
  * service times (a real dispatcher cannot observe a job's runtime before
  * running it — the paper's smart scheduler likewise sees only its
  * calibration reference plus each task's baseline profile). Predictions
  * are calibrated from a reference workload and per-task baseline
  * characterizations, both measured with real instrumented runs. The
- * planned assignment and per-server order are then executed on the
- * worker pool, and the final timeline is re-accounted with the measured
- * simulated durations; the run log reports predicted vs. actual per job.
+ * plan is a schedule — every attempt's server, order, retry link and
+ * outcome, plus the jobs shed at admission or killed by a failed
+ * dependency. Its attempts are executed on the worker pool, and the
+ * account step re-times the same schedule with the measured simulated
+ * durations, deciding nothing anew; the run log reports predicted vs.
+ * actual per job.
  *
  * Because every scheduling decision depends only on seeds, predictions
  * and submit order — never on wall-clock — the run log and every per-job
@@ -36,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -63,7 +66,9 @@ struct FarmOptions
 
     QueuePolicy queue_policy = QueuePolicy::Fifo;
     DispatchPolicy dispatch = DispatchPolicy::Smart;
-    size_t queue_capacity = 256;  ///< Backlog bound (admission control).
+    size_t queue_capacity = 256;  ///< Backlog bound: arrivals into a full
+                                  ///< backlog are shed; an admitted job's
+                                  ///< retries always re-enter.
     size_t match_window = 8;      ///< Jobs the smart matcher may look at.
 
     double clip_seconds = 0.4;    ///< Clip length of every transcode.
@@ -130,7 +135,6 @@ class Farm
 {
   public:
     explicit Farm(FarmOptions options = {});
-    ~Farm();
 
     Farm(const Farm&) = delete;
     Farm& operator=(const Farm&) = delete;
@@ -214,13 +218,6 @@ class Farm
     /** Effective worker count. */
     int workers() const;
 
-    /**
-     * Stops the worker pool. A subsequent `drain()` executes inline on
-     * the calling thread (the serial path); already-drained farms are
-     * unaffected.
-     */
-    void stop();
-
     const FarmOptions& options() const { return options_; }
 
     /**
@@ -234,7 +231,8 @@ class Farm
     static void warmupProcess();
 
   private:
-    struct Attempt; // Planning/execution record (internal).
+    struct Attempt;  // One planned dispatch (internal).
+    struct Schedule; // Every decision plan() made (internal).
 
     /** The slice of a split plan one chunk job encodes. */
     struct ChunkWork
@@ -260,10 +258,9 @@ class Farm
     };
 
     void characterize(const std::vector<Job>& jobs);
-    std::vector<Attempt> plan(std::vector<Job> jobs);
+    Schedule plan(std::vector<Job> jobs);
     void execute(const std::vector<Attempt>& attempts);
-    void account(const std::vector<Job>& jobs,
-                 const std::vector<Attempt>& attempts);
+    void account(const std::vector<Job>& jobs, const Schedule& schedule);
     void recordMetrics() const;
 
     /** Runs the instrumented work behind a task signature on `core`:
@@ -301,12 +298,10 @@ class Farm
     bool drained_ = false;
 
     std::map<std::string, sched::Task> key_tasks_; ///< Signature -> task.
-    std::set<uint64_t> shed_ids_;                  ///< Rejected at admission.
 
     // Job-graph state (chunked submissions).
     std::map<std::string, ChunkWork> chunk_work_;  ///< Chunk key -> slice.
     std::map<uint64_t, GraphInfo> graphs_;         ///< Stitch id -> graph.
-    std::set<uint64_t> dep_failed_;   ///< Jobs killed by a failed dep.
     std::map<std::string, UnchunkedRef> unchunked_refs_; ///< Task key -> ref.
 
     // The content-addressed result store (owned or shared; see

@@ -8,8 +8,6 @@ toString(JobState state)
     switch (state) {
       case JobState::Pending:
         return "pending";
-      case JobState::Running:
-        return "running";
       case JobState::Done:
         return "done";
       case JobState::Failed:

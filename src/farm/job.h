@@ -25,7 +25,6 @@ namespace vtrans::farm {
 /** Lifecycle state of a job, as reported by the run log. */
 enum class JobState : uint8_t {
     Pending, ///< Submitted, not yet dispatched.
-    Running, ///< Dispatched to a server (transient, planning only).
     Done,    ///< Completed successfully.
     Failed,  ///< Exhausted its retry budget.
     Shed,    ///< Rejected by admission control (queue over capacity).

@@ -48,15 +48,6 @@ deadlineKey(const Job& job)
 
 } // namespace
 
-JobQueue::JobQueue(QueuePolicy policy, size_t capacity)
-    : policy_(policy), capacity_(capacity)
-{
-    // Capacity 0 is legal: an always-full queue, which the farm planner
-    // uses (via tryPush) to model a service that sheds every arrival.
-    // waitPush on such a queue would block forever, so blocking
-    // producers must use a non-zero capacity.
-}
-
 bool
 JobQueue::before(const Job& a, const Job& b) const
 {
@@ -120,76 +111,27 @@ JobQueue::bestIndex(double now) const
     return best;
 }
 
-bool
-JobQueue::tryPush(Job job)
+void
+JobQueue::push(Job job)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ || jobs_.size() >= capacity_) {
-        return false;
-    }
     jobs_.push_back(std::move(job));
-    not_empty_.notify_one();
-    return true;
-}
-
-bool
-JobQueue::waitPush(Job job)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || jobs_.size() < capacity_; });
-    if (closed_) {
-        return false;
-    }
-    jobs_.push_back(std::move(job));
-    not_empty_.notify_one();
-    return true;
-}
-
-std::optional<Job>
-JobQueue::tryPop()
-{
-    return tryPop(std::numeric_limits<double>::infinity());
 }
 
 std::optional<Job>
 JobQueue::tryPop(double now)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     const int best = bestIndex(now);
     if (best < 0) {
         return std::nullopt;
     }
     Job job = std::move(jobs_[best]);
     jobs_.erase(jobs_.begin() + best);
-    not_full_.notify_one();
-    return job;
-}
-
-std::optional<Job>
-JobQueue::waitPop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    // Wake on closure or on an *eligible* job: a queue holding only
-    // dependency-blocked jobs keeps consumers parked until markDone.
-    int best = -1;
-    not_empty_.wait(lock, [&] {
-        best = bestIndex(std::numeric_limits<double>::infinity());
-        return closed_ || best >= 0;
-    });
-    if (best < 0) {
-        return std::nullopt; // Closed and drained (or only held jobs).
-    }
-    Job job = std::move(jobs_[best]);
-    jobs_.erase(jobs_.begin() + best);
-    not_full_.notify_one();
     return job;
 }
 
 std::vector<Job>
 JobQueue::peekWindow(double now, size_t limit) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     // Select the first `limit` jobs in policy order without copying (or
     // fully sorting) every eligible job: this runs on the dispatch hot
     // path once per planner tick, against a potentially deep backlog.
@@ -215,94 +157,28 @@ JobQueue::peekWindow(double now, size_t limit) const
 bool
 JobQueue::remove(uint64_t id)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     for (size_t i = 0; i < jobs_.size(); ++i) {
         if (jobs_[i].id == id) {
             jobs_.erase(jobs_.begin() + i);
-            not_full_.notify_one();
             return true;
         }
     }
     return false;
 }
 
-void
-JobQueue::markDone(uint64_t id)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    done_.insert(id);
-    // A dependency completing can make any number of held jobs eligible.
-    not_empty_.notify_all();
-}
-
-void
-JobQueue::markFailed(uint64_t id)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    failed_.insert(id);
-    // Wake waiters so dead graphs are noticed (takeDead) promptly.
-    not_empty_.notify_all();
-}
-
 std::vector<Job>
 JobQueue::takeDead()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<Job> dead;
     for (size_t i = 0; i < jobs_.size();) {
         if (deadlocked(jobs_[i])) {
             dead.push_back(std::move(jobs_[i]));
             jobs_.erase(jobs_.begin() + i);
-            not_full_.notify_one();
         } else {
             ++i;
         }
     }
     return dead;
-}
-
-std::optional<double>
-JobQueue::nextReadyAfter(double now) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::optional<double> next;
-    for (const Job& job : jobs_) {
-        if (job.ready_time > now
-            && (!next || job.ready_time < *next)) {
-            next = job.ready_time;
-        }
-    }
-    return next;
-}
-
-void
-JobQueue::close()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-    not_full_.notify_all();
-}
-
-size_t
-JobQueue::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return jobs_.size();
-}
-
-bool
-JobQueue::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return jobs_.empty();
-}
-
-bool
-JobQueue::closed() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
 }
 
 } // namespace vtrans::farm

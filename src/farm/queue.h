@@ -3,19 +3,17 @@
 
 /**
  * @file
- * A thread-safe bounded MPMC job queue with admission control and
- * pluggable ordering policies:
+ * The farm planner's ordered job backlog, with pluggable ordering
+ * policies:
  *  - Fifo: by ready time (arrival order; retries re-enter when ready);
  *  - Priority: higher priority first, FIFO within a class;
  *  - Edf: earliest absolute deadline first (deadline-less jobs last).
  *
- * Two usage modes share one implementation:
- *  - MPMC mode: producers `waitPush`/`tryPush`, consumers `waitPop`;
- *    `close()` releases all waiters (a pop on a closed empty queue
- *    returns nullopt). This is the concurrent submission path.
- *  - Simulation mode: the farm's discrete-event dispatcher uses the
- *    time-aware calls (`tryPop(now)`, `peekWindow`, `nextReadyAfter`) to
- *    pop only jobs whose ready time has arrived in simulated time.
+ * The queue is a plain single-threaded container: it lives inside one
+ * `Farm::plan()` call and is only ever touched by the discrete-event
+ * planner, which pops jobs whose ready time has arrived in simulated
+ * time (`tryPop(now)`, `peekWindow`). It has no capacity of its own —
+ * admission control is the planner's arrival step.
  *
  * ## Job graphs
  *
@@ -27,9 +25,7 @@
  * `takeDead` so the caller can fail the graph.
  */
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -47,27 +43,18 @@ std::string toString(QueuePolicy policy);
 /** Parses a policy name; fatal error on an unknown name. */
 QueuePolicy queuePolicyFromName(const std::string& name);
 
-/** Thread-safe bounded MPMC queue of jobs (see file comment). */
+/** The planner's ordered backlog of jobs (see file comment). */
 class JobQueue
 {
   public:
-    /** Creates a queue serving `policy` with room for `capacity` jobs. */
-    JobQueue(QueuePolicy policy, size_t capacity);
+    /** Creates an empty queue serving `policy`. */
+    explicit JobQueue(QueuePolicy policy) : policy_(policy) {}
 
-    /** Enqueues if there is room; false = shed (queue full or closed). */
-    bool tryPush(Job job);
-
-    /** Blocks while full; false only if the queue was closed. */
-    bool waitPush(Job job);
-
-    /** Pops the best job per policy, ignoring ready times. */
-    std::optional<Job> tryPop();
+    /** Enqueues a job. */
+    void push(Job job);
 
     /** Pops the best job per policy with ready_time <= now. */
     std::optional<Job> tryPop(double now);
-
-    /** Blocks until a job is available or the queue is closed and empty. */
-    std::optional<Job> waitPop();
 
     /**
      * The first `limit` eligible jobs (ready_time <= now) in policy
@@ -79,52 +66,37 @@ class JobQueue
     bool remove(uint64_t id);
 
     /** Records a dependency as completed; jobs blocked only on Done
-     *  dependencies become eligible (waiters are woken). */
-    void markDone(uint64_t id);
+     *  dependencies become eligible. */
+    void markDone(uint64_t id) { done_.insert(id); }
 
     /** Records a dependency as failed; jobs blocked on it become dead
-     *  (collectable via `takeDead`; waiters are woken). */
-    void markFailed(uint64_t id);
+     *  (collectable via `takeDead`). */
+    void markFailed(uint64_t id) { failed_.insert(id); }
 
     /** Removes and returns every held job with a failed dependency. */
     std::vector<Job> takeDead();
 
-    /** Smallest ready_time strictly greater than `now` (or nullopt). */
-    std::optional<double> nextReadyAfter(double now) const;
-
-    /** Marks the queue closed: pushes fail, waiters wake. */
-    void close();
-
-    size_t size() const;
-    bool empty() const;
-    size_t capacity() const { return capacity_; }
-    QueuePolicy policy() const { return policy_; }
-    bool closed() const;
+    size_t size() const { return jobs_.size(); }
+    bool empty() const { return jobs_.empty(); }
 
   private:
     /** True if `a` should be served before `b` under the policy. */
     bool before(const Job& a, const Job& b) const;
 
     /** Ready and unblocked: every dependency Done, none failed, and
-     *  ready_time <= now (mu_ must be held). */
+     *  ready_time <= now. */
     bool eligible(const Job& job, double now) const;
 
-    /** True if any dependency of `job` has failed (mu_ must be held). */
+    /** True if any dependency of `job` has failed. */
     bool deadlocked(const Job& job) const;
 
-    /** Index of the best eligible job, or -1 (mu_ must be held). */
+    /** Index of the best eligible job, or -1. */
     int bestIndex(double now) const;
 
     QueuePolicy policy_;
-    size_t capacity_;
-
-    mutable std::mutex mu_;
-    std::condition_variable not_empty_;
-    std::condition_variable not_full_;
     std::vector<Job> jobs_;
     std::set<uint64_t> done_;    ///< Dependency ids reported complete.
     std::set<uint64_t> failed_;  ///< Dependency ids reported failed.
-    bool closed_ = false;
 };
 
 } // namespace vtrans::farm

@@ -52,18 +52,6 @@ makeFleet(const std::vector<uarch::CoreParams>& pool, int replicas)
     return fleet;
 }
 
-core::RunResult
-runOnServer(const Server& server, const sched::Task& task,
-            double clip_seconds)
-{
-    core::RunConfig run;
-    run.video = task.video;
-    run.seconds = clip_seconds;
-    run.params = task.params();
-    run.core = server.core;
-    return core::runInstrumented(run);
-}
-
 WorkerPool::WorkerPool(int workers) : workers_(workers < 1 ? 1 : workers)
 {
     // A single-worker pool runs batches inline: no threads, and the

@@ -24,8 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/workload.h"
-#include "sched/scheduler.h"
 #include "uarch/core.h"
 
 namespace vtrans::farm {
@@ -46,14 +44,6 @@ struct Server
  */
 std::vector<Server> makeFleet(const std::vector<uarch::CoreParams>& pool,
                               int replicas);
-
-/**
- * Executes one instrumented transcode of `task` on `server`'s core —
- * the worker-side unit of real work. Deterministic per (task, config,
- * clip length); safe to call concurrently from multiple workers.
- */
-core::RunResult runOnServer(const Server& server, const sched::Task& task,
-                            double clip_seconds);
 
 /**
  * A pool of N persistent worker threads executing batches of closures.

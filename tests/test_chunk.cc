@@ -3,17 +3,15 @@
  * Tests of the GOP-chunked distributed transcode path: split/stitch
  * round-trips, grouping- and worker-invariance of the stitched bytes,
  * IDR-set determinism, job-graph dependency semantics on the farm
- * (stitch-after-chunks, failure propagation, retries), and thread safety
- * of the blocked-job queue path.
+ * (stitch-after-chunks, failure propagation, retries), and the queue's
+ * blocked-job semantics.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chunk/chunk.h"
@@ -210,95 +208,50 @@ TEST(ChunkedTranscode, ReportsBoundaryCostAgainstUnchunked)
 
 TEST(JobQueue, DependenciesHoldJobsUntilEveryDepIsDone)
 {
-    farm::JobQueue q(farm::QueuePolicy::Fifo, 8);
+    farm::JobQueue q(farm::QueuePolicy::Fifo);
     farm::Job stitch;
     stitch.id = 9;
     stitch.task = {"cat", 30, 1, "ultrafast"};
     stitch.blocked_by = {1, 2};
-    ASSERT_TRUE(q.tryPush(stitch));
+    q.push(stitch);
     farm::Job chunk1;
     chunk1.id = 1;
     chunk1.task = stitch.task;
     farm::Job chunk2 = chunk1;
     chunk2.id = 2;
-    ASSERT_TRUE(q.tryPush(chunk1));
-    ASSERT_TRUE(q.tryPush(chunk2));
+    q.push(chunk1);
+    q.push(chunk2);
 
     // The blocked job is invisible to pops and the matching window.
     EXPECT_EQ(q.peekWindow(10.0, 8).size(), 2u);
-    EXPECT_EQ(q.tryPop()->id, 1u);
-    EXPECT_EQ(q.tryPop()->id, 2u);
-    EXPECT_FALSE(q.tryPop().has_value());
+    EXPECT_EQ(q.tryPop(10.0)->id, 1u);
+    EXPECT_EQ(q.tryPop(10.0)->id, 2u);
+    EXPECT_FALSE(q.tryPop(10.0).has_value());
     EXPECT_EQ(q.size(), 1u);
 
     q.markDone(1);
-    EXPECT_FALSE(q.tryPop().has_value());
+    EXPECT_FALSE(q.tryPop(10.0).has_value());
     q.markDone(2);
-    EXPECT_EQ(q.tryPop()->id, 9u);
+    EXPECT_EQ(q.tryPop(10.0)->id, 9u);
 }
 
 TEST(JobQueue, FailedDependencyMakesBlockedJobsCollectableAsDead)
 {
-    farm::JobQueue q(farm::QueuePolicy::Fifo, 8);
+    farm::JobQueue q(farm::QueuePolicy::Fifo);
     farm::Job stitch;
     stitch.id = 9;
     stitch.task = {"cat", 30, 1, "ultrafast"};
     stitch.blocked_by = {1, 2};
-    ASSERT_TRUE(q.tryPush(stitch));
+    q.push(stitch);
 
     q.markDone(1);
     EXPECT_TRUE(q.takeDead().empty());
     q.markFailed(2);
-    EXPECT_FALSE(q.tryPop().has_value());
+    EXPECT_FALSE(q.tryPop(10.0).has_value());
     const auto dead = q.takeDead();
     ASSERT_EQ(dead.size(), 1u);
     EXPECT_EQ(dead[0].id, 9u);
     EXPECT_TRUE(q.empty());
-}
-
-TEST(JobQueue, BlockedPathIsThreadSafeUnderConcurrentPops)
-{
-    farm::JobQueue q(farm::QueuePolicy::Fifo, 64);
-    farm::Job stitch;
-    stitch.id = 99;
-    stitch.task = {"cat", 30, 1, "ultrafast"};
-    stitch.blocked_by = {1, 2, 3, 4};
-    ASSERT_TRUE(q.tryPush(stitch));
-    for (uint64_t id = 1; id <= 4; ++id) {
-        farm::Job job;
-        job.id = id;
-        job.task = stitch.task;
-        ASSERT_TRUE(q.tryPush(job));
-    }
-
-    std::mutex mu;
-    std::vector<uint64_t> order;
-    auto worker = [&] {
-        while (auto job = q.waitPop()) {
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                order.push_back(job->id);
-            }
-            q.markDone(job->id);
-        }
-    };
-    std::thread a(worker);
-    std::thread b(worker);
-    while (true) {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            if (order.size() == 5) {
-                break;
-            }
-        }
-        std::this_thread::yield();
-    }
-    q.close();
-    a.join();
-    b.join();
-    ASSERT_EQ(order.size(), 5u);
-    EXPECT_EQ(order.back(), 99u)
-        << "the stitch job dispatched before all chunks completed";
 }
 
 TEST(JobKey, ChunkGeometryKeepsSignaturesDistinct)
@@ -417,7 +370,8 @@ TEST(FarmChunked, ChunkFailureFailsTheWholeGraph)
             last_chunk_finish = std::max(last_chunk_finish, r.finish);
         }
     }
-    EXPECT_GE(stitch.finish, last_chunk_finish);
+    // A dead graph fails at the moment its last dependency resolved.
+    EXPECT_EQ(stitch.finish, last_chunk_finish);
 }
 
 TEST(FarmChunked, RetriesRecoverTheGraphDeterministically)

@@ -1,18 +1,19 @@
 /**
  * @file
- * Tests of the transcoding-farm service layer: queue ordering, bounding
- * and MPMC safety; dispatch-policy selection; deterministic fault
- * injection and retry/backoff semantics; end-to-end determinism across
- * worker counts; and thread safety of the shared mezzanine cache.
+ * Tests of the transcoding-farm service layer: queue ordering;
+ * dispatch-policy selection; deterministic fault injection and
+ * retry/backoff semantics; admission control; end-to-end determinism
+ * across worker counts; and thread safety of the shared mezzanine cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <set>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "codec/params.h"
@@ -21,6 +22,7 @@
 #include "farm/farm.h"
 #include "farm/queue.h"
 #include "farm/runlog.h"
+#include "obs/spans.h"
 #include "uarch/config.h"
 
 namespace vtrans::farm {
@@ -40,123 +42,70 @@ makeJob(uint64_t id, double ready = 0.0, int priority = 0,
     return job;
 }
 
+/** A time past every ready time the queue tests use. */
+constexpr double kLater = 10.0;
+
 TEST(JobQueue, FifoServesInReadyOrder)
 {
-    JobQueue q(QueuePolicy::Fifo, 8);
-    ASSERT_TRUE(q.tryPush(makeJob(1, 0.3)));
-    ASSERT_TRUE(q.tryPush(makeJob(2, 0.1)));
-    ASSERT_TRUE(q.tryPush(makeJob(3, 0.2)));
-    EXPECT_EQ(q.tryPop()->id, 2u);
-    EXPECT_EQ(q.tryPop()->id, 3u);
-    EXPECT_EQ(q.tryPop()->id, 1u);
-    EXPECT_FALSE(q.tryPop().has_value());
+    JobQueue q(QueuePolicy::Fifo);
+    q.push(makeJob(1, 0.3));
+    q.push(makeJob(2, 0.1));
+    q.push(makeJob(3, 0.2));
+    EXPECT_EQ(q.tryPop(kLater)->id, 2u);
+    EXPECT_EQ(q.tryPop(kLater)->id, 3u);
+    EXPECT_EQ(q.tryPop(kLater)->id, 1u);
+    EXPECT_FALSE(q.tryPop(kLater).has_value());
 }
 
 TEST(JobQueue, PriorityServesHigherFirstFifoWithin)
 {
-    JobQueue q(QueuePolicy::Priority, 8);
-    ASSERT_TRUE(q.tryPush(makeJob(1, 0.0, 0)));
-    ASSERT_TRUE(q.tryPush(makeJob(2, 0.1, 2)));
-    ASSERT_TRUE(q.tryPush(makeJob(3, 0.2, 2)));
-    ASSERT_TRUE(q.tryPush(makeJob(4, 0.3, 1)));
-    EXPECT_EQ(q.tryPop()->id, 2u);
-    EXPECT_EQ(q.tryPop()->id, 3u);
-    EXPECT_EQ(q.tryPop()->id, 4u);
-    EXPECT_EQ(q.tryPop()->id, 1u);
+    JobQueue q(QueuePolicy::Priority);
+    q.push(makeJob(1, 0.0, 0));
+    q.push(makeJob(2, 0.1, 2));
+    q.push(makeJob(3, 0.2, 2));
+    q.push(makeJob(4, 0.3, 1));
+    EXPECT_EQ(q.tryPop(kLater)->id, 2u);
+    EXPECT_EQ(q.tryPop(kLater)->id, 3u);
+    EXPECT_EQ(q.tryPop(kLater)->id, 4u);
+    EXPECT_EQ(q.tryPop(kLater)->id, 1u);
 }
 
 TEST(JobQueue, EdfServesEarliestDeadlineDeadlinelessLast)
 {
-    JobQueue q(QueuePolicy::Edf, 8);
-    ASSERT_TRUE(q.tryPush(makeJob(1, 0.0, 0, 0.0)));  // No deadline.
-    ASSERT_TRUE(q.tryPush(makeJob(2, 0.0, 0, 5.0)));
-    ASSERT_TRUE(q.tryPush(makeJob(3, 0.0, 0, 2.0)));
-    EXPECT_EQ(q.tryPop()->id, 3u);
-    EXPECT_EQ(q.tryPop()->id, 2u);
-    EXPECT_EQ(q.tryPop()->id, 1u);
+    JobQueue q(QueuePolicy::Edf);
+    q.push(makeJob(1, 0.0, 0, 0.0)); // No deadline.
+    q.push(makeJob(2, 0.0, 0, 5.0));
+    q.push(makeJob(3, 0.0, 0, 2.0));
+    EXPECT_EQ(q.tryPop(kLater)->id, 3u);
+    EXPECT_EQ(q.tryPop(kLater)->id, 2u);
+    EXPECT_EQ(q.tryPop(kLater)->id, 1u);
 }
 
 TEST(JobQueue, TimeAwarePopRespectsReadyTimes)
 {
-    JobQueue q(QueuePolicy::Fifo, 8);
-    ASSERT_TRUE(q.tryPush(makeJob(1, 0.5)));
-    ASSERT_TRUE(q.tryPush(makeJob(2, 1.5)));
+    JobQueue q(QueuePolicy::Fifo);
+    q.push(makeJob(1, 0.5));
+    q.push(makeJob(2, 1.5));
     EXPECT_FALSE(q.tryPop(0.0).has_value());
-    EXPECT_EQ(q.nextReadyAfter(0.0).value(), 0.5);
     EXPECT_EQ(q.tryPop(1.0)->id, 1u);
     EXPECT_FALSE(q.tryPop(1.0).has_value());
     EXPECT_EQ(q.tryPop(2.0)->id, 2u);
 }
 
-TEST(JobQueue, BoundedAdmissionAndRemove)
+TEST(JobQueue, RemoveAndPeekWindow)
 {
-    JobQueue q(QueuePolicy::Fifo, 2);
-    EXPECT_TRUE(q.tryPush(makeJob(1)));
-    EXPECT_TRUE(q.tryPush(makeJob(2)));
-    EXPECT_FALSE(q.tryPush(makeJob(3))); // Shed: over capacity.
+    JobQueue q(QueuePolicy::Fifo);
+    q.push(makeJob(1));
+    q.push(makeJob(2));
     EXPECT_EQ(q.size(), 2u);
     EXPECT_TRUE(q.remove(1));
     EXPECT_FALSE(q.remove(1));
-    EXPECT_TRUE(q.tryPush(makeJob(4)));
+    q.push(makeJob(4));
     const auto window = q.peekWindow(0.0, 8);
     ASSERT_EQ(window.size(), 2u);
     EXPECT_EQ(window[0].id, 2u);
     EXPECT_EQ(window[1].id, 4u);
-}
-
-TEST(JobQueue, ClosedQueueRejectsAndDrains)
-{
-    JobQueue q(QueuePolicy::Fifo, 8);
-    ASSERT_TRUE(q.tryPush(makeJob(1)));
-    q.close();
-    EXPECT_FALSE(q.tryPush(makeJob(2)));
-    EXPECT_EQ(q.waitPop()->id, 1u);        // Drains the backlog...
-    EXPECT_FALSE(q.waitPop().has_value()); // ...then wakes empty-handed.
-}
-
-TEST(JobQueue, MpmcStressLosesAndDuplicatesNothing)
-{
-    constexpr int kProducers = 4;
-    constexpr int kConsumers = 4;
-    constexpr int kPerProducer = 200;
-    JobQueue q(QueuePolicy::Fifo, 16);
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&q, p] {
-            for (int i = 0; i < kPerProducer; ++i) {
-                ASSERT_TRUE(q.waitPush(
-                    makeJob(static_cast<uint64_t>(p) * kPerProducer + i
-                            + 1)));
-            }
-        });
-    }
-
-    std::mutex seen_mu;
-    std::set<uint64_t> seen;
-    std::atomic<int> popped{0};
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < kConsumers; ++c) {
-        consumers.emplace_back([&] {
-            while (auto job = q.waitPop()) {
-                ++popped;
-                std::lock_guard<std::mutex> lock(seen_mu);
-                EXPECT_TRUE(seen.insert(job->id).second)
-                    << "duplicate job " << job->id;
-            }
-        });
-    }
-
-    for (auto& t : producers) {
-        t.join();
-    }
-    q.close();
-    for (auto& t : consumers) {
-        t.join();
-    }
-    EXPECT_EQ(popped.load(), kProducers * kPerProducer);
-    EXPECT_EQ(seen.size(),
-              static_cast<size_t>(kProducers * kPerProducer));
+    EXPECT_EQ(q.peekWindow(0.0, 1).size(), 1u);
 }
 
 /** A predictor with a hand-built profile: backend-memory dominant. */
@@ -438,6 +387,66 @@ TEST(Farm, PartialFaultsEveryJobAccountedFor)
                     || rec.state == JobState::Failed);
         EXPECT_GE(rec.attempts, 1);
         EXPECT_LE(rec.attempts, 3);
+    }
+
+    // The measured timeline keeps every retry behind its backoff: an
+    // attempt starts no earlier than the previous attempt of the same
+    // job ended, plus the backoff after that attempt.
+    std::map<std::pair<std::string, int>, obs::Span> attempts;
+    for (const obs::Span& span : service.spans().spans()) {
+        if (span.name != "attempt") {
+            continue;
+        }
+        std::map<std::string, std::string> args(span.args.begin(),
+                                                span.args.end());
+        attempts.emplace(std::make_pair(args.at("job"),
+                                        std::stoi(args.at("attempt"))),
+                         span);
+    }
+    int retried = 0;
+    for (const auto& [id, span] : attempts) {
+        if (id.second == 0) {
+            continue;
+        }
+        const obs::Span& prev = attempts.at({id.first, id.second - 1});
+        const double backoff_us = backoffAfter(options, id.second - 1) * 1e6;
+        // 1e-6 us absorbs the seconds-to-microseconds rounding.
+        EXPECT_GE(span.ts_us, prev.ts_us + prev.dur_us + backoff_us - 1e-6)
+            << "job " << id.first << " attempt " << id.second;
+        ++retried;
+    }
+    EXPECT_EQ(static_cast<size_t>(retried), m.retries);
+}
+
+TEST(Farm, RetryIntoFullQueueIsAdmitted)
+{
+    // Regression: a retry whose backoff expired while the backlog was
+    // full used to stay parked with a ready time in the past, which
+    // stalled the planner's event clock and aborted the whole drain.
+    // Capacity bounds arrivals only; an admitted job's retry re-enters.
+    FarmOptions options = fastOptions();
+    options.pool = {uarch::beOp1Config()};
+    options.queue_capacity = 1;
+    options.fault_rate = 1.0;
+    Farm service(options);
+    constexpr int kJobs = 800;
+    for (int i = 0; i < kJobs; ++i) {
+        JobRequest req;
+        req.task = {"cat", 30, 1, "ultrafast"};
+        req.submit_time = 40e-6 * i;
+        req.retry_budget = 1;
+        service.submit(req);
+    }
+    service.drain();
+    const auto m = service.metrics();
+    EXPECT_EQ(m.submitted, static_cast<size_t>(kJobs));
+    EXPECT_EQ(m.completed + m.failed + m.shed, m.submitted);
+    EXPECT_GT(m.shed, 0u);
+    EXPECT_GT(m.failed, 0u);
+    for (const auto& rec : service.log().records()) {
+        if (rec.state == JobState::Failed) {
+            EXPECT_EQ(rec.attempts, 2); // Every admitted job retried.
+        }
     }
 }
 

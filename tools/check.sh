@@ -42,6 +42,18 @@ OBS_DIR="$BUILD_DIR/obs-smoke"
 mkdir -p "$OBS_DIR"
 "$BUILD_DIR"/examples/transcode_farm --jobs 64 --seconds 0.15 \
     --policy smart --trace-out "$OBS_DIR/farm-trace.json"
+# Worker invariance of the on-disk artifacts: with faults (retries,
+# backoff) and chunk graphs (dependency release, dead graphs), the run
+# log and the job-lifecycle trace must match byte for byte at 1 and 4
+# workers.
+for w in 1 4; do
+    "$BUILD_DIR"/examples/transcode_farm --jobs 8 --seconds 0.12 \
+        --policy smart --faults 0.2 --chunked --chunk-frames 3 \
+        --workers "$w" --log "$OBS_DIR/farm-faults-w$w.jsonl" \
+        --trace-out "$OBS_DIR/farm-faults-w$w.trace.json" >/dev/null
+done
+cmp "$OBS_DIR/farm-faults-w1.jsonl" "$OBS_DIR/farm-faults-w4.jsonl"
+cmp "$OBS_DIR/farm-faults-w1.trace.json" "$OBS_DIR/farm-faults-w4.trace.json"
 
 echo "== result cache smoke (Zipf stream, hit rate > 0) =="
 # A Zipf-skewed request stream against the content-addressed cache:
