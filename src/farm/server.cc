@@ -1,7 +1,9 @@
 #include "farm/server.h"
 
+#include <algorithm>
 #include <chrono>
 
+#include "common/cores.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 
@@ -113,6 +115,10 @@ WorkerPool::run(std::vector<std::function<void()>> tasks)
         }
         return;
     }
+    // The caller blocks below while the workers run, so the batch holds
+    // one core per worker it can keep busy (see common/cores.h).
+    const CoreHold cores(
+        static_cast<int>(std::min<size_t>(threads_.size(), tasks.size())));
     std::unique_lock<std::mutex> lock(mu_);
     batch_ = &tasks;
     next_ = 0;

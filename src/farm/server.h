@@ -53,7 +53,10 @@ std::vector<Server> makeFleet(const std::vector<uarch::CoreParams>& pool,
  * all have finished. Batches are serialized; closures within one batch
  * must be independent. With `workers == 1` the batch runs inline on the
  * calling thread — the serial reference the determinism tests compare
- * against.
+ * against. A threaded pool holds min(workers, tasks) cores of the
+ * process core budget (common/cores.h) for the length of each run(), so
+ * core models inside its tasks run their stages inline unless cores are
+ * left over; the inline pool holds none.
  */
 class WorkerPool
 {

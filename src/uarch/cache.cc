@@ -166,26 +166,6 @@ CacheHierarchy::fetchMiss(uint64_t addr)
     return r;
 }
 
-int
-CacheHierarchy::dataAccessBytes(uint64_t addr, uint32_t bytes,
-                                AccessResult* worst)
-{
-    const uint32_t line = l1d_.lineBytes();
-    const uint64_t first = addr / line;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
-    int max_latency = 0;
-    for (uint64_t l = first; l <= last; ++l) {
-        const AccessResult r = dataAccess(l * line);
-        if (r.latency > max_latency) {
-            max_latency = r.latency;
-            if (worst != nullptr) {
-                *worst = r;
-            }
-        }
-    }
-    return max_latency;
-}
-
 void
 CacheHierarchy::reset()
 {

@@ -226,9 +226,6 @@ class CacheHierarchy
         return fetchMiss(line << l1i_.lineShift());
     }
 
-    /** Spans an access over cache lines: one access per touched line. */
-    int dataAccessBytes(uint64_t addr, uint32_t bytes, AccessResult* worst);
-
     Cache& l1d() { return l1d_; }
     Cache& l1i() { return l1i_; }
     Cache& l2() { return l2_; }

@@ -1,6 +1,7 @@
 #include "uarch/core.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/status.h"
 
@@ -152,6 +153,7 @@ SiteUarch::add(const SiteUarch& other)
 
 CoreModel::CoreModel(const CoreParams& params)
     : params_(params),
+      reference_stepping_(params.reference_stepping),
       caches_(params.l1d, params.l1i, params.l2, params.l3, params.l4_size,
               params.latencies),
       itlb_(params.itlb_entries),
@@ -167,28 +169,51 @@ CoreModel::CoreModel(const CoreParams& params)
       sb_(static_cast<size_t>(std::max(params.sb_size, 1))),
       mshr_(static_cast<size_t>(std::max(params.mshr_entries, 1)) * 2)
 {
-    reference_stepping_ = params_.reference_stepping;
     VT_ASSERT(params_.width > 0 && params_.rob_size > 0
                   && params_.rs_size > 0 && params_.sb_size > 0,
               "invalid core parameters");
+    // A load's latency and a block's fetch penalty cross the ring in
+    // 29- and 30-bit fields (StageRecord); latencies below 2^24 keep
+    // both sums in range.
+    const LatencyParams& lat = params_.latencies;
+    for (int cycles : {lat.l1, lat.l2, lat.l3, lat.l4, lat.memory,
+                       lat.itlb_miss}) {
+        VT_ASSERT(cycles >= 0 && cycles < (1 << 24),
+                  "invalid core parameters: latency ", cycles);
+    }
     stats_.width = params_.width;
     stats_.freq_ghz = params_.freq_ghz;
     if (params_.attribute_sites) {
         attr_cur_ = &attr_unattributed_;
+        order_attr_cur_ = &order_attr_unattributed_;
     }
     if (params_.phase_window > 0) {
         next_phase_ = params_.phase_window;
     }
+    ring_[0].records = std::make_unique_for_overwrite<StageRecord[]>(
+        kSlotRecords);
+    pos_ = ring_[0].records.get();
+    end_ = pos_ + kSlotRecords;
 }
 
-SiteUarch&
-CoreModel::attrAt(uint32_t site_id)
+CoreModel::~CoreModel()
 {
-    if (site_id >= attr_sites_.size()) {
-        attr_sites_.resize(site_id + 1);
-    }
-    return attr_sites_[site_id];
+    stopHelpers();
 }
+
+namespace {
+
+/** The bucket of `site_id` in a per-site table, growing it on demand. */
+SiteUarch&
+siteBucket(std::vector<SiteUarch>& table, uint32_t site_id)
+{
+    if (site_id >= table.size()) {
+        table.resize(site_id + 1);
+    }
+    return table[site_id];
+}
+
+} // namespace
 
 void
 CoreModel::capturePhase()
@@ -254,7 +279,11 @@ CoreModel::advanceTo(uint64_t target_cycle, StallCause cause)
     slots_in_cycle_ = 0;
 }
 
-void
+// The window helpers from here to resolveFrontend() are force-inlined:
+// the timing stage makes about six of these calls per event, and as the
+// slowest stage it sets the pipeline's rate (GCC's -O2 heuristics kept
+// them out of line).
+[[gnu::always_inline]] inline void
 CoreModel::drain()
 {
     while (!rob_.empty() && rob_.front().time <= cur_cycle_) {
@@ -271,7 +300,7 @@ CoreModel::drain()
     }
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::dispatch(uint32_t count)
 {
     // Event-driven fast-forward (DESIGN.md §13). Two facts make a
@@ -419,7 +448,7 @@ CoreModel::referenceDispatch(uint32_t count)
     }
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::ensureRobSpace(uint32_t count)
 {
     while (rob_count_ + count > static_cast<uint64_t>(params_.rob_size)) {
@@ -438,7 +467,7 @@ CoreModel::ensureRobSpace(uint32_t count)
     }
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
 {
     // In-order retirement: completion times are made monotone so an entry
@@ -449,12 +478,12 @@ CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
         && rob_.back().is_mem == is_mem) {
         rob_.back().count += count;
     } else {
-        rob_.push_back({complete, count, is_mem});
+        rob_.emplace_back(complete, count, is_mem);
     }
     rob_count_ += count;
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::ensureRsSpace(uint32_t count)
 {
     if (params_.issue_at_dispatch) {
@@ -476,7 +505,7 @@ CoreModel::ensureRsSpace(uint32_t count)
     }
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
 {
     if (params_.issue_at_dispatch) {
@@ -488,12 +517,12 @@ CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
         && rs_.back().is_mem == is_mem) {
         rs_.back().count += count;
     } else {
-        rs_.push_back({free, count, is_mem});
+        rs_.emplace_back(free, count, is_mem);
     }
     rs_count_ += count;
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::ensureSbSpace(uint32_t count)
 {
     while (sb_count_ + count > static_cast<uint64_t>(params_.sb_size)) {
@@ -513,7 +542,7 @@ CoreModel::ensureSbSpace(uint32_t count)
     }
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::sbPush(uint64_t drain_time, uint32_t count)
 {
     // Stores drain in order: drain times are made monotone like ROB
@@ -523,12 +552,12 @@ CoreModel::sbPush(uint64_t drain_time, uint32_t count)
     if (!sb_.empty() && sb_.back().time == t) {
         sb_.back().count += count;
     } else {
-        sb_.push_back({t, count, true});
+        sb_.emplace_back(t, count, true);
     }
     sb_count_ += count;
 }
 
-void
+[[gnu::always_inline]] inline void
 CoreModel::resolveFrontend()
 {
     if (fetch_ready_ > cur_cycle_) {
@@ -537,29 +566,312 @@ CoreModel::resolveFrontend()
     }
 }
 
+// ---- Producer: probe events -> ring records ---------------------------------
+
+namespace {
+
+static_assert(alignof(trace::CodeSite) >= 8,
+              "site records tag the low three bits of a CodeSite pointer");
+
+/** How long a waiting stage spins before it blocks. A slot of work takes
+ *  tens of microseconds, so a stage waiting on a running neighbour sees
+ *  its slot well within the spin and never pays a futex wake-up, which
+ *  on a virtual machine can cost more than the slot itself. Only a stage
+ *  whose neighbour stalls (the codec between instrumented phases, the
+ *  end of a run) falls through to blocking. The two helper threads hold
+ *  their cores in the budget, so spinning takes no core from anyone. */
+constexpr auto kSpinBeforeWait = std::chrono::microseconds(500);
+
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+/** Waits until `state` holds `want` (acquire): spins, then blocks. */
+void
+awaitState(const std::atomic<uint32_t>& state, uint32_t want)
+{
+    const auto give_up = std::chrono::steady_clock::now() + kSpinBeforeWait;
+    for (int spin = 1;; ++spin) {
+        if (state.load(std::memory_order_acquire) == want) {
+            return;
+        }
+        cpuRelax();
+        if (spin % 64 == 0 && std::chrono::steady_clock::now() > give_up) {
+            break;
+        }
+    }
+    for (uint32_t seen = state.load(std::memory_order_acquire); seen != want;
+         seen = state.load(std::memory_order_acquire)) {
+        state.wait(seen, std::memory_order_acquire);
+    }
+}
+
+/** Publishes `value` (release) and wakes any waiter. */
+void
+setState(std::atomic<uint32_t>& state, uint32_t value)
+{
+    state.store(value, std::memory_order_release);
+    state.notify_all();
+}
+
+} // namespace
+
+void
+CoreModel::onBlock(const trace::CodeSite& site)
+{
+    if (!reference_stepping_) {
+        push(site.address, reinterpret_cast<uintptr_t>(&site) | kBlockBit);
+        return;
+    }
+    // Reference stepping charges the event tallies itself; the pipelined
+    // path charges them in the functional stage.
+    if (attr_cur_ != nullptr) {
+        attr_cur_ = &siteBucket(attr_sites_, site.id);
+        ++attr_cur_->blocks;
+    }
+    referenceOnBlock(site);
+}
+
+void
+CoreModel::onBranch(const trace::CodeSite& site, bool taken)
+{
+    if (!reference_stepping_) {
+        push(site.address, reinterpret_cast<uintptr_t>(&site) | kBranchBit
+                               | (taken ? kFlagBit : 0));
+        return;
+    }
+    if (attr_cur_ != nullptr) {
+        attr_cur_ = &siteBucket(attr_sites_, site.id);
+        ++attr_cur_->branches;
+        attr_cur_->taken += taken ? 1 : 0;
+    }
+    referenceOnBranch(site, taken);
+}
+
+void
+CoreModel::onLoad(uint64_t addr, uint32_t bytes)
+{
+    if (!reference_stepping_) {
+        push(addr, static_cast<uint64_t>(bytes) << 32);
+        return;
+    }
+    if (attr_cur_ != nullptr) {
+        ++attr_cur_->loads;
+        attr_cur_->load_bytes += bytes;
+    }
+    referenceOnLoad(addr, bytes);
+}
+
+void
+CoreModel::onStore(uint64_t addr, uint32_t bytes)
+{
+    if (!reference_stepping_) {
+        push(addr, (static_cast<uint64_t>(bytes) << 32) | kFlagBit);
+        return;
+    }
+    if (attr_cur_ != nullptr) {
+        ++attr_cur_->stores;
+        attr_cur_->store_bytes += bytes;
+    }
+    referenceOnStore(addr, bytes);
+}
+
+void
+CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
+{
+    if (reference_stepping_) {
+        ProbeSink::onBatch(events, count); // Per-event replay.
+        return;
+    }
+    // Loop-heavy streams repeat the same site id back to back, so a
+    // one-entry cache skips the registry lookup for the repeat case
+    // (CodeSite objects are stable once defined). Only this thread ever
+    // reads the registry: records carry the resolved CodeSite.
+    trace::SiteRegistry& reg = trace::registry();
+    const trace::CodeSite* last_site = nullptr;
+    uint32_t last_aux = 0;
+    for (size_t i = 0; i < count; ++i) {
+        const trace::ProbeEvent& e = events[i];
+        switch (e.kind) {
+        case trace::ProbeEvent::kBlock:
+        case trace::ProbeEvent::kBlockBranch: {
+            if (last_site == nullptr || e.aux != last_aux) {
+                last_site = &reg.site(e.aux);
+                last_aux = e.aux;
+            }
+            uint64_t tag = reinterpret_cast<uintptr_t>(last_site) | kBlockBit;
+            if (e.kind == trace::ProbeEvent::kBlockBranch) {
+                tag |= kBranchBit | ((e.flags & 1) != 0 ? kFlagBit : 0);
+            }
+            push(last_site->address, tag);
+            break;
+        }
+        case trace::ProbeEvent::kLoad:
+            push(e.addr, static_cast<uint64_t>(e.aux) << 32);
+            break;
+        case trace::ProbeEvent::kStore:
+            push(e.addr, (static_cast<uint64_t>(e.aux) << 32) | kFlagBit);
+            break;
+        default:
+            VT_PANIC("corrupt probe event kind ", static_cast<int>(e.kind));
+        }
+    }
+}
+
+void
+CoreModel::push(uint64_t word, uint64_t tag)
+{
+    StageRecord* record = pos_++;
+    record->word = word;
+    record->tag = tag;
+    if (pos_ == end_) {
+        publish();
+    }
+}
+
+void
+CoreModel::publish()
+{
+    if (!helpers_decided_) {
+        // Streams shorter than one slot never get here, so short runs
+        // never start threads.
+        helpers_decided_ = true;
+        helper_cores_ = CoreHold::ifFree(2);
+        if (helper_cores_.count() == 2) {
+            ran_on_helpers_ = true;
+            for (uint32_t i = 1; i < kSlots; ++i) {
+                ring_[i].records =
+                    std::make_unique_for_overwrite<StageRecord[]>(
+                        kSlotRecords);
+            }
+            functional_thread_ = std::thread([this] { functionalMain(); });
+            timing_thread_ = std::thread([this] { timingMain(); });
+        }
+    }
+    if (ran_on_helpers_) {
+        handOff(kSlotRecords);
+    } else {
+        runInline(kSlotRecords);
+    }
+}
+
+void
+CoreModel::runInline(uint32_t count)
+{
+    StageRecord* records = ring_[fill_slot_].records.get();
+    functionalStage(records, count);
+    timingStage(records, count);
+    pos_ = records;
+}
+
+void
+CoreModel::handOff(uint32_t count)
+{
+    Slot& slot = ring_[fill_slot_];
+    slot.count = count;
+    setState(slot.state, kFilled);
+    fill_slot_ = (fill_slot_ + 1) % kSlots;
+    Slot& next = ring_[fill_slot_];
+    awaitState(next.state, kFree);
+    pos_ = next.records.get();
+    end_ = pos_ + kSlotRecords;
+}
+
+void
+CoreModel::drainPipeline()
+{
+    const auto pending =
+        static_cast<uint32_t>(pos_ - ring_[fill_slot_].records.get());
+    if (!ran_on_helpers_) {
+        runInline(pending);
+        return;
+    }
+    if (pending > 0) {
+        handOff(pending);
+    }
+    stopHelpers();
+}
+
+void
+CoreModel::stopHelpers()
+{
+    if (!functional_thread_.joinable()) {
+        return;
+    }
+    // The fill slot is always Free here (handOff waited for it); the
+    // stop slot passes through both stages behind every pending slot.
+    Slot& slot = ring_[fill_slot_];
+    slot.count = kStopSlot;
+    setState(slot.state, kFilled);
+    functional_thread_.join();
+    timing_thread_.join();
+    helper_cores_ = CoreHold();
+}
+
+void
+CoreModel::functionalMain()
+{
+    for (uint32_t i = 0;; i = (i + 1) % kSlots) {
+        Slot& slot = ring_[i];
+        awaitState(slot.state, kFilled);
+        const uint32_t count = slot.count;
+        if (count != kStopSlot) {
+            functionalStage(slot.records.get(), count);
+        }
+        setState(slot.state, kAnnotated);
+        if (count == kStopSlot) {
+            return;
+        }
+    }
+}
+
+void
+CoreModel::timingMain()
+{
+    for (uint32_t i = 0;; i = (i + 1) % kSlots) {
+        Slot& slot = ring_[i];
+        awaitState(slot.state, kAnnotated);
+        const uint32_t count = slot.count;
+        if (count != kStopSlot) {
+            timingStage(slot.records.get(), count);
+        }
+        setState(slot.state, kFree);
+        if (count == kStopSlot) {
+            return;
+        }
+    }
+}
+
+// ---- Functional stage: caches, iTLB, predictor, BTB -------------------------
+
 CoreModel::SiteFetchPlan&
-CoreModel::planFor(const trace::CodeSite& site)
+CoreModel::planFor(const trace::CodeSite& site, uint64_t address)
 {
     if (site.id >= plans_.size()) {
         plans_.resize(site.id + 1);
     }
     SiteFetchPlan& plan = plans_[site.id];
-    if (plan.address != site.address) {
+    if (plan.address != address) {
         // First sighting, or a relayout pass moved the block.
-        rebuildPlan(plan, site);
+        rebuildPlan(plan, site, address);
     }
     return plan;
 }
 
 void
-CoreModel::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site)
+CoreModel::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site,
+                       uint64_t address)
 {
     const uint32_t line_bytes = params_.l1i.line_bytes;
-    const uint64_t first = site.address / line_bytes;
-    const uint64_t last = (site.address + site.bytes - 1) / line_bytes;
-    plan.address = site.address;
+    const uint64_t first = address / line_bytes;
+    const uint64_t last = (address + site.bytes - 1) / line_bytes;
+    plan.address = address;
     plan.first_line = first;
-    plan.page = site.address >> 12;
+    plan.page = address >> 12;
     plan.line_count = static_cast<uint32_t>(last - first + 1);
     plan.slots.resize(plan.line_count);
     for (uint32_t k = 0; k < plan.line_count; ++k) {
@@ -571,31 +883,42 @@ CoreModel::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site)
 }
 
 void
-CoreModel::onBlock(const trace::CodeSite& site)
+CoreModel::functionalStage(StageRecord* records, size_t count)
 {
-    // Event tallies are charged here, ahead of the path split, so the
-    // fast-forward and reference paths count them identically.
-    if (attr_cur_ != nullptr) {
-        attr_cur_ = &attrAt(site.id);
-        ++attr_cur_->blocks;
+    for (size_t i = 0; i < count; ++i) {
+        StageRecord& r = records[i];
+        const uint64_t tag = r.tag;
+        if ((tag & (kBlockBit | kBranchBit)) == 0) {
+            walkData(r);
+            continue;
+        }
+        const auto& site =
+            *reinterpret_cast<const trace::CodeSite*>(tag & ~kKindBits);
+        if (order_attr_cur_ != nullptr) {
+            order_attr_cur_ = &siteBucket(order_attr_sites_, site.id);
+        }
+        uint64_t outcome = 0;
+        if ((tag & kBlockBit) != 0) {
+            outcome = fetchBlock(site, r.word);
+        }
+        if ((tag & kBranchBit) != 0) {
+            outcome |= predictBranch(r.word, (tag & kFlagBit) != 0);
+        }
+        r.word = outcome;
     }
-    if (reference_stepping_) {
-        referenceOnBlock(site);
-        return;
-    }
-    // Frontend: fetch the block's cache lines through L1i and the iTLB,
-    // walking the site's precomputed fetch plan. A line whose resident-
-    // way hint still holds it takes the inline hit arm; anything else
-    // falls back to the full access and refreshes the hint. Counter
-    // order within the fetch phase is not observable (the next possible
-    // observation point is dispatch), so the access tallies post in bulk.
-    SiteFetchPlan& plan = planFor(site);
+}
+
+[[gnu::always_inline]] inline uint64_t
+CoreModel::fetchBlock(const trace::CodeSite& site, uint64_t address)
+{
+    // Fetch the block's cache lines through L1i and the iTLB, walking the
+    // site's precomputed fetch plan. A line whose resident-way hint still
+    // holds it takes the inline hit arm; anything else falls back to the
+    // full access and refreshes the hint.
+    SiteFetchPlan& plan = planFor(site, address);
     Cache& l1i = caches_.l1i();
     const uint32_t lines = plan.line_count;
-    stats_.l1i_accesses += lines;
-    if (attr_cur_ != nullptr) {
-        attr_cur_->l1i_accesses += lines;
-    }
+    uint64_t misses = 0;
     int fetch_penalty = 0;
     uint32_t* slots = plan.slots.data();
     for (uint32_t k = 0; k < lines; ++k) {
@@ -606,22 +929,135 @@ CoreModel::onBlock(const trace::CodeSite& site)
         const AccessResult r = caches_.fetchLineAccess(l);
         slots[k] = l1i.mruSlot();
         if (r.l1_miss) {
-            ++stats_.l1i_misses;
-            if (attr_cur_ != nullptr) {
-                ++attr_cur_->l1i_misses;
-            }
+            ++misses;
             fetch_penalty =
-                std::max(fetch_penalty,
-                         r.latency - params_.latencies.l1);
+                std::max(fetch_penalty, r.latency - params_.latencies.l1);
         }
     }
-    if (!itlb_.accessPage(plan.page)) {
-        ++stats_.itlb_misses;
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->itlb_misses;
-        }
+    order_.l1i_accesses += lines;
+    const bool itlb_miss = !itlb_.accessPage(plan.page);
+    if (itlb_miss) {
+        ++order_.itlb_misses;
         fetch_penalty += params_.latencies.itlb_miss;
     }
+    if (order_attr_cur_ != nullptr) {
+        ++order_attr_cur_->blocks;
+        order_attr_cur_->l1i_accesses += lines;
+        order_attr_cur_->l1i_misses += misses;
+        order_attr_cur_->itlb_misses += itlb_miss ? 1 : 0;
+    }
+    return misses | (static_cast<uint64_t>(fetch_penalty) << 32);
+}
+
+[[gnu::always_inline]] inline uint64_t
+CoreModel::predictBranch(uint64_t address, bool taken)
+{
+    // One devirtualizable call per branch instead of the predict() +
+    // update() virtual pair; behaviour is identical by construction.
+    const bool predicted = predictor_->predictAndUpdate(address, taken);
+    uint64_t outcome = 0;
+    bool btb_miss = false;
+    if (predicted != taken) {
+        outcome = kMispredictBit;
+    } else if (taken) {
+        // Correctly predicted taken: the BTB decides the redirect bubble.
+        if (btb_.access(address)) {
+            outcome = kBtbHitBit;
+        } else {
+            btb_miss = true;
+            ++order_.btb_misses;
+        }
+    }
+    if (order_attr_cur_ != nullptr) {
+        ++order_attr_cur_->branches;
+        order_attr_cur_->taken += taken ? 1 : 0;
+        order_attr_cur_->branch_mispredicts += predicted != taken ? 1 : 0;
+        order_attr_cur_->btb_misses += btb_miss ? 1 : 0;
+    }
+    return outcome;
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::walkData(StageRecord& record)
+{
+    // Line span via shifts: line sizes are asserted powers of two, and
+    // unsigned divide/multiply by 2^k is exactly shift by k — this only
+    // dodges the hardware divide the / form costs per event. Stores
+    // write-allocate, so loads and stores walk alike.
+    const uint64_t addr = record.word;
+    const auto bytes = static_cast<uint32_t>(record.tag >> 32);
+    const uint32_t shift = caches_.l1d().lineShift();
+    const uint64_t first = addr >> shift;
+    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
+    int latency = params_.latencies.l1;
+    uint64_t l1_misses = 0;
+    uint64_t l2_misses = 0;
+    uint64_t l3_misses = 0;
+    for (uint64_t l = first; l <= last; ++l) {
+        const AccessResult r = caches_.dataAccess(l << shift);
+        l1_misses += r.l1_miss ? 1 : 0;
+        l2_misses += r.l2_miss ? 1 : 0;
+        l3_misses += r.l3_miss ? 1 : 0;
+        latency = std::max(latency, r.latency);
+    }
+    const uint64_t lines = last - first + 1;
+    order_.l1d_accesses += lines;
+    if (order_attr_cur_ != nullptr) {
+        if ((record.tag & kFlagBit) != 0) {
+            ++order_attr_cur_->stores;
+            order_attr_cur_->store_bytes += bytes;
+        } else {
+            ++order_attr_cur_->loads;
+            order_attr_cur_->load_bytes += bytes;
+        }
+        order_attr_cur_->l1d_accesses += lines;
+        order_attr_cur_->l1d_misses += l1_misses;
+        order_attr_cur_->l2_misses += l2_misses;
+        order_attr_cur_->l3_misses += l3_misses;
+    }
+    record.word = l1_misses | (l2_misses << 32);
+    record.tag = (l3_misses << 32) | (static_cast<uint64_t>(latency) << 3)
+                 | (record.tag & kKindBits);
+}
+
+// ---- Timing stage: dispatch, window, stall slots ----------------------------
+
+void
+CoreModel::timingStage(const StageRecord* records, size_t count)
+{
+    for (size_t i = 0; i < count; ++i) {
+        const StageRecord& r = records[i];
+        const uint64_t tag = r.tag;
+        if ((tag & (kBlockBit | kBranchBit)) == 0) {
+            if ((tag & kFlagBit) != 0) {
+                timeStore(r);
+            } else {
+                timeLoad(r);
+            }
+            continue;
+        }
+        const auto& site =
+            *reinterpret_cast<const trace::CodeSite*>(tag & ~kKindBits);
+        if (attr_cur_ != nullptr) {
+            attr_cur_ = &siteBucket(attr_sites_, site.id);
+        }
+        if ((tag & kBlockBit) != 0) {
+            timeBlock(site, r.word);
+        }
+        if ((tag & kBranchBit) != 0) {
+            timeBranch(site, (tag & kFlagBit) != 0, r.word);
+        }
+    }
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::timeBlock(const trace::CodeSite& site, uint64_t outcome)
+{
+    // Frontend: the L1i misses count before the block dispatches (a phase
+    // sample inside the block sees them); the fetch penalty delays the
+    // frontend from the current cycle.
+    stats_.l1i_misses += static_cast<uint32_t>(outcome);
+    const uint64_t fetch_penalty = (outcome >> 32) & ((1ull << 30) - 1);
     if (fetch_penalty > 0) {
         const uint64_t ready = cur_cycle_ + fetch_penalty;
         if (ready > fetch_ready_) {
@@ -656,6 +1092,114 @@ CoreModel::onBlock(const trace::CodeSite& site)
         remaining -= chunk;
     }
 }
+
+[[gnu::always_inline]] inline void
+CoreModel::timeBranch(const trace::CodeSite& site, bool taken,
+                      uint64_t outcome)
+{
+    ++stats_.branches;
+    resolveFrontend();
+    ensureRobSpace(1);
+    ensureRsSpace(1);
+
+    // The branch resolves when its inputs are ready; load-dependent
+    // branches resolve only after the feeding load returns.
+    const bool load_dep = site.kind == trace::SiteKind::BranchLoadDep;
+    uint64_t resolve = cur_cycle_ + 1;
+    if (load_dep) {
+        resolve = std::max(resolve, last_load_complete_);
+    }
+
+    robPush(resolve, 1, false);
+    rsPush(std::min(resolve, cur_cycle_ + 15), 1, load_dep);
+    dispatch(1);
+
+    if ((outcome & kMispredictBit) != 0) {
+        ++stats_.branch_mispredicts;
+        const uint64_t ready =
+            resolve + static_cast<uint64_t>(params_.mispredict_penalty);
+        if (ready > fetch_ready_) {
+            fetch_ready_ = ready;
+            fetch_reason_ = StallCause::BadSpeculation;
+        }
+    } else if (taken) {
+        // Correctly predicted taken: redirect bubble, larger on BTB miss.
+        const int bubble = (outcome & kBtbHitBit) != 0
+                               ? params_.taken_bubble
+                               : params_.btb_miss_penalty;
+        const uint64_t ready = cur_cycle_ + bubble;
+        if (ready > fetch_ready_) {
+            fetch_ready_ = ready;
+            fetch_reason_ = StallCause::Frontend;
+        }
+    }
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::timeLoad(const StageRecord& record)
+{
+    resolveFrontend();
+    ensureRobSpace(1);
+    ensureRsSpace(1);
+    stats_.l1d_misses += static_cast<uint32_t>(record.word);
+    stats_.l2_misses += record.word >> 32;
+    stats_.l3_misses += record.tag >> 32;
+    const int latency =
+        static_cast<int>((record.tag >> 3) & ((1u << 29) - 1));
+
+    // Miss-status-holding registers bound memory-level parallelism: a
+    // miss beyond the outstanding limit starts only when the oldest one
+    // completes. mshr_head_ caches the oldest outstanding completion
+    // (UINT64_MAX when empty), so the common no-expiry case skips the
+    // pruning scan entirely; the queue itself is untouched until a head
+    // actually expires, which pops the same entries the stepped loop
+    // would.
+    uint64_t complete = cur_cycle_ + latency;
+    if (latency > params_.latencies.l1) {
+        if (mshr_head_ <= cur_cycle_) {
+            while (!mshr_.empty() && mshr_.front() <= cur_cycle_) {
+                mshr_.pop_front();
+            }
+            mshr_head_ = mshr_.empty() ? UINT64_MAX : mshr_.front();
+        }
+        if (static_cast<int>(mshr_.size()) >= params_.mshr_entries) {
+            complete = mshr_.front() + latency;
+        }
+        mshr_.push_back(complete);
+        mshr_head_ = mshr_.front();
+    }
+    last_load_complete_ = complete;
+    robPush(complete, 1, true);
+    // Loads leave the reservation station at issue (address generation),
+    // not at data return; only a bounded scheduler dwell is charged. The
+    // in-order-retire ROB carries the full miss latency.
+    rsPush(cur_cycle_ + std::min(latency, 15), 1, true);
+    dispatch(1);
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::timeStore(const StageRecord& record)
+{
+    resolveFrontend();
+    ensureRobSpace(1);
+    ensureRsSpace(1);
+    ensureSbSpace(1);
+    stats_.l1d_misses += static_cast<uint32_t>(record.word);
+    stats_.l2_misses += record.word >> 32;
+    stats_.l3_misses += record.tag >> 32;
+    const int latency =
+        static_cast<int>((record.tag >> 3) & ((1u << 29) - 1));
+
+    // Stores retire promptly but occupy the store buffer until the line
+    // is written; a full SB blocks dispatch (space reserved above).
+    sbPush(cur_cycle_ + latency, 1);
+
+    robPush(cur_cycle_ + 1, 1, false);
+    rsPush(cur_cycle_ + 1, 1, false);
+    dispatch(1);
+}
+
+// ---- Reference stepping ----------------------------------------------------
 
 void
 CoreModel::referenceOnBlock(const trace::CodeSite& site)
@@ -718,70 +1262,6 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
 }
 
 void
-CoreModel::onBranch(const trace::CodeSite& site, bool taken)
-{
-    if (attr_cur_ != nullptr) {
-        attr_cur_ = &attrAt(site.id);
-        ++attr_cur_->branches;
-        attr_cur_->taken += taken ? 1 : 0;
-    }
-    if (reference_stepping_) {
-        referenceOnBranch(site, taken);
-        return;
-    }
-    ++stats_.branches;
-    // One devirtualizable call per branch instead of the predict() +
-    // update() virtual pair; behaviour is identical by construction.
-    const bool predicted =
-        predictor_->predictAndUpdate(site.address, taken);
-
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-
-    // The branch resolves when its inputs are ready; load-dependent
-    // branches resolve only after the feeding load returns.
-    uint64_t resolve = cur_cycle_ + 1;
-    if (site.kind == trace::SiteKind::BranchLoadDep) {
-        resolve = std::max(resolve, last_load_complete_);
-    }
-
-    robPush(resolve, 1, false);
-    rsPush(std::min(resolve, cur_cycle_ + 15), 1,
-           site.kind == trace::SiteKind::BranchLoadDep);
-    dispatch(1);
-
-    if (predicted != taken) {
-        ++stats_.branch_mispredicts;
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->branch_mispredicts;
-        }
-        const uint64_t ready =
-            resolve + static_cast<uint64_t>(params_.mispredict_penalty);
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::BadSpeculation;
-        }
-    } else if (taken) {
-        // Correctly predicted taken: redirect bubble, larger on BTB miss.
-        const bool btb_hit = btb_.access(site.address);
-        if (!btb_hit) {
-            ++stats_.btb_misses;
-            if (attr_cur_ != nullptr) {
-                ++attr_cur_->btb_misses;
-            }
-        }
-        const int bubble =
-            btb_hit ? params_.taken_bubble : params_.btb_miss_penalty;
-        const uint64_t ready = cur_cycle_ + bubble;
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::Frontend;
-        }
-    }
-}
-
-void
 CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
 {
     // Pre-fast-forward implementation: separate predict() and update()
@@ -834,78 +1314,6 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
 }
 
 void
-CoreModel::onLoad(uint64_t addr, uint32_t bytes)
-{
-    if (attr_cur_ != nullptr) {
-        ++attr_cur_->loads;
-        attr_cur_->load_bytes += bytes;
-    }
-    if (reference_stepping_) {
-        referenceOnLoad(addr, bytes);
-        return;
-    }
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-    // Line span via shifts: line sizes are asserted powers of two, and
-    // unsigned divide/multiply by 2^k is exactly shift by k — this only
-    // dodges the hardware divide the / form costs per event.
-    const uint32_t shift = caches_.l1d().lineShift();
-    const uint64_t first = addr >> shift;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
-    int latency = params_.latencies.l1;
-    for (uint64_t l = first; l <= last; ++l) {
-        ++stats_.l1d_accesses;
-        const AccessResult r = caches_.dataAccess(l << shift);
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->l1d_accesses;
-            attr_cur_->l1d_misses += r.l1_miss ? 1 : 0;
-            attr_cur_->l2_misses += r.l2_miss ? 1 : 0;
-            attr_cur_->l3_misses += r.l3_miss ? 1 : 0;
-        }
-        if (r.l1_miss) {
-            ++stats_.l1d_misses;
-        }
-        if (r.l2_miss) {
-            ++stats_.l2_misses;
-        }
-        if (r.l3_miss) {
-            ++stats_.l3_misses;
-        }
-        latency = std::max(latency, r.latency);
-    }
-
-    // Miss-status-holding registers bound memory-level parallelism: a
-    // miss beyond the outstanding limit starts only when the oldest one
-    // completes. mshr_head_ caches the oldest outstanding completion
-    // (UINT64_MAX when empty), so the common no-expiry case skips the
-    // pruning scan entirely; the queue itself is untouched until a head
-    // actually expires, which pops the same entries the stepped loop
-    // would.
-    uint64_t complete = cur_cycle_ + latency;
-    if (latency > params_.latencies.l1) {
-        if (mshr_head_ <= cur_cycle_) {
-            while (!mshr_.empty() && mshr_.front() <= cur_cycle_) {
-                mshr_.pop_front();
-            }
-            mshr_head_ = mshr_.empty() ? UINT64_MAX : mshr_.front();
-        }
-        if (static_cast<int>(mshr_.size()) >= params_.mshr_entries) {
-            complete = mshr_.front() + latency;
-        }
-        mshr_.push_back(complete);
-        mshr_head_ = mshr_.front();
-    }
-    last_load_complete_ = complete;
-    robPush(complete, 1, true);
-    // Loads leave the reservation station at issue (address generation),
-    // not at data return; only a bounded scheduler dwell is charged. The
-    // in-order-retire ROB carries the full miss latency.
-    rsPush(cur_cycle_ + std::min(latency, 15), 1, true);
-    dispatch(1);
-}
-
-void
 CoreModel::referenceOnLoad(uint64_t addr, uint32_t bytes)
 {
     // Pre-fast-forward implementation: unconditional MSHR pruning scan.
@@ -950,56 +1358,6 @@ CoreModel::referenceOnLoad(uint64_t addr, uint32_t bytes)
     last_load_complete_ = complete;
     robPush(complete, 1, true);
     rsPush(cur_cycle_ + std::min(latency, 15), 1, true);
-    dispatch(1);
-}
-
-void
-CoreModel::onStore(uint64_t addr, uint32_t bytes)
-{
-    if (attr_cur_ != nullptr) {
-        ++attr_cur_->stores;
-        attr_cur_->store_bytes += bytes;
-    }
-    if (reference_stepping_) {
-        referenceOnStore(addr, bytes);
-        return;
-    }
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-    ensureSbSpace(1);
-    // Same shift-based line math as onLoad (line sizes are 2^k).
-    const uint32_t shift = caches_.l1d().lineShift();
-    const uint64_t first = addr >> shift;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
-    int latency = params_.latencies.l1;
-    for (uint64_t l = first; l <= last; ++l) {
-        ++stats_.l1d_accesses;
-        const AccessResult r = caches_.dataAccess(l << shift); // write-alloc
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->l1d_accesses;
-            attr_cur_->l1d_misses += r.l1_miss ? 1 : 0;
-            attr_cur_->l2_misses += r.l2_miss ? 1 : 0;
-            attr_cur_->l3_misses += r.l3_miss ? 1 : 0;
-        }
-        if (r.l1_miss) {
-            ++stats_.l1d_misses;
-        }
-        if (r.l2_miss) {
-            ++stats_.l2_misses;
-        }
-        if (r.l3_miss) {
-            ++stats_.l3_misses;
-        }
-        latency = std::max(latency, r.latency);
-    }
-
-    // Stores retire promptly but occupy the store buffer until the line
-    // is written; a full SB blocks dispatch (space reserved above).
-    sbPush(cur_cycle_ + latency, 1);
-
-    robPush(cur_cycle_ + 1, 1, false);
-    rsPush(cur_cycle_ + 1, 1, false);
     dispatch(1);
 }
 
@@ -1052,50 +1410,12 @@ CoreModel::referenceOnStore(uint64_t addr, uint32_t bytes)
     dispatch(1);
 }
 
-void
-CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
-{
-    // Direct batch consumption: the same member functions handle each
-    // record in emission order (qualified calls — no virtual dispatch),
-    // so the resulting stats are bit-identical to the per-event path.
-    // Loop-heavy streams repeat the same site id back to back, so a
-    // one-entry cache skips the registry lookup for the repeat case
-    // (CodeSite objects are stable once defined).
-    trace::SiteRegistry& reg = trace::registry();
-    const trace::CodeSite* last_site = nullptr;
-    uint32_t last_aux = 0;
-    for (size_t i = 0; i < count; ++i) {
-        const trace::ProbeEvent& e = events[i];
-        switch (e.kind) {
-        case trace::ProbeEvent::kBlock:
-        case trace::ProbeEvent::kBlockBranch: {
-            if (last_site == nullptr || e.aux != last_aux) {
-                last_site = &reg.site(e.aux);
-                last_aux = e.aux;
-            }
-            CoreModel::onBlock(*last_site);
-            if (e.kind == trace::ProbeEvent::kBlockBranch) {
-                CoreModel::onBranch(*last_site, (e.flags & 1) != 0);
-            }
-            break;
-        }
-        case trace::ProbeEvent::kLoad:
-            CoreModel::onLoad(e.addr, e.aux);
-            break;
-        case trace::ProbeEvent::kStore:
-            CoreModel::onStore(e.addr, e.aux);
-            break;
-        default:
-            VT_PANIC("corrupt probe event kind ", static_cast<int>(e.kind));
-        }
-    }
-}
-
 CoreStats
 CoreModel::finish()
 {
     VT_ASSERT(!finished_, "finish() called twice");
     finished_ = true;
+    drainPipeline();
 
     // Let the machine drain: run the clock to the last retirement.
     uint64_t end = std::max(cur_cycle_, fetch_ready_);
@@ -1125,6 +1445,24 @@ CoreModel::finish()
             || phase_.back().cycles != stats_.cycles)) {
         // Close the time-series with the post-drain totals.
         capturePhase();
+    }
+
+    // Fold in the functional stage's order-only counters and per-site
+    // tallies (none is part of a PhaseSample; both stay zero under
+    // reference stepping, which charges stats_ and attr_sites_ itself).
+    stats_.l1i_accesses += order_.l1i_accesses;
+    stats_.l1d_accesses += order_.l1d_accesses;
+    stats_.itlb_misses += order_.itlb_misses;
+    stats_.btb_misses += order_.btb_misses;
+    if (params_.attribute_sites) {
+        if (attr_sites_.size() < order_attr_sites_.size()) {
+            attr_sites_.resize(order_attr_sites_.size());
+        }
+        for (size_t i = 0; i < order_attr_sites_.size(); ++i) {
+            attr_sites_[i].add(order_attr_sites_[i]);
+        }
+        attr_unattributed_.add(order_attr_unattributed_);
+        attr_cur_ = nullptr;
     }
     return stats_;
 }

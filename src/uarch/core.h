@@ -18,11 +18,14 @@
  * via monotone completion times.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/cores.h"
 #include "trace/probe.h"
 #include "uarch/branch.h"
 #include "uarch/cache.h"
@@ -200,31 +203,52 @@ struct CoreStats
 /**
  * The core model; attach with trace::setSink(&model), run the workload,
  * then call finish().
+ *
+ * The model runs as two stages over a ring of compact event records
+ * (DESIGN.md §13, "Pipelined stages"). The functional stage owns the
+ * caches, iTLB, branch predictor and BTB, whose outcomes depend only on
+ * the order of events; the timing stage owns dispatch, the window and
+ * every time-based counter, which depend only on those outcomes. When
+ * two cores of the process budget are free (common/cores.h) each stage
+ * runs on its own helper thread; otherwise the probe-emitting thread
+ * runs both over each full slot. Either way the results are
+ * bit-identical. Accessors other than params() are valid only after
+ * finish().
  */
 class CoreModel : public trace::ProbeSink
 {
   public:
     explicit CoreModel(const CoreParams& params);
 
-    // ProbeSink interface.
+    /** Joins the helper threads if finish() never ran. */
+    ~CoreModel() override;
+
+    CoreModel(const CoreModel&) = delete;
+    CoreModel& operator=(const CoreModel&) = delete;
+
+    // ProbeSink interface: each call appends one record to the ring.
     void onBlock(const trace::CodeSite& site) override;
     void onBranch(const trace::CodeSite& site, bool taken) override;
     void onLoad(uint64_t addr, uint32_t bytes) override;
     void onStore(uint64_t addr, uint32_t bytes) override;
 
-    /** Consumes a batch directly (no per-event virtual dispatch); the
-     *  records are handled in order by the same member functions, so the
-     *  resulting CoreStats are bit-identical to the per-event path. */
+    /** Consumes a batch directly (no per-event virtual dispatch): each
+     *  record becomes one ring record, a fused block + branch included,
+     *  so the resulting CoreStats are bit-identical to the per-event
+     *  path. */
     void onBatch(const trace::ProbeEvent* events, size_t count) override;
 
-    /** Finalizes accounting and returns the statistics. */
+    /** Drains the ring, joins the helper threads and returns the
+     *  statistics. */
     CoreStats finish();
 
     const CoreParams& params() const { return params_; }
 
+    /** True if the stages ran on helper threads rather than inline. */
+    bool ranOnHelpers() const { return ran_on_helpers_; }
+
     /** Per-site attribution, indexed by trace::CodeSite::id (shorter than
-     *  the registry if trailing sites saw no events). Totals are exact
-     *  only after finish() has charged the drain. Empty when
+     *  the registry if trailing sites saw no events). Empty when
      *  CoreParams::attribute_sites is off. */
     const std::vector<SiteUarch>& attributionPerSite() const
     {
@@ -254,6 +278,69 @@ class CoreModel : public trace::ProbeSink
     };
 
     /**
+     * One probe event in the stage ring: 16 bytes, written raw by the
+     * producer, annotated in place by the functional stage and consumed
+     * by the timing stage. The low three bits of `tag` give the kind:
+     * kBlockBit and/or kBranchBit mark a site record, neither marks a
+     * memory record; kFlagBit is the branch direction (site records) or
+     * "store" (memory records).
+     *
+     *   site, raw:         word = layout address,
+     *                      tag  = CodeSite* | kind bits
+     *   site, annotated:   word = L1i misses (bits 0-31)
+     *                           | fetch penalty (bits 32-61)
+     *                           | kMispredictBit | kBtbHitBit
+     *   memory, raw:       word = address, tag = bytes << 32 | kind bits
+     *   memory, annotated: word = L1 misses | L2 misses << 32,
+     *                      tag  = L3 misses << 32 | latency << 3
+     *                           | kind bits
+     *
+     * The producer copies the site address into the record, so a layout
+     * change never races a stage; the stages read only the immutable
+     * fields of the CodeSite (id, bytes, instructions, kind).
+     */
+    struct StageRecord
+    {
+        uint64_t word;
+        uint64_t tag;
+    };
+
+    static constexpr uint64_t kBlockBit = 1;
+    static constexpr uint64_t kBranchBit = 2;
+    static constexpr uint64_t kFlagBit = 4;
+    static constexpr uint64_t kKindBits = 7;
+    static constexpr uint64_t kMispredictBit = 1ull << 62;
+    static constexpr uint64_t kBtbHitBit = 1ull << 63;
+
+    /** Ring geometry: 4 slots x 2048 records = 128 KiB per model with
+     *  helpers. Inline, only slot 0 is allocated (32 KiB). Each slot's
+     *  records are a separate allocation, below glibc's mmap threshold:
+     *  one 128 KiB block per model raised the peak RSS of a cache-heavy
+     *  farm run by half, through the threshold's dynamic adjustment. */
+    static constexpr uint32_t kSlots = 4;
+    static constexpr uint32_t kSlotRecords = 2048;
+    /** Slot count that tells the helper threads to exit. */
+    static constexpr uint32_t kStopSlot = UINT32_MAX;
+
+    /** Slot states: the producer fills a Free slot, the functional stage
+     *  annotates a Filled one, the timing stage consumes an Annotated
+     *  one and frees it. Each transition is a release store observed by
+     *  an acquire load. */
+    enum SlotState : uint32_t
+    {
+        kFree = 0,
+        kFilled = 1,
+        kAnnotated = 2,
+    };
+
+    struct Slot
+    {
+        alignas(64) std::atomic<uint32_t> state{kFree};
+        uint32_t count = 0; ///< Records in this slot (or kStopSlot).
+        std::unique_ptr<StageRecord[]> records; ///< kSlotRecords each.
+    };
+
+    /**
      * Precomputed instruction-fetch geometry of one code site. The
      * block's L1i line span and iTLB page are pure functions of the
      * site's (immutable) size and its layout address, so they are
@@ -270,12 +357,87 @@ class CoreModel : public trace::ProbeSink
         /// SiteRegistry::kTextBase and grows).
         static constexpr uint64_t kNoAddress = UINT64_MAX;
 
-        uint64_t address = kNoAddress; ///< site.address at build time.
+        uint64_t address = kNoAddress; ///< Site address at build time.
         uint64_t first_line = 0;       ///< First L1i line index.
         uint64_t page = 0;             ///< iTLB page (address >> 12).
         uint32_t line_count = 0;       ///< Lines spanned by the block.
         std::vector<uint32_t> slots;   ///< Resident-way hint per line.
     };
+
+    /** The order-only CoreStats counters (none is part of a
+     *  PhaseSample), charged by the functional stage and folded into
+     *  stats_ at finish(). */
+    struct OrderCounters
+    {
+        uint64_t l1i_accesses = 0;
+        uint64_t l1d_accesses = 0;
+        uint64_t itlb_misses = 0;
+        uint64_t btb_misses = 0;
+    };
+
+    // ---- Producer (the probe-emitting thread) ----
+
+    /** Appends one raw record; publishes the slot when it fills. */
+    void push(uint64_t word, uint64_t tag);
+
+    /** Hands the full slot on: inline, runs both stages over it; with
+     *  helpers, passes it to the functional stage and waits for the next
+     *  slot to come free. The first full slot decides between the two. */
+    void publish();
+
+    /** Marks the current slot Filled with `count` records and moves to
+     *  the next one once it is Free (helpers only). */
+    void handOff(uint32_t count);
+
+    /** Runs both stages over the fill slot's first `count` records on
+     *  this thread (no helpers). */
+    void runInline(uint32_t count);
+
+    /** Runs or hands off the partial slot and joins the helpers. */
+    void drainPipeline();
+
+    /** Sends the stop slot and joins the helpers (no-op without). */
+    void stopHelpers();
+
+    /** Helper-thread loops: one stage over the slots in ring order. */
+    void functionalMain();
+    void timingMain();
+
+    // ---- Functional stage ----
+
+    /** Annotates `count` raw records in place (see StageRecord). */
+    void functionalStage(StageRecord* records, size_t count);
+
+    /** L1i walk and iTLB lookup of one block; returns its annotation. */
+    uint64_t fetchBlock(const trace::CodeSite& site, uint64_t address);
+
+    /** Predictor update (and the BTB probe of a correctly predicted
+     *  taken branch); returns the branch's annotation bits. */
+    uint64_t predictBranch(uint64_t address, bool taken);
+
+    /** L1d -> L4 walk of one load or store, annotated in place. */
+    void walkData(StageRecord& record);
+
+    /** The fetch plan for `site` at `address` (built on demand). */
+    SiteFetchPlan& planFor(const trace::CodeSite& site, uint64_t address);
+    void rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site,
+                     uint64_t address);
+
+    // ---- Timing stage ----
+
+    /** Consumes `count` annotated records in order. */
+    void timingStage(const StageRecord* records, size_t count);
+
+    /** Frontend penalty and backend dispatch of one block. */
+    void timeBlock(const trace::CodeSite& site, uint64_t outcome);
+
+    /** Dispatch and redirect of one branch. */
+    void timeBranch(const trace::CodeSite& site, bool taken,
+                    uint64_t outcome);
+
+    /** Dispatch of one load or store. */
+    void timeLoad(const StageRecord& record);
+    void timeStore(const StageRecord& record);
 
     /** Advances dispatch to `target_cycle`, attributing empty slots. */
     void advanceTo(uint64_t target_cycle, StallCause cause);
@@ -285,18 +447,6 @@ class CoreModel : public trace::ProbeSink
      *  advances in closed form — see DESIGN.md §13 for the argument
      *  that this is bit-exact vs the stepped reference path. */
     void dispatch(uint32_t count);
-
-    /** The pre-fast-forward implementations, retained verbatim for the
-     *  differential suite (CoreParams::reference_stepping). */
-    void referenceDispatch(uint32_t count);
-    void referenceOnBlock(const trace::CodeSite& site);
-    void referenceOnBranch(const trace::CodeSite& site, bool taken);
-    void referenceOnLoad(uint64_t addr, uint32_t bytes);
-    void referenceOnStore(uint64_t addr, uint32_t bytes);
-
-    /** The fetch plan for `site` (built or rebuilt on demand). */
-    SiteFetchPlan& planFor(const trace::CodeSite& site);
-    void rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site);
 
     /** Stalls dispatch until the frontend has instructions available. */
     void resolveFrontend();
@@ -320,20 +470,49 @@ class CoreModel : public trace::ProbeSink
     /** Frees entries whose time has passed. */
     void drain();
 
-    /** Per-site bucket for `site_id` (grows the table on demand). */
-    SiteUarch& attrAt(uint32_t site_id);
-
     /** Records a cumulative PhaseSample and arms the next window. */
     void capturePhase();
+
+    // ---- Reference stepping (sequential, on the calling thread) ----
+
+    /** The pre-fast-forward implementations, retained verbatim for the
+     *  differential suite (CoreParams::reference_stepping). */
+    void referenceDispatch(uint32_t count);
+    void referenceOnBlock(const trace::CodeSite& site);
+    void referenceOnBranch(const trace::CodeSite& site, bool taken);
+    void referenceOnLoad(uint64_t addr, uint32_t bytes);
+    void referenceOnStore(uint64_t addr, uint32_t bytes);
 
     uint64_t now() const { return cur_cycle_; }
 
     CoreParams params_;
-    CacheHierarchy caches_;
+
+    /** CoreParams::reference_stepping, hoisted (one predictable branch
+     *  at the top of each event handler selects the retained path). */
+    bool reference_stepping_ = false;
+    bool finished_ = false;
+
+    // Functional-stage state. Reference stepping uses the structures
+    // directly on the calling thread and leaves the counters at zero.
+    alignas(64) CacheHierarchy caches_;
     Tlb itlb_;
     std::unique_ptr<BranchPredictor> predictor_;
     Btb btb_;
 
+    /** Per-site fetch plans, indexed by trace::CodeSite::id (grown on
+     *  demand like attr_sites_). */
+    std::vector<SiteFetchPlan> plans_;
+
+    OrderCounters order_;
+
+    // The order-only per-site tallies (event counts, branch and cache
+    // outcomes), merged into attr_sites_ at finish(). order_attr_cur_
+    // follows the same rules as attr_cur_ below.
+    std::vector<SiteUarch> order_attr_sites_;
+    SiteUarch order_attr_unattributed_;
+    SiteUarch* order_attr_cur_ = nullptr;
+
+    // Timing-stage state.
     struct WindowEntry
     {
         uint64_t time;   ///< Retire/issue/drain cycle.
@@ -342,7 +521,7 @@ class CoreModel : public trace::ProbeSink
     };
 
     // Dispatch state.
-    uint64_t cur_cycle_ = 0;
+    alignas(64) uint64_t cur_cycle_ = 0;
     uint32_t slots_in_cycle_ = 0;
 
     // Frontend availability.
@@ -365,28 +544,20 @@ class CoreModel : public trace::ProbeSink
     uint64_t last_load_complete_ = 0;
     RingBuffer<uint64_t> mshr_; ///< Completion times of in-flight misses.
 
-    /** mshr_.front() (UINT64_MAX when empty), cached so onLoad skips the
+    /** mshr_.front() (UINT64_MAX when empty), cached so a load skips the
      *  head-pruning loop entirely while the oldest miss is still in the
      *  future — the common case on a streaming miss train. */
     uint64_t mshr_head_ = UINT64_MAX;
 
-    /** Per-site fetch plans, indexed by trace::CodeSite::id (grown on
-     *  demand like attr_sites_). */
-    std::vector<SiteFetchPlan> plans_;
-
-    /** CoreParams::reference_stepping, hoisted (one predictable branch
-     *  at the top of each event handler selects the retained path). */
-    bool reference_stepping_ = false;
-
     CoreStats stats_;
-    bool finished_ = false;
 
-    // Per-site attribution (CoreParams::attribute_sites). attr_cur_ is
-    // null when attribution is off — a single predictable branch guards
-    // every mirrored charge — and otherwise always points at a live
-    // bucket (initially the unattributed one). It is refreshed on every
-    // block/branch probe, the only operations that can grow attr_sites_,
-    // so it never dangles across intervening loads/stores.
+    // Per-site attribution (CoreParams::attribute_sites): the time-based
+    // charges here, the order-only ones in order_attr_sites_. attr_cur_
+    // is null when attribution is off — a single predictable branch
+    // guards every mirrored charge — and otherwise always points at a
+    // live bucket (initially the unattributed one). It is refreshed on
+    // every site record, the only records that can grow attr_sites_, so
+    // it never dangles across intervening loads/stores.
     std::vector<SiteUarch> attr_sites_;
     SiteUarch attr_unattributed_;
     SiteUarch* attr_cur_ = nullptr;
@@ -396,6 +567,19 @@ class CoreModel : public trace::ProbeSink
     // never-taken compare per instruction.
     std::vector<PhaseSample> phase_;
     uint64_t next_phase_ = UINT64_MAX;
+
+    // Producer state and the ring. Inline, only slot 0 has storage; the
+    // other slots get theirs when the helpers start.
+    Slot ring_[kSlots];
+    alignas(64) StageRecord* pos_ = nullptr; ///< Next free record of the
+                                             ///< fill slot.
+    StageRecord* end_ = nullptr; ///< End of the fill slot.
+    uint32_t fill_slot_ = 0;
+    bool helpers_decided_ = false;
+    bool ran_on_helpers_ = false;
+    CoreHold helper_cores_;
+    std::thread functional_thread_;
+    std::thread timing_thread_;
 };
 
 /** Runs a callable under this core model and returns its stats. The model

@@ -55,10 +55,19 @@ class RingBuffer
     void
     push_back(const T& value)
     {
-        if (count_ == slots_.size()) {
+        emplace_back(value);
+    }
+
+    /** Constructs the new back element from `args` directly in its slot
+     *  (aggregate initialization), so the caller builds no temporary. */
+    template <typename... Args>
+    void
+    emplace_back(Args&&... args)
+    {
+        if (count_ == slots_.size()) [[unlikely]] {
             grow();
         }
-        slots_[(head_ + count_) & mask_] = value;
+        slots_[(head_ + count_) & mask_] = T{std::forward<Args>(args)...};
         ++count_;
     }
 
@@ -77,7 +86,9 @@ class RingBuffer
     }
 
   private:
-    void
+    /** Out of line and cold, so the push path stays small enough to
+     *  inline into the model's hot loops. */
+    [[gnu::noinline, gnu::cold]] void
     grow()
     {
         std::vector<T> bigger(slots_.size() * 2);

@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests of the microarchitecture models: caches, TLB, branch predictors,
- * BTB, the core timing model's stall accounting, and the Table IV
- * configurations.
+ * BTB, the core timing model's stall accounting, its pipelined stages
+ * in both modes (helper threads and inline) with the core budget
+ * that chooses between them, and the Table IV configurations.
  */
 
 #include <gtest/gtest.h>
 
 #include <deque>
 
+#include "common/cores.h"
 #include "common/rng.h"
+#include "core/workload.h"
+#include "farm/runlog.h"
+#include "farm/server.h"
+#include "obs/uarch.h"
 #include "trace/probe.h"
 #include "uarch/branch.h"
 #include "uarch/cache.h"
@@ -110,13 +116,14 @@ TEST(Hierarchy, L4ServicesL3Misses)
 
 TEST(Hierarchy, MultiLineAccessTouchesBothLines)
 {
-    CacheHierarchy h({32768, 8, 64}, {32768, 8, 64}, {262144, 8, 64},
-                     {8388608, 16, 64}, 0, LatencyParams{});
-    AccessResult worst;
-    h.dataAccessBytes(60, 8, &worst); // crosses the line boundary at 64
-    EXPECT_TRUE(h.l1d().contains(0));
-    EXPECT_TRUE(h.l1d().contains(64));
-    EXPECT_EQ(h.l1d().accesses(), 2u);
+    // The core model walks an access line by line through the
+    // hierarchy: 8 bytes at 60 cross the line boundary at 64, so both
+    // lines are looked up (and both miss the cold L1d).
+    CoreModel model(baselineConfig());
+    model.onLoad(60, 8);
+    const CoreStats s = model.finish();
+    EXPECT_EQ(s.l1d_accesses, 2u);
+    EXPECT_EQ(s.l1d_misses, 2u);
 }
 
 // ---- TLB ----------------------------------------------------------------
@@ -541,6 +548,39 @@ TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
 
 // ---- Event-driven fast-forward vs stepped reference (bit-identity) --------
 
+/** How a pipelined model runs its two stages. */
+enum class StageMode
+{
+    Helpers, ///< One helper thread per stage.
+    Inline,  ///< Both stages on the probe-emitting thread.
+};
+
+const char*
+modeName(StageMode mode)
+{
+    return mode == StageMode::Helpers ? "helpers" : "inline";
+}
+
+/** The modes this machine can exercise: inline always, helpers when
+ *  the core budget has the two free cores a model needs. */
+std::vector<StageMode>
+stageModes()
+{
+    std::vector<StageMode> out{StageMode::Inline};
+    if (freeCores() >= 2) {
+        out.push_back(StageMode::Helpers);
+    }
+    return out;
+}
+
+/** Holds every free core while a model forced inline runs (models
+ *  construct and decide inside its scope); holds none for helpers. */
+CoreHold
+holdFor(StageMode mode)
+{
+    return CoreHold(mode == StageMode::Inline ? std::max(freeCores(), 0) : 0);
+}
+
 /** Everything one optimized/reference run pair must agree on. */
 struct DiffRun
 {
@@ -548,26 +588,44 @@ struct DiffRun
     std::vector<SiteUarch> sites;
     SiteUarch unattributed;
     std::vector<PhaseSample> phases;
+    bool helpers = false; ///< The stages ran on helper threads.
 };
 
-/** Drives a deterministic pseudo-random probe stream — blocks of several
- *  sizes (some load-dependent), hard and learnable branches, loads over a
- *  wandering working set, stores — through one CoreModel. */
+/** Copies a finished model's results. */
 DiffRun
-runProbeStream(CoreParams params, bool reference, uint32_t batch)
+collect(CoreModel& model)
 {
+    DiffRun r;
+    r.stats = model.finish();
+    r.sites = model.attributionPerSite();
+    r.unattributed = model.attributionUnattributed();
+    r.phases = model.phaseSamples();
+    r.helpers = model.ranOnHelpers();
+    return r;
+}
+
+/** Drives a deterministic pseudo-random probe stream — blocks of several
+ *  sizes (some load-dependent, one larger than the L1i), hard and
+ *  learnable branches, loads over a wandering working set, stores —
+ *  through one CoreModel. */
+DiffRun
+runProbeStream(CoreParams params, bool reference, uint32_t batch,
+               StageMode mode = StageMode::Inline)
+{
+    const CoreHold hold = holdFor(mode);
     VT_SITE(blk_a, "coretest.diff.blk_a", 96, 11, Block);
     VT_SITE(blk_b, "coretest.diff.blk_b", 40, 5, Block);
     VT_SITE(blk_c, "coretest.diff.blk_c", 200, 23, BlockLoadDep);
     VT_SITE(br_a, "coretest.diff.br_a", 16, 2, Branch);
     VT_SITE(br_b, "coretest.diff.br_b", 12, 1, BranchLoadDep);
+    VT_SITE(blk_big, "coretest.diff.blk_big", 8192, 37, Block);
     params.reference_stepping = reference;
     CoreModel model(params);
     trace::setSink(&model, batch);
     Rng rng(0xd1ffe4e57ull);
     uint64_t addr = 0x700000000ull;
     for (int i = 0; i < 12000; ++i) {
-        switch (rng.below(6)) {
+        switch (rng.below(7)) {
           case 0:
             trace::block(blk_a);
             break;
@@ -585,6 +643,9 @@ runProbeStream(CoreParams params, bool reference, uint32_t batch)
             trace::load(addr + rng.below(1u << 22), 4);
             trace::branch(br_b, rng.chance(0.61));
             break;
+          case 5: // Larger than the L1i: misses on every execution.
+            trace::block(blk_big);
+            break;
           default:
             trace::store(addr + rng.below(1u << 18), 16);
             break;
@@ -593,12 +654,7 @@ runProbeStream(CoreParams params, bool reference, uint32_t batch)
                                       // and misses at every cache level.
     }
     trace::setSink(nullptr);
-    DiffRun r;
-    r.stats = model.finish();
-    r.sites = model.attributionPerSite();
-    r.unattributed = model.attributionUnattributed();
-    r.phases = model.phaseSamples();
-    return r;
+    return collect(model);
 }
 
 void
@@ -717,10 +773,14 @@ TEST(CoreDifferential, FastForwardMatchesReferenceStepping)
                 p.name + " batch=" + std::to_string(batch)
                 + " attr=" + std::to_string(p.attribute_sites)
                 + " phase=" + std::to_string(p.phase_window);
-            const DiffRun opt = runProbeStream(p, false, batch);
             const DiffRun ref = runProbeStream(p, true, batch);
-            EXPECT_GT(opt.stats.instructions, 50000u) << what;
-            expectSameRun(opt, ref, what);
+            for (StageMode mode : stageModes()) {
+                const DiffRun opt = runProbeStream(p, false, batch, mode);
+                const std::string run = what + " " + modeName(mode);
+                EXPECT_EQ(opt.helpers, mode == StageMode::Helpers) << run;
+                EXPECT_GT(opt.stats.instructions, 50000u) << run;
+                expectSameRun(opt, ref, run);
+            }
         }
     }
 }
@@ -734,12 +794,209 @@ TEST(CoreDifferential, InstrumentedFastForwardMatchesOnAllWidths)
         p.width = w;
         p.attribute_sites = true;
         p.phase_window = 1000; // Off-width-multiple boundaries.
-        const std::string what = "instrumented w" + std::to_string(w);
-        const DiffRun opt = runProbeStream(p, false, 256);
         const DiffRun ref = runProbeStream(p, true, 256);
-        ASSERT_GT(opt.phases.size(), 50u) << what;
+        for (StageMode mode : stageModes()) {
+            const std::string what = "instrumented w" + std::to_string(w)
+                                     + " " + modeName(mode);
+            const DiffRun opt = runProbeStream(p, false, 256, mode);
+            EXPECT_EQ(opt.helpers, mode == StageMode::Helpers) << what;
+            ASSERT_GT(opt.phases.size(), 50u) << what;
+            expectSameRun(opt, ref, what);
+        }
+    }
+}
+
+/** A stream whose second half uses a site first defined mid-run and
+ *  then moved mid-run, as a relayout pass would. `fresh` is defined at
+ *  the midpoint when null (and returned), else reused from a previous
+ *  run, which must then see the same layout address sequence. */
+DiffRun
+runFreshSiteStream(bool reference, StageMode mode,
+                   trace::CodeSite** fresh, uint64_t* home)
+{
+    VT_SITE(blk, "coretest.fresh.blk", 64, 9, Block);
+    VT_SITE(br, "coretest.fresh.br", 16, 2, Branch);
+    const CoreHold hold = holdFor(mode);
+    CoreParams params = baselineConfig();
+    params.reference_stepping = reference;
+    params.attribute_sites = true;
+    params.phase_window = 2000;
+    CoreModel model(params);
+    trace::setSink(&model, 256);
+    Rng rng(0xf7e54ull);
+    uint64_t addr = 0x900000000ull;
+    constexpr int kIters = 20000;
+    for (int i = 0; i < kIters; ++i) {
+        if (i == kIters / 2) {
+            if (*fresh == nullptr) {
+                // Registry growth while the stages are mid-stream.
+                *fresh = &trace::registry().define(
+                    "coretest.fresh.mid" + std::string(modeName(mode)),
+                    48, 5, trace::SiteKind::BranchLoadDep);
+                *home = (*fresh)->address;
+            }
+            (*fresh)->address = *home;
+        }
+        if (i == 3 * kIters / 4) {
+            (*fresh)->address = *home + 4096 * 7; // Relayout mid-run.
+        }
+        trace::block(blk);
+        trace::load(addr, 16);
+        if (i >= kIters / 2) {
+            trace::branch(**fresh, rng.chance(0.3));
+        } else {
+            trace::branch(br, rng.chance(0.5));
+        }
+        trace::store(addr + 8, 8);
+        addr += 64 * rng.below(256);
+    }
+    trace::setSink(nullptr);
+    (*fresh)->address = *home;
+    return collect(model);
+}
+
+TEST(CoreDifferential, SiteDefinedAndMovedMidRunMatchesReference)
+{
+    for (StageMode mode : stageModes()) {
+        trace::CodeSite* fresh = nullptr;
+        uint64_t home = 0;
+        const DiffRun opt = runFreshSiteStream(false, mode, &fresh, &home);
+        const DiffRun ref = runFreshSiteStream(true, mode, &fresh, &home);
+        const std::string what = std::string("fresh site ")
+                                 + modeName(mode);
+        EXPECT_EQ(opt.helpers, mode == StageMode::Helpers) << what;
+        ASSERT_GT(opt.sites.size(), fresh->id) << what;
+        EXPECT_GT(opt.sites[fresh->id].branches, 5000u) << what;
         expectSameRun(opt, ref, what);
     }
+}
+
+// ---- Pipeline lifetime and the core budget ---------------------------------
+
+TEST(CorePipeline, DestroyedMidStreamWithoutFinishJoins)
+{
+    VT_SITE(blk, "coretest.abandon.blk", 32, 4, Block);
+    const int free_before = freeCores();
+    for (StageMode mode : stageModes()) {
+        for (int events : {0, 100, 2048, 2049, 50000}) {
+            const CoreHold hold = holdFor(mode);
+            {
+                CoreModel model(baselineConfig());
+                trace::setSink(&model, 256);
+                for (int i = 0; i < events; ++i) {
+                    trace::block(blk);
+                    trace::load(0x500000000ull + 64u * (i % 4096), 8);
+                }
+                trace::setSink(nullptr);
+                // Helpers start with the first full slot only.
+                EXPECT_EQ(model.ranOnHelpers(),
+                          mode == StageMode::Helpers && 2 * events >= 2048)
+                    << modeName(mode) << " " << events;
+            } // Destroyed without finish(): must join, not hang.
+        }
+    }
+    EXPECT_EQ(freeCores(), free_before);
+}
+
+TEST(CorePipeline, HelpersHoldTwoCoresUntilFinish)
+{
+    if (freeCores() < 2) {
+        GTEST_SKIP() << "the core budget has fewer than two free cores";
+    }
+    VT_SITE(blk, "coretest.budget.blk", 32, 4, Block);
+    const int free_before = freeCores();
+    CoreModel model(baselineConfig());
+    EXPECT_EQ(freeCores(), free_before) << "no cores before the first slot";
+    trace::setSink(&model, 256);
+    for (int i = 0; i < 5000; ++i) {
+        trace::block(blk);
+    }
+    trace::setSink(nullptr);
+    EXPECT_TRUE(model.ranOnHelpers());
+    EXPECT_EQ(freeCores(), free_before - 2);
+    model.finish();
+    EXPECT_EQ(freeCores(), free_before);
+}
+
+TEST(CorePipeline, WorkerPoolHoldsCoresOnlyWhileRunning)
+{
+    const int start = freeCores();
+    std::vector<int> seen(8, 0);
+    auto batch = [&](size_t tasks) {
+        std::vector<std::function<void()>> out;
+        for (size_t i = 0; i < tasks; ++i) {
+            out.push_back([&seen, i] { seen[i] = freeCores(); });
+        }
+        return out;
+    };
+
+    farm::WorkerPool threaded(3);
+    threaded.run({}); // An empty batch holds nothing.
+    EXPECT_EQ(freeCores(), start);
+    threaded.run(batch(2)); // min(workers, tasks) = 2.
+    EXPECT_EQ(seen[0], start - 2);
+    EXPECT_EQ(seen[1], start - 2);
+    EXPECT_EQ(freeCores(), start);
+    threaded.run(batch(5)); // min(workers, tasks) = 3.
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(seen[i], start - 3) << i;
+    }
+    EXPECT_EQ(freeCores(), start);
+
+    farm::WorkerPool inline_pool(1); // Runs on the caller: holds none.
+    inline_pool.run(batch(4));
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(seen[i], start) << i;
+    }
+    inline_pool.run({});
+    EXPECT_EQ(freeCores(), start);
+}
+
+/** One instrumented transcode's comparable outputs. */
+struct InstrumentedRun
+{
+    uint64_t fingerprint = 0;
+    std::string attribution; ///< The merged HotspotReport as JSON.
+    std::string phases;      ///< The phase counter tracks as a trace.
+};
+
+InstrumentedRun
+runInstrumentedUnder(StageMode mode)
+{
+    const CoreHold hold = holdFor(mode);
+    obs::SpanTracer tracer;
+    obs::setGlobalTracer(&tracer);
+    obs::hotspotReport().reset();
+    core::RunConfig cfg;
+    cfg.video = "cat";
+    cfg.seconds = 0.04;
+    cfg.params = codec::presetParams("fast");
+    cfg.core = baselineConfig();
+    const core::RunResult result = core::runInstrumented(cfg);
+    InstrumentedRun run;
+    run.fingerprint = farm::fingerprint(result);
+    run.attribution = obs::hotspotReport().toJson();
+    run.phases = tracer.toChromeTrace();
+    obs::setGlobalTracer(nullptr);
+    return run;
+}
+
+TEST(CorePipeline, RunInstrumentedIdenticalWithHelpersAndInline)
+{
+    if (freeCores() < 2) {
+        GTEST_SKIP() << "the core budget has fewer than two free cores";
+    }
+    obs::setUarchAttributionEnabled(true);
+    obs::setPhaseWindow(20000);
+    const InstrumentedRun helpers = runInstrumentedUnder(StageMode::Helpers);
+    const InstrumentedRun inline_run = runInstrumentedUnder(StageMode::Inline);
+    obs::setUarchAttributionEnabled(false);
+    obs::setPhaseWindow(0);
+    obs::hotspotReport().reset();
+    EXPECT_EQ(helpers.fingerprint, inline_run.fingerprint);
+    EXPECT_EQ(helpers.attribution, inline_run.attribution);
+    EXPECT_EQ(helpers.phases, inline_run.phases);
+    EXPECT_NE(helpers.phases.find("topdown"), std::string::npos);
 }
 
 // ---- Resource-stall PKI rounding (regression) ------------------------------

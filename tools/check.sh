@@ -79,6 +79,19 @@ echo "== parallel sweep smoke (+ hotspots + uarch attribution + traces) =="
     --phase-window 200000 \
     --trace-out "$OBS_DIR/sweep-trace.json" --metrics
 
+echo "== pipelined core model: helper threads vs inline stages =="
+# With --jobs 1 the sweep runs on the calling thread and every core model
+# may start its two stage helper threads. The --jobs 4 run above holds up
+# to four cores in its worker pool, so on a machine with four or fewer
+# cores its models run both stages inline. The attribution and hotspot
+# reports must match byte for byte.
+"$BUILD_DIR"/bench/fig3_heatmaps --coarse --seconds 0.1 --jobs 1 --quiet \
+    --hotspots --hotspots-out "$OBS_DIR/hotspots-jobs1.json" \
+    --uarch-report --uarch-report-out "$OBS_DIR/uarch-jobs1.json" \
+    --phase-window 200000
+cmp "$OBS_DIR/uarch.json" "$OBS_DIR/uarch-jobs1.json"
+cmp "$OBS_DIR/hotspots.json" "$OBS_DIR/hotspots-jobs1.json"
+
 echo "== uarch attribution: exactness + non-perturbation =="
 # Per-site sums must equal CoreStats field by field; attribution on/off
 # must be bit-identical; phase samples must close at the run totals.
