@@ -26,7 +26,6 @@
 #include "obs/metrics.h"
 #include "obs/spans.h"
 #include "obs/uarch.h"
-#include "trace/probe.h"
 
 namespace vtrans::bench {
 
@@ -127,9 +126,6 @@ benchTracer()
  *   --fine            11x8 grid (crf Delta-5, 88 points)
  *   --full            the paper's full 816-point grid
  *   --quiet           suppress progress
- *   --batch-size <n>  probe-pipeline batch capacity (0 = per-event
- *                     dispatch; default from VTRANS_PROBE_BATCH or the
- *                     microbench-chosen trace::kDefaultProbeBatch)
  *   --kernels <isa>   kernel backend: scalar, sse41, avx2 or auto
  *                     (default from VTRANS_KERNEL_ISA, else auto; every
  *                     backend is bit-identical)
@@ -162,12 +158,6 @@ parseBenchOptions(int argc, char** argv)
     options.study.jobs = static_cast<int>(cli.num("jobs", 1));
     options.study.verbose = !cli.has("quiet");
     setVerbose(!cli.has("quiet"));
-
-    // A/B knob for the batched probe pipeline (bit-identical either way).
-    const int64_t batch = cli.num(
-        "batch-size", static_cast<int64_t>(trace::defaultBatchCapacity()));
-    trace::setDefaultBatchCapacity(
-        batch <= 0 ? 0 : static_cast<uint32_t>(batch));
 
     // Kernel backend (bit-identical across values) and simulated cost
     // model (vector is the opt-in SIMD-form probe model).

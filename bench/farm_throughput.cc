@@ -7,11 +7,7 @@
  * service latency on the same stream (the §III-D2 claim, online).
  *
  *   ./build/bench/farm_throughput [--jobs 24] [--seconds 0.2] [--seed 7]
- *       [--retries 2] [--faults 0.1] [--batch-size N] [--chunk-frames G]
- *
- * --batch-size A/Bs the batched probe pipeline (0 = per-event dispatch;
- * default from VTRANS_PROBE_BATCH or trace::kDefaultProbeBatch). Results
- * are bit-identical either way — only the wall clock moves.
+ *       [--retries 2] [--faults 0.1] [--chunk-frames G]
  *
  * --chunk-frames G adds a third part: the same mixed-size stream
  * dispatched whole vs as GOP-chunked job graphs (boundary spacing G,
@@ -50,7 +46,6 @@
 #include "common/table.h"
 #include "core/workload.h"
 #include "farm/farm.h"
-#include "trace/probe.h"
 
 namespace {
 
@@ -214,10 +209,6 @@ main(int argc, char** argv)
     const int jobs = static_cast<int>(cli.num("jobs", 24));
     const uint64_t seed = static_cast<uint64_t>(cli.num("seed", 7));
     const int retries = static_cast<int>(cli.num("retries", 2));
-    const int64_t batch = cli.num(
-        "batch-size", static_cast<int64_t>(trace::defaultBatchCapacity()));
-    trace::setDefaultBatchCapacity(
-        batch <= 0 ? 0 : static_cast<uint32_t>(batch));
 
     farm::FarmOptions base;
     base.clip_seconds = cli.real("seconds", 0.2);

@@ -1,30 +1,27 @@
 /**
  * @file
- * Probe-pipeline microbenchmark: events/sec through the probe bus for the
- * per-event virtual-dispatch path vs the batched ProbeEvent pipeline, over
- * two consumers of increasing weight —
+ * Probe-pipeline microbenchmark: events/sec through the probe bus at batch
+ * capacities from 1 (a batch of one, delivered on every emit) up to 1024,
+ * over two consumers of increasing weight —
  *
  *   count  a trivial counting sink (pure pipeline dispatch cost),
  *   model  uarch::CoreModel (the common instrumented-run configuration),
  *
  * on a deterministic synthetic event stream shaped like the codec's hot
  * kernels (macroblock row: block, loads, dependent block, store, early-exit
- * branch, loop branch). Every mode's CoreStats are asserted bit-identical
- * to the per-event baseline — the batch pipeline is an optimization, never
- * a semantic change.
+ * branch, loop branch). Every capacity's CoreStats are asserted
+ * bit-identical to the batch-of-one baseline — the capacity amortizes
+ * delivery, it never changes what a sink sees.
  *
  *   ./build/bench/microbench_probe [--events 4000000] [--reps 3]
  *       [--stream block|branch|mem|mixed] [--min-speedup 1.0]
  *       [--min-model-speedup 0] [--attr-overhead 0]
- *       [--out BENCH_probe.json] [--e2e] [--e2e-seconds 0.12] [--quiet]
+ *       [--out BENCH_probe.json] [--quiet]
  *
  * --stream selects the synthetic mix: `block` (pure basic-block
  * retirement — the dispatch fast-forward), `branch` (predictor-bound),
  * `mem` (loads/stores — caches, MSHR, store buffer), or the default
- * codec-shaped `mixed`. --e2e additionally A/Bs two real workloads end
- * to end (per-event vs the default batch capacity), checking fingerprint
- * identity and reporting wall clocks: the fig3 crf x refs sweep on 1
- * worker, and a farm drain. --min-model-speedup R (0 = off) runs the
+ * codec-shaped `mixed`. --min-model-speedup R (0 = off) runs the
  * model sink's event-driven fast-forward against the retained
  * instruction-stepped reference path in the same binary, asserts their
  * CoreStats are bit-identical, and fails below R x. --attr-overhead R
@@ -37,11 +34,11 @@
  * machine-readable BENCH_probe.json consumed by tools/check.sh and
  * quoted in README.md.
  *
- * Exits non-zero if any identity check fails, if the batched pipeline's
- * events/sec (count mode, default batch) falls below --min-speedup x the
- * per-event baseline, if attribution overhead exceeds --attr-overhead,
- * or if the consumer-bound model mode comes out slower than
- * per-event beyond timing noise.
+ * Exits non-zero if any identity check fails, if the count sink's
+ * events/sec at the default batch falls below --min-speedup x its
+ * batch-of-one rate, if attribution overhead exceeds --attr-overhead,
+ * or if the consumer-bound model mode comes out slower than a batch of
+ * one beyond timing noise. --reps must be at least 1.
  */
 
 #include <algorithm>
@@ -54,11 +51,6 @@
 
 #include "common/cli.h"
 #include "common/status.h"
-#include "core/parallel.h"
-#include "core/studies.h"
-#include "core/workload.h"
-#include "farm/farm.h"
-#include "farm/runlog.h"
 #include "trace/probe.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
@@ -86,7 +78,7 @@ class CountingSink : public trace::ProbeSink
     onBatch(const trace::ProbeEvent* events, size_t count) override
     {
         // Fused block+branch records count as two events, matching the
-        // per-event path's tally.
+        // onBlock + onBranch pair the default replay makes of them.
         for (size_t i = 0; i < count; ++i) {
             events_ += events[i].kind == trace::ProbeEvent::kBlockBranch
                            ? 2
@@ -240,7 +232,7 @@ emitStream(StreamKind kind, uint64_t iters)
 struct Measurement
 {
     std::string sink;   ///< "count" / "model".
-    uint32_t batch = 0; ///< 0 = per-event dispatch.
+    uint32_t batch = 1; ///< Batch capacity (1 = a batch of one).
     double best_seconds = 0.0;
     double events_per_sec = 0.0;
     uarch::CoreStats stats;         ///< model mode.
@@ -328,102 +320,6 @@ statsIdentical(const uarch::CoreStats& a, const uarch::CoreStats& b,
     return ok;
 }
 
-/** End-to-end A/B of one workload: per-event vs batched wall clock. */
-struct E2eResult
-{
-    double per_event_seconds = 0.0;
-    double batched_seconds = 0.0;
-    bool identical = false;
-
-    double
-    speedup() const
-    {
-        return batched_seconds > 0.0 ? per_event_seconds / batched_seconds
-                                     : 0.0;
-    }
-};
-
-/** The fig3 crf x refs sweep on 1 worker (trimmed grid). */
-E2eResult
-e2eSweep(double seconds, uint32_t batch)
-{
-    const std::vector<int> crf{1, 21, 41};
-    const std::vector<int> refs{1, 4, 16};
-    core::StudyOptions options;
-    options.video = "funny";
-    options.seconds = seconds;
-    options.jobs = 1;
-    options.verbose = false;
-    core::mezzanine(options.video, options.seconds); // Warm, untimed.
-
-    auto fingerprints = [&](uint32_t capacity) {
-        trace::setDefaultBatchCapacity(capacity);
-        const auto t0 = Clock::now();
-        const auto points = core::parallelCrfRefsSweep(crf, refs, options);
-        const double secs = secondsSince(t0);
-        std::vector<uint64_t> prints;
-        for (const auto& p : points) {
-            prints.push_back(farm::fingerprint(p.run));
-        }
-        return std::make_pair(secs, prints);
-    };
-    const auto per_event = fingerprints(0);
-    const auto batched = fingerprints(batch);
-
-    E2eResult r;
-    r.per_event_seconds = per_event.first;
-    r.batched_seconds = batched.first;
-    r.identical = per_event.second == batched.second;
-    return r;
-}
-
-/** A farm drain (mixed job stream, 2 workers). */
-E2eResult
-e2eFarm(double seconds, uint32_t batch)
-{
-    const std::vector<sched::Task> catalog = {
-        {"desktop", 30, 8, "veryfast"},
-        {"cat", 23, 3, "fast"},
-        {"game2", 15, 2, "medium"},
-        {"bike", 20, 4, "fast"},
-    };
-    farm::FarmOptions options;
-    options.workers = 2;
-    options.clip_seconds = seconds;
-    farm::Farm::warmupProcess();
-    core::mezzanine(options.reference_video, options.clip_seconds);
-    for (const auto& task : catalog) {
-        core::mezzanine(task.video, options.clip_seconds);
-    }
-
-    auto drain = [&](uint32_t capacity) {
-        trace::setDefaultBatchCapacity(capacity);
-        farm::Farm service(options);
-        for (int i = 0; i < 12; ++i) {
-            farm::JobRequest req;
-            req.task = catalog[i % catalog.size()];
-            req.submit_time = 0.0001 * i;
-            service.submit(req);
-        }
-        const auto t0 = Clock::now();
-        service.drain();
-        const double secs = secondsSince(t0);
-        std::map<uint64_t, uint64_t> prints;
-        for (const auto& rec : service.log().records()) {
-            prints[rec.id] = rec.result_fingerprint;
-        }
-        return std::make_pair(secs, prints);
-    };
-    const auto per_event = drain(0);
-    const auto batched = drain(batch);
-
-    E2eResult r;
-    r.per_event_seconds = per_event.first;
-    r.batched_seconds = batched.first;
-    r.identical = per_event.second == batched.second;
-    return r;
-}
-
 } // namespace
 
 void
@@ -432,26 +328,26 @@ printHelp(const char* prog)
     std::printf(
         "usage: %s [options]\n"
         "\n"
-        "Probe-pipeline microbenchmark: events/sec for per-event vs batched\n"
-        "delivery over count/model sinks, with bit-identity checks.\n"
+        "Probe-pipeline microbenchmark: events/sec at batch capacities\n"
+        "1..1024 over count/model sinks, with bit-identity checks.\n"
         "\n"
         "  --events N            probe calls per rep (default 4000000)\n"
-        "  --reps N              timed repetitions, best-of (default 3)\n"
+        "  --reps N              timed repetitions, best-of (default 3,\n"
+        "                        at least 1)\n"
         "  --stream KIND         synthetic event mix (default mixed):\n"
         "                          block   pure basic-block retirement\n"
         "                                  (dispatch fast-forward path)\n"
         "                          branch  branch-dominated (predictor)\n"
         "                          mem     loads/stores (caches, MSHR, SB)\n"
         "                          mixed   codec-shaped mix of all three\n"
-        "  --min-speedup R       fail if count-sink batched/per-event < R\n"
+        "  --min-speedup R       fail if the count sink at the default\n"
+        "                        batch is < R x its batch-of-one rate\n"
         "  --min-model-speedup R fail if the model sink's event-driven\n"
         "                        fast-forward is < R x the retained\n"
         "                        instruction-stepped reference (also\n"
         "                        asserts their CoreStats are bit-identical)\n"
         "  --attr-overhead R     fail if per-site attribution costs > R x\n"
         "                        (0 = skip; also asserts identity)\n"
-        "  --e2e                 A/B two real workloads end to end\n"
-        "  --e2e-seconds S       clip length for --e2e (default 0.12)\n"
         "  --out FILE            write machine-readable BENCH_probe.json\n"
         "  --quiet               suppress the per-capacity sweep lines\n",
         prog);
@@ -469,51 +365,53 @@ main(int argc, char** argv)
     const uint64_t events =
         static_cast<uint64_t>(cli.num("events", 4000000));
     const uint64_t iters = std::max<uint64_t>(events / kCallsPerIter, 1);
-    const int reps = static_cast<int>(cli.num("reps", 3));
+    const int64_t reps_arg = cli.num("reps", 3);
+    if (reps_arg < 1) {
+        VT_FATAL("--reps must be at least 1, got ", reps_arg);
+    }
+    const int reps = static_cast<int>(reps_arg);
     const double min_speedup = cli.real("min-speedup", 1.0);
     const double min_model_speedup = cli.real("min-model-speedup", 0.0);
     const double attr_overhead = cli.real("attr-overhead", 0.0);
     const StreamKind stream = parseStream(cli.str("stream", "mixed"));
     const std::string out = cli.str("out", "");
-    const bool e2e = cli.has("e2e");
-    const double e2e_seconds = cli.real("e2e-seconds", 0.12);
     const bool quiet = cli.has("quiet");
     const uint32_t default_batch = trace::kDefaultProbeBatch;
 
-    const std::vector<uint32_t> capacities{0, 16, 64, 256, 1024};
+    const std::vector<uint32_t> capacities{1, 16, 64, 256, 1024};
     const std::vector<std::string> sinks{"count", "model"};
 
     // Warm up: register the synthetic sites and fault in the buffers.
-    runMode("count", 0, std::min<uint64_t>(iters, 10000), 1, false, stream);
+    runMode("count", 1, std::min<uint64_t>(iters, 10000), 1, false, stream);
     if (!quiet) {
         std::printf("stream: %s\n", streamName(stream));
     }
 
     std::vector<Measurement> sweep;
-    std::map<std::string, Measurement> per_event;
+    std::map<std::string, Measurement> batch_of_one;
     for (const auto& sink : sinks) {
         for (uint32_t batch : capacities) {
             Measurement m = runMode(sink, batch, iters, reps, false, stream);
-            if (batch == 0) {
-                per_event[sink] = m;
+            if (batch == 1) {
+                batch_of_one[sink] = m;
             }
             if (!quiet) {
                 std::printf("%-6s batch %-5u  %8.1f M events/s%s\n",
                             sink.c_str(), batch,
                             m.events_per_sec / 1e6,
-                            batch == 0 ? "  (per-event baseline)" : "");
+                            batch == 1 ? "  (batch-of-one baseline)" : "");
             }
             sweep.push_back(std::move(m));
         }
     }
 
-    // --- Identity: every batched mode must match its per-event baseline.
+    // --- Identity: every capacity must match its batch-of-one baseline.
     bool identical = true;
     for (const auto& m : sweep) {
-        if (m.batch == 0) {
+        if (m.batch == 1) {
             continue;
         }
-        const Measurement& base = per_event[m.sink];
+        const Measurement& base = batch_of_one[m.sink];
         if (m.sink == "count") {
             if (m.counted != base.counted) {
                 std::fprintf(stderr,
@@ -534,10 +432,10 @@ main(int argc, char** argv)
     for (const auto& m : sweep) {
         if (m.batch == default_batch) {
             speedup[m.sink] =
-                m.events_per_sec / per_event[m.sink].events_per_sec;
+                m.events_per_sec / batch_of_one[m.sink].events_per_sec;
         }
     }
-    std::printf("\nspeedup at batch %u (vs per-event): "
+    std::printf("\nspeedup at batch %u (vs batch of one): "
                 "pipeline x%.2f, model x%.2f\n",
                 default_batch, speedup["count"], speedup["model"]);
     std::printf("identity: %s\n", identical ? "OK (bit-identical)"
@@ -591,30 +489,6 @@ main(int argc, char** argv)
                     default_batch, attr_slowdown, attr_overhead);
     }
 
-    // --- Optional end-to-end A/B on real workloads.
-    E2eResult sweep_e2e;
-    E2eResult farm_e2e;
-    if (e2e) {
-        if (!quiet) {
-            std::printf("\nend-to-end A/B (batch 0 vs %u)...\n",
-                        default_batch);
-        }
-        sweep_e2e = e2eSweep(e2e_seconds, default_batch);
-        farm_e2e = e2eFarm(e2e_seconds, default_batch);
-        trace::setDefaultBatchCapacity(default_batch);
-        std::printf("fig3 sweep --jobs 1: %.3fs per-event, %.3fs batched "
-                    "(x%.2f, %s)\n",
-                    sweep_e2e.per_event_seconds, sweep_e2e.batched_seconds,
-                    sweep_e2e.speedup(),
-                    sweep_e2e.identical ? "identical" : "MISMATCH");
-        std::printf("farm drain:          %.3fs per-event, %.3fs batched "
-                    "(x%.2f, %s)\n",
-                    farm_e2e.per_event_seconds, farm_e2e.batched_seconds,
-                    farm_e2e.speedup(),
-                    farm_e2e.identical ? "identical" : "MISMATCH");
-        identical = identical && sweep_e2e.identical && farm_e2e.identical;
-    }
-
     // --- Machine-readable report (BENCH_probe.json).
     if (!out.empty()) {
         FILE* f = std::fopen(out.c_str(), "w");
@@ -656,22 +530,6 @@ main(int argc, char** argv)
                          "\"max_allowed\": %.3f}",
                          attr_slowdown, attr_overhead);
         }
-        if (e2e) {
-            std::fprintf(
-                f,
-                ",\n  \"end_to_end\": {\n"
-                "    \"fig3_heatmaps_jobs1\": {\"per_event_seconds\": %.4f, "
-                "\"batched_seconds\": %.4f, \"speedup\": %.3f, "
-                "\"identical\": %s},\n"
-                "    \"farm_throughput\": {\"per_event_seconds\": %.4f, "
-                "\"batched_seconds\": %.4f, \"speedup\": %.3f, "
-                "\"identical\": %s}\n  }",
-                sweep_e2e.per_event_seconds, sweep_e2e.batched_seconds,
-                sweep_e2e.speedup(),
-                sweep_e2e.identical ? "true" : "false",
-                farm_e2e.per_event_seconds, farm_e2e.batched_seconds,
-                farm_e2e.speedup(), farm_e2e.identical ? "true" : "false");
-        }
         std::fprintf(f, "\n}\n");
         std::fclose(f);
         std::printf("report: %s\n", out.c_str());
@@ -696,18 +554,13 @@ main(int argc, char** argv)
     }
     for (const auto& [sink, x] : speedup) {
         // --min-speedup gates the pure pipeline (count). The consumer-
-        // bound modes spend most of their time inside the consumer, so
-        // their ratio sits near 1.0 and is noise-dominated: since the
-        // model's event-driven fast-forward, single-vCPU CI jitter
-        // swings the batch-256/per-event model ratio between ~0.78 and
-        // ~1.13 run-to-run on the default mix. The floor here only
-        // catches gross batching breakage; fine-grained delivery QA is
-        // the count gate, --min-model-speedup, and the committed
-        // end-to-end A/B. The isolation streams skip the floor — they
-        // exist to measure the fast-forward ratio, and e.g. the
-        // pure-block stream makes the model sink fast enough that
-        // batching's per-event site-id registry lookup shows as a net
-        // loss there by design.
+        // bound model mode spends most of its time inside the consumer,
+        // so its ratio sits near 1.0 and is noise-dominated (single-vCPU
+        // jitter swung it between ~0.78 and ~1.13 run to run on the
+        // default mix). Its floor only catches gross batching breakage,
+        // and only on the default mix: the isolation streams exist to
+        // measure the fast-forward ratio (--min-model-speedup). Fine-
+        // grained delivery QA is the count gate and layerbench's ledger.
         if (sink != "count" && stream != StreamKind::Mixed) {
             continue;
         }

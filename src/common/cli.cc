@@ -1,6 +1,9 @@
 #include "common/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
+
+#include "common/status.h"
 
 namespace vtrans {
 
@@ -50,26 +53,47 @@ Cli::str(const std::string& name, const std::string& def) const
     return def;
 }
 
-int64_t
-Cli::num(const std::string& name, int64_t def) const
+const std::string*
+Cli::value(const std::string& name) const
 {
     for (const auto& [k, v] : flags_) {
         if (k == name && !v.empty()) {
-            return std::strtoll(v.c_str(), nullptr, 10);
+            return &v;
         }
     }
-    return def;
+    return nullptr;
+}
+
+int64_t
+Cli::num(const std::string& name, int64_t def) const
+{
+    const std::string* v = value(name);
+    if (v == nullptr) {
+        return def;
+    }
+    char* end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(v->c_str(), &end, 10);
+    if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+        VT_FATAL("--", name, " expects an integer, got '", *v, "'");
+    }
+    return parsed;
 }
 
 double
 Cli::real(const std::string& name, double def) const
 {
-    for (const auto& [k, v] : flags_) {
-        if (k == name && !v.empty()) {
-            return std::strtod(v.c_str(), nullptr);
-        }
+    const std::string* v = value(name);
+    if (v == nullptr) {
+        return def;
     }
-    return def;
+    char* end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(v->c_str(), &end);
+    if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+        VT_FATAL("--", name, " expects a number, got '", *v, "'");
+    }
+    return parsed;
 }
 
 } // namespace vtrans

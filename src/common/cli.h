@@ -26,10 +26,12 @@ class Cli
     /** Returns the string value of `--name[=value]`, or `def`. */
     std::string str(const std::string& name, const std::string& def) const;
 
-    /** Returns the integer value of `--name`, or `def`. */
+    /** Returns the integer value of `--name`, or `def`. A value that is
+     *  not entirely a base-10 integer in range is fatal. */
     int64_t num(const std::string& name, int64_t def) const;
 
-    /** Returns the floating value of `--name`, or `def`. */
+    /** Returns the floating value of `--name`, or `def`. A value that is
+     *  not entirely a number in range is fatal. */
     double real(const std::string& name, double def) const;
 
     /** Positional (non-flag) arguments. */
@@ -39,6 +41,9 @@ class Cli
     const std::string& program() const { return program_; }
 
   private:
+    /** The first non-empty value of `--name`, or nullptr. */
+    const std::string* value(const std::string& name) const;
+
     std::string program_;
     std::vector<std::pair<std::string, std::string>> flags_;
     std::vector<std::string> positional_;

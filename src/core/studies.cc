@@ -166,14 +166,14 @@ optimizationStudy(const OptStudyOptions& options)
 
     // --- Training: profile collection over all study videos -----------
     layout::ProfileCollector profile;
-    trace::setSink(&profile, trace::defaultBatchCapacity());
+    trace::setSink(&profile);
     for (const auto& video : videos) {
         const auto& source = mezzanine(video, options.seconds);
         trace::arena().reset();
         codec::EncoderParams params = codec::presetParams("medium");
         codec::transcode(source, params);
     }
-    trace::setSink(nullptr); // Flushes any pending batched events.
+    trace::setSink(nullptr); // Delivers the pending batch.
 
     auto measure = [&](const std::string& video) {
         double total = 0.0;

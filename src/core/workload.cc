@@ -95,10 +95,10 @@ runInstrumented(const RunConfig& config)
     trace::arena().reset();
 
     uarch::CoreModel model(effectiveCoreParams(config));
-    trace::setSink(&model, trace::defaultBatchCapacity());
+    trace::setSink(&model);
     codec::TranscodeResult transcoded =
         codec::transcode(source, config.params);
-    trace::setSink(nullptr); // Flushes any pending batched events.
+    trace::setSink(nullptr); // Delivers the pending batch.
 
     RunResult result;
     result.core = model.finish();
@@ -134,7 +134,7 @@ runInstrumentedChunk(
     trace::arena().reset();
 
     uarch::CoreModel model(effectiveCoreParams(config));
-    trace::setSink(&model, trace::defaultBatchCapacity());
+    trace::setSink(&model);
 
     // Each slice is an independent closed-GOP transcode (its own encoder
     // state) — the segment-atom contract that makes the stitched stream

@@ -1,17 +1,16 @@
 #include "trace/probe.h"
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 
 #include "common/status.h"
 
 namespace vtrans::trace {
 
-VTRANS_PROBE_TLS ProbeSink* g_sink = nullptr;
+constinit thread_local ProbeSink* g_sink = nullptr;
 
 namespace detail {
 
-VTRANS_PROBE_TLS BatchCursor g_cursor;
+constinit thread_local BatchCursor g_cursor;
 
 namespace {
 
@@ -27,79 +26,31 @@ flushBatch()
     BatchCursor& cur = g_cursor;
     const size_t count = static_cast<size_t>(cur.pos - cur.begin);
     cur.pos = cur.begin;
-    if (count > 0 && g_sink != nullptr) {
-        g_sink->onBatch(cur.begin, count);
+    if (count > 0) {
+        ProbeSink& sink = *g_sink;
+        sink.onBatch(cur.begin, count);
     }
 }
 
 } // namespace detail
-
-namespace {
-
-/// Sentinel meaning "not yet initialized from the environment".
-constexpr uint32_t kBatchUnset = UINT32_MAX;
-
-std::atomic<uint32_t> g_default_batch{kBatchUnset};
-
-uint32_t
-batchCapacityFromEnv()
-{
-    const char* env = std::getenv("VTRANS_PROBE_BATCH");
-    if (env != nullptr && *env != '\0') {
-        char* end = nullptr;
-        const long value = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && value >= 0 &&
-            value < static_cast<long>(kBatchUnset)) {
-            return static_cast<uint32_t>(value);
-        }
-    }
-    return kDefaultProbeBatch;
-}
-
-} // namespace
-
-uint32_t
-defaultBatchCapacity()
-{
-    uint32_t value = g_default_batch.load(std::memory_order_relaxed);
-    if (value == kBatchUnset) {
-        value = batchCapacityFromEnv();
-        g_default_batch.store(value, std::memory_order_relaxed);
-    }
-    return value;
-}
-
-void
-setDefaultBatchCapacity(uint32_t capacity)
-{
-    VT_ASSERT(capacity != kBatchUnset, "batch capacity out of range");
-    g_default_batch.store(capacity, std::memory_order_relaxed);
-}
-
-void
-setSink(ProbeSink* sink)
-{
-    flush();
-    g_sink = sink;
-    detail::g_cursor = detail::BatchCursor{};
-}
 
 void
 setSink(ProbeSink* sink, uint32_t batch_capacity)
 {
     flush();
     g_sink = sink;
-    if (sink != nullptr && batch_capacity >= 2) {
-        std::vector<ProbeEvent>& storage = detail::t_batch_storage;
-        if (storage.size() < batch_capacity) {
-            storage.resize(batch_capacity);
-        }
-        detail::g_cursor.begin = storage.data();
-        detail::g_cursor.pos = storage.data();
-        detail::g_cursor.end = storage.data() + batch_capacity;
-    } else {
+    if (sink == nullptr) {
         detail::g_cursor = detail::BatchCursor{};
+        return;
     }
+    const uint32_t capacity = std::max(batch_capacity, 1u);
+    std::vector<ProbeEvent>& storage = detail::t_batch_storage;
+    if (storage.size() < capacity) {
+        storage.resize(capacity);
+    }
+    detail::g_cursor.begin = storage.data();
+    detail::g_cursor.pos = storage.data();
+    detail::g_cursor.end = storage.data() + capacity;
 }
 
 void

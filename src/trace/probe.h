@@ -13,23 +13,18 @@
  * load()/store(). When no sink is attached the per-event cost is a single
  * predictable branch, so the codec can also run "natively".
  *
- * Dispatch to an attached sink runs in one of two modes:
+ * The bus has one delivery path: an attached sink gets a thread-local batch
+ * of compact `ProbeEvent` PODs, and each emit appends one record. A full
+ * batch (and the pending tail on flush()/detach) goes to
+ * `ProbeSink::onBatch()` in emission order. A capacity of 0 or 1 is a
+ * batch of one, delivered on every emit. A conditional branch is one fused
+ * block+branch record (`ProbeEvent::kBlockBranch`). The default `onBatch`
+ * replays the records through the per-event virtuals, so a sink that only
+ * implements those sees the same event sequence at every capacity.
  *
- *  - **Per-event** (`setSink(sink)`): every emit makes a virtual call into
- *    the sink immediately. This is the original bus and remains the
- *    reference semantics.
- *  - **Batched** (`setSink(sink, capacity)` with capacity >= 2): emits
- *    append compact `ProbeEvent` PODs to a thread-local ring buffer that is
- *    flushed to `ProbeSink::onBatch()` whenever it fills (and on flush()/
- *    detach). The default `onBatch` replays the per-event virtuals in
- *    order, so every sink observes the exact same event sequence either
- *    way — batching only amortizes the dispatch cost, it never reorders,
- *    drops, or duplicates events. Results are bit-identical by
- *    construction.
- *
- * In the batched pipeline a conditional branch is one fused block+branch
- * record (`ProbeEvent::kBlockBranch`) instead of the two separate virtual
- * calls the per-event path pays, so branch sites cost a single dispatch.
+ * A record carries a site id, not the site's layout address: sinks read
+ * `CodeSite::address` when the batch is delivered. Relayout therefore runs
+ * only while no sink is attached.
  *
  * This layer is the stand-in for binary instrumentation / hardware
  * performance counters in the paper's methodology (Intel VTune + Linux
@@ -79,7 +74,7 @@ struct CodeSite
  * Only the operand fields a kind defines are written on append; the rest
  * keep whatever the buffer slot last held, so consumers must not read
  * them. Branch records carry the direction *after* layout polarity is
- * applied (exactly what the per-event path hands to `onBranch`).
+ * applied (what the default replay hands to `onBranch`).
  */
 struct ProbeEvent
 {
@@ -122,13 +117,12 @@ class ProbeSink
     virtual void onStore(uint64_t addr, uint32_t bytes) = 0;
 
     /**
-     * A block of events from the batched pipeline, in emission order.
+     * A block of events in emission order: the only call the bus makes.
      *
      * The default implementation replays the per-event virtuals (a fused
-     * kBlockBranch record replays as onBlock then onBranch), so existing
-     * sinks work under batching unchanged. Performance-critical sinks
-     * override this to consume the records directly and skip the
-     * per-event virtual dispatch entirely.
+     * kBlockBranch record replays as onBlock then onBranch), so a sink may
+     * implement just those. Performance-critical sinks override this to
+     * consume the records directly and skip the per-event virtual calls.
      */
     virtual void onBatch(const ProbeEvent* events, size_t count);
 };
@@ -190,18 +184,6 @@ class SiteRegistry
 /** The process-wide site registry. */
 SiteRegistry& registry();
 
-// GCC 12's UBSan null-checks the address a thread-local init wrapper
-// returns using stale flags (a lea after a cmp), and reports a null load
-// on probe emits. Sanitizer builds therefore declare the probe-bus
-// thread-locals constinit, which removes the wrapper call. Normal builds
-// keep the wrapper: dropping it doubles per-event emission speed and so
-// moves the batched/per-event ratio that tools/check.sh gates.
-#if defined(__SANITIZE_ADDRESS__)
-#define VTRANS_PROBE_TLS constinit thread_local
-#else
-#define VTRANS_PROBE_TLS thread_local
-#endif
-
 /**
  * The currently attached sink (nullptr when tracing is off).
  *
@@ -209,14 +191,14 @@ SiteRegistry& registry();
  * only the events its own thread emits, so concurrent instrumented runs
  * never cross-talk.
  */
-extern VTRANS_PROBE_TLS ProbeSink* g_sink;
+extern constinit thread_local ProbeSink* g_sink;
 
 namespace detail {
 
 /**
- * The calling thread's batch cursor. `pos == nullptr` means per-event
- * dispatch; otherwise events append at `pos` within [begin, end) and the
- * block flushes to the sink when full.
+ * The calling thread's batch cursor: events append at `pos` within
+ * [begin, end) and the batch goes to the sink when full. All null while
+ * no sink is attached.
  */
 struct BatchCursor
 {
@@ -225,46 +207,37 @@ struct BatchCursor
     ProbeEvent* begin = nullptr;
 };
 
-extern VTRANS_PROBE_TLS BatchCursor g_cursor;
+extern constinit thread_local BatchCursor g_cursor;
 
 /** Delivers the pending events of this thread's batch to the sink. */
 void flushBatch();
 
 } // namespace detail
 
-/** Attaches a sink on this thread in per-event mode (replacing any);
- *  nullptr detaches. Pending batched events of the previously attached
- *  sink are flushed to it first, so no event is ever lost. */
-void setSink(ProbeSink* sink);
-
-/**
- * Attaches a sink on this thread with batched dispatch: events accumulate
- * in a thread-local buffer of `batch_capacity` records and are delivered
- * via `ProbeSink::onBatch`. A capacity of 0 or 1 degenerates to per-event
- * dispatch. As with the per-event overload, the previous sink's pending
- * events are flushed before it is replaced.
- */
-void setSink(ProbeSink* sink, uint32_t batch_capacity);
-
-/** Delivers any pending batched events on this thread to the sink now.
- *  (Detaching with setSink(nullptr) flushes implicitly.) */
-void flush();
-
-/** Compiled-in default batch capacity, chosen from the
- *  bench/microbench_probe capacity sweep (see BENCH_probe.json). */
+/** Compiled-in batch capacity, chosen from the bench/microbench_probe
+ *  capacity sweep (see BENCH_probe.json). */
 inline constexpr uint32_t kDefaultProbeBatch = 256;
 
 /**
- * The process-wide default batch capacity used by instrumented runs
- * (core::runInstrumented, uarch::simulate). Initialized on first read
- * from the VTRANS_PROBE_BATCH environment variable when set, else
- * kDefaultProbeBatch; benches override it with --batch-size. 0 selects
- * the per-event path, which is how the pipeline is A/B'd.
+ * Attaches a sink on this thread (replacing any); nullptr detaches.
+ * Events accumulate in a thread-local batch of `batch_capacity` records
+ * (0 counts as 1) and reach the sink through `ProbeSink::onBatch`. The
+ * previous sink's pending events are delivered to it first, so no event
+ * is ever lost.
  */
-uint32_t defaultBatchCapacity();
+void setSink(ProbeSink* sink, uint32_t batch_capacity = kDefaultProbeBatch);
 
-/** Overrides the process-wide default batch capacity (0 = per-event). */
-void setDefaultBatchCapacity(uint32_t capacity);
+/** Delivers any pending events on this thread to the sink now.
+ *  (Detaching with setSink(nullptr) flushes implicitly.) */
+void flush();
+
+/** The batch capacity instrumented runs attach with (core::runInstrumented,
+ *  uarch::simulate): kDefaultProbeBatch. */
+inline constexpr uint32_t
+defaultBatchCapacity()
+{
+    return kDefaultProbeBatch;
+}
 
 /** True when a sink is attached on this thread. Kernels use this to skip
  *  probe-argument computation (simulated-address math) on native runs. */
@@ -274,6 +247,24 @@ active()
     return g_sink != nullptr;
 }
 
+namespace detail {
+
+/** Appends one record to this thread's batch (a sink is attached, so the
+ *  cursor is valid) and delivers the batch when it is full. `fill` writes
+ *  the fields the record's kind defines. */
+template <typename Fill>
+inline void
+append(Fill fill)
+{
+    BatchCursor& cur = g_cursor;
+    fill(*cur.pos++);
+    if (cur.pos == cur.end) {
+        flushBatch();
+    }
+}
+
+} // namespace detail
+
 /** Emits a basic-block execution event. */
 inline void
 block(const CodeSite& site)
@@ -281,22 +272,14 @@ block(const CodeSite& site)
     if (g_sink == nullptr) {
         return;
     }
-    detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
+    detail::append([&](ProbeEvent& e) {
         e.aux = site.id;
         e.kind = ProbeEvent::kBlock;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
-    }
-    g_sink->onBlock(site);
+    });
 }
 
-/** Emits a block + conditional-branch event with layout polarity applied.
- *  Batched, this is a single fused record (one dispatch per branch site);
- *  per-event it remains the onBlock + onBranch pair. */
+/** Emits a block + conditional-branch event with layout polarity applied,
+ *  as one fused record. */
 inline void
 branch(const CodeSite& site, bool taken)
 {
@@ -304,19 +287,11 @@ branch(const CodeSite& site, bool taken)
         return;
     }
     const bool direction = taken != site.invert;
-    detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
+    detail::append([&](ProbeEvent& e) {
         e.aux = site.id;
         e.kind = ProbeEvent::kBlockBranch;
         e.flags = direction ? 1 : 0;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
-    }
-    g_sink->onBlock(site);
-    g_sink->onBranch(site, direction);
+    });
 }
 
 /** Emits a data-load event. */
@@ -326,18 +301,11 @@ load(uint64_t addr, uint32_t bytes)
     if (g_sink == nullptr) {
         return;
     }
-    detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
+    detail::append([&](ProbeEvent& e) {
         e.addr = addr;
         e.aux = bytes;
         e.kind = ProbeEvent::kLoad;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
-    }
-    g_sink->onLoad(addr, bytes);
+    });
 }
 
 /** Emits a data-store event. */
@@ -347,18 +315,11 @@ store(uint64_t addr, uint32_t bytes)
     if (g_sink == nullptr) {
         return;
     }
-    detail::BatchCursor& cur = detail::g_cursor;
-    if (cur.pos != nullptr) {
-        ProbeEvent& e = *cur.pos++;
+    detail::append([&](ProbeEvent& e) {
         e.addr = addr;
         e.aux = bytes;
         e.kind = ProbeEvent::kStore;
-        if (cur.pos == cur.end) {
-            detail::flushBatch();
-        }
-        return;
-    }
-    g_sink->onStore(addr, bytes);
+    });
 }
 
 /**

@@ -232,10 +232,10 @@ class CoreModel : public trace::ProbeSink
     void onLoad(uint64_t addr, uint32_t bytes) override;
     void onStore(uint64_t addr, uint32_t bytes) override;
 
-    /** Consumes a batch directly (no per-event virtual dispatch): each
+    /** Consumes a batch directly (no per-event virtual calls): each
      *  record becomes one ring record, a fused block + branch included,
-     *  so the resulting CoreStats are bit-identical to the per-event
-     *  path. */
+     *  so the resulting CoreStats are bit-identical to replaying the
+     *  records through the calls above. */
     void onBatch(const trace::ProbeEvent* events, size_t count) override;
 
     /** Drains the ring, joins the helper threads and returns the
@@ -583,15 +583,14 @@ class CoreModel : public trace::ProbeSink
 };
 
 /** Runs a callable under this core model and returns its stats. The model
- *  attaches with the process default batch capacity (see
- *  trace::defaultBatchCapacity); detaching flushes any pending events
- *  before finish() reads the state. */
+ *  attaches with the default batch capacity; detaching delivers the
+ *  pending batch before finish() reads the state. */
 template <typename Workload>
 CoreStats
 simulate(const CoreParams& params, Workload&& workload)
 {
     CoreModel model(params);
-    trace::setSink(&model, trace::defaultBatchCapacity());
+    trace::setSink(&model);
     workload();
     trace::setSink(nullptr);
     return model.finish();

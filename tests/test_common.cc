@@ -173,6 +173,16 @@ TEST(Cli, ParsesFlagsAndPositionals)
     EXPECT_EQ(cli.num("missing", 42), 42);
     ASSERT_EQ(cli.positional().size(), 1u);
     EXPECT_EQ(cli.positional()[0], "positional");
+
+    // A value must parse completely: no silent prefix, no garbage, no
+    // out-of-range wrap. The error names the flag.
+    const char* bad[] = {"prog", "--events", "4e6", "--reps=abc",
+                         "--big=99999999999999999999", "--neg=-3"};
+    Cli strict(6, bad);
+    EXPECT_DEATH(strict.num("events", 0), "--events expects an integer");
+    EXPECT_DEATH(strict.num("reps", 3), "--reps expects an integer.*abc");
+    EXPECT_DEATH(strict.num("big", 0), "--big expects an integer");
+    EXPECT_EQ(strict.num("neg", 0), -3);
 }
 
 TEST(Cli, RealAndStringValues)
@@ -182,6 +192,13 @@ TEST(Cli, RealAndStringValues)
     EXPECT_DOUBLE_EQ(cli.real("ratio", 0.0), 2.5);
     EXPECT_EQ(cli.str("name", ""), "vbench");
     EXPECT_EQ(cli.str("other", "dflt"), "dflt");
+
+    const char* bad[] = {"prog", "--ratio=2.5x", "--seconds", "abc",
+                         "--tiny=1e-3"};
+    Cli strict(5, bad);
+    EXPECT_DEATH(strict.real("ratio", 0.0), "--ratio expects a number");
+    EXPECT_DEATH(strict.real("seconds", 0.2), "--seconds expects a number");
+    EXPECT_DOUBLE_EQ(strict.real("tiny", 0.0), 1e-3);
 }
 
 } // namespace

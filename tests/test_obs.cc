@@ -18,11 +18,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "codec/params.h"
@@ -290,40 +292,69 @@ TEST(Hotspots, ProfiledRunsFingerprintIdenticalToUnprofiled)
     obs::hotspotReport().reset();
 }
 
+/** True when two vectors of padding-free counter structs hold the same
+ *  bytes (every field equal, in order). */
+template <typename T>
+bool
+sameCounters(const std::vector<T>& a, const std::vector<T>& b)
+{
+    static_assert(std::has_unique_object_representations_v<T>);
+    return a.size() == b.size()
+           && std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/** CoreStats's raw counters, in declaration order. */
+std::vector<uint64_t>
+rawCounters(const uarch::CoreStats& s)
+{
+    return {s.instructions, s.cycles, s.branches, s.branch_mispredicts,
+            s.l1d_accesses, s.l1d_misses, s.l2_misses, s.l3_misses,
+            s.l1i_accesses, s.l1i_misses, s.itlb_misses, s.btb_misses,
+            s.slots_total, s.slots_retiring, s.slots_frontend,
+            s.slots_bad_spec, s.slots_backend_memory, s.slots_backend_core,
+            s.slots_rob_stall, s.slots_rs_stall, s.slots_sb_stall};
+}
+
 TEST(Hotspots, BatchedPipelineBitIdenticalAtOneAndFourWorkers)
 {
-    // The tentpole invariant: routing events through the batched probe
-    // pipeline must not move a single bit — run-log JSONL (fingerprints,
-    // latencies, stats) and the hotspot report must match the per-event
-    // dispatch exactly, serial and parallel alike. Capacity 3 keeps the
-    // ring wrapping constantly under a real transcode workload.
-    const uint32_t original = trace::defaultBatchCapacity();
-    auto runWith = [](uint32_t capacity, int workers,
-                      std::string* hotspots) {
-        trace::setDefaultBatchCapacity(capacity);
+    // The batch capacity must not move a single bit. A real transcode
+    // through a directly attached model at a batch of one, at capacity 3
+    // (the ring wraps constantly) and at the default must give the same
+    // CoreStats, per-site attribution and phase samples.
+    constexpr uint64_t kWindow = 100000;
+    const AttributedRun one = attributedTranscode("medium", "cat", 0.1, 1,
+                                                  kWindow);
+    ASSERT_GT(one.model->phaseSamples().size(), 1u);
+    for (uint32_t capacity : {3u, trace::kDefaultProbeBatch}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        const AttributedRun run =
+            attributedTranscode("medium", "cat", 0.1, capacity, kWindow);
+        EXPECT_EQ(rawCounters(run.core), rawCounters(one.core));
+        EXPECT_TRUE(sameCounters(run.model->attributionPerSite(),
+                                 one.model->attributionPerSite()));
+        EXPECT_TRUE(sameCounters(
+            std::vector{run.model->attributionUnattributed()},
+            std::vector{one.model->attributionUnattributed()}));
+        EXPECT_TRUE(sameCounters(run.model->phaseSamples(),
+                                 one.model->phaseSamples()));
+    }
+
+    // Serial and parallel farms at the default capacity: the run-log
+    // JSONL (fingerprints, latencies, stats) and the hotspot report must
+    // match exactly.
+    auto runWith = [](int workers, std::string* hotspots) {
         obs::hotspotReport().reset();
         const std::string jsonl = farmJsonl(workers, true);
         *hotspots = obs::hotspotReport().toJson();
         obs::hotspotReport().reset();
         return jsonl;
     };
-
-    for (int workers : {1, 4}) {
-        std::string per_event_hot;
-        std::string batched_hot;
-        std::string tiny_hot;
-        const std::string per_event = runWith(0, workers, &per_event_hot);
-        const std::string batched =
-            runWith(trace::kDefaultProbeBatch, workers, &batched_hot);
-        const std::string tiny = runWith(3, workers, &tiny_hot);
-        EXPECT_EQ(batched, per_event) << workers << " workers";
-        EXPECT_EQ(batched_hot, per_event_hot) << workers << " workers";
-        EXPECT_EQ(tiny, per_event) << workers << " workers, capacity 3";
-        EXPECT_EQ(tiny_hot, per_event_hot)
-            << workers << " workers, capacity 3";
-        EXPECT_NE(per_event_hot.find("by_site"), std::string::npos);
-    }
-    trace::setDefaultBatchCapacity(original);
+    std::string serial_hot;
+    std::string parallel_hot;
+    const std::string serial = runWith(1, &serial_hot);
+    EXPECT_EQ(runWith(4, &parallel_hot), serial);
+    EXPECT_EQ(parallel_hot, serial_hot);
+    EXPECT_NE(serial_hot.find("by_site"), std::string::npos);
 }
 
 /** byFamily() of the global report after one instrumented run. */
@@ -440,10 +471,9 @@ expectAttributionExact(const uarch::CoreModel& model,
 
 TEST(UarchAttribution, PerSiteSumsMatchCoreStatsFieldByField)
 {
-    // Batched (the shipped default) and per-event pipelines must both
-    // attribute exactly; the batch path replays the same member
-    // functions in order, so nothing may leak past the current site.
-    for (uint32_t batch : {uint32_t{0}, trace::kDefaultProbeBatch}) {
+    // A batch of one and the default capacity must both attribute
+    // exactly: nothing may leak past the current site at a batch edge.
+    for (uint32_t batch : {1u, trace::kDefaultProbeBatch}) {
         SCOPED_TRACE("batch capacity " + std::to_string(batch));
         const AttributedRun run =
             attributedTranscode("medium", "cat", 0.12, batch);
@@ -485,9 +515,8 @@ TEST(UarchAttribution, ReportTotalsMatchSweepCoreStats)
 {
     // End-to-end through the instrumented-run chokepoint: the global
     // report's µarch totals must equal the sum of every sweep point's
-    // CoreStats — serial and parallel, batched and per-event.
+    // CoreStats, serial and parallel.
     farm::Farm::warmupProcess();
-    const uint32_t original = trace::defaultBatchCapacity();
     const std::vector<int> crf{21, 41};
     const std::vector<int> refs{1, 4};
     core::StudyOptions options;
@@ -498,49 +527,41 @@ TEST(UarchAttribution, ReportTotalsMatchSweepCoreStats)
 
     obs::setUarchAttributionEnabled(true);
     for (int jobs : {1, 4}) {
-        for (uint32_t batch : {uint32_t{0}, trace::kDefaultProbeBatch}) {
-            SCOPED_TRACE("jobs " + std::to_string(jobs) + ", batch "
-                         + std::to_string(batch));
-            trace::setDefaultBatchCapacity(batch);
-            options.jobs = jobs;
-            obs::hotspotReport().reset();
-            const auto points =
-                core::parallelCrfRefsSweep(crf, refs, options);
-            uarch::CoreStats want;
-            for (const auto& p : points) {
-                want.instructions += p.run.core.instructions;
-                want.cycles += p.run.core.cycles;
-                want.branch_mispredicts += p.run.core.branch_mispredicts;
-                want.l1d_misses += p.run.core.l1d_misses;
-                want.l2_misses += p.run.core.l2_misses;
-                want.l3_misses += p.run.core.l3_misses;
-                want.l1i_misses += p.run.core.l1i_misses;
-                want.slots_retiring += p.run.core.slots_retiring;
-                want.slots_frontend += p.run.core.slots_frontend;
-                want.slots_bad_spec += p.run.core.slots_bad_spec;
-                want.slots_backend_memory +=
-                    p.run.core.slots_backend_memory;
-                want.slots_backend_core += p.run.core.slots_backend_core;
-            }
-            const obs::SiteCounters totals = obs::hotspotReport().totals();
-            EXPECT_EQ(totals.instructions, want.instructions);
-            EXPECT_EQ(totals.cycles, want.cycles);
-            EXPECT_EQ(totals.branch_mispredicts, want.branch_mispredicts);
-            EXPECT_EQ(totals.l1d_misses, want.l1d_misses);
-            EXPECT_EQ(totals.l2_misses, want.l2_misses);
-            EXPECT_EQ(totals.l3_misses, want.l3_misses);
-            EXPECT_EQ(totals.l1i_misses, want.l1i_misses);
-            EXPECT_EQ(totals.slots_retiring, want.slots_retiring);
-            EXPECT_EQ(totals.slots_frontend, want.slots_frontend);
-            EXPECT_EQ(totals.slots_bad_spec, want.slots_bad_spec);
-            EXPECT_EQ(totals.slots_backend_memory,
-                      want.slots_backend_memory);
-            EXPECT_EQ(totals.slots_backend_core, want.slots_backend_core);
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        options.jobs = jobs;
+        obs::hotspotReport().reset();
+        const auto points = core::parallelCrfRefsSweep(crf, refs, options);
+        uarch::CoreStats want;
+        for (const auto& p : points) {
+            want.instructions += p.run.core.instructions;
+            want.cycles += p.run.core.cycles;
+            want.branch_mispredicts += p.run.core.branch_mispredicts;
+            want.l1d_misses += p.run.core.l1d_misses;
+            want.l2_misses += p.run.core.l2_misses;
+            want.l3_misses += p.run.core.l3_misses;
+            want.l1i_misses += p.run.core.l1i_misses;
+            want.slots_retiring += p.run.core.slots_retiring;
+            want.slots_frontend += p.run.core.slots_frontend;
+            want.slots_bad_spec += p.run.core.slots_bad_spec;
+            want.slots_backend_memory += p.run.core.slots_backend_memory;
+            want.slots_backend_core += p.run.core.slots_backend_core;
         }
+        const obs::SiteCounters totals = obs::hotspotReport().totals();
+        EXPECT_EQ(totals.instructions, want.instructions);
+        EXPECT_EQ(totals.cycles, want.cycles);
+        EXPECT_EQ(totals.branch_mispredicts, want.branch_mispredicts);
+        EXPECT_EQ(totals.l1d_misses, want.l1d_misses);
+        EXPECT_EQ(totals.l2_misses, want.l2_misses);
+        EXPECT_EQ(totals.l3_misses, want.l3_misses);
+        EXPECT_EQ(totals.l1i_misses, want.l1i_misses);
+        EXPECT_EQ(totals.slots_retiring, want.slots_retiring);
+        EXPECT_EQ(totals.slots_frontend, want.slots_frontend);
+        EXPECT_EQ(totals.slots_bad_spec, want.slots_bad_spec);
+        EXPECT_EQ(totals.slots_backend_memory, want.slots_backend_memory);
+        EXPECT_EQ(totals.slots_backend_core, want.slots_backend_core);
     }
     obs::setUarchAttributionEnabled(false);
     obs::hotspotReport().reset();
-    trace::setDefaultBatchCapacity(original);
 }
 
 std::string

@@ -15,7 +15,6 @@
 #include "core/parallel.h"
 #include "core/studies.h"
 #include "farm/runlog.h"
-#include "trace/probe.h"
 
 namespace vtrans::core {
 namespace {
@@ -91,39 +90,6 @@ TEST(ParallelSweep, CrfRefsSweepMatchesSerialAtAnyWorkerCount)
         EXPECT_EQ(fp, farm::fingerprint(serial[i].run))
             << "point " << i << " diverges from the serial studies path";
     }
-}
-
-TEST(ParallelSweep, BatchedPipelineMatchesPerEventAtOneAndFourJobs)
-{
-    // The batched probe pipeline must not move a single sweep bit at any
-    // worker count or batch capacity. Capacity 3 forces the event ring
-    // to wrap continuously under the real transcode workload.
-    const std::vector<int> crf{20, 40};
-    const std::vector<int> refs{1, 3};
-    const uint32_t original = trace::defaultBatchCapacity();
-
-    auto fingerprintsAt = [&](uint32_t capacity, int jobs) {
-        trace::setDefaultBatchCapacity(capacity);
-        const auto points = parallelCrfRefsSweep(crf, refs,
-                                                 fastStudy(jobs));
-        std::vector<uint64_t> prints;
-        prints.reserve(points.size());
-        for (const auto& p : points) {
-            prints.push_back(farm::fingerprint(p.run));
-        }
-        return prints;
-    };
-
-    const auto per_event = fingerprintsAt(0, 1);
-    ASSERT_EQ(per_event.size(), crf.size() * refs.size());
-    for (int jobs : {1, 4}) {
-        EXPECT_EQ(fingerprintsAt(trace::kDefaultProbeBatch, jobs),
-                  per_event)
-            << jobs << " jobs, default batch";
-        EXPECT_EQ(fingerprintsAt(3, jobs), per_event)
-            << jobs << " jobs, capacity 3";
-    }
-    trace::setDefaultBatchCapacity(original);
 }
 
 TEST(ParallelSweep, PresetStudyMatchesSerialAtAnyWorkerCount)

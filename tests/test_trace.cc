@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests of the probe bus: site registration, default code layout, event
- * dispatch, polarity inversion, and the simulated-address arena.
+ * Tests of the probe bus: site registration, default code layout, batched
+ * event delivery, polarity inversion, and the simulated-address arena.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,8 @@ class RecordingSink : public ProbeSink
         char kind;
         uint64_t a;
         uint64_t b;
+
+        bool operator==(const Event&) const = default;
     };
     std::vector<Event> events;
 
@@ -217,25 +220,20 @@ TEST(BatchPipeline, DefaultReplayDeliversIdenticalEventSequence)
         trace::load(0x4000, 8);
     };
 
-    RecordingSink per_event;
-    trace::setSink(&per_event);
+    RecordingSink one;
+    trace::setSink(&one, 1);
     emit();
     trace::setSink(nullptr);
+    ASSERT_EQ(one.events.size(), 8u); // Each branch replays as two calls.
 
-    // Tiny capacity forces mid-stream wraparound flushes; the sink must
+    // Tiny capacities force mid-stream wraparound flushes; the sink must
     // still observe the identical sequence through the default replay.
     for (uint32_t capacity : {2u, 3u, 5u, 256u}) {
         RecordingSink batched;
         trace::setSink(&batched, capacity);
         emit();
         trace::setSink(nullptr); // Flushes the tail.
-        ASSERT_EQ(batched.events.size(), per_event.events.size())
-            << "capacity " << capacity;
-        for (size_t i = 0; i < per_event.events.size(); ++i) {
-            EXPECT_EQ(batched.events[i].kind, per_event.events[i].kind);
-            EXPECT_EQ(batched.events[i].a, per_event.events[i].a);
-            EXPECT_EQ(batched.events[i].b, per_event.events[i].b);
-        }
+        EXPECT_TRUE(batched.events == one.events) << "capacity " << capacity;
     }
 }
 
@@ -316,26 +314,64 @@ TEST(BatchPipeline, SwitchingSinksFlushesToTheOldSink)
     EXPECT_EQ(new_sink.events.size(), 1u);
 }
 
+/** Records the replayed events and counts what the bus delivers: the size
+ *  of each onBatch call, and how many recorded events came through one. */
+class BatchCountingSink : public RecordingSink
+{
+  public:
+    std::vector<size_t> batch_sizes;
+    size_t replayed = 0;
+
+    void
+    onBatch(const trace::ProbeEvent* records, size_t count) override
+    {
+        batch_sizes.push_back(count);
+        const size_t before = events.size();
+        ProbeSink::onBatch(records, count);
+        replayed += events.size() - before;
+    }
+};
+
 TEST(BatchPipeline, CapacityAtMostOneIsPerEventDispatch)
 {
+    // A capacity of 0 or 1 is a batch of one, not a second delivery path:
+    // every emit reaches onBatch at once, as one record, and the sink sees
+    // the same sequence as at the default capacity.
     VT_SITE(site, "test.batch.tiny", 16, 2, Block);
-    for (uint32_t capacity : {0u, 1u}) {
-        RecordingSink sink;
-        trace::setSink(&sink, capacity);
-        trace::block(site);
-        EXPECT_EQ(sink.events.size(), 1u)
-            << "capacity " << capacity << " must dispatch immediately";
-        trace::setSink(nullptr);
-    }
-}
+    VT_SITE(br, "test.batch.tinybr", 8, 1, Branch);
+    const std::vector<std::function<void()>> emits{
+        [&] { trace::block(site); },
+        [&] { trace::load(0x2000, 16); },
+        [&] { trace::branch(br, true); },
+        [&] { trace::store(0x3000, 4); },
+    };
 
-TEST(BatchPipeline, DefaultCapacityOverride)
-{
-    const uint32_t original = trace::defaultBatchCapacity();
-    trace::setDefaultBatchCapacity(7);
-    EXPECT_EQ(trace::defaultBatchCapacity(), 7u);
-    trace::setDefaultBatchCapacity(original);
-    EXPECT_EQ(trace::defaultBatchCapacity(), original);
+    BatchCountingSink reference;
+    trace::setSink(&reference); // The default capacity.
+    for (const auto& emit : emits) {
+        emit();
+    }
+    EXPECT_TRUE(reference.batch_sizes.empty()) << "buffered until detach";
+    trace::setSink(nullptr);
+    EXPECT_EQ(reference.batch_sizes, std::vector<size_t>{emits.size()});
+    EXPECT_EQ(reference.replayed, reference.events.size());
+
+    for (uint32_t capacity : {0u, 1u}) {
+        BatchCountingSink sink;
+        trace::setSink(&sink, capacity);
+        for (size_t i = 0; i < emits.size(); ++i) {
+            emits[i]();
+            EXPECT_EQ(sink.batch_sizes.size(), i + 1)
+                << "capacity " << capacity << " must deliver every emit";
+        }
+        trace::setSink(nullptr);
+        EXPECT_EQ(sink.batch_sizes, std::vector<size_t>(emits.size(), 1))
+            << "capacity " << capacity;
+        EXPECT_EQ(sink.replayed, sink.events.size())
+            << "every event must arrive through onBatch";
+        EXPECT_TRUE(sink.events == reference.events)
+            << "capacity " << capacity;
+    }
 }
 
 TEST(BatchPipeline, ThreadsBatchIndependently)
@@ -371,11 +407,7 @@ TEST(BatchPipeline, ThreadsBatchIndependently)
     }
     for (int t = 0; t < kThreads; ++t) {
         ASSERT_EQ(seen[t].size(), static_cast<size_t>(kIters) * 5) << t;
-        for (size_t i = 0; i < seen[t].size(); ++i) {
-            EXPECT_EQ(seen[t][i].kind, seen[0][i].kind);
-            EXPECT_EQ(seen[t][i].a, seen[0][i].a);
-            EXPECT_EQ(seen[t][i].b, seen[0][i].b);
-        }
+        EXPECT_TRUE(seen[t] == seen[0]) << t;
     }
 }
 

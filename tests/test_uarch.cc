@@ -486,11 +486,10 @@ TEST(RingBuffer, MatchesDequeUnderRandomOperations)
     EXPECT_TRUE(ring.empty());
 }
 
-// ---- Batched dispatch vs per-event (bit-identity) -------------------------
+// ---- Batch capacity (bit-identity) ----------------------------------------
 
-/** The satellite regression: a branch-heavy kernel (where the fused
- *  kBlockBranch record carries the direction) must produce bit-identical
- *  CoreStats through the batched pipeline at any capacity. */
+/** A branch-heavy kernel (where the fused kBlockBranch record carries the
+ *  direction) must produce bit-identical CoreStats at any capacity. */
 TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
 {
     auto run = [](uint32_t batch_capacity) {
@@ -513,36 +512,36 @@ TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
         return model.finish();
     };
 
-    const CoreStats per_event = run(0);
-    EXPECT_GT(per_event.branches, 100000u);
-    EXPECT_GT(per_event.branch_mispredicts, 0u);
+    const CoreStats one = run(1); // A batch of one per emit.
+    EXPECT_GT(one.branches, 100000u);
+    EXPECT_GT(one.branch_mispredicts, 0u);
     // Capacity 3: constant wraparound; 256: the production default.
     for (uint32_t capacity : {3u, 64u, 256u}) {
         const CoreStats batched = run(capacity);
-        EXPECT_EQ(batched.instructions, per_event.instructions);
-        EXPECT_EQ(batched.cycles, per_event.cycles);
-        EXPECT_EQ(batched.branches, per_event.branches);
+        EXPECT_EQ(batched.instructions, one.instructions);
+        EXPECT_EQ(batched.cycles, one.cycles);
+        EXPECT_EQ(batched.branches, one.branches);
         EXPECT_EQ(batched.branch_mispredicts,
-                  per_event.branch_mispredicts);
-        EXPECT_EQ(batched.l1d_accesses, per_event.l1d_accesses);
-        EXPECT_EQ(batched.l1d_misses, per_event.l1d_misses);
-        EXPECT_EQ(batched.l2_misses, per_event.l2_misses);
-        EXPECT_EQ(batched.l3_misses, per_event.l3_misses);
-        EXPECT_EQ(batched.l1i_accesses, per_event.l1i_accesses);
-        EXPECT_EQ(batched.l1i_misses, per_event.l1i_misses);
-        EXPECT_EQ(batched.itlb_misses, per_event.itlb_misses);
-        EXPECT_EQ(batched.btb_misses, per_event.btb_misses);
-        EXPECT_EQ(batched.slots_total, per_event.slots_total);
-        EXPECT_EQ(batched.slots_retiring, per_event.slots_retiring);
-        EXPECT_EQ(batched.slots_frontend, per_event.slots_frontend);
-        EXPECT_EQ(batched.slots_bad_spec, per_event.slots_bad_spec);
+                  one.branch_mispredicts);
+        EXPECT_EQ(batched.l1d_accesses, one.l1d_accesses);
+        EXPECT_EQ(batched.l1d_misses, one.l1d_misses);
+        EXPECT_EQ(batched.l2_misses, one.l2_misses);
+        EXPECT_EQ(batched.l3_misses, one.l3_misses);
+        EXPECT_EQ(batched.l1i_accesses, one.l1i_accesses);
+        EXPECT_EQ(batched.l1i_misses, one.l1i_misses);
+        EXPECT_EQ(batched.itlb_misses, one.itlb_misses);
+        EXPECT_EQ(batched.btb_misses, one.btb_misses);
+        EXPECT_EQ(batched.slots_total, one.slots_total);
+        EXPECT_EQ(batched.slots_retiring, one.slots_retiring);
+        EXPECT_EQ(batched.slots_frontend, one.slots_frontend);
+        EXPECT_EQ(batched.slots_bad_spec, one.slots_bad_spec);
         EXPECT_EQ(batched.slots_backend_memory,
-                  per_event.slots_backend_memory);
+                  one.slots_backend_memory);
         EXPECT_EQ(batched.slots_backend_core,
-                  per_event.slots_backend_core);
-        EXPECT_EQ(batched.slots_rob_stall, per_event.slots_rob_stall);
-        EXPECT_EQ(batched.slots_rs_stall, per_event.slots_rs_stall);
-        EXPECT_EQ(batched.slots_sb_stall, per_event.slots_sb_stall);
+                  one.slots_backend_core);
+        EXPECT_EQ(batched.slots_rob_stall, one.slots_rob_stall);
+        EXPECT_EQ(batched.slots_rs_stall, one.slots_rs_stall);
+        EXPECT_EQ(batched.slots_sb_stall, one.slots_sb_stall);
     }
 }
 
@@ -744,7 +743,7 @@ expectSameRun(const DiffRun& opt, const DiffRun& ref,
 
 /** The tentpole's differential suite: the fast-forward model must be
  *  bit-identical to the retained stepped reference across dispatch
- *  widths, every Table IV row, batched and per-event delivery, and all
+ *  widths, every Table IV row, a batch of one and the default, and all
  *  four instrumentation states (attribution x phase sampling — each
  *  selects a different dispatch code path). */
 TEST(CoreDifferential, FastForwardMatchesReferenceStepping)
@@ -762,7 +761,7 @@ TEST(CoreDifferential, FastForwardMatchesReferenceStepping)
 
     int combo = 0;
     for (const CoreParams& base : bases) {
-        for (uint32_t batch : {0u, 256u}) {
+        for (uint32_t batch : {1u, 256u}) {
             // Cycle the instrumentation combos so each of the four
             // dispatch paths meets several widths and configs.
             CoreParams p = base;

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # CI-style smoke check: configure, build, run the full test suite,
+# build the layer-ledger benchmark and run its unit tests,
 # exercise the transcoding-farm service end to end (whole-video and
 # GOP-chunked job graphs), then rebuild the cross-thread suites under
 # ThreadSanitizer (VTRANS_SANITIZE=thread) and the probe/model/obs
@@ -27,6 +28,13 @@ cmake --build "$BUILD_DIR" -j
 
 echo "== tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo "== layer-ledger benchmark: build + unit tests =="
+# layerbench/ is its own CMake project over ../src, so a src/ API change
+# that breaks the benchmark must fail here, not only when it is run.
+cmake -S layerbench -B "${BUILD_DIR}-layerbench"
+cmake --build "${BUILD_DIR}-layerbench" -j --target layerbench
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s layerbench
 
 echo "== kernel backends: differential suite scalar + best ISA =="
 # The strategies layer must be bit-identical across backends. Run the
@@ -116,9 +124,10 @@ VTRANS_TRACE_JSON="$OBS_DIR/farm-trace.json" \
 
 if [[ "${VTRANS_SKIP_PERF:-0}" != 1 ]]; then
     echo "== probe pipeline perf smoke (Release) =="
-    # Batched dispatch must stay bit-identical AND faster than per-event:
-    # microbench_probe exits non-zero if identity breaks or the pipeline
-    # speedup falls below --min-speedup. --attr-overhead additionally
+    # Every batch capacity must stay bit-identical, and the count sink at
+    # the default capacity must run --min-speedup x its batch-of-one rate
+    # (capacity 1 delivers each emit in its own onBatch call);
+    # microbench_probe exits non-zero otherwise. --attr-overhead also
     # gates per-site attribution: identical CoreStats and <= 1.25x the
     # unattributed model sink. Writes BENCH_probe.json.
     PERF_DIR="${BUILD_DIR}-release"
