@@ -237,26 +237,32 @@ schedulerStudy(double seconds, bool verbose)
     std::vector<std::vector<double>> times(tasks.size());
     std::vector<uarch::TopDown> profiles;
 
+    // Every task, and the calibration reference, is one pass simulated
+    // on the baseline and the whole pool at once.
+    std::vector<uarch::CoreParams> classes{uarch::baselineConfig()};
+    classes.insert(classes.end(), pool.begin(), pool.end());
+    auto runAll = [&](RunConfig config, const std::string& what) {
+        progress(verbose, "scheduler study: " + what + " on baseline + "
+                              + std::to_string(pool.size()) + " configs");
+        std::vector<RunResult> runs = runInstrumented(config, classes);
+        std::vector<double> seconds;
+        for (size_t c = 1; c < runs.size(); ++c) {
+            seconds.push_back(runs[c].transcode_seconds);
+        }
+        return std::make_pair(std::move(runs.front()), std::move(seconds));
+    };
+
     for (size_t t = 0; t < tasks.size(); ++t) {
         RunConfig config;
         config.video = tasks[t].video;
         config.seconds = seconds;
         config.params = tasks[t].params();
-
-        config.core = uarch::baselineConfig();
-        progress(verbose, "scheduler study: task " + std::to_string(t + 1)
-                              + " (" + tasks[t].video + ") on baseline");
-        const RunResult base = runInstrumented(config);
+        auto [base, on_pool] =
+            runAll(config, "task " + std::to_string(t + 1) + " ("
+                               + tasks[t].video + ")");
         baseline_seconds.push_back(base.transcode_seconds);
         profiles.push_back(base.core.topdown());
-
-        for (const auto& core : pool) {
-            config.core = core;
-            progress(verbose, "scheduler study: task "
-                                  + std::to_string(t + 1) + " on "
-                                  + core.name);
-            times[t].push_back(runInstrumented(config).transcode_seconds);
-        }
+        times[t] = std::move(on_pool);
     }
 
     // Calibrate per-config relief effectiveness on a reference workload
@@ -265,14 +271,7 @@ schedulerStudy(double seconds, bool verbose)
     cal.video = "bbb";
     cal.seconds = seconds;
     cal.params = codec::presetParams("medium");
-    cal.core = uarch::baselineConfig();
-    progress(verbose, "scheduler study: calibrating on bbb");
-    const RunResult cal_base = runInstrumented(cal);
-    std::vector<double> cal_seconds;
-    for (const auto& core : pool) {
-        cal.core = core;
-        cal_seconds.push_back(runInstrumented(cal).transcode_seconds);
-    }
+    const auto [cal_base, cal_seconds] = runAll(cal, "calibrating on bbb");
     const auto relief = sched::calibrateRelief(
         cal_base.core.topdown(), cal_base.transcode_seconds, config_names,
         cal_seconds);

@@ -15,20 +15,21 @@ namespace vtrans::core {
 
 namespace {
 
-/** Applies the process-wide obs toggles to a run's core parameters:
- *  global hotspots/attribution (one flag) enables
+/** Applies the process-wide obs toggles to each class's core
+ *  parameters: global hotspots/attribution (one flag) enables
  *  CoreParams::attribute_sites, and a global phase window fills in a
  *  zero per-run one. */
-uarch::CoreParams
-effectiveCoreParams(const RunConfig& config)
+std::vector<uarch::CoreParams>
+effectiveCoreParams(std::vector<uarch::CoreParams> classes)
 {
-    uarch::CoreParams params = config.core;
-    params.attribute_sites =
-        params.attribute_sites || obs::uarchAttributionEnabled();
-    if (params.phase_window == 0) {
-        params.phase_window = obs::phaseWindow();
+    for (uarch::CoreParams& params : classes) {
+        params.attribute_sites =
+            params.attribute_sites || obs::uarchAttributionEnabled();
+        if (params.phase_window == 0) {
+            params.phase_window = obs::phaseWindow();
+        }
     }
-    return params;
+    return classes;
 }
 
 /** Counter-track label identifying the run in the phase time-series. */
@@ -39,20 +40,36 @@ phaseLabel(const RunConfig& config)
            + std::to_string(config.params.refs);
 }
 
-/** Post-finish() obs export: fold per-site attribution into the global
- *  report and render phase samples as counter events on the global
- *  tracer. Must run after finish() — the drain charges cycles. */
+/** Post-finish() obs export, class by class in list order: fold per-site
+ *  attribution into the global report and render phase samples as
+ *  counter events on the global tracer. Must run after finish() — the
+ *  drain charges cycles. */
 void
 exportModelObservability(const uarch::CoreModel& model,
                          const RunConfig& config)
 {
-    if (model.attributionEnabled()) {
-        obs::mergeAttribution(&obs::hotspotReport(), model);
+    for (size_t c = 0; c < model.classCount(); ++c) {
+        if (model.attributionEnabled(c)) {
+            obs::mergeAttribution(&obs::hotspotReport(), model, c);
+        }
+        if (!model.phaseSamples(c).empty()) {
+            obs::emitPhaseCounters(obs::globalTracer(), model,
+                                   phaseLabel(config), c);
+        }
     }
-    if (!model.phaseSamples().empty()) {
-        obs::emitPhaseCounters(obs::globalTracer(), model,
-                               phaseLabel(config));
+}
+
+/** One result per class of a finished model, sharing everything but the
+ *  class's CoreStats and simulated time. */
+std::vector<RunResult>
+perClassResults(const uarch::CoreModel& model, const RunResult& shared)
+{
+    std::vector<RunResult> results(model.classCount(), shared);
+    for (size_t c = 0; c < results.size(); ++c) {
+        results[c].core = model.stats(c);
+        results[c].transcode_seconds = results[c].core.seconds();
     }
+    return results;
 }
 
 } // namespace
@@ -87,6 +104,13 @@ mezzanine(const std::string& video, double seconds)
 RunResult
 runInstrumented(const RunConfig& config)
 {
+    return std::move(runInstrumented(config, {config.core}).front());
+}
+
+std::vector<RunResult>
+runInstrumented(const RunConfig& config,
+                const std::vector<uarch::CoreParams>& classes)
+{
     const auto& source = config.input != nullptr
                              ? *config.input
                              : mezzanine(config.video, config.seconds);
@@ -94,23 +118,22 @@ runInstrumented(const RunConfig& config)
     // Deterministic data addresses for this run, whatever ran before.
     trace::arena().reset();
 
-    uarch::CoreModel model(effectiveCoreParams(config));
+    uarch::CoreModel model(effectiveCoreParams(classes));
     trace::setSink(&model);
     codec::TranscodeResult transcoded =
         codec::transcode(source, config.params);
     trace::setSink(nullptr); // Delivers the pending batch.
 
-    RunResult result;
-    result.core = model.finish();
+    model.finish();
     exportModelObservability(model, config);
-    result.encode = transcoded.stats;
-    result.transcode_seconds = result.core.seconds();
-    result.psnr = transcoded.psnr();
-    result.bitrate_kbps = transcoded.bitrateKbps();
+    RunResult shared;
+    shared.encode = transcoded.stats;
+    shared.psnr = transcoded.psnr();
+    shared.bitrate_kbps = transcoded.bitrateKbps();
     if (config.keep_output) {
-        result.output = std::move(transcoded.output);
+        shared.output = std::move(transcoded.output);
     }
-    return result;
+    return perClassResults(model, shared);
 }
 
 codec::EncodeStats
@@ -130,10 +153,19 @@ runInstrumentedChunk(
     const std::vector<const std::vector<uint8_t>*>& slices,
     const RunConfig& config)
 {
+    return std::move(runInstrumentedChunk(slices, config, {config.core})
+                         .front());
+}
+
+std::vector<RunResult>
+runInstrumentedChunk(
+    const std::vector<const std::vector<uint8_t>*>& slices,
+    const RunConfig& config, const std::vector<uarch::CoreParams>& classes)
+{
     VT_ASSERT(!slices.empty(), "chunk run with no slices");
     trace::arena().reset();
 
-    uarch::CoreModel model(effectiveCoreParams(config));
+    uarch::CoreModel model(effectiveCoreParams(classes));
     trace::setSink(&model);
 
     // Each slice is an independent closed-GOP transcode (its own encoder
@@ -155,18 +187,17 @@ runInstrumentedChunk(
 
     trace::setSink(nullptr);
 
-    RunResult result;
-    result.core = model.finish();
+    model.finish();
     exportModelObservability(model, config);
-    result.transcode_seconds = result.core.seconds();
-    result.output = std::move(stitched);
+    RunResult shared;
+    shared.output = std::move(stitched);
 
     // Aggregate the per-slice encode statistics (frame-weighted means
     // for the rates, plain sums for the counters).
     int total_frames = 0;
     double psnr_weighted = 0.0;
     int display_offset = 0;
-    codec::EncodeStats& agg = result.encode;
+    codec::EncodeStats& agg = shared.encode;
     for (const auto& part : parts) {
         const codec::EncodeStats& e = part.stats;
         agg.total_bits += e.total_bits;
@@ -194,9 +225,9 @@ runInstrumentedChunk(
         agg.bitrate_kbps = static_cast<double>(agg.total_bits) / 1000.0
                            / (static_cast<double>(total_frames) / fps);
     }
-    result.psnr = agg.psnr;
-    result.bitrate_kbps = agg.bitrate_kbps;
-    return result;
+    shared.psnr = agg.psnr;
+    shared.bitrate_kbps = agg.bitrate_kbps;
+    return perClassResults(model, shared);
 }
 
 std::shared_ptr<const chunk::SplitPlan>

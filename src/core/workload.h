@@ -68,6 +68,16 @@ const std::vector<uint8_t>& mezzanine(const std::string& video,
 RunResult runInstrumented(const RunConfig& config);
 
 /**
+ * Runs one instrumented transcode simulated on every class of `classes`
+ * at once (one codec pass, one multi-class core model; `config.core` is
+ * not used). Result `c` — stats, exported attribution and phase
+ * counters included — is bit-identical to runInstrumented() with
+ * `config.core = classes[c]`, and the classes export in list order.
+ */
+std::vector<RunResult> runInstrumented(
+    const RunConfig& config, const std::vector<uarch::CoreParams>& classes);
+
+/**
  * Runs the same transcode natively (no simulation) and returns only the
  * encode statistics — used where microarchitectural data is not needed.
  */
@@ -84,6 +94,12 @@ codec::EncodeStats runNative(const RunConfig& config);
 RunResult runInstrumentedChunk(
     const std::vector<const std::vector<uint8_t>*>& slices,
     const RunConfig& config);
+
+/** runInstrumentedChunk() simulated on every class of `classes` at once,
+ *  as the class-list runInstrumented() is. */
+std::vector<RunResult> runInstrumentedChunk(
+    const std::vector<const std::vector<uint8_t>*>& slices,
+    const RunConfig& config, const std::vector<uarch::CoreParams>& classes);
 
 /**
  * Returns the (process-cached) split of a video's mezzanine at a clip

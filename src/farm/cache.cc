@@ -188,16 +188,89 @@ ResultCache::getOrCompute(const CacheKey& key, const ComputeFn& compute)
     try {
         value = std::make_shared<const core::RunResult>(compute());
     } catch (...) {
-        lock.lock();
-        flight->done = true;
-        flight->aborted = true;
-        shard.inflight.erase(key);
-        shard.cv.notify_all();
+        abandon(key, flight);
         throw;
     }
+    publish(key, flight, value);
+    return value;
+}
 
+std::vector<ResultCache::Value>
+ResultCache::getOrComputeGroup(const std::vector<CacheKey>& keys,
+                               const GroupComputeFn& compute)
+{
+    std::vector<Value> values(keys.size());
+    std::vector<size_t> claimed;
+    std::vector<std::shared_ptr<Flight>> flights;
+    std::vector<size_t> in_flight;
+    for (size_t i = 0; i < keys.size(); ++i) {
+        Shard& shard = shardFor(keys[i]);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        if (Value ready = lookupLocked(shard, keys[i], now())) {
+            ++shard.lookups;
+            ++shard.hits;
+            values[i] = std::move(ready);
+        } else if (shard.inflight.count(keys[i]) != 0) {
+            in_flight.push_back(i);
+        } else {
+            auto flight = std::make_shared<Flight>();
+            shard.inflight.emplace(keys[i], flight);
+            ++shard.lookups;
+            ++shard.misses;
+            claimed.push_back(i);
+            flights.push_back(std::move(flight));
+        }
+    }
+
+    if (!claimed.empty()) {
+        std::vector<core::RunResult> computed;
+        try {
+            computed = compute(claimed);
+            VT_ASSERT(computed.size() == claimed.size(),
+                      "group compute returned ", computed.size(),
+                      " results for ", claimed.size(), " keys");
+        } catch (...) {
+            for (size_t k = 0; k < claimed.size(); ++k) {
+                abandon(keys[claimed[k]], flights[k]);
+            }
+            throw;
+        }
+        for (size_t k = 0; k < claimed.size(); ++k) {
+            const size_t i = claimed[k];
+            values[i] =
+                std::make_shared<const core::RunResult>(std::move(computed[k]));
+            publish(keys[i], flights[k], values[i]);
+        }
+    }
+
+    for (size_t i : in_flight) {
+        values[i] = getOrCompute(keys[i], [&] {
+            return std::move(compute({i}).front());
+        });
+    }
+    return values;
+}
+
+void
+ResultCache::abandon(const CacheKey& key,
+                     const std::shared_ptr<Flight>& flight)
+{
+    Shard& shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    flight->done = true;
+    flight->aborted = true;
+    shard.inflight.erase(key);
+    shard.cv.notify_all();
+}
+
+void
+ResultCache::publish(const CacheKey& key,
+                     const std::shared_ptr<Flight>& flight,
+                     const Value& value)
+{
     const size_t bytes = entryBytes(*value);
-    lock.lock();
+    Shard& shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
     flight->done = true;
     flight->value = value;
     shard.inflight.erase(key);
@@ -216,7 +289,6 @@ ResultCache::getOrCompute(const CacheKey& key, const ComputeFn& compute)
         evictToFit(shard);
     }
     shard.cv.notify_all();
-    return value;
 }
 
 ResultCache::Value

@@ -147,6 +147,10 @@ class ResultCache
   public:
     using Value = std::shared_ptr<const core::RunResult>;
     using ComputeFn = std::function<core::RunResult()>;
+    /** Computes the values of the keys at `indices` (of a group), one
+     *  result per index, in order. */
+    using GroupComputeFn = std::function<std::vector<core::RunResult>(
+        const std::vector<size_t>& indices)>;
 
     explicit ResultCache(CacheOptions options = {});
 
@@ -160,6 +164,18 @@ class ResultCache
      * The returned pin stays valid regardless of later eviction.
      */
     Value getOrCompute(const CacheKey& key, const ComputeFn& compute);
+
+    /**
+     * getOrCompute() over a group of keys whose values one computation
+     * produces together (a multi-class pass). Ready entries are served;
+     * every absent key is claimed by this caller and all of them are
+     * computed in a single `compute` call; keys in flight elsewhere are
+     * waited on only after this caller has published its own, so two
+     * overlapping groups never wait on each other. Counts (lookups,
+     * hits, misses, waits) exactly as one getOrCompute() per key.
+     */
+    std::vector<Value> getOrComputeGroup(const std::vector<CacheKey>& keys,
+                                         const GroupComputeFn& compute);
 
     /**
      * Returns the ready value for `key` or nullptr, counting the lookup
@@ -245,6 +261,13 @@ class ResultCache
 
     /** Evicts from the LRU tail until the shard is within budget. */
     void evictToFit(Shard& shard);
+
+    /** Publishes a claimed key's computed value and wakes its waiters. */
+    void publish(const CacheKey& key, const std::shared_ptr<Flight>& flight,
+                 const Value& value);
+
+    /** Releases a claimed key whose compute threw; a waiter takes over. */
+    void abandon(const CacheKey& key, const std::shared_ptr<Flight>& flight);
 
     /** Locked lookup: returns the ready value (touching the LRU) or
      *  nullptr, dropping the entry if expired. */

@@ -232,6 +232,7 @@ Farm::digestKey(const std::string& key, const sched::Task& task)
         const auto& bytes =
             core::mezzanine(task.video, options_.clip_seconds);
         d.source_fp = fnv1a(bytes.data(), bytes.size());
+        d.source_bytes = bytes.size();
     } else {
         // A chunk encodes its slice set as independent closed-GOP units,
         // so its content is the *framed* slice sequence: a "chunk" tag
@@ -245,6 +246,7 @@ Farm::digestKey(const std::string& key, const sched::Task& task)
                 work.plan->segments[work.first_segment + i].source;
             fp = fnv1a(std::to_string(src.size()) + "/", fp);
             fp = fnv1a(src.data(), src.size(), fp);
+            d.source_bytes += src.size();
         }
         d.source_fp = fp;
     }
@@ -319,61 +321,59 @@ Farm::characterize(const std::vector<Job>& jobs)
         digestKey(key, task);
     }
 
-    struct BaselineRun
+    // Every characterization pass is independent: fan out on the pool,
+    // through the cache — a warm entry (prior drain, sibling farm) skips
+    // the encode entirely, and single-flight dedups identical signatures
+    // racing across farms. The calibration reference is one pass over
+    // the baseline and every optimized config; every task signature is
+    // one baseline pass. With no predictions yet, the longest work is
+    // estimated by the source bytes a pass encodes times its class
+    // count, and queued first so it cannot end the phase alone.
+    struct Pass
     {
         std::string key;
         sched::Task task;
-        ResultCache::Value result;
+        std::vector<std::string> configs;
+        std::vector<ResultCache::Value> results;
     };
-    std::vector<BaselineRun> baseline_runs;
-    baseline_runs.push_back({ref_key, ref, nullptr});
+    std::vector<Pass> passes;
+    std::vector<std::string> ref_configs{"baseline"};
+    ref_configs.insert(ref_configs.end(), cal_names.begin(),
+                       cal_names.end());
+    passes.push_back({ref_key, ref, ref_configs, {}});
     for (const auto& [key, task] : key_tasks_) {
-        baseline_runs.push_back({key, task, nullptr});
+        passes.push_back({key, task, {"baseline"}, {}});
     }
-    std::vector<ResultCache::Value> cal_runs(cal_names.size());
-
-    // All characterization runs are independent: fan out on the pool,
-    // through the cache — a warm entry (prior drain, sibling farm)
-    // skips the encode entirely, and single-flight dedups identical
-    // signatures racing across farms.
+    std::vector<Pass*> order;
+    for (Pass& pass : passes) {
+        order.push_back(&pass);
+    }
+    auto weight = [this](const Pass* p) {
+        return digests_.at(p->key).source_bytes * p->configs.size();
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const Pass* a, const Pass* b) {
+                         return weight(a) > weight(b);
+                     });
     std::vector<std::function<void()>> tasks;
-    const uarch::CoreParams baseline = uarch::baselineConfig();
-    for (auto& run : baseline_runs) {
-        tasks.push_back([&run, &baseline, this] {
-            const CacheKey ck = cacheKeyFor(run.key, "baseline");
-            ResultCache::Value value = cache_->getOrCompute(ck, [&] {
-                return runTask(run.key, run.task, baseline);
-            });
-            std::lock_guard<std::mutex> lock(results_mu_);
-            drain_results_.emplace(ck, value);
-            run.result = std::move(value);
-        });
-    }
-    for (size_t c = 0; c < cal_names.size(); ++c) {
-        tasks.push_back([this, &cal_runs, &cal_names, &ref, &ref_key, c] {
-            const CacheKey ck = cacheKeyFor(ref_key, cal_names[c]);
-            ResultCache::Value value = cache_->getOrCompute(ck, [&] {
-                return runTask(ref_key, ref,
-                               uarch::configByName(cal_names[c]));
-            });
-            std::lock_guard<std::mutex> lock(results_mu_);
-            drain_results_.emplace(ck, value);
-            cal_runs[c] = std::move(value);
+    for (Pass* pass : order) {
+        tasks.push_back([this, pass] {
+            pass->results = runGroup(pass->key, pass->task, pass->configs);
         });
     }
     if (options_.verbose) {
-        VT_INFORM("farm: characterizing ", baseline_runs.size(),
-                  " task signatures + ", cal_names.size(),
-                  " calibration configs on ", pool_->workers(),
+        VT_INFORM("farm: characterizing ", key_tasks_.size() + 1,
+                  " task signatures (", cal_names.size(),
+                  " calibration configs) on ", pool_->workers(),
                   " workers");
     }
     pool_->run(std::move(tasks));
 
     // Calibrate relief and learn every task's baseline profile.
-    const auto& ref_base = *baseline_runs.front().result;
+    const auto& ref_base = *passes.front().results.front();
     std::vector<double> cal_seconds;
-    for (const auto& r : cal_runs) {
-        cal_seconds.push_back(r->transcode_seconds);
+    for (size_t c = 1; c < passes.front().results.size(); ++c) {
+        cal_seconds.push_back(passes.front().results[c]->transcode_seconds);
     }
     if (!cal_names.empty()) {
         predictor_.setRelief(
@@ -382,24 +382,23 @@ Farm::characterize(const std::vector<Job>& jobs)
                                    ref_base.transcode_seconds, cal_names,
                                    cal_seconds));
     }
-    for (auto& run : baseline_runs) {
-        predictor_.learn(run.key, run.result->transcode_seconds,
-                         run.result->core.topdown());
+    for (const Pass& pass : passes) {
+        predictor_.learn(pass.key, pass.results.front()->transcode_seconds,
+                         pass.results.front()->core.topdown());
     }
 }
 
-core::RunResult
+std::vector<core::RunResult>
 Farm::runTask(const std::string& key, const sched::Task& task,
-              const uarch::CoreParams& server_core)
+              const std::vector<uarch::CoreParams>& classes)
 {
     core::RunConfig cfg;
     cfg.video = task.video;
     cfg.seconds = options_.clip_seconds;
     cfg.params = task.params();
-    cfg.core = server_core;
     const auto it = chunk_work_.find(key);
     if (it == chunk_work_.end()) {
-        return core::runInstrumented(cfg);
+        return core::runInstrumented(cfg, classes);
     }
     // A chunk job encodes its slice of the split plan — each segment an
     // independent closed-GOP unit — instead of the whole clip.
@@ -411,7 +410,32 @@ Farm::runTask(const std::string& key, const sched::Task& task,
             &work.plan->segments[work.first_segment + i].source);
     }
     cfg.keep_output = true; // The stitch job consumes the bitstream.
-    return core::runInstrumentedChunk(slices, cfg);
+    return core::runInstrumentedChunk(slices, cfg, classes);
+}
+
+std::vector<ResultCache::Value>
+Farm::runGroup(const std::string& key, const sched::Task& task,
+               const std::vector<std::string>& configs)
+{
+    std::vector<CacheKey> keys;
+    for (const std::string& config : configs) {
+        keys.push_back(cacheKeyFor(key, config));
+    }
+    std::vector<ResultCache::Value> values = cache_->getOrComputeGroup(
+        keys, [&](const std::vector<size_t>& missing) {
+            std::vector<uarch::CoreParams> classes;
+            for (size_t i : missing) {
+                classes.push_back(uarch::configByName(configs[i]));
+            }
+            transcodes_.fetch_add(1, std::memory_order_relaxed);
+            class_runs_.fetch_add(classes.size(), std::memory_order_relaxed);
+            return runTask(key, task, classes);
+        });
+    std::lock_guard<std::mutex> lock(results_mu_);
+    for (size_t i = 0; i < keys.size(); ++i) {
+        drain_results_.emplace(keys[i], values[i]);
+    }
+    return values;
 }
 
 Farm::Schedule
@@ -705,24 +729,37 @@ Farm::execute(const std::vector<Attempt>& attempts)
         }
         pending.push_back({a.key, fleet_[a.server].config});
     }
-    // Longest-predicted-first keeps the pool balanced near the tail.
-    std::sort(pending.begin(), pending.end(),
-              [this](const auto& a, const auto& b) {
-                  const double pa = predictor_.predict(a.first, a.second);
-                  const double pb = predictor_.predict(b.first, b.second);
-                  return pa != pb ? pa > pb : a < b;
+    // One pool task per task signature: a single instrumented pass
+    // simulates every config the signature still needs. Groups go
+    // longest-predicted-first (summed over their configs), which keeps
+    // the pool balanced near the tail.
+    struct Group
+    {
+        std::string key;
+        std::vector<std::string> configs;
+        double predicted = 0.0;
+    };
+    std::vector<Group> groups;
+    for (const auto& [key, config] : pending) {
+        auto g = std::find_if(groups.begin(), groups.end(),
+                              [&](const Group& x) { return x.key == key; });
+        if (g == groups.end()) {
+            groups.push_back({key, {}, 0.0});
+            g = std::prev(groups.end());
+        }
+        g->configs.push_back(config);
+        g->predicted += predictor_.predict(key, config);
+    }
+    std::sort(groups.begin(), groups.end(),
+              [](const Group& a, const Group& b) {
+                  return a.predicted != b.predicted ? a.predicted > b.predicted
+                                                    : a.key < b.key;
               });
 
     std::vector<std::function<void()>> tasks;
-    for (const auto& key : pending) {
-        tasks.push_back([this, key] {
-            const CacheKey ck = cacheKeyFor(key.first, key.second);
-            ResultCache::Value value = cache_->getOrCompute(ck, [&] {
-                return runTask(key.first, key_tasks_.at(key.first),
-                               uarch::configByName(key.second));
-            });
-            std::lock_guard<std::mutex> lock(results_mu_);
-            drain_results_.emplace(ck, std::move(value));
+    for (Group& group : groups) {
+        tasks.push_back([this, &group] {
+            runGroup(group.key, key_tasks_.at(group.key), group.configs);
         });
     }
     for (const auto& ref : ref_pending) {
@@ -742,9 +779,9 @@ Farm::execute(const std::vector<Attempt>& attempts)
         });
     }
     if (options_.verbose) {
-        VT_INFORM("farm: executing ", tasks.size(), " unique runs for ",
-                  attempts.size(), " attempts on ", pool_->workers(),
-                  " workers");
+        VT_INFORM("farm: executing ", pending.size(), " unique runs in ",
+                  groups.size(), " passes for ", attempts.size(),
+                  " attempts on ", pool_->workers(), " workers");
     }
     pool_->run(std::move(tasks));
 }
@@ -1045,6 +1082,13 @@ Farm::recordMetrics() const
         .inc(m.shed);
     reg.counter("farm_retries_total", "Extra dispatch attempts beyond the first")
         .inc(m.retries);
+    reg.counter("farm_transcodes_total",
+                "Instrumented codec passes the farm ran (one per task "
+                "signature and phase, however many classes it simulated)")
+        .inc(transcodes_.load());
+    reg.counter("farm_class_runs_total",
+                "Server-class simulations the farm's passes produced")
+        .inc(class_runs_.load());
     reg.counter("farm_deadline_misses_total",
                 "Completed jobs that missed their deadline")
         .inc(m.deadline_misses);

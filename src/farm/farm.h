@@ -36,6 +36,7 @@
  * `workers = 1` is the serial reference the tests compare against.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -263,10 +264,19 @@ class Farm
     void account(const std::vector<Job>& jobs, const Schedule& schedule);
     void recordMetrics() const;
 
-    /** Runs the instrumented work behind a task signature on `core`:
-     *  chunk keys encode their plan slice, plain keys the whole clip. */
-    core::RunResult runTask(const std::string& key, const sched::Task& task,
-                            const uarch::CoreParams& core);
+    /** Runs the instrumented work behind a task signature once,
+     *  simulated on every class of `classes`: chunk keys encode their
+     *  plan slice, plain keys the whole clip. */
+    std::vector<core::RunResult> runTask(
+        const std::string& key, const sched::Task& task,
+        const std::vector<uarch::CoreParams>& classes);
+
+    /** Fetches (task, config) for every named config through the cache,
+     *  computing every absent one in a single runTask() pass, and pins
+     *  the values for this drain. Pool-safe. */
+    std::vector<ResultCache::Value> runGroup(
+        const std::string& key, const sched::Task& task,
+        const std::vector<std::string>& configs);
 
     /** Computes (and memoizes) the content components of a task
      *  signature: the fingerprint of the exact source bytes the job
@@ -311,6 +321,7 @@ class Farm
     struct KeyDigest
     {
         uint64_t source_fp = 0;     ///< FNV-1a of the exact source bytes.
+        size_t source_bytes = 0;    ///< Their size (characterize order).
         uint64_t params_digest = 0; ///< codec::canonicalDigest of params.
     };
     std::map<std::string, KeyDigest> digests_; ///< Signature -> content.
@@ -321,6 +332,11 @@ class Farm
     // read serially after the pool barrier.
     std::map<CacheKey, ResultCache::Value> drain_results_;
     std::mutex results_mu_;
+
+    // Instrumented passes this farm paid for, and the class runs they
+    // simulated (obs: farm_transcodes_total, farm_class_runs_total).
+    std::atomic<uint64_t> transcodes_{0};
+    std::atomic<uint64_t> class_runs_{0};
 };
 
 } // namespace vtrans::farm

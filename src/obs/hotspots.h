@@ -117,7 +117,7 @@ class HotspotReport
   private:
     // The only way in (declared and documented in obs/uarch.h).
     friend void mergeAttribution(HotspotReport* report,
-                                 const uarch::CoreModel& model);
+                                 const uarch::CoreModel& model, size_t cls);
 
     std::map<std::string, SiteCounters> snapshot() const;
 

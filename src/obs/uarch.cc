@@ -60,12 +60,14 @@ phaseWindow()
 }
 
 void
-mergeAttribution(HotspotReport* report, const uarch::CoreModel& model)
+mergeAttribution(HotspotReport* report, const uarch::CoreModel& model,
+                 size_t cls)
 {
-    if (report == nullptr || !model.attributionEnabled()) {
+    if (report == nullptr || !model.attributionEnabled(cls)) {
         return;
     }
-    const std::vector<uarch::SiteUarch>& per_site = model.attributionPerSite();
+    const std::vector<uarch::SiteUarch>& per_site =
+        model.attributionPerSite(cls);
     const auto& sites = trace::registry().sites();
     std::lock_guard<std::mutex> lock(report->mu_);
     for (size_t id = 0; id < per_site.size() && id < sites.size(); ++id) {
@@ -78,18 +80,18 @@ mergeAttribution(HotspotReport* report, const uarch::CoreModel& model)
         report->by_name_[sites[id]->name].merge(withDerived(u, sites[id]));
     }
     report->unattributed_.merge(
-        withDerived(model.attributionUnattributed(), nullptr));
+        withDerived(model.attributionUnattributed(cls), nullptr));
 }
 
 void
 emitPhaseCounters(SpanTracer* tracer, const uarch::CoreModel& model,
-                  const std::string& label)
+                  const std::string& label, size_t cls)
 {
-    const std::vector<uarch::PhaseSample>& samples = model.phaseSamples();
+    const std::vector<uarch::PhaseSample>& samples = model.phaseSamples(cls);
     if (tracer == nullptr || samples.empty()) {
         return;
     }
-    const double freq_ghz = model.params().freq_ghz;
+    const double freq_ghz = model.params(cls).freq_ghz;
     // cycles -> simulated microseconds (cycles / (GHz * 1e9) * 1e6).
     const double us_per_cycle = 1.0 / (freq_ghz * 1e3);
     const int64_t tid = threadTid();

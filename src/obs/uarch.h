@@ -36,24 +36,25 @@ bool uarchAttributionEnabled();
 void setPhaseWindow(uint64_t instructions);
 uint64_t phaseWindow();
 
-/** Merges a finished model's per-site attribution into `report`, keyed
- *  by registry site name (thread-safe through the report's lock), and
- *  derives each site's instructions and code bytes from its static
- *  shape. The only way tallies enter a HotspotReport; a no-op when the
- *  model ran without CoreParams::attribute_sites. */
-void mergeAttribution(HotspotReport* report, const uarch::CoreModel& model);
+/** Merges class `cls` of a finished model's per-site attribution into
+ *  `report`, keyed by registry site name (thread-safe through the
+ *  report's lock), and derives each site's instructions and code bytes
+ *  from its static shape. The only way tallies enter a HotspotReport; a
+ *  no-op when the class ran without CoreParams::attribute_sites. */
+void mergeAttribution(HotspotReport* report, const uarch::CoreModel& model,
+                      size_t cls = 0);
 
 /** The trace process id phase counter tracks are grouped under (clear
  *  of the farm's simulated-time and the sweep's wall-time pids). */
 inline constexpr int64_t kPhaseTrackPid = 9;
 
-/** Emits the model's phase time-series as Chrome counter events on
+/** Emits class `cls`'s phase time-series as Chrome counter events on
  *  `tracer`, timestamped in simulated microseconds: per window, a
  *  "topdown <label>" event with the five slot-class shares (stacked)
  *  and a "rates <label>" event with IPC and the MPKIs. No-op when the
  *  model has no samples or `tracer` is null. */
 void emitPhaseCounters(SpanTracer* tracer, const uarch::CoreModel& model,
-                       const std::string& label);
+                       const std::string& label, size_t cls = 0);
 
 } // namespace vtrans::obs
 

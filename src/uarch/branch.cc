@@ -90,6 +90,19 @@ PentiumMPredictor::predictAndUpdate(uint64_t pc, bool taken)
 // ---- TAGE ---------------------------------------------------------------
 
 constexpr int TagePredictor::kHistLengths[TagePredictor::kTables];
+constexpr int TagePredictor::kFoldWidths[TagePredictor::kFolds];
+
+namespace {
+
+/** Fold bit of history bit `j` one shift later, before any word-crossing
+ *  correction: its current fold bit rotated left by one. */
+uint32_t
+rotatedPosition(int j, int width)
+{
+    return static_cast<uint32_t>(((j % 64) % width + 1) % width);
+}
+
+} // namespace
 
 TagePredictor::TagePredictor() : base_(1u << 12, 2)
 {
@@ -97,31 +110,30 @@ TagePredictor::TagePredictor() : base_(1u << 12, 2)
     for (auto& t : tables_) {
         t.resize(kTableSize);
     }
-}
-
-uint64_t
-TagePredictor::foldedHistory(int bits, int length) const
-{
-    // Folds `length` bits of global history into `bits` bits by XOR.
-    uint64_t folded = 0;
-    int consumed = 0;
-    while (consumed < length) {
-        const int word = consumed / 64;
-        const int offset = consumed % 64;
-        int chunk = std::min({64 - offset, length - consumed, bits});
-        const uint64_t piece =
-            (ghist_[word] >> offset) & ((chunk >= 64) ? ~0ull
-                                                      : ((1ull << chunk) - 1));
-        folded ^= piece;
-        consumed += chunk;
+    for (int t = 0; t < kTables; ++t) {
+        const int length = kHistLengths[t];
+        for (int f = 0; f < kFolds; ++f) {
+            Fold& fold = folds_[t][f];
+            const int width = kFoldWidths[f];
+            fold.width = static_cast<uint32_t>(width);
+            fold.mask = (1u << width) - 1;
+            fold.out_shift = rotatedPosition(length - 1, width);
+            for (int k = 0; k < 2; ++k) {
+                // Bit j = 63 or 127 crosses a word boundary on the shift
+                // (to j + 1, fold bit 0) while still inside the folded
+                // length; only then can the rotation misplace it.
+                const int j = 64 * k + 63;
+                fold.cross_shift[k] =
+                    j + 1 < length ? rotatedPosition(j, width) : 0;
+            }
+        }
     }
-    return folded & ((bits >= 64) ? ~0ull : ((1ull << bits) - 1));
 }
 
 uint32_t
 TagePredictor::index(uint64_t pc, int table) const
 {
-    const uint64_t h = foldedHistory(kTableBits, kHistLengths[table]);
+    const uint64_t h = folds_[table][0].value;
     return static_cast<uint32_t>(((pc >> 2) ^ (pc >> (kTableBits + 2)) ^ h)
                                  & (kTableSize - 1));
 }
@@ -129,9 +141,44 @@ TagePredictor::index(uint64_t pc, int table) const
 uint16_t
 TagePredictor::tag(uint64_t pc, int table) const
 {
-    const uint64_t h = foldedHistory(8, kHistLengths[table]);
-    const uint64_t h2 = foldedHistory(7, kHistLengths[table]) << 1;
+    const uint64_t h = folds_[table][1].value;
+    const uint64_t h2 = static_cast<uint64_t>(folds_[table][2].value) << 1;
     return static_cast<uint16_t>(((pc >> 2) ^ h ^ h2) & 0xff);
+}
+
+void
+TagePredictor::shiftHistory(bool taken)
+{
+    // A shift moves history bit j to j + 1. Inside a 64-bit word that is
+    // a rotate-left-by-one of each fold. Three bits need fixing after
+    // the rotate: the bit leaving the folded length (XOR it out), the
+    // outcome entering at bit 0 (XOR it in), and bits 63 and 127, which
+    // restart at fold bit 0 in the next word instead of rotating on.
+    const uint64_t crossing[2] = {ghist_[0] >> 63, ghist_[1] >> 63};
+    const uint32_t in = taken ? 1 : 0;
+    for (int t = 0; t < kTables; ++t) {
+        const int last = kHistLengths[t] - 1;
+        const auto out =
+            static_cast<uint32_t>((ghist_[last / 64] >> (last % 64)) & 1);
+        for (Fold& fold : folds_[t]) {
+            uint32_t v = ((fold.value << 1) | (fold.value >> (fold.width - 1)))
+                         & fold.mask;
+            v ^= (out << fold.out_shift) ^ in;
+            for (int k = 0; k < 2; ++k) {
+                if (fold.cross_shift[k] != 0 && crossing[k] != 0) {
+                    v ^= (1u << fold.cross_shift[k]) | 1u;
+                }
+            }
+            fold.value = v;
+        }
+    }
+    const uint64_t carry3 = ghist_[2] >> 63;
+    const uint64_t carry2 = ghist_[1] >> 63;
+    const uint64_t carry1 = ghist_[0] >> 63;
+    ghist_[3] = (ghist_[3] << 1) | carry3;
+    ghist_[2] = (ghist_[2] << 1) | carry2;
+    ghist_[1] = (ghist_[1] << 1) | carry1;
+    ghist_[0] = (ghist_[0] << 1) | in;
 }
 
 bool
@@ -141,9 +188,8 @@ TagePredictor::predict(uint64_t pc)
     provider_ = -1;
     altpred_table_ = -1;
 
-    // Fold each table's history exactly once per branch; the match scan
-    // below and the paired update() both reuse these (ghist_ shifts only
-    // at the end of update(), so they stay valid until then).
+    // The match scan below and the paired update() both reuse these
+    // (the history shifts only at the end of update()).
     base_idx_ = static_cast<uint32_t>(pc >> 2) & base_mask_;
     for (int t = 0; t < kTables; ++t) {
         idx_[t] = index(pc, t);
@@ -233,14 +279,7 @@ TagePredictor::update(uint64_t pc, bool taken)
         }
     }
 
-    // Shift global history (256 bits across four words).
-    const uint64_t carry3 = ghist_[2] >> 63;
-    const uint64_t carry2 = ghist_[1] >> 63;
-    const uint64_t carry1 = ghist_[0] >> 63;
-    ghist_[3] = (ghist_[3] << 1) | carry3;
-    ghist_[2] = (ghist_[2] << 1) | carry2;
-    ghist_[1] = (ghist_[1] << 1) | carry1;
-    ghist_[0] = (ghist_[0] << 1) | (taken ? 1 : 0);
+    shiftHistory(taken);
 }
 
 bool
@@ -266,61 +305,23 @@ makePredictor(const std::string& name)
 
 // ---- BTB ------------------------------------------------------------------
 
-Btb::Btb(uint32_t entries, uint32_t ways) : ways_(ways)
+namespace {
+
+uint32_t
+btbSets(uint32_t entries, uint32_t ways)
 {
-    VT_ASSERT(entries % ways == 0, "BTB entries must divide into ways");
-    sets_ = entries / ways;
-    VT_ASSERT((sets_ & (sets_ - 1)) == 0, "BTB set count must be 2^k");
-    set_mask_ = sets_ - 1;
-    slots_.resize(entries);
+    VT_ASSERT(ways > 0 && entries > 0 && entries % ways == 0,
+              "BTB entries must divide into ways");
+    const uint32_t sets = entries / ways;
+    VT_ASSERT((sets & (sets - 1)) == 0, "BTB set count must be 2^k");
+    return sets;
 }
 
-bool
-Btb::access(uint64_t pc)
+} // namespace
+
+Btb::Btb(uint32_t entries, uint32_t ways)
+    : sets_(btbSets(entries, ways), ways)
 {
-    ++accesses_;
-    ++tick_;
-    const uint64_t key = pc >> 2;
-    if (key == mru_key_) {
-        // Same branch as the previous lookup: still resident (only
-        // access() evicts, and it retargets the MRU). Same bookkeeping
-        // as the scan's hit arm, so stats and LRU are bit-identical.
-        mru_entry_->lru = tick_;
-        return true;
-    }
-    const uint32_t set = static_cast<uint32_t>(key) & set_mask_;
-    Entry* base = &slots_[static_cast<size_t>(set) * ways_];
-    // Fused hit + victim scan (same idiom as Cache::scanLine): track the
-    // first invalid way, else the first minimum-lru way, while looking
-    // for the tag. Identical replacement choice to the two-pass scan.
-    Entry* invalid = nullptr;
-    Entry* lru_entry = base;
-    for (uint32_t w = 0; w < ways_; ++w) {
-        Entry& e = base[w];
-        if (!e.valid) {
-            if (invalid == nullptr) {
-                invalid = &e;
-            }
-            continue;
-        }
-        if (e.tag == key) {
-            e.lru = tick_;
-            mru_key_ = key;
-            mru_entry_ = &e;
-            return true;
-        }
-        if (e.lru < lru_entry->lru) {
-            lru_entry = &e;
-        }
-    }
-    ++misses_;
-    Entry* victim = invalid != nullptr ? invalid : lru_entry;
-    victim->valid = true;
-    victim->tag = key;
-    victim->lru = tick_;
-    mru_key_ = key;
-    mru_entry_ = victim;
-    return false;
 }
 
 } // namespace vtrans::uarch

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "uarch/lru.h"
+
 namespace vtrans::uarch {
 
 /** Direction predictor interface. */
@@ -89,10 +91,24 @@ class PentiumMPredictor : public BranchPredictor
  * TAGE: a bimodal base predictor plus N partially-tagged tables indexed
  * with geometrically growing global-history lengths; longest matching
  * tag wins, with useful-bit guided allocation on mispredicts.
+ *
+ * Each table's index and tag hash fold its history length into 10, 8
+ * and 7 bits by XOR. The fold restarts at every 64-bit history word:
+ * history bit j (0 = newest) lands on fold bit ((j mod 64) mod width).
+ * The twelve folds are kept as registers and updated in O(1) per
+ * branch (see shiftHistory()) instead of being refolded from the
+ * history words.
  */
 class TagePredictor : public BranchPredictor
 {
   public:
+    static constexpr int kTables = 4;
+    static constexpr int kTableBits = 10;
+    static constexpr int kHistLengths[kTables] = {5, 15, 44, 130};
+    /** Fold widths: the index hash, then the two tag hashes. */
+    static constexpr int kFolds = 3;
+    static constexpr int kFoldWidths[kFolds] = {kTableBits, 8, 7};
+
     TagePredictor();
 
     bool predict(uint64_t pc) override;
@@ -100,11 +116,17 @@ class TagePredictor : public BranchPredictor
     bool predictAndUpdate(uint64_t pc, bool taken) final;
     std::string name() const override { return "tage"; }
 
+    /** Fold register `fold` (index into kFoldWidths) of `table`. */
+    uint32_t foldRegister(int table, int fold) const
+    {
+        return folds_[table][fold].value;
+    }
+
+    /** Global history word `i` of 4 (bit 0 of word 0 is the newest). */
+    uint64_t historyWord(int i) const { return ghist_[i]; }
+
   private:
-    static constexpr int kTables = 4;
-    static constexpr int kTableBits = 10;
     static constexpr uint32_t kTableSize = 1u << kTableBits;
-    static constexpr int kHistLengths[kTables] = {5, 15, 44, 130};
 
     struct Entry
     {
@@ -113,20 +135,34 @@ class TagePredictor : public BranchPredictor
         uint8_t useful = 0;
     };
 
+    /** One fold register and the constants of its O(1) update. */
+    struct Fold
+    {
+        uint32_t value = 0;
+        uint32_t width = 0;
+        uint32_t mask = 0;
+        uint32_t out_shift = 0; ///< Rotated position of the leaving bit.
+        /// Rotated positions of history bits 63 and 127, which must move
+        /// to fold bit 0 when they cross into the next word; 0 when the
+        /// rotation already puts them there or the bit is not folded.
+        uint32_t cross_shift[2] = {0, 0};
+    };
+
     uint32_t index(uint64_t pc, int table) const;
     uint16_t tag(uint64_t pc, int table) const;
-    uint64_t foldedHistory(int bits, int length) const;
+
+    /** Shifts `taken` into the history and updates every fold. */
+    void shiftHistory(bool taken);
 
     std::vector<uint8_t> base_; ///< Bimodal 2-bit counters.
     uint32_t base_mask_;        ///< base_.size() - 1, precomputed.
     std::vector<Entry> tables_[kTables];
     uint64_t ghist_[4] = {}; ///< 256 bits of global history.
+    Fold folds_[kTables][kFolds];
     uint64_t rng_state_ = 0x12345678;
 
-    // Prediction bookkeeping between predict() and update(). The per-table
-    // indices and tags are pure functions of (pc, ghist) and ghist only
-    // shifts at the end of update(), so predict() computes each folded
-    // history once and the paired update() reuses it.
+    // Prediction bookkeeping between predict() and update(): the
+    // per-table indices and tags reused by the paired update().
     int provider_ = -1;
     int altpred_table_ = -1;
     bool provider_pred_ = false;
@@ -147,34 +183,19 @@ std::unique_ptr<BranchPredictor> makePredictor(const std::string& name);
 class Btb
 {
   public:
-    Btb(uint32_t entries = 2048, uint32_t ways = 4);
+    static constexpr uint32_t kEntries = 2048;
+    static constexpr uint32_t kWays = 4;
+
+    Btb(uint32_t entries = kEntries, uint32_t ways = kWays);
 
     /** Looks up `pc`, inserting on miss. @return hit? */
-    bool access(uint64_t pc);
+    bool access(uint64_t pc) { return sets_.access(pc >> 2); }
 
-    uint64_t accesses() const { return accesses_; }
-    uint64_t misses() const { return misses_; }
+    uint64_t accesses() const { return sets_.accesses(); }
+    uint64_t misses() const { return sets_.misses(); }
 
   private:
-    struct Entry
-    {
-        uint64_t tag = 0;
-        uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    /// Sentinel for "no MRU key cached" (pc >> 2 never reaches this).
-    static constexpr uint64_t kNoKey = UINT64_MAX;
-
-    uint32_t sets_;
-    uint32_t ways_;
-    uint32_t set_mask_;          ///< sets_ - 1, precomputed.
-    std::vector<Entry> slots_;   ///< Stable storage (sized in the ctor).
-    uint64_t mru_key_ = kNoKey;  ///< Key of the most recent access.
-    Entry* mru_entry_ = nullptr; ///< Its resident entry.
-    uint64_t tick_ = 0;
-    uint64_t accesses_ = 0;
-    uint64_t misses_ = 0;
+    LruSets sets_;
 };
 
 } // namespace vtrans::uarch

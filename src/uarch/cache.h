@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "uarch/lru.h"
+
 namespace vtrans::uarch {
 
 /** Geometry of one cache level. */
@@ -25,136 +27,67 @@ struct CacheParams
 };
 
 /**
- * One set-associative cache level with true-LRU replacement.
- * Tag-only (no data): the simulator needs hit/miss, not contents.
+ * One set-associative cache level with true-LRU replacement over a
+ * packed tag store (uarch/lru.h). Tag-only (no data): the simulator
+ * needs hit/miss, not contents.
  *
- * Lookups take an MRU fast path: the line and way of the most recent
- * access are cached, so the streaming re-references that dominate the
- * codec's access pattern skip the set scan entirely. The fast path
- * performs the identical counter and LRU updates as the full scan, so
- * every statistic and every replacement decision is bit-identical.
+ * Lookups take an MRU fast path: the streaming re-references that
+ * dominate the codec's access pattern skip the set scan with the same
+ * bookkeeping as its hit arm, so every statistic and every replacement
+ * decision is bit-identical.
  */
 class Cache
 {
   public:
     Cache(std::string name, const CacheParams& params);
 
-    /**
-     * Looks up the line containing `addr`, filling on miss.
-     * @return true on hit.
-     *
-     * The MRU check is inline so L1-hit streams pay no out-of-line call;
-     * the set scan and fill live in scanLine() (cache.cc).
-     */
-    bool
-    access(uint64_t addr)
-    {
-        return accessLine(addr >> line_shift_);
-    }
+    /** Looks up the line containing `addr`, filling on miss.
+     *  @return true on hit. */
+    bool access(uint64_t addr) { return sets_.access(addr >> line_shift_); }
 
     /** access() with the line number already computed (callers holding a
      *  precomputed fetch plan skip the shift). */
-    bool
-    accessLine(uint64_t line)
-    {
-        ++accesses_;
-        ++tick_;
-        if (line == mru_line_) {
-            // Same line as the previous access: it is resident in
-            // mru_way_ (just hit or just filled there, and nothing
-            // evicted it since — any eviction goes through accessLine(),
-            // which retargets the MRU). Identical bookkeeping to the
-            // scan's hit arm.
-            mru_way_->lru = tick_;
-            return true;
-        }
-        return scanLine(line);
-    }
+    bool accessLine(uint64_t line) { return sets_.access(line); }
 
-    /**
-     * Hit-arm bookkeeping for `line` if it is still resident in way
-     * `slot` (a value previously obtained from mruSlot() right after an
-     * access to the same line). Returns false — performing *no*
-     * bookkeeping — when the slot has since been refilled with another
-     * line, in which case the caller falls back to accessLine().
-     *
-     * Exactness: a slot recorded for `line` always lies in `line`'s set,
-     * and at most one way of a set can hold a given tag, so a valid tag
-     * match here identifies the same way the full scan would hit; the
-     * counter/LRU/MRU updates below mirror that hit arm exactly.
-     */
+    /** Hit-arm bookkeeping for `line` if way `slot` still holds it (see
+     *  LruSets::touchIfResident); false, with no bookkeeping, if not. */
     bool
     touchIfResident(uint64_t line, uint32_t slot)
     {
-        Way& way = ways_[slot];
-        if (!way.valid || way.tag != (line >> tag_shift_)) {
-            return false;
-        }
-        ++accesses_;
-        ++tick_;
-        way.lru = tick_;
-        mru_line_ = line;
-        mru_way_ = &way;
-        return true;
+        return sets_.touchIfResident(line, slot);
     }
 
-    /** Index of the way holding the line just accessed (valid until the
-     *  next miss fills over it; touchIfResident() re-validates). */
-    uint32_t
-    mruSlot() const
-    {
-        return static_cast<uint32_t>(mru_way_ - ways_.data());
-    }
+    /** Index of the way holding the line just accessed. */
+    uint32_t mruSlot() const { return sets_.mruSlot(); }
 
-    /** Way index of way 0 of the set `line` maps to — the safe initial
-     *  value for a fetch-plan slot (same-set, so a tag match in
-     *  touchIfResident() is sound). */
-    uint32_t
-    setBaseSlot(uint64_t line) const
-    {
-        return (static_cast<uint32_t>(line) & set_mask_) * params_.assoc;
-    }
+    /** Way 0 of the set `line` maps to: a safe initial fetch-plan slot. */
+    uint32_t setBaseSlot(uint64_t line) const { return sets_.setBaseSlot(line); }
+
+    /** True if `line` is within the simulated address range. */
+    bool fitsLine(uint64_t line) const { return sets_.fits(line); }
 
     /** Probes without updating LRU or filling (testing aid). */
-    bool contains(uint64_t addr) const;
+    bool contains(uint64_t addr) const
+    {
+        return sets_.contains(addr >> line_shift_);
+    }
 
     /** Invalidates everything. */
-    void reset();
+    void reset() { sets_.reset(); }
 
     const std::string& name() const { return name_; }
-    uint64_t accesses() const { return accesses_; }
-    uint64_t misses() const { return misses_; }
-    uint32_t sets() const { return sets_; }
+    uint64_t accesses() const { return sets_.accesses(); }
+    uint64_t misses() const { return sets_.misses(); }
+    uint32_t sets() const { return sets_.sets(); }
     uint32_t assoc() const { return params_.assoc; }
     uint32_t lineBytes() const { return params_.line_bytes; }
     uint32_t lineShift() const { return line_shift_; }
 
   private:
-    struct Way
-    {
-        uint64_t tag = 0;
-        uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    /** Set scan + fill after an MRU miss (the cold half of accessLine). */
-    bool scanLine(uint64_t line);
-
-    /// Sentinel for "no MRU line cached" (never a real line number).
-    static constexpr uint64_t kNoLine = UINT64_MAX;
-
     std::string name_;
     CacheParams params_;
-    uint32_t sets_;
-    uint32_t line_shift_;  ///< log2(line_bytes): addr -> line without divide.
-    uint32_t set_mask_;    ///< sets_ - 1, precomputed.
-    uint32_t tag_shift_;   ///< log2(sets_), precomputed.
-    std::vector<Way> ways_; ///< sets_ x assoc, row-major (stable storage).
-    uint64_t mru_line_ = kNoLine; ///< Line of the most recent access.
-    Way* mru_way_ = nullptr;      ///< Its resident way.
-    uint64_t tick_ = 0;
-    uint64_t accesses_ = 0;
-    uint64_t misses_ = 0;
+    uint32_t line_shift_; ///< log2(line_bytes): addr -> line without divide.
+    LruSets sets_;
 };
 
 /** Access latencies (cycles) of each level of the hierarchy. */
@@ -178,80 +111,67 @@ struct AccessResult
     bool l4_miss = false;
 };
 
+/** The level that served an L1 miss (OuterLevels::walk). */
+enum MissLevel : uint32_t
+{
+    kServedL2 = 0,
+    kServedL3 = 1,
+    kServedL4 = 2,
+    kServedMemory = 3,
+};
+
+/** Cycles an L1 miss served at `level` adds beyond the L1 latency. */
+inline int
+missLatency(uint32_t level, const LatencyParams& lat)
+{
+    const int by_level[] = {lat.l2, lat.l3, lat.l4, lat.memory};
+    return by_level[level];
+}
+
 /**
- * The full data/instruction hierarchy: split L1s, unified L2/L3 and an
- * optional L4. Inclusive-enough behaviour for MPKI purposes: each miss
- * falls through to the next level and fills every level on the way back.
+ * The levels behind the split L1s: a unified L2, L3 and optional L4
+ * (the core model shares an instance among the classes whose L1s and
+ * outer geometry coincide; DESIGN.md §13).
+ * Inclusive-enough behaviour for MPKI purposes: each miss falls through
+ * to the next level and fills every level on the way back.
  */
-class CacheHierarchy
+class OuterLevels
 {
   public:
-    /**
-     * @param l4_size 0 disables the L4 level (the baseline config).
-     */
-    CacheHierarchy(const CacheParams& l1d, const CacheParams& l1i,
-                   const CacheParams& l2, const CacheParams& l3,
-                   uint32_t l4_size, const LatencyParams& lat);
+    /** @param l4_size 0 disables the L4 level (the baseline config). */
+    OuterLevels(const CacheParams& l2, const CacheParams& l3,
+                uint32_t l4_size);
 
-    /** A data-side access (loads and stores: write-allocate). The L1-hit
-     *  arm — by far the common case — is inline; misses walk the shared
-     *  levels out of line. */
-    AccessResult
-    dataAccess(uint64_t addr)
+    /** Walks an L1 miss of `addr` down the levels; returns the MissLevel
+     *  that served it. */
+    uint32_t
+    walk(uint64_t addr)
     {
-        if (l1d_.access(addr)) {
-            return {lat_.l1, false, false, false, false};
+        if (l2_.access(addr)) {
+            return kServedL2;
         }
-        return dataMiss(addr);
+        if (l3_.access(addr)) {
+            return kServedL3;
+        }
+        if (l4_ != nullptr && l4_->access(addr)) {
+            return kServedL4;
+        }
+        return kServedMemory;
     }
 
-    /** An instruction-fetch access. */
-    AccessResult
-    fetchAccess(uint64_t addr)
-    {
-        if (l1i_.access(addr)) {
-            return {lat_.l1, false, false, false, false};
-        }
-        return fetchMiss(addr);
-    }
-
-    /** fetchAccess() with the L1i line number already computed (per-site
-     *  fetch plans precompute it once per site). */
-    AccessResult
-    fetchLineAccess(uint64_t line)
-    {
-        if (l1i_.accessLine(line)) {
-            return {lat_.l1, false, false, false, false};
-        }
-        return fetchMiss(line << l1i_.lineShift());
-    }
-
-    Cache& l1d() { return l1d_; }
-    Cache& l1i() { return l1i_; }
-    Cache& l2() { return l2_; }
-    Cache& l3() { return l3_; }
     bool hasL4() const { return l4_ != nullptr; }
-    Cache& l4() { return *l4_; }
-    const LatencyParams& latencies() const { return lat_; }
-
-    void reset();
 
   private:
-    AccessResult missPath(uint64_t addr);
-
-    /** L1d-miss continuation of dataAccess (L2 -> L3 -> L4 -> memory). */
-    AccessResult dataMiss(uint64_t addr);
-
-    /** L1i-miss continuation of fetchAccess/fetchLineAccess. */
-    AccessResult fetchMiss(uint64_t addr);
-
-    Cache l1d_;
-    Cache l1i_;
     Cache l2_;
     Cache l3_;
     std::unique_ptr<Cache> l4_;
-    LatencyParams lat_;
 };
+
+/** One access of `addr` through an L1 and the levels behind it: the L1
+ *  latency on a hit, else the miss path, filling every level on the way
+ *  back. */
+AccessResult hierarchyAccess(Cache& l1, OuterLevels& outer,
+                             const LatencyParams& lat, uint64_t addr);
 
 } // namespace vtrans::uarch
 

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <span>
 
 #include "common/status.h"
+#include "uarch/branch.h"
+#include "uarch/ringbuf.h"
+#include "uarch/tlb.h"
 
 namespace vtrans::uarch {
 
@@ -149,59 +154,147 @@ SiteUarch::add(const SiteUarch& other)
     btb_misses += other.btb_misses;
 }
 
-// ---- CoreModel -------------------------------------------------------------
 
-CoreModel::CoreModel(const CoreParams& params)
-    : params_(params),
-      reference_stepping_(params.reference_stepping),
-      caches_(params.l1d, params.l1i, params.l2, params.l3, params.l4_size,
-              params.latencies),
-      itlb_(params.itlb_entries),
-      predictor_(makePredictor(params.predictor)),
-      btb_(),
-      // Window rings hold at most one coalesced entry per occupant, so
-      // reserving the modelled structure size up front means steady-state
-      // pushes never reallocate — even with the fast-forward path's lazy
-      // draining, occupancy (and thus entry count) stays bounded by the
-      // structure size via ensure*Space().
-      rob_(static_cast<size_t>(std::max(params.rob_size, 1))),
-      rs_(static_cast<size_t>(std::max(params.rs_size, 1))),
-      sb_(static_cast<size_t>(std::max(params.sb_size, 1))),
-      mshr_(static_cast<size_t>(std::max(params.mshr_entries, 1)) * 2)
-{
-    VT_ASSERT(params_.width > 0 && params_.rob_size > 0
-                  && params_.rs_size > 0 && params_.sb_size > 0,
-              "invalid core parameters");
-    // A load's latency and a block's fetch penalty cross the ring in
-    // 29- and 30-bit fields (StageRecord); latencies below 2^24 keep
-    // both sums in range.
-    const LatencyParams& lat = params_.latencies;
-    for (int cycles : {lat.l1, lat.l2, lat.l3, lat.l4, lat.memory,
-                       lat.itlb_miss}) {
-        VT_ASSERT(cycles >= 0 && cycles < (1 << 24),
-                  "invalid core parameters: latency ", cycles);
-    }
-    stats_.width = params_.width;
-    stats_.freq_ghz = params_.freq_ghz;
-    if (params_.attribute_sites) {
-        attr_cur_ = &attr_unattributed_;
-        order_attr_cur_ = &order_attr_unattributed_;
-    }
-    if (params_.phase_window > 0) {
-        next_phase_ = params_.phase_window;
-    }
-    ring_[0].records = std::make_unique_for_overwrite<StageRecord[]>(
-        kSlotRecords);
-    pos_ = ring_[0].records.get();
-    end_ = pos_ + kSlotRecords;
-}
-
-CoreModel::~CoreModel()
-{
-    stopHelpers();
-}
+// ---- Validation -------------------------------------------------------------
 
 namespace {
+
+bool
+isPowerOfTwo(uint64_t v)
+{
+    return v != 0 && (v & (v - 1)) == 0;
+}
+
+/** Latencies (and so the sums the stage words carry) stay below 2^15. */
+constexpr int kMaxLatency = 1 << 15;
+
+void
+validateCache(const std::string& cls, const char* field,
+              const CacheParams& c)
+{
+    if (!isPowerOfTwo(c.line_bytes)) {
+        VT_FATAL("core class '", cls, "': ", field,
+                 ".line_bytes must be a power of two, got ", c.line_bytes);
+    }
+    if (c.assoc == 0) {
+        VT_FATAL("core class '", cls, "': ", field,
+                 ".assoc must be at least 1");
+    }
+    const uint64_t set_bytes =
+        static_cast<uint64_t>(c.line_bytes) * c.assoc;
+    if (c.size_bytes % set_bytes != 0
+        || !isPowerOfTwo(c.size_bytes / set_bytes)) {
+        VT_FATAL("core class '", cls, "': ", field, ".size_bytes (",
+                 c.size_bytes, ") must be a power-of-two number of sets of ",
+                 set_bytes, " bytes");
+    }
+}
+
+} // namespace
+
+void
+validateCoreParams(const CoreParams& p)
+{
+    const std::string& cls = p.name;
+    const std::pair<const char*, int> at_least_one[] = {
+        {"width", p.width},
+        {"rob_size", p.rob_size},
+        {"rs_size", p.rs_size},
+        {"sb_size", p.sb_size},
+        {"mshr_entries", p.mshr_entries},
+    };
+    for (const auto& [field, value] : at_least_one) {
+        if (value < 1) {
+            VT_FATAL("core class '", cls, "': ", field,
+                     " must be at least 1, got ", value);
+        }
+    }
+    const std::pair<const char*, int> penalties[] = {
+        {"mispredict_penalty", p.mispredict_penalty},
+        {"btb_miss_penalty", p.btb_miss_penalty},
+        {"taken_bubble", p.taken_bubble},
+    };
+    for (const auto& [field, value] : penalties) {
+        if (value < 0) {
+            VT_FATAL("core class '", cls, "': ", field,
+                     " must be at least 0, got ", value);
+        }
+    }
+    const std::pair<const char*, int> latencies[] = {
+        {"latencies.l1", p.latencies.l1},
+        {"latencies.l2", p.latencies.l2},
+        {"latencies.l3", p.latencies.l3},
+        {"latencies.l4", p.latencies.l4},
+        {"latencies.memory", p.latencies.memory},
+        {"latencies.itlb_miss", p.latencies.itlb_miss},
+    };
+    for (const auto& [field, value] : latencies) {
+        if (value < 0 || value >= kMaxLatency) {
+            VT_FATAL("core class '", cls, "': ", field, " must be in [0, ",
+                     kMaxLatency, "), got ", value);
+        }
+    }
+    if (!(p.freq_ghz > 0.0)) {
+        VT_FATAL("core class '", cls, "': freq_ghz must be positive, got ",
+                 p.freq_ghz);
+    }
+    validateCache(cls, "l1d", p.l1d);
+    validateCache(cls, "l1i", p.l1i);
+    validateCache(cls, "l2", p.l2);
+    validateCache(cls, "l3", p.l3);
+    if (p.l4_size > 0) {
+        validateCache(cls, "l4_size", {p.l4_size, 16, 64});
+    }
+    if (p.itlb_entries == 0 || p.itlb_entries % Tlb::kWays != 0
+        || !isPowerOfTwo(p.itlb_entries / Tlb::kWays)) {
+        VT_FATAL("core class '", cls, "': itlb_entries must be a "
+                 "power-of-two number of ", Tlb::kWays, "-way sets, got ",
+                 p.itlb_entries);
+    }
+    static_assert(Btb::kEntries % Btb::kWays == 0
+                      && ((Btb::kEntries / Btb::kWays)
+                          & (Btb::kEntries / Btb::kWays - 1))
+                             == 0,
+                  "the BTB must be a power-of-two number of sets");
+    if (p.predictor != "pentium_m" && p.predictor != "tage") {
+        VT_FATAL("core class '", cls, "': predictor must be pentium_m or "
+                 "tage, got '", p.predictor, "'");
+    }
+}
+
+// ---- Record encoding ---------------------------------------------------------
+
+namespace {
+
+// Raw record kind bits (CoreModel::StageRecord::tag).
+constexpr uint64_t kBlockBit = 1;
+constexpr uint64_t kBranchBit = 2;
+constexpr uint64_t kFlagBit = 4;
+constexpr uint64_t kKindBits = 7;
+
+static_assert(alignof(trace::CodeSite) >= 8,
+              "site records tag the low three bits of a CodeSite pointer");
+
+// Outcome word of a site record:
+//   bits 0-31 L1i misses, bits 32-61 fetch penalty,
+//   kMispredictBit, kBtbHitBit.
+constexpr uint64_t kMispredictBit = 1ull << 62;
+constexpr uint64_t kBtbHitBit = 1ull << 63;
+constexpr uint64_t kPenaltyMask = (1ull << 30) - 1;
+
+// Outcome word of a memory record: 16-bit L1d, L2 and L3 miss counts at
+// bits 0, 16 and 32, and the load latency at bit 48. A record may span
+// at most kMaxRecordLines lines so the counts fit.
+constexpr uint32_t kMaxRecordLines = 0xffff;
+
+/** Bit `level` (a MissLevel) set for every level that served a line. */
+constexpr uint32_t kServedMasks = 16;
+
+const trace::CodeSite&
+siteOf(uint64_t tag)
+{
+    return *reinterpret_cast<const trace::CodeSite*>(tag & ~kKindBits);
+}
 
 /** The bucket of `site_id` in a per-site table, growing it on demand. */
 SiteUarch&
@@ -213,70 +306,465 @@ siteBucket(std::vector<SiteUarch>& table, uint32_t site_id)
     return table[site_id];
 }
 
+bool
+sameCache(const CacheParams& a, const CacheParams& b)
+{
+    return a.size_bytes == b.size_bytes && a.assoc == b.assoc
+           && a.line_bytes == b.line_bytes;
+}
+
+bool
+sameLatencies(const LatencyParams& a, const LatencyParams& b)
+{
+    return a.l1 == b.l1 && a.l2 == b.l2 && a.l3 == b.l3 && a.l4 == b.l4
+           && a.memory == b.memory && a.itlb_miss == b.itlb_miss;
+}
+
+/** The first element of `groups` matching `same`, appending `make()`
+ *  when none does. `groups` must have the capacity reserved, so that
+ *  earlier elements never move. */
+template <typename T, typename Same, typename Make>
+T*
+findOrAdd(std::vector<T>& groups, Same same, Make make)
+{
+    for (T& g : groups) {
+        if (same(g)) {
+            return &g;
+        }
+    }
+    VT_ASSERT(groups.size() < groups.capacity(), "group storage moved");
+    groups.push_back(make());
+    return &groups.back();
+}
+
 } // namespace
 
-void
-CoreModel::capturePhase()
+// ---- Functional stage state ---------------------------------------------------
+
+/**
+ * Precomputed instruction-fetch geometry of one code site for one L1i.
+ * The block's line span and iTLB page are pure functions of the site's
+ * (immutable) size and its layout address, so they are computed once per
+ * site and rebuilt only if a relayout pass rewrites the address
+ * (`address` is the validity key). `slots` remembers, per line, the way
+ * the line was last resident in; Cache::touchIfResident() re-validates
+ * the hint on every use, so a stale slot costs one failed tag compare,
+ * never a wrong result.
+ */
+struct SiteFetchPlan
 {
-    PhaseSample s;
-    s.instructions = stats_.instructions;
-    s.cycles = cur_cycle_;
-    s.slots_retiring = stats_.slots_retiring;
-    s.slots_frontend = stats_.slots_frontend;
-    s.slots_bad_spec = stats_.slots_bad_spec;
-    s.slots_backend_memory = stats_.slots_backend_memory;
-    s.slots_backend_core = stats_.slots_backend_core;
-    s.branches = stats_.branches;
-    s.branch_mispredicts = stats_.branch_mispredicts;
-    s.l1d_misses = stats_.l1d_misses;
-    s.l2_misses = stats_.l2_misses;
-    s.l3_misses = stats_.l3_misses;
-    s.l1i_misses = stats_.l1i_misses;
-    phase_.push_back(s);
-    next_phase_ += params_.phase_window;
+    /// No site ever lands at this address (layout starts at
+    /// SiteRegistry::kTextBase and grows).
+    static constexpr uint64_t kNoAddress = UINT64_MAX;
+
+    uint64_t address = kNoAddress; ///< Site address at build time.
+    uint64_t first_line = 0;       ///< First L1i line index.
+    uint32_t line_count = 0;       ///< Lines spanned by the block.
+    std::vector<uint32_t> slots;   ///< Resident-way hint per line.
+};
+
+/**
+ * Every structure the classes' functional stages would hold, each kept
+ * once per distinct (parameters, input stream) — the sharing keys of
+ * DESIGN.md §13:
+ *
+ *   L1d            its CacheParams (input: every memory record)
+ *   L1i            its CacheParams (input: every block record)
+ *   outer levels   (L1d, L1i, L2, L3, L4 size): fed by the misses of
+ *                  exactly those two L1s, interleaved in event order
+ *   iTLB           entry count (input: every block record)
+ *   predictor+BTB  predictor family (input: every branch; the BTB sees
+ *                  the branches its predictor got right)
+ *   annotation     (outer levels, iTLB, predictor, latencies): one
+ *                  outcome word per record, read by the timing stage of
+ *                  every class in the group
+ *
+ * Each structure also keeps the outcome of the record being processed,
+ * which the annotation groups then combine.
+ */
+struct CoreModel::Functional
+{
+    struct Outer;
+
+    struct DataL1
+    {
+        explicit DataL1(const CacheParams& p) : params(p), cache("L1d", p) {}
+
+        CacheParams params;
+        Cache cache;
+        std::vector<Outer*> outers;   ///< Outer groups this L1d feeds.
+        uint64_t accesses = 0;        ///< CoreStats::l1d_accesses.
+        uint64_t lines = 0;           ///< Lines of the current record.
+    };
+
+    struct FetchL1
+    {
+        explicit FetchL1(const CacheParams& p) : params(p), cache("L1i", p) {}
+
+        CacheParams params;
+        Cache cache;
+        std::vector<Outer*> outers;   ///< Outer groups this L1i feeds.
+        std::vector<SiteFetchPlan> plans; ///< By trace::CodeSite::id.
+        uint64_t accesses = 0;        ///< CoreStats::l1i_accesses.
+        uint32_t lines = 0;           ///< Lines of the current block.
+    };
+
+    struct Outer
+    {
+        DataL1* l1d = nullptr;
+        FetchL1* l1i = nullptr;
+        CacheParams l2;
+        CacheParams l3;
+        uint32_t l4_size = 0;
+        OuterLevels levels;
+        // The current record's L1 misses through these levels.
+        uint32_t l1_misses = 0;
+        uint32_t l2_misses = 0;
+        uint32_t l3_misses = 0;
+        uint32_t served = 0; ///< Bit per MissLevel that served a line.
+
+        void
+        clear()
+        {
+            l1_misses = l2_misses = l3_misses = served = 0;
+        }
+
+        /** One L1 miss of line address `addr`. */
+        void
+        miss(uint64_t addr)
+        {
+            VT_ASSERT(l1_misses < kMaxRecordLines,
+                      "one probe event spans too many cache lines");
+            const uint32_t level = levels.walk(addr);
+            ++l1_misses;
+            l2_misses += level >= kServedL3 ? 1 : 0;
+            l3_misses += level >= kServedL4 ? 1 : 0;
+            served |= 1u << level;
+        }
+    };
+
+    struct Itlb
+    {
+        uint32_t entries = 0;
+        Tlb tlb;
+        uint64_t misses = 0; ///< CoreStats::itlb_misses.
+        bool miss = false;   ///< The current block missed.
+    };
+
+    struct Predictor
+    {
+        explicit Predictor(const std::string& family)
+            : name(family), predictor(makePredictor(family))
+        {
+        }
+
+        std::string name;
+        std::unique_ptr<BranchPredictor> predictor;
+        Btb btb;
+        uint64_t btb_misses = 0; ///< CoreStats::btb_misses.
+        // The current branch.
+        uint64_t outcome = 0; ///< kMispredictBit, kBtbHitBit or 0.
+        bool btb_miss = false;
+    };
+
+    struct Annotation
+    {
+        Outer* outer = nullptr;
+        Itlb* itlb = nullptr;
+        Predictor* predictor = nullptr;
+        LatencyParams lat;
+        /// Load latency and fetch penalty by Outer::served mask.
+        uint32_t data_latency[kServedMasks] = {};
+        uint32_t fetch_penalty[kServedMasks] = {};
+        /// The outcome word of a memory record whose lines all hit.
+        uint64_t all_hit_data = 0;
+        // The order-only per-site tallies (event counts, branch and
+        // cache outcomes), merged into each attributing class's table
+        // at finish(). `cur` is null unless a class of the group
+        // attributes, and otherwise follows ClassTiming::attr_cur.
+        std::vector<SiteUarch> sites;
+        SiteUarch unattributed;
+        SiteUarch* cur = nullptr;
+    };
+
+    std::vector<DataL1> l1d;
+    std::vector<FetchL1> l1i;
+    std::vector<Outer> outers;
+    std::vector<Itlb> itlbs;
+    std::vector<Predictor> predictors;
+    std::vector<Annotation> annotations;
+
+    /** The fetch plan of `site` at `address` in `fl` (built on demand:
+     *  at a site's first sighting, or after a relayout moved it). */
+    static SiteFetchPlan&
+    planFor(FetchL1& fl, const trace::CodeSite& site, uint64_t address)
+    {
+        if (site.id < fl.plans.size()
+            && fl.plans[site.id].address == address) [[likely]] {
+            return fl.plans[site.id];
+        }
+        return rebuildPlan(fl, site, address);
+    }
+    static SiteFetchPlan& rebuildPlan(FetchL1& fl,
+                                      const trace::CodeSite& site,
+                                      uint64_t address);
+
+    /** The members of a group vector, as a one-element span of
+     *  compile-time extent when the model has one of each structure. */
+    template <bool kOneOfEach, typename T>
+    static std::span<T>
+    each(std::vector<T>& groups)
+    {
+        if constexpr (kOneOfEach) {
+            return std::span<T, 1>(groups.data(), 1);
+        } else {
+            return std::span<T>(groups);
+        }
+    }
+
+    /** L1i walks and iTLB lookups of one block; returns whether any
+     *  L1i missed (the outer tallies are valid only then). */
+    template <bool kOneOfEach>
+    bool fetchBlock(const trace::CodeSite& site, uint64_t address);
+
+    /** Predictor updates (and the BTB probe of a correctly predicted
+     *  taken branch). */
+    template <bool kOneOfEach>
+    void predictBranch(uint64_t address, bool taken);
+
+    /** L1d -> L4 walks of one load or store; returns whether any L1d
+     *  missed (the outer tallies are valid only then). */
+    template <bool kOneOfEach>
+    bool walkData(uint64_t addr, uint32_t bytes);
+
+    /** Zeroes every outer group's tallies (at a record's first miss). */
+    template <bool kOneOfEach>
+    void
+    clearOuters()
+    {
+        for (Outer& o : each<kOneOfEach>(outers)) {
+            o.clear();
+        }
+    }
+};
+
+// ---- Timing stage state -------------------------------------------------------
+
+/** One class's dispatch and window model, with its results. */
+struct CoreModel::ClassTiming
+{
+    enum class StallCause : uint8_t
+    {
+        Frontend,
+        BadSpeculation,
+        BackendMemory,
+        BackendCore,
+    };
+
+    struct WindowEntry
+    {
+        uint64_t time;  ///< Retire/issue/drain cycle.
+        uint32_t count; ///< Instructions coalesced into this entry.
+        bool is_mem;    ///< Blocking on memory (stall attribution).
+    };
+
+    ClassTiming(const CoreParams& p, uint32_t annotation_group);
+
+    /** Consumes `count` records in order; record i's outcome word is
+     *  words[i << shift] (shift 1 reads the records' own `word`). */
+    void run(const StageRecord* records, const uint64_t* words,
+             uint32_t shift, size_t count);
+
+    void timeBlock(const trace::CodeSite& site, uint64_t outcome);
+    void timeBranch(const trace::CodeSite& site, bool taken,
+                    uint64_t outcome);
+    void timeLoad(uint64_t outcome);
+    void timeStore(uint64_t outcome);
+
+    /** Applies a fetch penalty starting now (0 = none). */
+    void delayFetch(uint64_t penalty);
+
+    /** The window side of a block: its instructions in chunks. */
+    void dispatchBlock(const trace::CodeSite& site);
+
+    /** Dispatch of a resolving branch; returns its resolve cycle. */
+    uint64_t dispatchBranch(const trace::CodeSite& site);
+
+    /** Redirect after a branch resolved at `resolve`. */
+    void redirect(bool taken, bool mispredict, bool btb_hit,
+                  uint64_t resolve);
+
+    /** The MSHR-limited completion of a load of `latency` cycles. */
+    uint64_t loadComplete(int latency, bool reference);
+
+    void advanceTo(uint64_t target_cycle, StallCause cause);
+    void dispatch(uint32_t count);
+    void referenceDispatch(uint32_t count);
+    void resolveFrontend();
+    void ensureRobSpace(uint32_t count);
+    void ensureRsSpace(uint32_t count);
+    void ensureSbSpace(uint32_t count);
+    void robPush(uint64_t complete, uint32_t count, bool is_mem);
+    void rsPush(uint64_t free, uint32_t count, bool is_mem);
+    void sbPush(uint64_t drain_time, uint32_t count);
+    void drain();
+    void capturePhase();
+
+    /** Runs the clock to the last retirement and closes the counters. */
+    void finishClock();
+
+    static constexpr uint32_t kNoShift = UINT32_MAX;
+
+    CoreParams params;
+    uint32_t annotation = 0; ///< Functional::annotations index.
+    bool reference_stepping = false;
+    /// log2(width) when the width is a power of two, else kNoShift.
+    uint32_t width_shift = kNoShift;
+    /// Largest instruction chunk a block dispatches at once: the
+    /// smaller window structure.
+    uint32_t max_chunk = 0;
+
+    // Dispatch state.
+    alignas(64) uint64_t cur_cycle = 0;
+    uint32_t slots_in_cycle = 0;
+
+    // Frontend availability.
+    uint64_t fetch_ready = 0;
+    StallCause fetch_reason = StallCause::Frontend;
+
+    // Window occupancy. Ring buffers instead of deques: coalescing keeps
+    // the entry count far below the modelled structure size, so in
+    // steady state these never allocate (see uarch/ringbuf.h).
+    RingBuffer<WindowEntry> rob;
+    RingBuffer<WindowEntry> rs;
+    RingBuffer<WindowEntry> sb;
+    uint64_t rob_count = 0;
+    uint64_t rs_count = 0;
+    uint64_t sb_count = 0;
+    uint64_t rob_last_complete = 0;
+    uint64_t rs_last_free = 0;
+    uint64_t sb_last_drain = 0;
+
+    uint64_t last_load_complete = 0;
+    RingBuffer<uint64_t> mshr; ///< Completion times of in-flight misses.
+
+    /** mshr.front() (UINT64_MAX when empty), cached so a load skips the
+     *  head-pruning loop entirely while the oldest miss is still in the
+     *  future — the common case on a streaming miss train. */
+    uint64_t mshr_head = UINT64_MAX;
+
+    CoreStats stats;
+
+    // Per-site attribution (CoreParams::attribute_sites): the time-based
+    // charges here, the order-only ones in the annotation group's table.
+    // attr_cur is null when attribution is off — a single predictable
+    // branch guards every mirrored charge — and otherwise always points
+    // at a live bucket (initially the unattributed one). It is refreshed
+    // on every site record, the only records that can grow attr_sites,
+    // so it never dangles across intervening loads/stores.
+    std::vector<SiteUarch> attr_sites;
+    SiteUarch attr_unattributed;
+    SiteUarch* attr_cur = nullptr;
+
+    // Phase time-series (CoreParams::phase_window). next_phase stays at
+    // UINT64_MAX when sampling is off, so the hot dispatch loop pays one
+    // never-taken compare per instruction.
+    std::vector<PhaseSample> phase;
+    uint64_t next_phase = UINT64_MAX;
+};
+
+CoreModel::ClassTiming::ClassTiming(const CoreParams& p,
+                                    uint32_t annotation_group)
+    : params(p), annotation(annotation_group),
+      reference_stepping(p.reference_stepping),
+      // Window rings hold at most one coalesced entry per occupant, so
+      // reserving the modelled structure size up front means steady-state
+      // pushes never reallocate — even with the fast-forward path's lazy
+      // draining, occupancy (and thus entry count) stays bounded by the
+      // structure size via ensure*Space().
+      rob(static_cast<size_t>(p.rob_size)),
+      rs(static_cast<size_t>(p.rs_size)),
+      sb(static_cast<size_t>(p.sb_size)),
+      mshr(static_cast<size_t>(p.mshr_entries) * 2)
+{
+    stats.width = params.width;
+    stats.freq_ghz = params.freq_ghz;
+    const auto width = static_cast<uint32_t>(params.width);
+    if ((width & (width - 1)) == 0) {
+        width_shift = static_cast<uint32_t>(__builtin_ctz(width));
+    }
+    max_chunk =
+        static_cast<uint32_t>(std::min(params.rob_size, params.rs_size));
+    if (params.attribute_sites) {
+        attr_cur = &attr_unattributed;
+    }
+    if (params.phase_window > 0) {
+        next_phase = params.phase_window;
+    }
 }
 
 void
-CoreModel::advanceTo(uint64_t target_cycle, StallCause cause)
+CoreModel::ClassTiming::capturePhase()
 {
-    if (target_cycle <= cur_cycle_) {
+    PhaseSample s;
+    s.instructions = stats.instructions;
+    s.cycles = cur_cycle;
+    s.slots_retiring = stats.slots_retiring;
+    s.slots_frontend = stats.slots_frontend;
+    s.slots_bad_spec = stats.slots_bad_spec;
+    s.slots_backend_memory = stats.slots_backend_memory;
+    s.slots_backend_core = stats.slots_backend_core;
+    s.branches = stats.branches;
+    s.branch_mispredicts = stats.branch_mispredicts;
+    s.l1d_misses = stats.l1d_misses;
+    s.l2_misses = stats.l2_misses;
+    s.l3_misses = stats.l3_misses;
+    s.l1i_misses = stats.l1i_misses;
+    phase.push_back(s);
+    next_phase += params.phase_window;
+}
+
+void
+CoreModel::ClassTiming::advanceTo(uint64_t target_cycle, StallCause cause)
+{
+    if (target_cycle <= cur_cycle) {
         return;
     }
     const uint64_t empty =
-        (target_cycle - cur_cycle_) * params_.width - slots_in_cycle_;
+        (target_cycle - cur_cycle) * params.width - slots_in_cycle;
     switch (cause) {
       case StallCause::Frontend:
-        stats_.slots_frontend += empty;
+        stats.slots_frontend += empty;
         break;
       case StallCause::BadSpeculation:
-        stats_.slots_bad_spec += empty;
+        stats.slots_bad_spec += empty;
         break;
       case StallCause::BackendMemory:
-        stats_.slots_backend_memory += empty;
+        stats.slots_backend_memory += empty;
         break;
       case StallCause::BackendCore:
-        stats_.slots_backend_core += empty;
+        stats.slots_backend_core += empty;
         break;
     }
-    if (attr_cur_ != nullptr) {
-        attr_cur_->cycles += target_cycle - cur_cycle_;
+    if (attr_cur != nullptr) {
+        attr_cur->cycles += target_cycle - cur_cycle;
         switch (cause) {
           case StallCause::Frontend:
-            attr_cur_->slots_frontend += empty;
+            attr_cur->slots_frontend += empty;
             break;
           case StallCause::BadSpeculation:
-            attr_cur_->slots_bad_spec += empty;
+            attr_cur->slots_bad_spec += empty;
             break;
           case StallCause::BackendMemory:
-            attr_cur_->slots_backend_memory += empty;
+            attr_cur->slots_backend_memory += empty;
             break;
           case StallCause::BackendCore:
-            attr_cur_->slots_backend_core += empty;
+            attr_cur->slots_backend_core += empty;
             break;
         }
     }
-    cur_cycle_ = target_cycle;
-    slots_in_cycle_ = 0;
+    cur_cycle = target_cycle;
+    slots_in_cycle = 0;
 }
 
 // The window helpers from here to resolveFrontend() are force-inlined:
@@ -284,29 +772,29 @@ CoreModel::advanceTo(uint64_t target_cycle, StallCause cause)
 // slowest stage it sets the pipeline's rate (GCC's -O2 heuristics kept
 // them out of line).
 [[gnu::always_inline]] inline void
-CoreModel::drain()
+CoreModel::ClassTiming::drain()
 {
-    while (!rob_.empty() && rob_.front().time <= cur_cycle_) {
-        rob_count_ -= rob_.front().count;
-        rob_.pop_front();
+    while (!rob.empty() && rob.front().time <= cur_cycle) {
+        rob_count -= rob.front().count;
+        rob.pop_front();
     }
-    while (!rs_.empty() && rs_.front().time <= cur_cycle_) {
-        rs_count_ -= rs_.front().count;
-        rs_.pop_front();
+    while (!rs.empty() && rs.front().time <= cur_cycle) {
+        rs_count -= rs.front().count;
+        rs.pop_front();
     }
-    while (!sb_.empty() && sb_.front().time <= cur_cycle_) {
-        sb_count_ -= sb_.front().count;
-        sb_.pop_front();
+    while (!sb.empty() && sb.front().time <= cur_cycle) {
+        sb_count -= sb.front().count;
+        sb.pop_front();
     }
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::dispatch(uint32_t count)
+CoreModel::ClassTiming::dispatch(uint32_t count)
 {
     // Event-driven fast-forward (DESIGN.md §13). Two facts make a
     // closed-form advance bit-exact vs the stepped reference loop:
     //
-    //  1. fetch_ready_ is invariant across this call and cur_cycle_ only
+    //  1. fetch_ready is invariant across this call and cur_cycle only
     //     grows, so the per-instruction frontend check can fire at most
     //     once — on the first instruction. Hoist it.
     //  2. drain() only pops window entries whose time has passed, and an
@@ -317,19 +805,19 @@ CoreModel::dispatch(uint32_t count)
     //     drains commute past the whole span, and one drain at the end
     //     frees the same entries with the same counters.
     //
-    // What remains is pure arithmetic on (cur_cycle_, slots_in_cycle_,
+    // What remains is pure arithmetic on (cur_cycle, slots_in_cycle,
     // slots_retiring, instructions): advance it in closed form.
-    if (reference_stepping_) {
+    if (reference_stepping) {
         referenceDispatch(count);
         return;
     }
-    if (fetch_ready_ > cur_cycle_) {
-        advanceTo(fetch_ready_, fetch_reason_);
+    if (fetch_ready > cur_cycle) {
+        advanceTo(fetch_ready, fetch_reason);
         drain();
     }
-    const uint32_t width = static_cast<uint32_t>(params_.width);
-    const uint64_t slots0 = slots_in_cycle_;
-    // slots_in_cycle_ < width always holds between calls, so single-
+    const uint32_t width = static_cast<uint32_t>(params.width);
+    const uint64_t slots0 = slots_in_cycle;
+    // slots_in_cycle < width always holds between calls, so single-
     // instruction events (every load, store, and branch) never need the
     // hardware divide: the span either stays inside the current cycle or
     // fills it exactly.
@@ -342,38 +830,44 @@ CoreModel::dispatch(uint32_t count)
     } else if (count == 1) {
         rolled = 1; // slots0 + 1 == width exactly.
         rem = 0;
+    } else if (width_shift != kNoShift) {
+        // Power-of-two widths (every Table IV row) skip the divide.
+        rolled = total >> width_shift;
+        rem = static_cast<uint32_t>(total) & (width - 1);
     } else {
-        rolled = total / width;
-        rem = static_cast<uint32_t>(total % width);
+        // total < width + max_chunk fits 32 bits: the cheaper divide.
+        const auto total32 = static_cast<uint32_t>(total);
+        rolled = total32 / width;
+        rem = total32 % width;
     }
-    if (attr_cur_ == nullptr && next_phase_ == UINT64_MAX) {
+    if (attr_cur == nullptr && next_phase == UINT64_MAX) {
         // Hot path: attribution and phase sampling both off.
-        stats_.slots_retiring += count;
-        stats_.instructions += count;
-        cur_cycle_ += rolled;
-        slots_in_cycle_ = rem;
+        stats.slots_retiring += count;
+        stats.instructions += count;
+        cur_cycle += rolled;
+        slots_in_cycle = rem;
         if (rolled > 0) {
             drain();
         }
         return;
     }
     // Instrumented path. The attribution bucket cannot change inside
-    // dispatch (only the block/branch probes retarget attr_cur_), so the
+    // dispatch (only the block/branch probes retarget attr_cur), so the
     // per-site charges post once; phase samples must land exactly on
     // window boundaries, so the span splits there — O(captures), not
     // O(instructions).
-    const uint64_t cycle0 = cur_cycle_;
-    if (next_phase_ == UINT64_MAX) {
-        stats_.slots_retiring += count;
-        stats_.instructions += count;
+    const uint64_t cycle0 = cur_cycle;
+    if (next_phase == UINT64_MAX) {
+        stats.slots_retiring += count;
+        stats.instructions += count;
     } else {
         uint64_t done = 0;
         while (done < count) {
-            const uint64_t to_boundary = next_phase_ - stats_.instructions;
+            const uint64_t to_boundary = next_phase - stats.instructions;
             const uint64_t span =
                 std::min<uint64_t>(count - done, to_boundary);
-            stats_.slots_retiring += span;
-            stats_.instructions += span;
+            stats.slots_retiring += span;
+            stats.instructions += span;
             done += span;
             if (span == to_boundary) {
                 // The reference loop samples after the boundary
@@ -381,16 +875,16 @@ CoreModel::dispatch(uint32_t count)
                 // its dispatch slot is consumed: position the clock at
                 // the cycle the first (done - 1) slots of this call
                 // reached, then capture.
-                cur_cycle_ = cycle0 + (slots0 + done - 1) / width;
+                cur_cycle = cycle0 + (slots0 + done - 1) / width;
                 capturePhase();
             }
         }
     }
-    cur_cycle_ = cycle0 + rolled;
-    slots_in_cycle_ = rem;
-    if (attr_cur_ != nullptr) {
-        attr_cur_->slots_retiring += count;
-        attr_cur_->cycles += rolled;
+    cur_cycle = cycle0 + rolled;
+    slots_in_cycle = rem;
+    if (attr_cur != nullptr) {
+        attr_cur->slots_retiring += count;
+        attr_cur->cycles += rolled;
     }
     if (rolled > 0) {
         drain();
@@ -398,23 +892,23 @@ CoreModel::dispatch(uint32_t count)
 }
 
 void
-CoreModel::referenceDispatch(uint32_t count)
+CoreModel::ClassTiming::referenceDispatch(uint32_t count)
 {
-    if (attr_cur_ == nullptr && next_phase_ == UINT64_MAX) {
+    if (attr_cur == nullptr && next_phase == UINT64_MAX) {
         // The pre-fast-forward hot path: one step per retired
         // instruction (retained for the differential suite).
         for (uint32_t i = 0; i < count; ++i) {
             // Frontend availability gates dispatch.
-            if (fetch_ready_ > cur_cycle_) {
-                advanceTo(fetch_ready_, fetch_reason_);
+            if (fetch_ready > cur_cycle) {
+                advanceTo(fetch_ready, fetch_reason);
                 drain();
             }
-            ++stats_.slots_retiring;
-            ++stats_.instructions;
-            ++slots_in_cycle_;
-            if (slots_in_cycle_ == static_cast<uint32_t>(params_.width)) {
-                ++cur_cycle_;
-                slots_in_cycle_ = 0;
+            ++stats.slots_retiring;
+            ++stats.instructions;
+            ++slots_in_cycle;
+            if (slots_in_cycle == static_cast<uint32_t>(params.width)) {
+                ++cur_cycle;
+                slots_in_cycle = 0;
                 drain();
             }
         }
@@ -425,42 +919,42 @@ CoreModel::referenceDispatch(uint32_t count)
     // instruction so samples land on window boundaries.
     uint64_t cycles_rolled = 0;
     for (uint32_t i = 0; i < count; ++i) {
-        if (fetch_ready_ > cur_cycle_) {
-            advanceTo(fetch_ready_, fetch_reason_);
+        if (fetch_ready > cur_cycle) {
+            advanceTo(fetch_ready, fetch_reason);
             drain();
         }
-        ++stats_.slots_retiring;
-        ++stats_.instructions;
-        if (stats_.instructions >= next_phase_) {
+        ++stats.slots_retiring;
+        ++stats.instructions;
+        if (stats.instructions >= next_phase) {
             capturePhase();
         }
-        ++slots_in_cycle_;
-        if (slots_in_cycle_ == static_cast<uint32_t>(params_.width)) {
-            ++cur_cycle_;
-            slots_in_cycle_ = 0;
+        ++slots_in_cycle;
+        if (slots_in_cycle == static_cast<uint32_t>(params.width)) {
+            ++cur_cycle;
+            slots_in_cycle = 0;
             ++cycles_rolled;
             drain();
         }
     }
-    if (attr_cur_ != nullptr) {
-        attr_cur_->slots_retiring += count;
-        attr_cur_->cycles += cycles_rolled;
+    if (attr_cur != nullptr) {
+        attr_cur->slots_retiring += count;
+        attr_cur->cycles += cycles_rolled;
     }
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::ensureRobSpace(uint32_t count)
+CoreModel::ClassTiming::ensureRobSpace(uint32_t count)
 {
-    while (rob_count_ + count > static_cast<uint64_t>(params_.rob_size)) {
-        VT_ASSERT(!rob_.empty(), "ROB accounting broke");
-        const WindowEntry& head = rob_.front();
-        if (head.time > cur_cycle_) {
+    while (rob_count + count > static_cast<uint64_t>(params.rob_size)) {
+        VT_ASSERT(!rob.empty(), "ROB accounting broke");
+        const WindowEntry& head = rob.front();
+        if (head.time > cur_cycle) {
             const uint64_t before =
-                stats_.slots_backend_memory + stats_.slots_backend_core;
+                stats.slots_backend_memory + stats.slots_backend_core;
             advanceTo(head.time, head.is_mem ? StallCause::BackendMemory
                                              : StallCause::BackendCore);
-            stats_.slots_rob_stall +=
-                stats_.slots_backend_memory + stats_.slots_backend_core
+            stats.slots_rob_stall +=
+                stats.slots_backend_memory + stats.slots_backend_core
                 - before;
         }
         drain();
@@ -468,37 +962,38 @@ CoreModel::ensureRobSpace(uint32_t count)
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::robPush(uint64_t complete, uint32_t count, bool is_mem)
+CoreModel::ClassTiming::robPush(uint64_t complete, uint32_t count,
+                                bool is_mem)
 {
     // In-order retirement: completion times are made monotone so an entry
     // cannot retire before its predecessors.
-    complete = std::max(complete, rob_last_complete_);
-    rob_last_complete_ = complete;
-    if (!rob_.empty() && rob_.back().time == complete
-        && rob_.back().is_mem == is_mem) {
-        rob_.back().count += count;
+    complete = std::max(complete, rob_last_complete);
+    rob_last_complete = complete;
+    if (!rob.empty() && rob.back().time == complete
+        && rob.back().is_mem == is_mem) {
+        rob.back().count += count;
     } else {
-        rob_.emplace_back(complete, count, is_mem);
+        rob.emplace_back(complete, count, is_mem);
     }
-    rob_count_ += count;
+    rob_count += count;
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::ensureRsSpace(uint32_t count)
+CoreModel::ClassTiming::ensureRsSpace(uint32_t count)
 {
-    if (params_.issue_at_dispatch) {
+    if (params.issue_at_dispatch) {
         return;
     }
-    while (rs_count_ + count > static_cast<uint64_t>(params_.rs_size)) {
-        VT_ASSERT(!rs_.empty(), "RS accounting broke");
-        const WindowEntry& head = rs_.front();
-        if (head.time > cur_cycle_) {
+    while (rs_count + count > static_cast<uint64_t>(params.rs_size)) {
+        VT_ASSERT(!rs.empty(), "RS accounting broke");
+        const WindowEntry& head = rs.front();
+        if (head.time > cur_cycle) {
             const uint64_t before =
-                stats_.slots_backend_memory + stats_.slots_backend_core;
+                stats.slots_backend_memory + stats.slots_backend_core;
             advanceTo(head.time, head.is_mem ? StallCause::BackendMemory
                                              : StallCause::BackendCore);
-            stats_.slots_rs_stall +=
-                stats_.slots_backend_memory + stats_.slots_backend_core
+            stats.slots_rs_stall +=
+                stats.slots_backend_memory + stats.slots_backend_core
                 - before;
         }
         drain();
@@ -506,36 +1001,35 @@ CoreModel::ensureRsSpace(uint32_t count)
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::rsPush(uint64_t free, uint32_t count, bool is_mem)
+CoreModel::ClassTiming::rsPush(uint64_t free, uint32_t count, bool is_mem)
 {
-    if (params_.issue_at_dispatch) {
+    if (params.issue_at_dispatch) {
         return; // be_op2: instructions leave the RS immediately.
     }
-    free = std::max(free, rs_last_free_);
-    rs_last_free_ = free;
-    if (!rs_.empty() && rs_.back().time == free
-        && rs_.back().is_mem == is_mem) {
-        rs_.back().count += count;
+    free = std::max(free, rs_last_free);
+    rs_last_free = free;
+    if (!rs.empty() && rs.back().time == free && rs.back().is_mem == is_mem) {
+        rs.back().count += count;
     } else {
-        rs_.emplace_back(free, count, is_mem);
+        rs.emplace_back(free, count, is_mem);
     }
-    rs_count_ += count;
+    rs_count += count;
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::ensureSbSpace(uint32_t count)
+CoreModel::ClassTiming::ensureSbSpace(uint32_t count)
 {
-    while (sb_count_ + count > static_cast<uint64_t>(params_.sb_size)) {
-        VT_ASSERT(!sb_.empty(), "SB accounting broke");
-        const WindowEntry& head = sb_.front();
-        if (head.time > cur_cycle_) {
+    while (sb_count + count > static_cast<uint64_t>(params.sb_size)) {
+        VT_ASSERT(!sb.empty(), "SB accounting broke");
+        const WindowEntry& head = sb.front();
+        if (head.time > cur_cycle) {
             const uint64_t before =
-                stats_.slots_backend_memory + stats_.slots_backend_core;
+                stats.slots_backend_memory + stats.slots_backend_core;
             // The paper groups store-buffer stalls under core bound
             // (Fig 5e-h discussion).
             advanceTo(head.time, StallCause::BackendCore);
-            stats_.slots_sb_stall +=
-                stats_.slots_backend_memory + stats_.slots_backend_core
+            stats.slots_sb_stall +=
+                stats.slots_backend_memory + stats.slots_backend_core
                 - before;
         }
         drain();
@@ -543,35 +1037,436 @@ CoreModel::ensureSbSpace(uint32_t count)
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::sbPush(uint64_t drain_time, uint32_t count)
+CoreModel::ClassTiming::sbPush(uint64_t drain_time, uint32_t count)
 {
     // Stores drain in order: drain times are made monotone like ROB
     // completion times, and same-cycle drains coalesce into one entry.
-    const uint64_t t = std::max(drain_time, sb_last_drain_);
-    sb_last_drain_ = t;
-    if (!sb_.empty() && sb_.back().time == t) {
-        sb_.back().count += count;
+    const uint64_t t = std::max(drain_time, sb_last_drain);
+    sb_last_drain = t;
+    if (!sb.empty() && sb.back().time == t) {
+        sb.back().count += count;
     } else {
-        sb_.emplace_back(t, count, true);
+        sb.emplace_back(t, count, true);
     }
-    sb_count_ += count;
+    sb_count += count;
 }
 
 [[gnu::always_inline]] inline void
-CoreModel::resolveFrontend()
+CoreModel::ClassTiming::resolveFrontend()
 {
-    if (fetch_ready_ > cur_cycle_) {
-        advanceTo(fetch_ready_, fetch_reason_);
+    if (fetch_ready > cur_cycle) {
+        advanceTo(fetch_ready, fetch_reason);
         drain();
     }
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::ClassTiming::delayFetch(uint64_t penalty)
+{
+    if (penalty > 0) {
+        const uint64_t ready = cur_cycle + penalty;
+        if (ready > fetch_ready) {
+            fetch_ready = ready;
+            fetch_reason = StallCause::Frontend;
+        }
+    }
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::ClassTiming::dispatchBlock(const trace::CodeSite& site)
+{
+    // The block's ALU instructions complete one cycle after dispatch and
+    // issue immediately — unless the block consumes just-loaded data
+    // (BlockLoadDep), in which case its work dwells in the reservation
+    // station until the feeding load returns. Batches larger than a
+    // window structure flow through in chunks.
+    const bool load_dep = site.kind == trace::SiteKind::BlockLoadDep;
+    uint32_t remaining = site.instructions;
+    while (remaining > 0) {
+        const uint32_t chunk = std::min(remaining, max_chunk);
+        resolveFrontend();
+        ensureRobSpace(chunk);
+        ensureRsSpace(chunk);
+        uint64_t issue = cur_cycle + 1;
+        if (load_dep && last_load_complete > issue) {
+            issue = last_load_complete;
+        }
+        robPush(issue, chunk, load_dep);
+        // RS dwell is bounded (entries leave at issue; the scheduler does
+        // not hold them for a full memory round trip).
+        rsPush(std::min(issue, cur_cycle + 15), chunk, load_dep);
+        dispatch(chunk);
+        remaining -= chunk;
+    }
+}
+
+[[gnu::always_inline]] inline uint64_t
+CoreModel::ClassTiming::dispatchBranch(const trace::CodeSite& site)
+{
+    ++stats.branches;
+    resolveFrontend();
+    ensureRobSpace(1);
+    ensureRsSpace(1);
+
+    // The branch resolves when its inputs are ready; load-dependent
+    // branches resolve only after the feeding load returns.
+    const bool load_dep = site.kind == trace::SiteKind::BranchLoadDep;
+    uint64_t resolve = cur_cycle + 1;
+    if (load_dep) {
+        resolve = std::max(resolve, last_load_complete);
+    }
+    robPush(resolve, 1, false);
+    rsPush(std::min(resolve, cur_cycle + 15), 1, load_dep);
+    dispatch(1);
+    return resolve;
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::ClassTiming::redirect(bool taken, bool mispredict, bool btb_hit,
+                                 uint64_t resolve)
+{
+    if (mispredict) {
+        ++stats.branch_mispredicts;
+        const uint64_t ready =
+            resolve + static_cast<uint64_t>(params.mispredict_penalty);
+        if (ready > fetch_ready) {
+            fetch_ready = ready;
+            fetch_reason = StallCause::BadSpeculation;
+        }
+    } else if (taken) {
+        // Correctly predicted taken: redirect bubble, larger on BTB miss.
+        const int bubble =
+            btb_hit ? params.taken_bubble : params.btb_miss_penalty;
+        const uint64_t ready = cur_cycle + bubble;
+        if (ready > fetch_ready) {
+            fetch_ready = ready;
+            fetch_reason = StallCause::Frontend;
+        }
+    }
+}
+
+[[gnu::always_inline]] inline uint64_t
+CoreModel::ClassTiming::loadComplete(int latency, bool reference)
+{
+    // Miss-status-holding registers bound memory-level parallelism: a
+    // miss beyond the outstanding limit starts only when the oldest one
+    // completes. mshr_head caches the oldest outstanding completion
+    // (UINT64_MAX when empty), so the common no-expiry case skips the
+    // pruning scan entirely; the queue itself is untouched until a head
+    // actually expires, which pops the same entries the stepped loop
+    // (`reference`: an unconditional scan) would.
+    uint64_t complete = cur_cycle + latency;
+    if (latency > params.latencies.l1) {
+        if (reference || mshr_head <= cur_cycle) {
+            while (!mshr.empty() && mshr.front() <= cur_cycle) {
+                mshr.pop_front();
+            }
+            mshr_head = mshr.empty() ? UINT64_MAX : mshr.front();
+        }
+        if (static_cast<int>(mshr.size()) >= params.mshr_entries) {
+            complete = mshr.front() + latency;
+        }
+        mshr.push_back(complete);
+        mshr_head = mshr.front();
+    }
+    return complete;
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::ClassTiming::timeBlock(const trace::CodeSite& site,
+                                  uint64_t outcome)
+{
+    // Frontend: the L1i misses count before the block dispatches (a phase
+    // sample inside the block sees them); the fetch penalty delays the
+    // frontend from the current cycle.
+    stats.l1i_misses += static_cast<uint32_t>(outcome);
+    delayFetch((outcome >> 32) & kPenaltyMask);
+    dispatchBlock(site);
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::ClassTiming::timeBranch(const trace::CodeSite& site, bool taken,
+                                   uint64_t outcome)
+{
+    const uint64_t resolve = dispatchBranch(site);
+    redirect(taken, (outcome & kMispredictBit) != 0,
+             (outcome & kBtbHitBit) != 0, resolve);
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::ClassTiming::timeLoad(uint64_t outcome)
+{
+    resolveFrontend();
+    ensureRobSpace(1);
+    ensureRsSpace(1);
+    stats.l1d_misses += outcome & 0xffff;
+    stats.l2_misses += (outcome >> 16) & 0xffff;
+    stats.l3_misses += (outcome >> 32) & 0xffff;
+    const int latency = static_cast<int>(outcome >> 48);
+    const uint64_t complete = loadComplete(latency, false);
+    last_load_complete = complete;
+    robPush(complete, 1, true);
+    // Loads leave the reservation station at issue (address generation),
+    // not at data return; only a bounded scheduler dwell is charged. The
+    // in-order-retire ROB carries the full miss latency.
+    rsPush(cur_cycle + std::min(latency, 15), 1, true);
+    dispatch(1);
+}
+
+[[gnu::always_inline]] inline void
+CoreModel::ClassTiming::timeStore(uint64_t outcome)
+{
+    resolveFrontend();
+    ensureRobSpace(1);
+    ensureRsSpace(1);
+    ensureSbSpace(1);
+    stats.l1d_misses += outcome & 0xffff;
+    stats.l2_misses += (outcome >> 16) & 0xffff;
+    stats.l3_misses += (outcome >> 32) & 0xffff;
+    const int latency = static_cast<int>(outcome >> 48);
+
+    // Stores retire promptly but occupy the store buffer until the line
+    // is written; a full SB blocks dispatch (space reserved above).
+    sbPush(cur_cycle + latency, 1);
+    robPush(cur_cycle + 1, 1, false);
+    rsPush(cur_cycle + 1, 1, false);
+    dispatch(1);
+}
+
+void
+CoreModel::ClassTiming::run(const StageRecord* records,
+                            const uint64_t* words, uint32_t shift,
+                            size_t count)
+{
+    for (size_t i = 0; i < count; ++i) {
+        const uint64_t tag = records[i].tag;
+        const uint64_t outcome = words[i << shift];
+        if ((tag & (kBlockBit | kBranchBit)) == 0) {
+            if ((tag & kFlagBit) != 0) {
+                timeStore(outcome);
+            } else {
+                timeLoad(outcome);
+            }
+            continue;
+        }
+        const trace::CodeSite& site = siteOf(tag);
+        if (attr_cur != nullptr) {
+            attr_cur = &siteBucket(attr_sites, site.id);
+        }
+        if ((tag & kBlockBit) != 0) {
+            timeBlock(site, outcome);
+        }
+        if ((tag & kBranchBit) != 0) {
+            timeBranch(site, (tag & kFlagBit) != 0, outcome);
+        }
+    }
+}
+
+void
+CoreModel::ClassTiming::finishClock()
+{
+    // Let the machine drain: run the clock to the last retirement.
+    uint64_t end = std::max(cur_cycle, fetch_ready);
+    if (!rob.empty()) {
+        end = std::max(end, rob.back().time);
+    }
+    if (!sb.empty()) {
+        end = std::max(end, sb.back().time);
+    }
+    if (slots_in_cycle > 0) {
+        // Fill the partial cycle's leftover slots as backend-core.
+        stats.slots_backend_core += params.width - slots_in_cycle;
+        if (attr_cur != nullptr) {
+            attr_cur->slots_backend_core += params.width - slots_in_cycle;
+            ++attr_cur->cycles;
+        }
+        ++cur_cycle;
+        slots_in_cycle = 0;
+    }
+    advanceTo(end, StallCause::BackendMemory);
+
+    stats.cycles = cur_cycle;
+    stats.slots_total = stats.cycles * static_cast<uint64_t>(params.width);
+    if (next_phase != UINT64_MAX
+        && (phase.empty() || phase.back().instructions != stats.instructions
+            || phase.back().cycles != stats.cycles)) {
+        // Close the time-series with the post-drain totals.
+        capturePhase();
+    }
+}
+
+// ---- CoreModel: construction ------------------------------------------------
+
+CoreModel::CoreModel(const CoreParams& params)
+    : CoreModel(std::vector<CoreParams>{params})
+{
+}
+
+CoreModel::CoreModel(const std::vector<CoreParams>& classes)
+    : fn_(std::make_unique<Functional>())
+{
+    VT_ASSERT(!classes.empty(), "a core model needs at least one class");
+    for (const CoreParams& p : classes) {
+        validateCoreParams(p);
+    }
+    reference_stepping_ = classes.front().reference_stepping;
+    for (const CoreParams& p : classes) {
+        VT_ASSERT(!p.reference_stepping || classes.size() == 1,
+                  "reference stepping simulates one class");
+    }
+
+    // Group every structure by its sharing key (see Functional).
+    Functional& f = *fn_;
+    f.l1d.reserve(classes.size());
+    f.l1i.reserve(classes.size());
+    f.outers.reserve(classes.size());
+    f.itlbs.reserve(classes.size());
+    f.predictors.reserve(classes.size());
+    f.annotations.reserve(classes.size());
+    for (const CoreParams& p : classes) {
+        Functional::DataL1* d = findOrAdd(
+            f.l1d,
+            [&](const Functional::DataL1& g) {
+                return sameCache(g.params, p.l1d);
+            },
+            [&] { return Functional::DataL1(p.l1d); });
+        Functional::FetchL1* i = findOrAdd(
+            f.l1i,
+            [&](const Functional::FetchL1& g) {
+                return sameCache(g.params, p.l1i);
+            },
+            [&] { return Functional::FetchL1(p.l1i); });
+        Functional::Outer* o = findOrAdd(
+            f.outers,
+            [&](const Functional::Outer& g) {
+                return g.l1d == d && g.l1i == i && sameCache(g.l2, p.l2)
+                       && sameCache(g.l3, p.l3) && g.l4_size == p.l4_size;
+            },
+            [&] {
+                return Functional::Outer{d, i, p.l2, p.l3, p.l4_size,
+                                         OuterLevels(p.l2, p.l3, p.l4_size)};
+            });
+        Functional::Itlb* t = findOrAdd(
+            f.itlbs,
+            [&](const Functional::Itlb& g) {
+                return g.entries == p.itlb_entries;
+            },
+            [&] {
+                return Functional::Itlb{p.itlb_entries,
+                                        Tlb(p.itlb_entries)};
+            });
+        Functional::Predictor* b = findOrAdd(
+            f.predictors,
+            [&](const Functional::Predictor& g) {
+                return g.name == p.predictor;
+            },
+            [&] { return Functional::Predictor(p.predictor); });
+        Functional::Annotation* a = findOrAdd(
+            f.annotations,
+            [&](const Functional::Annotation& g) {
+                return g.outer == o && g.itlb == t && g.predictor == b
+                       && sameLatencies(g.lat, p.latencies);
+            },
+            [&] {
+                Functional::Annotation g;
+                g.outer = o;
+                g.itlb = t;
+                g.predictor = b;
+                g.lat = p.latencies;
+                // The same expressions the fused hierarchy walk used: a
+                // load takes its slowest line (at least the L1 latency);
+                // a fetch penalty is the slowest missing line's latency
+                // beyond the L1.
+                for (uint32_t mask = 0; mask < kServedMasks; ++mask) {
+                    int latency = p.latencies.l1;
+                    int penalty = 0;
+                    for (uint32_t level = 0; level < 4; ++level) {
+                        if ((mask & (1u << level)) != 0) {
+                            const int miss = p.latencies.l1
+                                             + missLatency(level, p.latencies);
+                            latency = std::max(latency, miss);
+                            penalty =
+                                std::max(penalty, miss - p.latencies.l1);
+                        }
+                    }
+                    g.data_latency[mask] = static_cast<uint32_t>(latency);
+                    g.fetch_penalty[mask] = static_cast<uint32_t>(penalty);
+                }
+                g.all_hit_data = static_cast<uint64_t>(g.data_latency[0])
+                                 << 48;
+                return g;
+            });
+        classes_.push_back(std::make_unique<ClassTiming>(
+            p, static_cast<uint32_t>(a - f.annotations.data())));
+    }
+    for (const auto& cls : classes_) {
+        if (cls->params.attribute_sites) {
+            Functional::Annotation& g = f.annotations[cls->annotation];
+            g.cur = &g.unattributed;
+        }
+    }
+    for (Functional::Outer& o : f.outers) {
+        o.l1d->outers.push_back(&o);
+        o.l1i->outers.push_back(&o);
+    }
+    one_of_each_ = f.annotations.size() == 1 && f.l1d.size() == 1
+                   && f.l1i.size() == 1 && f.outers.size() == 1
+                   && f.itlbs.size() == 1 && f.predictors.size() == 1;
+
+    allocateSlot(0);
+    pos_ = ring_[0].records.get();
+    end_ = pos_ + kSlotRecords;
+}
+
+CoreModel::~CoreModel()
+{
+    stopHelpers();
+}
+
+void
+CoreModel::allocateSlot(uint32_t i)
+{
+    Slot& slot = ring_[i];
+    slot.records = std::make_unique_for_overwrite<StageRecord[]>(kSlotRecords);
+    for (size_t g = 1; g < fn_->annotations.size(); ++g) {
+        slot.words.push_back(
+            std::make_unique_for_overwrite<uint64_t[]>(kSlotRecords));
+    }
+}
+
+const CoreParams&
+CoreModel::params(size_t cls) const
+{
+    return classes_.at(cls)->params;
+}
+
+const CoreStats&
+CoreModel::stats(size_t cls) const
+{
+    return classes_.at(cls)->stats;
+}
+
+const std::vector<SiteUarch>&
+CoreModel::attributionPerSite(size_t cls) const
+{
+    return classes_.at(cls)->attr_sites;
+}
+
+const SiteUarch&
+CoreModel::attributionUnattributed(size_t cls) const
+{
+    return classes_.at(cls)->attr_unattributed;
+}
+
+const std::vector<PhaseSample>&
+CoreModel::phaseSamples(size_t cls) const
+{
+    return classes_.at(cls)->phase;
 }
 
 // ---- Producer: probe events -> ring records ---------------------------------
 
 namespace {
-
-static_assert(alignof(trace::CodeSite) >= 8,
-              "site records tag the low three bits of a CodeSite pointer");
 
 /** How long a waiting stage spins before it blocks. A slot of work takes
  *  tens of microseconds, so a stage waiting on a running neighbour sees
@@ -627,12 +1522,6 @@ CoreModel::onBlock(const trace::CodeSite& site)
         push(site.address, reinterpret_cast<uintptr_t>(&site) | kBlockBit);
         return;
     }
-    // Reference stepping charges the event tallies itself; the pipelined
-    // path charges them in the functional stage.
-    if (attr_cur_ != nullptr) {
-        attr_cur_ = &siteBucket(attr_sites_, site.id);
-        ++attr_cur_->blocks;
-    }
     referenceOnBlock(site);
 }
 
@@ -644,11 +1533,6 @@ CoreModel::onBranch(const trace::CodeSite& site, bool taken)
                                | (taken ? kFlagBit : 0));
         return;
     }
-    if (attr_cur_ != nullptr) {
-        attr_cur_ = &siteBucket(attr_sites_, site.id);
-        ++attr_cur_->branches;
-        attr_cur_->taken += taken ? 1 : 0;
-    }
     referenceOnBranch(site, taken);
 }
 
@@ -659,10 +1543,6 @@ CoreModel::onLoad(uint64_t addr, uint32_t bytes)
         push(addr, static_cast<uint64_t>(bytes) << 32);
         return;
     }
-    if (attr_cur_ != nullptr) {
-        ++attr_cur_->loads;
-        attr_cur_->load_bytes += bytes;
-    }
     referenceOnLoad(addr, bytes);
 }
 
@@ -672,10 +1552,6 @@ CoreModel::onStore(uint64_t addr, uint32_t bytes)
     if (!reference_stepping_) {
         push(addr, (static_cast<uint64_t>(bytes) << 32) | kFlagBit);
         return;
-    }
-    if (attr_cur_ != nullptr) {
-        ++attr_cur_->stores;
-        attr_cur_->store_bytes += bytes;
     }
     referenceOnStore(addr, bytes);
 }
@@ -744,9 +1620,7 @@ CoreModel::publish()
         if (helper_cores_.count() == 2) {
             ran_on_helpers_ = true;
             for (uint32_t i = 1; i < kSlots; ++i) {
-                ring_[i].records =
-                    std::make_unique_for_overwrite<StageRecord[]>(
-                        kSlotRecords);
+                allocateSlot(i);
             }
             functional_thread_ = std::thread([this] { functionalMain(); });
             timing_thread_ = std::thread([this] { timingMain(); });
@@ -762,10 +1636,10 @@ CoreModel::publish()
 void
 CoreModel::runInline(uint32_t count)
 {
-    StageRecord* records = ring_[fill_slot_].records.get();
-    functionalStage(records, count);
-    timingStage(records, count);
-    pos_ = records;
+    Slot& slot = ring_[fill_slot_];
+    runFunctional(slot, count);
+    timingStages(slot, count);
+    pos_ = slot.records.get();
 }
 
 void
@@ -820,7 +1694,7 @@ CoreModel::functionalMain()
         awaitState(slot.state, kFilled);
         const uint32_t count = slot.count;
         if (count != kStopSlot) {
-            functionalStage(slot.records.get(), count);
+            runFunctional(slot, count);
         }
         setState(slot.state, kAnnotated);
         if (count == kStopSlot) {
@@ -837,7 +1711,7 @@ CoreModel::timingMain()
         awaitState(slot.state, kAnnotated);
         const uint32_t count = slot.count;
         if (count != kStopSlot) {
-            timingStage(slot.records.get(), count);
+            timingStages(slot, count);
         }
         setState(slot.state, kFree);
         if (count == kStopSlot) {
@@ -846,357 +1720,241 @@ CoreModel::timingMain()
     }
 }
 
-// ---- Functional stage: caches, iTLB, predictor, BTB -------------------------
-
-CoreModel::SiteFetchPlan&
-CoreModel::planFor(const trace::CodeSite& site, uint64_t address)
+void
+CoreModel::timingStages(const Slot& slot, uint32_t count)
 {
-    if (site.id >= plans_.size()) {
-        plans_.resize(site.id + 1);
+    for (const auto& cls : classes_) {
+        // Group 0's words are the records' own: stride two words.
+        static_assert(sizeof(StageRecord) == 2 * sizeof(uint64_t)
+                      && offsetof(StageRecord, word) == 0);
+        const uint32_t g = cls->annotation;
+        cls->run(slot.records.get(),
+                 g == 0 ? &slot.records[0].word : slot.words[g - 1].get(),
+                 g == 0 ? 1 : 0, count);
     }
-    SiteFetchPlan& plan = plans_[site.id];
-    if (plan.address != address) {
-        // First sighting, or a relayout pass moved the block.
-        rebuildPlan(plan, site, address);
-    }
-    return plan;
 }
 
-void
-CoreModel::rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site,
-                       uint64_t address)
+// ---- Functional stage: caches, iTLBs, predictors, BTBs ----------------------
+
+SiteFetchPlan&
+CoreModel::Functional::rebuildPlan(FetchL1& fl, const trace::CodeSite& site,
+                                   uint64_t address)
 {
-    const uint32_t line_bytes = params_.l1i.line_bytes;
+    if (site.id >= fl.plans.size()) {
+        fl.plans.resize(site.id + 1);
+    }
+    SiteFetchPlan& plan = fl.plans[site.id];
+    const uint32_t line_bytes = fl.params.line_bytes;
     const uint64_t first = address / line_bytes;
     const uint64_t last = (address + site.bytes - 1) / line_bytes;
+    VT_ASSERT(fl.cache.fitsLine(last), "code address ", address,
+              " beyond the simulated address range");
     plan.address = address;
     plan.first_line = first;
-    plan.page = address >> 12;
     plan.line_count = static_cast<uint32_t>(last - first + 1);
     plan.slots.resize(plan.line_count);
     for (uint32_t k = 0; k < plan.line_count; ++k) {
         // Seed every hint with way 0 of the line's own set: same-set by
         // construction, so touchIfResident()'s tag compare is sound from
         // the first use.
-        plan.slots[k] = caches_.l1i().setBaseSlot(first + k);
+        plan.slots[k] = fl.cache.setBaseSlot(first + k);
     }
+    return plan;
 }
 
-void
-CoreModel::functionalStage(StageRecord* records, size_t count)
+template <bool kOneOfEach>
+[[gnu::always_inline]] inline bool
+CoreModel::Functional::fetchBlock(const trace::CodeSite& site,
+                                  uint64_t address)
 {
-    for (size_t i = 0; i < count; ++i) {
-        StageRecord& r = records[i];
-        const uint64_t tag = r.tag;
-        if ((tag & (kBlockBit | kBranchBit)) == 0) {
-            walkData(r);
-            continue;
+    // Fetch the block's cache lines through each L1i, walking the site's
+    // precomputed fetch plan. A line whose resident-way hint still holds
+    // it takes the inline hit arm; anything else falls back to the full
+    // access, refreshes the hint, and on a miss walks the outer levels
+    // this L1i feeds.
+    bool missed = false;
+    for (FetchL1& fl : each<kOneOfEach>(l1i)) {
+        SiteFetchPlan& plan = planFor(fl, site, address);
+        Cache& cache = fl.cache;
+        const uint32_t lines = plan.line_count;
+        uint32_t* slots = plan.slots.data();
+        for (uint32_t k = 0; k < lines; ++k) {
+            const uint64_t l = plan.first_line + k;
+            if (cache.touchIfResident(l, slots[k])) {
+                continue; // L1i hit with exact hit-arm bookkeeping.
+            }
+            const bool hit = cache.accessLine(l);
+            slots[k] = cache.mruSlot();
+            if (!hit) {
+                if (!missed) {
+                    clearOuters<kOneOfEach>();
+                    missed = true;
+                }
+                for (Outer* o : fl.outers) {
+                    o->miss(l << cache.lineShift());
+                }
+            }
         }
-        const auto& site =
-            *reinterpret_cast<const trace::CodeSite*>(tag & ~kKindBits);
-        if (order_attr_cur_ != nullptr) {
-            order_attr_cur_ = &siteBucket(order_attr_sites_, site.id);
-        }
-        uint64_t outcome = 0;
-        if ((tag & kBlockBit) != 0) {
-            outcome = fetchBlock(site, r.word);
-        }
-        if ((tag & kBranchBit) != 0) {
-            outcome |= predictBranch(r.word, (tag & kFlagBit) != 0);
-        }
-        r.word = outcome;
+        fl.accesses += lines;
+        fl.lines = lines;
     }
+    const uint64_t page = address >> 12;
+    for (Itlb& t : each<kOneOfEach>(itlbs)) {
+        t.miss = !t.tlb.accessPage(page);
+        t.misses += t.miss ? 1 : 0;
+    }
+    return missed;
 }
 
-[[gnu::always_inline]] inline uint64_t
-CoreModel::fetchBlock(const trace::CodeSite& site, uint64_t address)
-{
-    // Fetch the block's cache lines through L1i and the iTLB, walking the
-    // site's precomputed fetch plan. A line whose resident-way hint still
-    // holds it takes the inline hit arm; anything else falls back to the
-    // full access and refreshes the hint.
-    SiteFetchPlan& plan = planFor(site, address);
-    Cache& l1i = caches_.l1i();
-    const uint32_t lines = plan.line_count;
-    uint64_t misses = 0;
-    int fetch_penalty = 0;
-    uint32_t* slots = plan.slots.data();
-    for (uint32_t k = 0; k < lines; ++k) {
-        const uint64_t l = plan.first_line + k;
-        if (l1i.touchIfResident(l, slots[k])) {
-            continue; // L1i hit with exact hit-arm bookkeeping.
-        }
-        const AccessResult r = caches_.fetchLineAccess(l);
-        slots[k] = l1i.mruSlot();
-        if (r.l1_miss) {
-            ++misses;
-            fetch_penalty =
-                std::max(fetch_penalty, r.latency - params_.latencies.l1);
-        }
-    }
-    order_.l1i_accesses += lines;
-    const bool itlb_miss = !itlb_.accessPage(plan.page);
-    if (itlb_miss) {
-        ++order_.itlb_misses;
-        fetch_penalty += params_.latencies.itlb_miss;
-    }
-    if (order_attr_cur_ != nullptr) {
-        ++order_attr_cur_->blocks;
-        order_attr_cur_->l1i_accesses += lines;
-        order_attr_cur_->l1i_misses += misses;
-        order_attr_cur_->itlb_misses += itlb_miss ? 1 : 0;
-    }
-    return misses | (static_cast<uint64_t>(fetch_penalty) << 32);
-}
-
-[[gnu::always_inline]] inline uint64_t
-CoreModel::predictBranch(uint64_t address, bool taken)
-{
-    // One devirtualizable call per branch instead of the predict() +
-    // update() virtual pair; behaviour is identical by construction.
-    const bool predicted = predictor_->predictAndUpdate(address, taken);
-    uint64_t outcome = 0;
-    bool btb_miss = false;
-    if (predicted != taken) {
-        outcome = kMispredictBit;
-    } else if (taken) {
-        // Correctly predicted taken: the BTB decides the redirect bubble.
-        if (btb_.access(address)) {
-            outcome = kBtbHitBit;
-        } else {
-            btb_miss = true;
-            ++order_.btb_misses;
-        }
-    }
-    if (order_attr_cur_ != nullptr) {
-        ++order_attr_cur_->branches;
-        order_attr_cur_->taken += taken ? 1 : 0;
-        order_attr_cur_->branch_mispredicts += predicted != taken ? 1 : 0;
-        order_attr_cur_->btb_misses += btb_miss ? 1 : 0;
-    }
-    return outcome;
-}
-
+template <bool kOneOfEach>
 [[gnu::always_inline]] inline void
-CoreModel::walkData(StageRecord& record)
+CoreModel::Functional::predictBranch(uint64_t address, bool taken)
 {
-    // Line span via shifts: line sizes are asserted powers of two, and
+    for (Predictor& p : each<kOneOfEach>(predictors)) {
+        // One devirtualizable call per branch instead of the predict() +
+        // update() virtual pair; behaviour is identical by construction.
+        const bool predicted = p.predictor->predictAndUpdate(address, taken);
+        p.outcome = 0;
+        p.btb_miss = false;
+        if (predicted != taken) {
+            p.outcome = kMispredictBit;
+        } else if (taken) {
+            // Correctly predicted taken: the BTB decides the bubble.
+            if (p.btb.access(address)) {
+                p.outcome = kBtbHitBit;
+            } else {
+                p.btb_miss = true;
+                ++p.btb_misses;
+            }
+        }
+    }
+}
+
+template <bool kOneOfEach>
+[[gnu::always_inline]] inline bool
+CoreModel::Functional::walkData(uint64_t addr, uint32_t bytes)
+{
+    // Line span via shifts: line sizes are validated powers of two, and
     // unsigned divide/multiply by 2^k is exactly shift by k — this only
     // dodges the hardware divide the / form costs per event. Stores
     // write-allocate, so loads and stores walk alike.
-    const uint64_t addr = record.word;
-    const auto bytes = static_cast<uint32_t>(record.tag >> 32);
-    const uint32_t shift = caches_.l1d().lineShift();
-    const uint64_t first = addr >> shift;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
-    int latency = params_.latencies.l1;
-    uint64_t l1_misses = 0;
-    uint64_t l2_misses = 0;
-    uint64_t l3_misses = 0;
-    for (uint64_t l = first; l <= last; ++l) {
-        const AccessResult r = caches_.dataAccess(l << shift);
-        l1_misses += r.l1_miss ? 1 : 0;
-        l2_misses += r.l2_miss ? 1 : 0;
-        l3_misses += r.l3_miss ? 1 : 0;
-        latency = std::max(latency, r.latency);
-    }
-    const uint64_t lines = last - first + 1;
-    order_.l1d_accesses += lines;
-    if (order_attr_cur_ != nullptr) {
-        if ((record.tag & kFlagBit) != 0) {
-            ++order_attr_cur_->stores;
-            order_attr_cur_->store_bytes += bytes;
-        } else {
-            ++order_attr_cur_->loads;
-            order_attr_cur_->load_bytes += bytes;
+    bool missed = false;
+    for (DataL1& d : each<kOneOfEach>(l1d)) {
+        Cache& cache = d.cache;
+        const uint32_t shift = cache.lineShift();
+        const uint64_t first = addr >> shift;
+        const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) >> shift;
+        for (uint64_t l = first; l <= last; ++l) {
+            if (!cache.accessLine(l)) {
+                if (!missed) {
+                    clearOuters<kOneOfEach>();
+                    missed = true;
+                }
+                for (Outer* o : d.outers) {
+                    o->miss(l << shift);
+                }
+            }
         }
-        order_attr_cur_->l1d_accesses += lines;
-        order_attr_cur_->l1d_misses += l1_misses;
-        order_attr_cur_->l2_misses += l2_misses;
-        order_attr_cur_->l3_misses += l3_misses;
+        d.lines = last - first + 1;
+        d.accesses += d.lines;
     }
-    record.word = l1_misses | (l2_misses << 32);
-    record.tag = (l3_misses << 32) | (static_cast<uint64_t>(latency) << 3)
-                 | (record.tag & kKindBits);
+    return missed;
 }
 
-// ---- Timing stage: dispatch, window, stall slots ----------------------------
-
+template <bool kOneOfEach>
 void
-CoreModel::timingStage(const StageRecord* records, size_t count)
+CoreModel::functionalStage(Slot& slot, uint32_t count)
 {
-    for (size_t i = 0; i < count; ++i) {
+    Functional& f = *fn_;
+    StageRecord* records = slot.records.get();
+    const std::span<Functional::Annotation> groups =
+        Functional::each<kOneOfEach>(f.annotations);
+    // Group 0 writes over the raw word: every structure has read it
+    // before any group writes.
+    auto out = [&](size_t g, uint32_t i) -> uint64_t& {
+        return g == 0 ? records[i].word : slot.words[g - 1][i];
+    };
+    for (uint32_t i = 0; i < count; ++i) {
         const StageRecord& r = records[i];
         const uint64_t tag = r.tag;
         if ((tag & (kBlockBit | kBranchBit)) == 0) {
-            if ((tag & kFlagBit) != 0) {
-                timeStore(r);
-            } else {
-                timeLoad(r);
+            const auto bytes = static_cast<uint32_t>(tag >> 32);
+            const bool missed = f.walkData<kOneOfEach>(r.word, bytes);
+            for (size_t g = 0; g < groups.size(); ++g) {
+                Functional::Annotation& a = groups[g];
+                if (!missed) {
+                    out(g, i) = a.all_hit_data;
+                } else {
+                    const Functional::Outer& o = *a.outer;
+                    out(g, i) =
+                        o.l1_misses
+                        | (static_cast<uint64_t>(o.l2_misses) << 16)
+                        | (static_cast<uint64_t>(o.l3_misses) << 32)
+                        | (static_cast<uint64_t>(a.data_latency[o.served])
+                           << 48);
+                }
+                if (a.cur != nullptr) {
+                    const Functional::Outer& o = *a.outer;
+                    if ((tag & kFlagBit) != 0) {
+                        ++a.cur->stores;
+                        a.cur->store_bytes += bytes;
+                    } else {
+                        ++a.cur->loads;
+                        a.cur->load_bytes += bytes;
+                    }
+                    a.cur->l1d_accesses += o.l1d->lines;
+                    if (missed) {
+                        a.cur->l1d_misses += o.l1_misses;
+                        a.cur->l2_misses += o.l2_misses;
+                        a.cur->l3_misses += o.l3_misses;
+                    }
+                }
             }
             continue;
         }
-        const auto& site =
-            *reinterpret_cast<const trace::CodeSite*>(tag & ~kKindBits);
-        if (attr_cur_ != nullptr) {
-            attr_cur_ = &siteBucket(attr_sites_, site.id);
+        const trace::CodeSite& site = siteOf(tag);
+        const bool block = (tag & kBlockBit) != 0;
+        const bool branch = (tag & kBranchBit) != 0;
+        const bool taken = (tag & kFlagBit) != 0;
+        const bool missed = block && f.fetchBlock<kOneOfEach>(site, r.word);
+        if (branch) {
+            f.predictBranch<kOneOfEach>(r.word, taken);
         }
-        if ((tag & kBlockBit) != 0) {
-            timeBlock(site, r.word);
-        }
-        if ((tag & kBranchBit) != 0) {
-            timeBranch(site, (tag & kFlagBit) != 0, r.word);
-        }
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::timeBlock(const trace::CodeSite& site, uint64_t outcome)
-{
-    // Frontend: the L1i misses count before the block dispatches (a phase
-    // sample inside the block sees them); the fetch penalty delays the
-    // frontend from the current cycle.
-    stats_.l1i_misses += static_cast<uint32_t>(outcome);
-    const uint64_t fetch_penalty = (outcome >> 32) & ((1ull << 30) - 1);
-    if (fetch_penalty > 0) {
-        const uint64_t ready = cur_cycle_ + fetch_penalty;
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::Frontend;
-        }
-    }
-
-    // Backend: the block's ALU instructions complete one cycle after
-    // dispatch and issue immediately — unless the block consumes
-    // just-loaded data (BlockLoadDep), in which case its work dwells in
-    // the reservation station until the feeding load returns. Batches
-    // larger than a window structure flow through in chunks.
-    const bool load_dep = site.kind == trace::SiteKind::BlockLoadDep;
-    uint32_t remaining = site.instructions;
-    const uint32_t max_chunk = static_cast<uint32_t>(
-        std::min(params_.rob_size, params_.rs_size));
-    while (remaining > 0) {
-        const uint32_t chunk = std::min(remaining, max_chunk);
-        resolveFrontend();
-        ensureRobSpace(chunk);
-        ensureRsSpace(chunk);
-        uint64_t issue = cur_cycle_ + 1;
-        if (load_dep && last_load_complete_ > issue) {
-            issue = last_load_complete_;
-        }
-        robPush(issue, chunk, load_dep);
-        // RS dwell is bounded (entries leave at issue; the scheduler does
-        // not hold them for a full memory round trip).
-        rsPush(std::min(issue, cur_cycle_ + 15), chunk, load_dep);
-        dispatch(chunk);
-        remaining -= chunk;
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::timeBranch(const trace::CodeSite& site, bool taken,
-                      uint64_t outcome)
-{
-    ++stats_.branches;
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-
-    // The branch resolves when its inputs are ready; load-dependent
-    // branches resolve only after the feeding load returns.
-    const bool load_dep = site.kind == trace::SiteKind::BranchLoadDep;
-    uint64_t resolve = cur_cycle_ + 1;
-    if (load_dep) {
-        resolve = std::max(resolve, last_load_complete_);
-    }
-
-    robPush(resolve, 1, false);
-    rsPush(std::min(resolve, cur_cycle_ + 15), 1, load_dep);
-    dispatch(1);
-
-    if ((outcome & kMispredictBit) != 0) {
-        ++stats_.branch_mispredicts;
-        const uint64_t ready =
-            resolve + static_cast<uint64_t>(params_.mispredict_penalty);
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::BadSpeculation;
-        }
-    } else if (taken) {
-        // Correctly predicted taken: redirect bubble, larger on BTB miss.
-        const int bubble = (outcome & kBtbHitBit) != 0
-                               ? params_.taken_bubble
-                               : params_.btb_miss_penalty;
-        const uint64_t ready = cur_cycle_ + bubble;
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::Frontend;
-        }
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::timeLoad(const StageRecord& record)
-{
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-    stats_.l1d_misses += static_cast<uint32_t>(record.word);
-    stats_.l2_misses += record.word >> 32;
-    stats_.l3_misses += record.tag >> 32;
-    const int latency =
-        static_cast<int>((record.tag >> 3) & ((1u << 29) - 1));
-
-    // Miss-status-holding registers bound memory-level parallelism: a
-    // miss beyond the outstanding limit starts only when the oldest one
-    // completes. mshr_head_ caches the oldest outstanding completion
-    // (UINT64_MAX when empty), so the common no-expiry case skips the
-    // pruning scan entirely; the queue itself is untouched until a head
-    // actually expires, which pops the same entries the stepped loop
-    // would.
-    uint64_t complete = cur_cycle_ + latency;
-    if (latency > params_.latencies.l1) {
-        if (mshr_head_ <= cur_cycle_) {
-            while (!mshr_.empty() && mshr_.front() <= cur_cycle_) {
-                mshr_.pop_front();
+        for (size_t g = 0; g < groups.size(); ++g) {
+            Functional::Annotation& a = groups[g];
+            if (a.cur != nullptr) {
+                a.cur = &siteBucket(a.sites, site.id);
             }
-            mshr_head_ = mshr_.empty() ? UINT64_MAX : mshr_.front();
+            uint64_t word = 0;
+            if (block) {
+                const Functional::Outer& o = *a.outer;
+                const bool itlb_miss = a.itlb->miss;
+                const uint32_t l1i_misses = missed ? o.l1_misses : 0;
+                const uint64_t penalty =
+                    (missed ? a.fetch_penalty[o.served] : 0)
+                    + (itlb_miss ? static_cast<uint32_t>(a.lat.itlb_miss) : 0);
+                word = l1i_misses | (penalty << 32);
+                if (a.cur != nullptr) {
+                    ++a.cur->blocks;
+                    a.cur->l1i_accesses += o.l1i->lines;
+                    a.cur->l1i_misses += l1i_misses;
+                    a.cur->itlb_misses += itlb_miss ? 1 : 0;
+                }
+            }
+            if (branch) {
+                const Functional::Predictor& p = *a.predictor;
+                word |= p.outcome;
+                if (a.cur != nullptr) {
+                    ++a.cur->branches;
+                    a.cur->taken += taken ? 1 : 0;
+                    a.cur->branch_mispredicts +=
+                        p.outcome == kMispredictBit ? 1 : 0;
+                    a.cur->btb_misses += p.btb_miss ? 1 : 0;
+                }
+            }
+            out(g, i) = word;
         }
-        if (static_cast<int>(mshr_.size()) >= params_.mshr_entries) {
-            complete = mshr_.front() + latency;
-        }
-        mshr_.push_back(complete);
-        mshr_head_ = mshr_.front();
     }
-    last_load_complete_ = complete;
-    robPush(complete, 1, true);
-    // Loads leave the reservation station at issue (address generation),
-    // not at data return; only a bounded scheduler dwell is charged. The
-    // in-order-retire ROB carries the full miss latency.
-    rsPush(cur_cycle_ + std::min(latency, 15), 1, true);
-    dispatch(1);
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::timeStore(const StageRecord& record)
-{
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-    ensureSbSpace(1);
-    stats_.l1d_misses += static_cast<uint32_t>(record.word);
-    stats_.l2_misses += record.word >> 32;
-    stats_.l3_misses += record.tag >> 32;
-    const int latency =
-        static_cast<int>((record.tag >> 3) & ((1u << 29) - 1));
-
-    // Stores retire promptly but occupy the store buffer until the line
-    // is written; a full SB blocks dispatch (space reserved above).
-    sbPush(cur_cycle_ + latency, 1);
-
-    robPush(cur_cycle_ + 1, 1, false);
-    rsPush(cur_cycle_ + 1, 1, false);
-    dispatch(1);
 }
 
 // ---- Reference stepping ----------------------------------------------------
@@ -1206,59 +1964,42 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
 {
     // Pre-fast-forward implementation: recompute the line span per event
     // and walk every line through the full cache access path.
-    const uint32_t line = params_.l1i.line_bytes;
+    ClassTiming& t = *classes_.front();
+    Functional& f = *fn_;
+    Cache& l1i = f.l1i.front().cache;
+    OuterLevels& outer = f.outers.front().levels;
+    if (t.attr_cur != nullptr) {
+        t.attr_cur = &siteBucket(t.attr_sites, site.id);
+        ++t.attr_cur->blocks;
+    }
+    const uint32_t line = t.params.l1i.line_bytes;
     const uint64_t first = site.address / line;
     const uint64_t last = (site.address + site.bytes - 1) / line;
+    const LatencyParams& lat = t.params.latencies;
     int fetch_penalty = 0;
     for (uint64_t l = first; l <= last; ++l) {
-        ++stats_.l1i_accesses;
-        const AccessResult r = caches_.fetchAccess(l * line);
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->l1i_accesses;
+        ++t.stats.l1i_accesses;
+        if (t.attr_cur != nullptr) {
+            ++t.attr_cur->l1i_accesses;
         }
+        const AccessResult r = hierarchyAccess(l1i, outer, lat, l * line);
         if (r.l1_miss) {
-            ++stats_.l1i_misses;
-            if (attr_cur_ != nullptr) {
-                ++attr_cur_->l1i_misses;
+            ++t.stats.l1i_misses;
+            if (t.attr_cur != nullptr) {
+                ++t.attr_cur->l1i_misses;
             }
-            fetch_penalty =
-                std::max(fetch_penalty,
-                         r.latency - params_.latencies.l1);
+            fetch_penalty = std::max(fetch_penalty, r.latency - lat.l1);
         }
     }
-    if (!itlb_.access(site.address)) {
-        ++stats_.itlb_misses;
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->itlb_misses;
+    if (!f.itlbs.front().tlb.access(site.address)) {
+        ++t.stats.itlb_misses;
+        if (t.attr_cur != nullptr) {
+            ++t.attr_cur->itlb_misses;
         }
-        fetch_penalty += params_.latencies.itlb_miss;
+        fetch_penalty += lat.itlb_miss;
     }
-    if (fetch_penalty > 0) {
-        const uint64_t ready = cur_cycle_ + fetch_penalty;
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::Frontend;
-        }
-    }
-
-    const bool load_dep = site.kind == trace::SiteKind::BlockLoadDep;
-    uint32_t remaining = site.instructions;
-    const uint32_t max_chunk = static_cast<uint32_t>(
-        std::min(params_.rob_size, params_.rs_size));
-    while (remaining > 0) {
-        const uint32_t chunk = std::min(remaining, max_chunk);
-        resolveFrontend();
-        ensureRobSpace(chunk);
-        ensureRsSpace(chunk);
-        uint64_t issue = cur_cycle_ + 1;
-        if (load_dep && last_load_complete_ > issue) {
-            issue = last_load_complete_;
-        }
-        robPush(issue, chunk, load_dep);
-        rsPush(std::min(issue, cur_cycle_ + 15), chunk, load_dep);
-        dispatch(chunk);
-        remaining -= chunk;
-    }
+    t.delayFetch(static_cast<uint64_t>(fetch_penalty));
+    t.dispatchBlock(site);
 }
 
 void
@@ -1266,99 +2007,87 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
 {
     // Pre-fast-forward implementation: separate predict() and update()
     // virtual calls.
-    ++stats_.branches;
-    const bool predicted = predictor_->predict(site.address);
-    predictor_->update(site.address, taken);
-
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-
-    uint64_t resolve = cur_cycle_ + 1;
-    if (site.kind == trace::SiteKind::BranchLoadDep) {
-        resolve = std::max(resolve, last_load_complete_);
+    ClassTiming& t = *classes_.front();
+    Functional::Predictor& p = fn_->predictors.front();
+    if (t.attr_cur != nullptr) {
+        t.attr_cur = &siteBucket(t.attr_sites, site.id);
+        ++t.attr_cur->branches;
+        t.attr_cur->taken += taken ? 1 : 0;
     }
-
-    robPush(resolve, 1, false);
-    rsPush(std::min(resolve, cur_cycle_ + 15), 1,
-           site.kind == trace::SiteKind::BranchLoadDep);
-    dispatch(1);
-
+    const bool predicted = p.predictor->predict(site.address);
+    p.predictor->update(site.address, taken);
+    const uint64_t resolve = t.dispatchBranch(site);
+    bool btb_hit = false;
     if (predicted != taken) {
-        ++stats_.branch_mispredicts;
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->branch_mispredicts;
-        }
-        const uint64_t ready =
-            resolve + static_cast<uint64_t>(params_.mispredict_penalty);
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::BadSpeculation;
+        if (t.attr_cur != nullptr) {
+            ++t.attr_cur->branch_mispredicts;
         }
     } else if (taken) {
-        const bool btb_hit = btb_.access(site.address);
+        btb_hit = p.btb.access(site.address);
         if (!btb_hit) {
-            ++stats_.btb_misses;
-            if (attr_cur_ != nullptr) {
-                ++attr_cur_->btb_misses;
+            ++t.stats.btb_misses;
+            if (t.attr_cur != nullptr) {
+                ++t.attr_cur->btb_misses;
             }
         }
-        const int bubble =
-            btb_hit ? params_.taken_bubble : params_.btb_miss_penalty;
-        const uint64_t ready = cur_cycle_ + bubble;
-        if (ready > fetch_ready_) {
-            fetch_ready_ = ready;
-            fetch_reason_ = StallCause::Frontend;
-        }
     }
+    t.redirect(taken, predicted != taken, btb_hit, resolve);
 }
+
+namespace {
+
+/** Walks a reference-stepped data access line by line; returns its
+ *  latency. */
+template <typename Charge>
+int
+referenceDataWalk(Cache& l1d, OuterLevels& outer, const LatencyParams& lat,
+                  uint64_t addr, uint32_t bytes, Charge charge)
+{
+    const uint32_t line = l1d.lineBytes();
+    const uint64_t first = addr / line;
+    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
+    int latency = lat.l1;
+    for (uint64_t l = first; l <= last; ++l) {
+        const AccessResult r = hierarchyAccess(l1d, outer, lat, l * line);
+        charge(r);
+        latency = std::max(latency, r.latency);
+    }
+    return latency;
+}
+
+} // namespace
 
 void
 CoreModel::referenceOnLoad(uint64_t addr, uint32_t bytes)
 {
     // Pre-fast-forward implementation: unconditional MSHR pruning scan.
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-    const uint32_t line = params_.l1d.line_bytes;
-    const uint64_t first = addr / line;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
-    int latency = params_.latencies.l1;
-    for (uint64_t l = first; l <= last; ++l) {
-        ++stats_.l1d_accesses;
-        const AccessResult r = caches_.dataAccess(l * line);
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->l1d_accesses;
-            attr_cur_->l1d_misses += r.l1_miss ? 1 : 0;
-            attr_cur_->l2_misses += r.l2_miss ? 1 : 0;
-            attr_cur_->l3_misses += r.l3_miss ? 1 : 0;
-        }
-        if (r.l1_miss) {
-            ++stats_.l1d_misses;
-        }
-        if (r.l2_miss) {
-            ++stats_.l2_misses;
-        }
-        if (r.l3_miss) {
-            ++stats_.l3_misses;
-        }
-        latency = std::max(latency, r.latency);
+    ClassTiming& t = *classes_.front();
+    if (t.attr_cur != nullptr) {
+        ++t.attr_cur->loads;
+        t.attr_cur->load_bytes += bytes;
     }
-
-    uint64_t complete = cur_cycle_ + latency;
-    if (latency > params_.latencies.l1) {
-        while (!mshr_.empty() && mshr_.front() <= cur_cycle_) {
-            mshr_.pop_front();
-        }
-        if (static_cast<int>(mshr_.size()) >= params_.mshr_entries) {
-            complete = mshr_.front() + latency;
-        }
-        mshr_.push_back(complete);
-    }
-    last_load_complete_ = complete;
-    robPush(complete, 1, true);
-    rsPush(cur_cycle_ + std::min(latency, 15), 1, true);
-    dispatch(1);
+    t.resolveFrontend();
+    t.ensureRobSpace(1);
+    t.ensureRsSpace(1);
+    const int latency = referenceDataWalk(
+        fn_->l1d.front().cache, fn_->outers.front().levels,
+        t.params.latencies, addr, bytes, [&t](const AccessResult& r) {
+            ++t.stats.l1d_accesses;
+            t.stats.l1d_misses += r.l1_miss ? 1 : 0;
+            t.stats.l2_misses += r.l2_miss ? 1 : 0;
+            t.stats.l3_misses += r.l3_miss ? 1 : 0;
+            if (t.attr_cur != nullptr) {
+                ++t.attr_cur->l1d_accesses;
+                t.attr_cur->l1d_misses += r.l1_miss ? 1 : 0;
+                t.attr_cur->l2_misses += r.l2_miss ? 1 : 0;
+                t.attr_cur->l3_misses += r.l3_miss ? 1 : 0;
+            }
+        });
+    const uint64_t complete = t.loadComplete(latency, true);
+    t.last_load_complete = complete;
+    t.robPush(complete, 1, true);
+    t.rsPush(t.cur_cycle + std::min(latency, 15), 1, true);
+    t.dispatch(1);
 }
 
 void
@@ -1366,49 +2095,46 @@ CoreModel::referenceOnStore(uint64_t addr, uint32_t bytes)
 {
     // Pre-fast-forward implementation: division-based line math and the
     // store-buffer push open-coded (pre-sbPush).
-    resolveFrontend();
-    ensureRobSpace(1);
-    ensureRsSpace(1);
-    ensureSbSpace(1);
-    const uint32_t line = params_.l1d.line_bytes;
-    const uint64_t first = addr / line;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
-    int latency = params_.latencies.l1;
-    for (uint64_t l = first; l <= last; ++l) {
-        ++stats_.l1d_accesses;
-        const AccessResult r = caches_.dataAccess(l * line); // write-alloc
-        if (attr_cur_ != nullptr) {
-            ++attr_cur_->l1d_accesses;
-            attr_cur_->l1d_misses += r.l1_miss ? 1 : 0;
-            attr_cur_->l2_misses += r.l2_miss ? 1 : 0;
-            attr_cur_->l3_misses += r.l3_miss ? 1 : 0;
-        }
-        if (r.l1_miss) {
-            ++stats_.l1d_misses;
-        }
-        if (r.l2_miss) {
-            ++stats_.l2_misses;
-        }
-        if (r.l3_miss) {
-            ++stats_.l3_misses;
-        }
-        latency = std::max(latency, r.latency);
+    ClassTiming& t = *classes_.front();
+    if (t.attr_cur != nullptr) {
+        ++t.attr_cur->stores;
+        t.attr_cur->store_bytes += bytes;
     }
+    t.resolveFrontend();
+    t.ensureRobSpace(1);
+    t.ensureRsSpace(1);
+    t.ensureSbSpace(1);
+    const int latency = referenceDataWalk(
+        fn_->l1d.front().cache, fn_->outers.front().levels,
+        t.params.latencies, addr, bytes, [&t](const AccessResult& r) {
+            ++t.stats.l1d_accesses;
+            t.stats.l1d_misses += r.l1_miss ? 1 : 0;
+            t.stats.l2_misses += r.l2_miss ? 1 : 0;
+            t.stats.l3_misses += r.l3_miss ? 1 : 0;
+            if (t.attr_cur != nullptr) {
+                ++t.attr_cur->l1d_accesses;
+                t.attr_cur->l1d_misses += r.l1_miss ? 1 : 0;
+                t.attr_cur->l2_misses += r.l2_miss ? 1 : 0;
+                t.attr_cur->l3_misses += r.l3_miss ? 1 : 0;
+            }
+        });
 
-    const uint64_t drain_time = cur_cycle_ + latency;
-    const uint64_t drain_monotone = std::max(drain_time, sb_last_drain_);
-    sb_last_drain_ = drain_monotone;
-    if (!sb_.empty() && sb_.back().time == drain_monotone) {
-        sb_.back().count += 1;
+    const uint64_t drain_time = t.cur_cycle + latency;
+    const uint64_t drain_monotone = std::max(drain_time, t.sb_last_drain);
+    t.sb_last_drain = drain_monotone;
+    if (!t.sb.empty() && t.sb.back().time == drain_monotone) {
+        t.sb.back().count += 1;
     } else {
-        sb_.push_back({drain_monotone, 1, true});
+        t.sb.push_back({drain_monotone, 1, true});
     }
-    ++sb_count_;
+    ++t.sb_count;
 
-    robPush(cur_cycle_ + 1, 1, false);
-    rsPush(cur_cycle_ + 1, 1, false);
-    dispatch(1);
+    t.robPush(t.cur_cycle + 1, 1, false);
+    t.rsPush(t.cur_cycle + 1, 1, false);
+    t.dispatch(1);
 }
+
+// ---- finish ------------------------------------------------------------------
 
 CoreStats
 CoreModel::finish()
@@ -1417,54 +2143,31 @@ CoreModel::finish()
     finished_ = true;
     drainPipeline();
 
-    // Let the machine drain: run the clock to the last retirement.
-    uint64_t end = std::max(cur_cycle_, fetch_ready_);
-    if (!rob_.empty()) {
-        end = std::max(end, rob_.back().time);
-    }
-    if (!sb_.empty()) {
-        end = std::max(end, sb_.back().time);
-    }
-    if (slots_in_cycle_ > 0) {
-        // Fill the partial cycle's leftover slots as backend-core.
-        stats_.slots_backend_core += params_.width - slots_in_cycle_;
-        if (attr_cur_ != nullptr) {
-            attr_cur_->slots_backend_core += params_.width - slots_in_cycle_;
-            ++attr_cur_->cycles;
-        }
-        ++cur_cycle_;
-        slots_in_cycle_ = 0;
-    }
-    advanceTo(end, StallCause::BackendMemory);
-
-    stats_.cycles = cur_cycle_;
-    stats_.slots_total =
-        stats_.cycles * static_cast<uint64_t>(params_.width);
-    if (next_phase_ != UINT64_MAX
-        && (phase_.empty() || phase_.back().instructions != stats_.instructions
-            || phase_.back().cycles != stats_.cycles)) {
-        // Close the time-series with the post-drain totals.
-        capturePhase();
-    }
-
     // Fold in the functional stage's order-only counters and per-site
     // tallies (none is part of a PhaseSample; both stay zero under
-    // reference stepping, which charges stats_ and attr_sites_ itself).
-    stats_.l1i_accesses += order_.l1i_accesses;
-    stats_.l1d_accesses += order_.l1d_accesses;
-    stats_.itlb_misses += order_.itlb_misses;
-    stats_.btb_misses += order_.btb_misses;
-    if (params_.attribute_sites) {
-        if (attr_sites_.size() < order_attr_sites_.size()) {
-            attr_sites_.resize(order_attr_sites_.size());
+    // reference stepping, which charges the class's stats and
+    // attribution itself).
+    const Functional& f = *fn_;
+    for (const auto& cls : classes_) {
+        ClassTiming& t = *cls;
+        t.finishClock();
+        const Functional::Annotation& a = f.annotations[t.annotation];
+        t.stats.l1i_accesses += a.outer->l1i->accesses;
+        t.stats.l1d_accesses += a.outer->l1d->accesses;
+        t.stats.itlb_misses += a.itlb->misses;
+        t.stats.btb_misses += a.predictor->btb_misses;
+        if (t.params.attribute_sites) {
+            if (t.attr_sites.size() < a.sites.size()) {
+                t.attr_sites.resize(a.sites.size());
+            }
+            for (size_t i = 0; i < a.sites.size(); ++i) {
+                t.attr_sites[i].add(a.sites[i]);
+            }
+            t.attr_unattributed.add(a.unattributed);
+            t.attr_cur = nullptr;
         }
-        for (size_t i = 0; i < order_attr_sites_.size(); ++i) {
-            attr_sites_[i].add(order_attr_sites_[i]);
-        }
-        attr_unattributed_.add(order_attr_unattributed_);
-        attr_cur_ = nullptr;
     }
-    return stats_;
+    return classes_.front()->stats;
 }
 
 } // namespace vtrans::uarch

@@ -27,10 +27,7 @@
 
 #include "common/cores.h"
 #include "trace/probe.h"
-#include "uarch/branch.h"
 #include "uarch/cache.h"
-#include "uarch/ringbuf.h"
-#include "uarch/tlb.h"
 
 namespace vtrans::uarch {
 
@@ -75,7 +72,8 @@ struct CoreParams
      *  did before the event-driven fast-forward (DESIGN.md §13). The
      *  differential suite and the microbench's model-sink gate run the
      *  same stream through both paths and require bit-identical
-     *  CoreStats/SiteUarch; production code never sets this. */
+     *  CoreStats/SiteUarch; production code never sets this. Only a
+     *  one-class model steps. */
     bool reference_stepping = false;
 };
 
@@ -201,24 +199,40 @@ struct CoreStats
 };
 
 /**
+ * Rejects a configuration the model cannot simulate, with a VT_FATAL
+ * naming the class and the field: window sizes, width and MSHRs must be
+ * at least 1, penalties and bubbles at least 0, the clock positive, every
+ * latency in [0, 2^15) and the cache, iTLB and BTB geometry realizable.
+ */
+void validateCoreParams(const CoreParams& params);
+
+/**
  * The core model; attach with trace::setSink(&model), run the workload,
  * then call finish().
  *
- * The model runs as two stages over a ring of compact event records
- * (DESIGN.md §13, "Pipelined stages"). The functional stage owns the
- * caches, iTLB, branch predictor and BTB, whose outcomes depend only on
- * the order of events; the timing stage owns dispatch, the window and
- * every time-based counter, which depend only on those outcomes. When
- * two cores of the process budget are free (common/cores.h) each stage
- * runs on its own helper thread; otherwise the probe-emitting thread
- * runs both over each full slot. Either way the results are
- * bit-identical. Accessors other than params() are valid only after
- * finish().
+ * One model simulates a list of server classes from one probe stream
+ * (DESIGN.md §13, "One pass, many classes"). It runs as two stages over a
+ * ring of compact event records ("Pipelined stages"). The functional
+ * stage owns the caches, iTLBs, branch predictors and BTBs, whose
+ * outcomes depend only on the order of events: it simulates each
+ * distinct structure once per distinct input stream and annotates the
+ * records once per distinct outcome. The timing stage keeps one dispatch
+ * and window model per class, with that class's CoreStats, per-site
+ * attribution and phase samples. A single class is the one-element case.
+ * When two cores of the process budget are free (common/cores.h) each
+ * stage runs on its own helper thread; otherwise the probe-emitting
+ * thread runs both over each full slot. Either way every class's results
+ * are bit-identical to a model of that class alone. Accessors other than
+ * params() and classCount() are valid only after finish().
  */
 class CoreModel : public trace::ProbeSink
 {
   public:
     explicit CoreModel(const CoreParams& params);
+
+    /** Simulates every class of `classes` (at least one) from the one
+     *  stream; each is validated before any state is built. */
+    explicit CoreModel(const std::vector<CoreParams>& classes);
 
     /** Joins the helper threads if finish() never ran. */
     ~CoreModel() override;
@@ -238,11 +252,17 @@ class CoreModel : public trace::ProbeSink
      *  records through the calls above. */
     void onBatch(const trace::ProbeEvent* events, size_t count) override;
 
-    /** Drains the ring, joins the helper threads and returns the
-     *  statistics. */
+    /** Drains the ring, joins the helper threads and returns the first
+     *  class's statistics (stats(c) has every class's). */
     CoreStats finish();
 
-    const CoreParams& params() const { return params_; }
+    /** Number of simulated classes. */
+    size_t classCount() const { return classes_.size(); }
+
+    const CoreParams& params(size_t cls = 0) const;
+
+    /** Class `cls`'s statistics (after finish()). */
+    const CoreStats& stats(size_t cls) const;
 
     /** True if the stages ran on helper threads rather than inline. */
     bool ranOnHelpers() const { return ran_on_helpers_; }
@@ -250,54 +270,38 @@ class CoreModel : public trace::ProbeSink
     /** Per-site attribution, indexed by trace::CodeSite::id (shorter than
      *  the registry if trailing sites saw no events). Empty when
      *  CoreParams::attribute_sites is off. */
-    const std::vector<SiteUarch>& attributionPerSite() const
-    {
-        return attr_sites_;
-    }
+    const std::vector<SiteUarch>& attributionPerSite(size_t cls = 0) const;
 
     /** Charges that predate the first block probe (attribution on). */
-    const SiteUarch& attributionUnattributed() const
-    {
-        return attr_unattributed_;
-    }
+    const SiteUarch& attributionUnattributed(size_t cls = 0) const;
 
-    bool attributionEnabled() const { return params_.attribute_sites; }
+    bool attributionEnabled(size_t cls = 0) const
+    {
+        return params(cls).attribute_sites;
+    }
 
     /** Cumulative snapshots every CoreParams::phase_window retired
      *  instructions; finish() appends a final end-of-run sample. Empty
      *  when phase_window is 0. */
-    const std::vector<PhaseSample>& phaseSamples() const { return phase_; }
+    const std::vector<PhaseSample>& phaseSamples(size_t cls = 0) const;
 
   private:
-    enum class StallCause : uint8_t
-    {
-        Frontend,
-        BadSpeculation,
-        BackendMemory,
-        BackendCore,
-    };
-
     /**
-     * One probe event in the stage ring: 16 bytes, written raw by the
-     * producer, annotated in place by the functional stage and consumed
-     * by the timing stage. The low three bits of `tag` give the kind:
-     * kBlockBit and/or kBranchBit mark a site record, neither marks a
-     * memory record; kFlagBit is the branch direction (site records) or
-     * "store" (memory records).
+     * One probe event in the stage ring: 16 bytes, written by the
+     * producer and read by both stages. The low three bits of `tag` give
+     * the kind: kBlockBit and/or kBranchBit mark a site record, neither
+     * marks a memory record; kFlagBit is the branch direction (site
+     * records) or "store" (memory records).
      *
-     *   site, raw:         word = layout address,
-     *                      tag  = CodeSite* | kind bits
-     *   site, annotated:   word = L1i misses (bits 0-31)
-     *                           | fetch penalty (bits 32-61)
-     *                           | kMispredictBit | kBtbHitBit
-     *   memory, raw:       word = address, tag = bytes << 32 | kind bits
-     *   memory, annotated: word = L1 misses | L2 misses << 32,
-     *                      tag  = L3 misses << 32 | latency << 3
-     *                           | kind bits
+     *   site:   word = layout address, tag = CodeSite* | kind bits
+     *   memory: word = address,        tag = bytes << 32 | kind bits
      *
-     * The producer copies the site address into the record, so a layout
-     * change never races a stage; the stages read only the immutable
-     * fields of the CodeSite (id, bytes, instructions, kind).
+     * The functional stage writes its outcome for each record to one
+     * word per annotation group (see core.cc): the first group's over
+     * `word` in place, every other group's to its own array. The producer
+     * copies the site address into the record, so a layout change never
+     * races a stage; the stages read only the immutable fields of the
+     * CodeSite (id, bytes, instructions, kind).
      */
     struct StageRecord
     {
@@ -305,18 +309,13 @@ class CoreModel : public trace::ProbeSink
         uint64_t tag;
     };
 
-    static constexpr uint64_t kBlockBit = 1;
-    static constexpr uint64_t kBranchBit = 2;
-    static constexpr uint64_t kFlagBit = 4;
-    static constexpr uint64_t kKindBits = 7;
-    static constexpr uint64_t kMispredictBit = 1ull << 62;
-    static constexpr uint64_t kBtbHitBit = 1ull << 63;
-
-    /** Ring geometry: 4 slots x 2048 records = 128 KiB per model with
-     *  helpers. Inline, only slot 0 is allocated (32 KiB). Each slot's
-     *  records are a separate allocation, below glibc's mmap threshold:
-     *  one 128 KiB block per model raised the peak RSS of a cache-heavy
-     *  farm run by half, through the threshold's dynamic adjustment. */
+    /** Ring geometry: 4 slots x 2048 records, plus 2048 outcome words
+     *  per slot for each annotation group after the first; inline, only
+     *  slot 0 is allocated.
+     *  Every block is a separate allocation below glibc's mmap
+     *  threshold: one 128 KiB block per model raised the peak RSS of a
+     *  cache-heavy farm run by half, through the threshold's dynamic
+     *  adjustment. */
     static constexpr uint32_t kSlots = 4;
     static constexpr uint32_t kSlotRecords = 2048;
     /** Slot count that tells the helper threads to exit. */
@@ -338,42 +337,15 @@ class CoreModel : public trace::ProbeSink
         alignas(64) std::atomic<uint32_t> state{kFree};
         uint32_t count = 0; ///< Records in this slot (or kStopSlot).
         std::unique_ptr<StageRecord[]> records; ///< kSlotRecords each.
+        /// Outcome words of annotation groups 1.. (group g at g - 1);
+        /// group 0's outcome of record i is records[i].word.
+        std::vector<std::unique_ptr<uint64_t[]>> words;
     };
 
-    /**
-     * Precomputed instruction-fetch geometry of one code site. The
-     * block's L1i line span and iTLB page are pure functions of the
-     * site's (immutable) size and its layout address, so they are
-     * computed once per site — and rebuilt only if a relayout pass
-     * rewrites the address (`address` is the validity key). `slots`
-     * additionally remembers, per line, the cache way the line was last
-     * resident in; Cache::touchIfResident() re-validates the hint on
-     * every use, so a stale slot costs one failed tag compare, never a
-     * wrong result.
-     */
-    struct SiteFetchPlan
-    {
-        /// No site ever lands at this address (layout starts at
-        /// SiteRegistry::kTextBase and grows).
-        static constexpr uint64_t kNoAddress = UINT64_MAX;
-
-        uint64_t address = kNoAddress; ///< Site address at build time.
-        uint64_t first_line = 0;       ///< First L1i line index.
-        uint64_t page = 0;             ///< iTLB page (address >> 12).
-        uint32_t line_count = 0;       ///< Lines spanned by the block.
-        std::vector<uint32_t> slots;   ///< Resident-way hint per line.
-    };
-
-    /** The order-only CoreStats counters (none is part of a
-     *  PhaseSample), charged by the functional stage and folded into
-     *  stats_ at finish(). */
-    struct OrderCounters
-    {
-        uint64_t l1i_accesses = 0;
-        uint64_t l1d_accesses = 0;
-        uint64_t itlb_misses = 0;
-        uint64_t btb_misses = 0;
-    };
+    /** The shared structures and their per-record outcomes (core.cc). */
+    struct Functional;
+    /** One class's dispatch/window model and results (core.cc). */
+    struct ClassTiming;
 
     // ---- Producer (the probe-emitting thread) ----
 
@@ -384,6 +356,9 @@ class CoreModel : public trace::ProbeSink
      *  helpers, passes it to the functional stage and waits for the next
      *  slot to come free. The first full slot decides between the two. */
     void publish();
+
+    /** Allocates slot `i`'s records and outcome words. */
+    void allocateSlot(uint32_t i);
 
     /** Marks the current slot Filled with `count` records and moves to
      *  the next one once it is Free (helpers only). */
@@ -403,170 +378,46 @@ class CoreModel : public trace::ProbeSink
     void functionalMain();
     void timingMain();
 
-    // ---- Functional stage ----
+    /** The functional stage over a slot's first `count` records. The
+     *  one-of-each instantiation serves every model whose classes share
+     *  all of their structures (every one-class model): the same code
+     *  with compile-time group counts of one. */
+    template <bool kOneOfEach>
+    void functionalStage(Slot& slot, uint32_t count);
 
-    /** Annotates `count` raw records in place (see StageRecord). */
-    void functionalStage(StageRecord* records, size_t count);
+    /** functionalStage<true> when every group has one member. */
+    bool one_of_each_ = false;
 
-    /** L1i walk and iTLB lookup of one block; returns its annotation. */
-    uint64_t fetchBlock(const trace::CodeSite& site, uint64_t address);
+    /** Runs the functional stage instantiation this model uses. */
+    void
+    runFunctional(Slot& slot, uint32_t count)
+    {
+        if (one_of_each_) {
+            functionalStage<true>(slot, count);
+        } else {
+            functionalStage<false>(slot, count);
+        }
+    }
 
-    /** Predictor update (and the BTB probe of a correctly predicted
-     *  taken branch); returns the branch's annotation bits. */
-    uint64_t predictBranch(uint64_t address, bool taken);
+    /** Every class's timing stage over a slot's first `count` records. */
+    void timingStages(const Slot& slot, uint32_t count);
 
-    /** L1d -> L4 walk of one load or store, annotated in place. */
-    void walkData(StageRecord& record);
+    // ---- Reference stepping (one class, on the calling thread) ----
 
-    /** The fetch plan for `site` at `address` (built on demand). */
-    SiteFetchPlan& planFor(const trace::CodeSite& site, uint64_t address);
-    void rebuildPlan(SiteFetchPlan& plan, const trace::CodeSite& site,
-                     uint64_t address);
-
-    // ---- Timing stage ----
-
-    /** Consumes `count` annotated records in order. */
-    void timingStage(const StageRecord* records, size_t count);
-
-    /** Frontend penalty and backend dispatch of one block. */
-    void timeBlock(const trace::CodeSite& site, uint64_t outcome);
-
-    /** Dispatch and redirect of one branch. */
-    void timeBranch(const trace::CodeSite& site, bool taken,
-                    uint64_t outcome);
-
-    /** Dispatch of one load or store. */
-    void timeLoad(const StageRecord& record);
-    void timeStore(const StageRecord& record);
-
-    /** Advances dispatch to `target_cycle`, attributing empty slots. */
-    void advanceTo(uint64_t target_cycle, StallCause cause);
-
-    /** Dispatches `count` retiring instructions (handles cycle rollover
-     *  and frontend-availability stalls). Event-driven: the whole span
-     *  advances in closed form — see DESIGN.md §13 for the argument
-     *  that this is bit-exact vs the stepped reference path. */
-    void dispatch(uint32_t count);
-
-    /** Stalls dispatch until the frontend has instructions available. */
-    void resolveFrontend();
-
-    /** Stalls dispatch until the window has room for `count` entries. */
-    void ensureRobSpace(uint32_t count);
-    void ensureRsSpace(uint32_t count);
-    void ensureSbSpace(uint32_t count);
-
-    /** Pushes `count` instructions completing at `complete` into the ROB
-     *  (space must have been ensured). */
-    void robPush(uint64_t complete, uint32_t count, bool is_mem);
-
-    /** Pushes an RS entry freed at `free` (space must have been ensured). */
-    void rsPush(uint64_t free, uint32_t count, bool is_mem);
-
-    /** Pushes `count` store-buffer entries draining at `drain_time`
-     *  (space must have been ensured; completion times made monotone). */
-    void sbPush(uint64_t drain_time, uint32_t count);
-
-    /** Frees entries whose time has passed. */
-    void drain();
-
-    /** Records a cumulative PhaseSample and arms the next window. */
-    void capturePhase();
-
-    // ---- Reference stepping (sequential, on the calling thread) ----
-
-    /** The pre-fast-forward implementations, retained verbatim for the
+    /** The pre-fast-forward implementations, retained for the
      *  differential suite (CoreParams::reference_stepping). */
-    void referenceDispatch(uint32_t count);
     void referenceOnBlock(const trace::CodeSite& site);
     void referenceOnBranch(const trace::CodeSite& site, bool taken);
     void referenceOnLoad(uint64_t addr, uint32_t bytes);
     void referenceOnStore(uint64_t addr, uint32_t bytes);
-
-    uint64_t now() const { return cur_cycle_; }
-
-    CoreParams params_;
 
     /** CoreParams::reference_stepping, hoisted (one predictable branch
      *  at the top of each event handler selects the retained path). */
     bool reference_stepping_ = false;
     bool finished_ = false;
 
-    // Functional-stage state. Reference stepping uses the structures
-    // directly on the calling thread and leaves the counters at zero.
-    alignas(64) CacheHierarchy caches_;
-    Tlb itlb_;
-    std::unique_ptr<BranchPredictor> predictor_;
-    Btb btb_;
-
-    /** Per-site fetch plans, indexed by trace::CodeSite::id (grown on
-     *  demand like attr_sites_). */
-    std::vector<SiteFetchPlan> plans_;
-
-    OrderCounters order_;
-
-    // The order-only per-site tallies (event counts, branch and cache
-    // outcomes), merged into attr_sites_ at finish(). order_attr_cur_
-    // follows the same rules as attr_cur_ below.
-    std::vector<SiteUarch> order_attr_sites_;
-    SiteUarch order_attr_unattributed_;
-    SiteUarch* order_attr_cur_ = nullptr;
-
-    // Timing-stage state.
-    struct WindowEntry
-    {
-        uint64_t time;   ///< Retire/issue/drain cycle.
-        uint32_t count;  ///< Instructions coalesced into this entry.
-        bool is_mem;     ///< Blocking on memory (stall attribution).
-    };
-
-    // Dispatch state.
-    alignas(64) uint64_t cur_cycle_ = 0;
-    uint32_t slots_in_cycle_ = 0;
-
-    // Frontend availability.
-    uint64_t fetch_ready_ = 0;
-    StallCause fetch_reason_ = StallCause::Frontend;
-
-    // Window occupancy. Ring buffers instead of deques: coalescing keeps
-    // the entry count far below the modelled structure size, so in steady
-    // state these never allocate (see uarch/ringbuf.h).
-    RingBuffer<WindowEntry> rob_;
-    RingBuffer<WindowEntry> rs_;
-    RingBuffer<WindowEntry> sb_;
-    uint64_t rob_count_ = 0;
-    uint64_t rs_count_ = 0;
-    uint64_t sb_count_ = 0;
-    uint64_t rob_last_complete_ = 0;
-    uint64_t rs_last_free_ = 0;
-    uint64_t sb_last_drain_ = 0;
-
-    uint64_t last_load_complete_ = 0;
-    RingBuffer<uint64_t> mshr_; ///< Completion times of in-flight misses.
-
-    /** mshr_.front() (UINT64_MAX when empty), cached so a load skips the
-     *  head-pruning loop entirely while the oldest miss is still in the
-     *  future — the common case on a streaming miss train. */
-    uint64_t mshr_head_ = UINT64_MAX;
-
-    CoreStats stats_;
-
-    // Per-site attribution (CoreParams::attribute_sites): the time-based
-    // charges here, the order-only ones in order_attr_sites_. attr_cur_
-    // is null when attribution is off — a single predictable branch
-    // guards every mirrored charge — and otherwise always points at a
-    // live bucket (initially the unattributed one). It is refreshed on
-    // every site record, the only records that can grow attr_sites_, so
-    // it never dangles across intervening loads/stores.
-    std::vector<SiteUarch> attr_sites_;
-    SiteUarch attr_unattributed_;
-    SiteUarch* attr_cur_ = nullptr;
-
-    // Phase time-series (CoreParams::phase_window). next_phase_ stays at
-    // UINT64_MAX when sampling is off, so the hot dispatch loop pays one
-    // never-taken compare per instruction.
-    std::vector<PhaseSample> phase_;
-    uint64_t next_phase_ = UINT64_MAX;
+    std::unique_ptr<Functional> fn_;
+    std::vector<std::unique_ptr<ClassTiming>> classes_;
 
     // Producer state and the ring. Inline, only slot 0 has storage; the
     // other slots get theirs when the helpers start.

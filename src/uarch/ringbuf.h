@@ -44,15 +44,26 @@ class RingBuffer
     size_t size() const { return count_; }
     size_t capacity() const { return slots_.size(); }
 
-    T& front() { return slots_[head_]; }
-    const T& front() const { return slots_[head_]; }
-    T& back() { return slots_[(head_ + count_ - 1) & mask_]; }
-    const T& back() const { return slots_[(head_ + count_ - 1) & mask_]; }
+    // The accessors and push/pop below are forced inline: the core
+    // model's timing stage calls them from many always-inline helpers,
+    // and GCC's size heuristics otherwise emit them out of line.
+    [[gnu::always_inline]] T& front() { return slots_[head_]; }
+    [[gnu::always_inline]] const T& front() const { return slots_[head_]; }
+    [[gnu::always_inline]] T&
+    back()
+    {
+        return slots_[(head_ + count_ - 1) & mask_];
+    }
+    [[gnu::always_inline]] const T&
+    back() const
+    {
+        return slots_[(head_ + count_ - 1) & mask_];
+    }
 
     /** Element `i` positions from the front (0 == front()). */
     const T& operator[](size_t i) const { return slots_[(head_ + i) & mask_]; }
 
-    void
+    [[gnu::always_inline]] void
     push_back(const T& value)
     {
         emplace_back(value);
@@ -61,7 +72,7 @@ class RingBuffer
     /** Constructs the new back element from `args` directly in its slot
      *  (aggregate initialization), so the caller builds no temporary. */
     template <typename... Args>
-    void
+    [[gnu::always_inline]] void
     emplace_back(Args&&... args)
     {
         if (count_ == slots_.size()) [[unlikely]] {
@@ -71,7 +82,7 @@ class RingBuffer
         ++count_;
     }
 
-    void
+    [[gnu::always_inline]] void
     pop_front()
     {
         head_ = (head_ + 1) & mask_;

@@ -9,9 +9,9 @@
  */
 
 #include <cstdint>
-#include <vector>
 
 #include "common/status.h"
+#include "uarch/lru.h"
 
 namespace vtrans::uarch {
 
@@ -21,111 +21,40 @@ class Tlb
   public:
     static constexpr uint32_t kWays = 4;
 
-    explicit Tlb(uint32_t entries) : entries_(entries)
+    explicit Tlb(uint32_t entries)
+        : entries_(entries),
+          sets_(
+              [entries] {
+                  VT_ASSERT(entries > 0 && entries % kWays == 0,
+                            "TLB entries must be a positive multiple of ",
+                            kWays);
+                  const uint32_t sets = entries / kWays;
+                  VT_ASSERT((sets & (sets - 1)) == 0,
+                            "TLB set count must be 2^k");
+                  return sets;
+              }(),
+              kWays)
     {
-        VT_ASSERT(entries % kWays == 0, "TLB entries must be a multiple of ",
-                  kWays);
-        sets_ = entries / kWays;
-        VT_ASSERT((sets_ & (sets_ - 1)) == 0, "TLB set count must be 2^k");
-        set_mask_ = sets_ - 1;
-        slots_.resize(entries);
     }
 
     /** Looks up the page of `addr`, filling on miss. @return hit?
-     *
-     *  Consecutive accesses to the same page (one per instrumented basic
-     *  block — by far the common case) take an MRU fast path that skips
-     *  the set scan; its bookkeeping is identical to the scan's hit arm,
-     *  so stats and replacement stay bit-identical. */
-    bool
-    access(uint64_t addr)
-    {
-        return accessPage(addr >> 12);
-    }
+     *  Consecutive accesses to one page (one per instrumented basic
+     *  block — by far the common case) skip the set scan. */
+    bool access(uint64_t addr) { return accessPage(addr >> 12); }
 
     /** access() with the page number already computed (per-site fetch
      *  plans precompute it once per site). Same bookkeeping. */
-    bool
-    accessPage(uint64_t page)
-    {
-        ++accesses_;
-        ++tick_;
-        if (page == mru_page_) {
-            mru_entry_->lru = tick_;
-            return true;
-        }
-        const uint32_t set = static_cast<uint32_t>(page) & set_mask_;
-        Entry* base = &slots_[static_cast<size_t>(set) * kWays];
-        // Fused hit + victim scan (same idiom as Cache::scanLine): track
-        // the first invalid way, else the first minimum-lru way, while
-        // looking for the page. Identical replacement to two passes.
-        Entry* invalid = nullptr;
-        Entry* lru_entry = base;
-        for (uint32_t w = 0; w < kWays; ++w) {
-            Entry& e = base[w];
-            if (!e.valid) {
-                if (invalid == nullptr) {
-                    invalid = &e;
-                }
-                continue;
-            }
-            if (e.page == page) {
-                e.lru = tick_;
-                mru_page_ = page;
-                mru_entry_ = &e;
-                return true;
-            }
-            if (e.lru < lru_entry->lru) {
-                lru_entry = &e;
-            }
-        }
-        ++misses_;
-        Entry* victim = invalid != nullptr ? invalid : lru_entry;
-        victim->valid = true;
-        victim->page = page;
-        victim->lru = tick_;
-        mru_page_ = page;
-        mru_entry_ = victim;
-        return false;
-    }
+    bool accessPage(uint64_t page) { return sets_.access(page); }
 
-    void
-    reset()
-    {
-        for (auto& e : slots_) {
-            e.valid = false;
-        }
-        mru_page_ = kNoPage;
-        mru_entry_ = nullptr;
-        tick_ = 0;
-        accesses_ = 0;
-        misses_ = 0;
-    }
+    void reset() { sets_.reset(); }
 
-    uint64_t accesses() const { return accesses_; }
-    uint64_t misses() const { return misses_; }
+    uint64_t accesses() const { return sets_.accesses(); }
+    uint64_t misses() const { return sets_.misses(); }
     uint32_t entries() const { return entries_; }
 
   private:
-    struct Entry
-    {
-        uint64_t page = 0;
-        uint64_t lru = 0;
-        bool valid = false;
-    };
-
-    /// Sentinel for "no MRU page cached" (addr >> 12 never reaches this).
-    static constexpr uint64_t kNoPage = UINT64_MAX;
-
     uint32_t entries_;
-    uint32_t sets_;
-    uint32_t set_mask_;           ///< sets_ - 1, precomputed.
-    std::vector<Entry> slots_;    ///< Stable storage (sized in the ctor).
-    uint64_t mru_page_ = kNoPage; ///< Page of the most recent access.
-    Entry* mru_entry_ = nullptr;  ///< Its resident entry.
-    uint64_t tick_ = 0;
-    uint64_t accesses_ = 0;
-    uint64_t misses_ = 0;
+    LruSets sets_;
 };
 
 } // namespace vtrans::uarch

@@ -16,12 +16,14 @@
 #include <utility>
 #include <vector>
 
+#include "chunk/chunk.h"
 #include "codec/params.h"
 #include "core/workload.h"
 #include "farm/dispatch.h"
 #include "farm/farm.h"
 #include "farm/queue.h"
 #include "farm/runlog.h"
+#include "obs/metrics.h"
 #include "obs/spans.h"
 #include "uarch/config.h"
 
@@ -550,6 +552,87 @@ TEST(Farm, DeterministicAcrossWorkerCounts)
             service.submit(req);
         }
         EXPECT_EQ(service.drain().toJsonl(), serial_jsonl);
+    }
+}
+
+/** The lone instrumented run of a Done record's work on its server
+ *  class: the whole clip, or for a chunk job its slice of the split. */
+core::RunResult
+loneRun(const Farm& farm, const JobRecord& rec,
+        const chunk::ChunkOptions& chunking)
+{
+    const sched::Task task{rec.video, rec.crf, rec.refs, rec.preset};
+    core::RunConfig cfg;
+    cfg.video = task.video;
+    cfg.seconds = farm.options().clip_seconds;
+    cfg.params = task.params();
+    cfg.core = uarch::configByName(farm.fleet()[rec.server].config);
+    if (rec.kind != "chunk") {
+        return core::runInstrumented(cfg);
+    }
+    const auto plan =
+        core::cachedSplit(task.video, cfg.seconds, cfg.params, chunking);
+    const auto groups =
+        chunk::groupSegments(plan->segments.size(), chunking.max_chunks);
+    const auto [first, count] = groups.at(rec.chunk_index);
+    std::vector<const std::vector<uint8_t>*> slices;
+    for (int i = 0; i < count; ++i) {
+        slices.push_back(&plan->segments[first + i].source);
+    }
+    cfg.keep_output = true;
+    return core::runInstrumentedChunk(slices, cfg);
+}
+
+/** A drain runs each task signature's server classes as one shared pass:
+ *  at 1 and 4 workers, plain and chunked, every Done record's result must
+ *  still be the lone run of its work on its class, the cache must
+ *  reconcile, and the drain must have paid fewer codec passes than class
+ *  runs. */
+TEST(Farm, GroupedPassesMatchLoneRuns)
+{
+    chunk::ChunkOptions chunking;
+    chunking.chunk_frames = 3;
+    auto& transcodes = obs::metrics().counter(
+        "farm_transcodes_total", "Instrumented codec passes the farm ran");
+    auto& class_runs = obs::metrics().counter(
+        "farm_class_runs_total",
+        "Server-class simulations the farm's passes produced");
+    for (bool chunked : {false, true}) {
+        for (int workers : {1, 4}) {
+            const std::string what = std::string(chunked ? "chunked" : "plain")
+                                     + " workers=" + std::to_string(workers);
+            FarmOptions options; // The four Table IV classes.
+            options.clip_seconds = 0.12;
+            options.reference_video = "cat";
+            options.workers = workers;
+            Farm farm(options);
+            for (const auto& req : smallStream(9, 0)) {
+                if (chunked) {
+                    farm.submitChunked(req, chunking);
+                } else {
+                    farm.submit(req);
+                }
+            }
+            const uint64_t transcodes0 = transcodes.value();
+            const uint64_t class_runs0 = class_runs.value();
+            size_t checked = 0;
+            for (const JobRecord& rec : farm.drain().records()) {
+                if (rec.state != JobState::Done || rec.kind == "stitch") {
+                    continue;
+                }
+                EXPECT_EQ(rec.result_fingerprint,
+                          fingerprint(loneRun(farm, rec, chunking)))
+                    << what << " job " << rec.id << " on " << rec.server_name;
+                ++checked;
+            }
+            EXPECT_GE(checked, 9u) << what;
+            const CacheStats cs = farm.cacheDrainStats();
+            EXPECT_EQ(cs.hits + cs.misses, cs.lookups) << what;
+            EXPECT_EQ(class_runs.value() - class_runs0, cs.misses) << what;
+            EXPECT_LT(transcodes.value() - transcodes0,
+                      class_runs.value() - class_runs0)
+                << what;
+        }
     }
 }
 

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 
 #include "common/cores.h"
 #include "common/rng.h"
+#include "codec/params.h"
+#include "codec/transcode.h"
 #include "core/workload.h"
 #include "farm/runlog.h"
 #include "farm/server.h"
@@ -21,6 +24,7 @@
 #include "uarch/cache.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
+#include "uarch/lru.h"
 #include "uarch/ringbuf.h"
 #include "uarch/tlb.h"
 
@@ -85,30 +89,32 @@ TEST(Cache, FitsWorkingSetAfterWarmup)
 
 TEST(Hierarchy, MissFallsThroughLevels)
 {
-    CacheHierarchy h({32768, 8, 64}, {32768, 8, 64}, {262144, 8, 64},
-                     {8388608, 16, 64}, 0, LatencyParams{});
-    const AccessResult cold = h.dataAccess(0x10000);
+    Cache l1d("L1d", {32768, 8, 64});
+    OuterLevels outer({262144, 8, 64}, {8388608, 16, 64}, 0);
+    const LatencyParams lat;
+    const AccessResult cold = hierarchyAccess(l1d, outer, lat, 0x10000);
     EXPECT_TRUE(cold.l1_miss);
     EXPECT_TRUE(cold.l2_miss);
     EXPECT_TRUE(cold.l3_miss);
     EXPECT_EQ(cold.latency, LatencyParams{}.memory + LatencyParams{}.l1);
 
-    const AccessResult warm = h.dataAccess(0x10000);
+    const AccessResult warm = hierarchyAccess(l1d, outer, lat, 0x10000);
     EXPECT_FALSE(warm.l1_miss);
     EXPECT_EQ(warm.latency, LatencyParams{}.l1);
 }
 
 TEST(Hierarchy, L4ServicesL3Misses)
 {
-    CacheHierarchy h({32768, 8, 64}, {32768, 8, 64}, {262144, 8, 64},
-                     {1 << 20, 16, 64}, 16 << 20, LatencyParams{});
-    ASSERT_TRUE(h.hasL4());
-    h.dataAccess(0x40000);          // cold fill through all levels
+    Cache l1d("L1d", {32768, 8, 64});
+    OuterLevels outer({262144, 8, 64}, {1 << 20, 16, 64}, 16 << 20);
+    const LatencyParams lat;
+    ASSERT_TRUE(outer.hasL4());
+    hierarchyAccess(l1d, outer, lat, 0x40000); // cold fill, all levels
     // Evict from L1/L2/L3 by sweeping >L3-sized data; L4 keeps it.
     for (uint64_t a = 1 << 24; a < (1 << 24) + (2 << 20); a += 64) {
-        h.dataAccess(a);
+        hierarchyAccess(l1d, outer, lat, a);
     }
-    const AccessResult r = h.dataAccess(0x40000);
+    const AccessResult r = hierarchyAccess(l1d, outer, lat, 0x40000);
     EXPECT_TRUE(r.l3_miss);
     EXPECT_FALSE(r.l4_miss);
     EXPECT_EQ(r.latency, LatencyParams{}.l4 + LatencyParams{}.l1);
@@ -236,6 +242,299 @@ TEST(Btb, CapacityBehaviour)
     }
     // 32 distinct branches fit in 64 entries: second pass all hits.
     EXPECT_EQ(btb.misses(), 32u);
+}
+
+// ---- Packed LRU tag store ---------------------------------------------------
+
+/** True LRU with one unbounded 64-bit stamp per access: the store
+ *  LruSets replaced, kept as its oracle. */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(uint32_t sets, uint32_t ways)
+        : sets_(sets), ways_(ways), entries_(sets * ways)
+    {
+    }
+
+    bool
+    access(uint64_t key)
+    {
+        ++tick_;
+        Entry* set = &entries_[(key % sets_) * ways_];
+        Entry* invalid = nullptr;
+        Entry* lru = set;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            Entry& e = set[w];
+            if (!e.valid) {
+                if (invalid == nullptr) {
+                    invalid = &e;
+                }
+                continue;
+            }
+            if (e.key == key) {
+                e.stamp = tick_;
+                return true;
+            }
+            if (e.stamp < lru->stamp) {
+                lru = &e;
+            }
+        }
+        Entry* victim = invalid != nullptr ? invalid : lru;
+        *victim = {key, tick_, true};
+        return false;
+    }
+
+    bool
+    contains(uint64_t key) const
+    {
+        const Entry* set = &entries_[(key % sets_) * ways_];
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].key == key) {
+                return true;
+            }
+        }
+        return false;
+    }
+
+  private:
+    struct Entry
+    {
+        uint64_t key = 0;
+        uint64_t stamp = 0;
+        bool valid = false;
+    };
+
+    uint32_t sets_;
+    uint32_t ways_;
+    std::vector<Entry> entries_;
+    uint64_t tick_ = 0;
+};
+
+/** With a stamp limit a few accesses above the set size, the packed store
+ *  renumbers its 32-bit stamps constantly; every hit, miss and victim
+ *  must still match unbounded 64-bit stamps. */
+TEST(LruSets, ForcedStampWrapMatches64BitStamps)
+{
+    for (uint32_t ways : {1u, 2u, 4u, 16u}) {
+        constexpr uint32_t kSets = 8;
+        LruSets packed(kSets, ways, ways + 3);
+        ReferenceLru ref(kSets, ways);
+        Rng rng(0x1a5ull + ways);
+        uint64_t key = 0;
+        for (int i = 0; i < 200000; ++i) {
+            // Repeats exercise the MRU fast path; the key space is three
+            // times the capacity, so victims are chosen constantly.
+            if (!rng.chance(0.3)) {
+                key = 0x10000 + rng.below(kSets * ways * 3);
+            }
+            ASSERT_EQ(packed.access(key), ref.access(key))
+                << "ways=" << ways << " access " << i;
+        }
+        for (uint64_t k = 0x10000; k < 0x10000 + kSets * ways * 3; ++k) {
+            EXPECT_EQ(packed.contains(k), ref.contains(k)) << k;
+        }
+        EXPECT_EQ(packed.accesses(), 200000u);
+    }
+}
+
+// ---- TAGE folded histories ---------------------------------------------------
+
+/** The from-scratch fold the incremental registers replaced: `length`
+ *  history bits folded into `bits` bits by XOR, restarting at every
+ *  64-bit word. */
+uint32_t
+referenceFold(const uint64_t history[4], int bits, int length)
+{
+    uint64_t folded = 0;
+    int consumed = 0;
+    while (consumed < length) {
+        const int word = consumed / 64;
+        const int offset = consumed % 64;
+        const int chunk = std::min({64 - offset, length - consumed, bits});
+        folded ^= (history[word] >> offset) & ((1ull << chunk) - 1);
+        consumed += chunk;
+    }
+    return static_cast<uint32_t>(folded & ((1ull << bits) - 1));
+}
+
+/** TAGE with every fold recomputed from the history words per branch:
+ *  the predictor as it was before its fold registers, kept as the
+ *  oracle of their prediction sequence. */
+class ReferenceTage
+{
+  public:
+    ReferenceTage() : base_(1u << 12, 2)
+    {
+        for (auto& t : tables_) {
+            t.resize(kTableSize);
+        }
+    }
+
+    bool
+    predictAndUpdate(uint64_t pc, bool taken)
+    {
+        const bool predicted = predict(pc);
+        update(taken);
+        return predicted;
+    }
+
+  private:
+    static constexpr int kTables = TagePredictor::kTables;
+    static constexpr uint32_t kTableSize = 1u << TagePredictor::kTableBits;
+
+    struct Entry
+    {
+        uint16_t tag = 0;
+        int8_t ctr = 0;
+        uint8_t useful = 0;
+    };
+
+    bool
+    predict(uint64_t pc)
+    {
+        provider_ = -1;
+        altpred_table_ = -1;
+        base_idx_ = static_cast<uint32_t>(pc >> 2) & (base_.size() - 1);
+        for (int t = 0; t < kTables; ++t) {
+            const int length = TagePredictor::kHistLengths[t];
+            const uint64_t h =
+                referenceFold(ghist_, TagePredictor::kTableBits, length);
+            idx_[t] = static_cast<uint32_t>(
+                ((pc >> 2) ^ (pc >> (TagePredictor::kTableBits + 2)) ^ h)
+                & (kTableSize - 1));
+            const uint64_t h8 = referenceFold(ghist_, 8, length);
+            const uint64_t h7 = referenceFold(ghist_, 7, length) << 1;
+            tag_[t] = static_cast<uint16_t>(((pc >> 2) ^ h8 ^ h7) & 0xff);
+        }
+        const bool base_pred = base_[base_idx_] >= 2;
+        altpred_ = base_pred;
+        provider_pred_ = base_pred;
+        for (int t = kTables - 1; t >= 0; --t) {
+            const Entry& e = tables_[t][idx_[t]];
+            if (e.tag == tag_[t]) {
+                if (provider_ < 0) {
+                    provider_ = t;
+                    provider_pred_ = e.ctr >= 0;
+                } else if (altpred_table_ < 0) {
+                    altpred_table_ = t;
+                    altpred_ = e.ctr >= 0;
+                    break;
+                }
+            }
+        }
+        if (provider_ >= 0 && altpred_table_ < 0) {
+            altpred_ = base_pred;
+        }
+        return provider_ >= 0 ? provider_pred_ : base_pred;
+    }
+
+    void
+    update(bool taken)
+    {
+        const bool prediction =
+            provider_ >= 0 ? provider_pred_ : (base_[base_idx_] >= 2);
+        if (provider_ >= 0) {
+            Entry& e = tables_[provider_][idx_[provider_]];
+            if (taken) {
+                e.ctr = static_cast<int8_t>(std::min(e.ctr + 1, 3));
+            } else {
+                e.ctr = static_cast<int8_t>(std::max(e.ctr - 1, -4));
+            }
+            if (provider_pred_ != altpred_) {
+                if (provider_pred_ == taken) {
+                    e.useful = static_cast<uint8_t>(std::min(e.useful + 1, 3));
+                } else if (e.useful > 0) {
+                    --e.useful;
+                }
+            }
+        } else {
+            uint8_t& c = base_[base_idx_];
+            c = taken ? static_cast<uint8_t>(std::min(c + 1, 3))
+                      : static_cast<uint8_t>(std::max(c - 1, 0));
+        }
+        if (prediction != taken && provider_ < kTables - 1) {
+            rng_state_ ^= rng_state_ << 13;
+            rng_state_ ^= rng_state_ >> 7;
+            rng_state_ ^= rng_state_ << 17;
+            bool allocated = false;
+            for (int t = provider_ + 1; t < kTables; ++t) {
+                Entry& e = tables_[t][idx_[t]];
+                if (e.useful == 0) {
+                    e.tag = tag_[t];
+                    e.ctr = taken ? 0 : -1;
+                    allocated = true;
+                    break;
+                }
+            }
+            if (!allocated) {
+                for (int t = provider_ + 1; t < kTables; ++t) {
+                    Entry& e = tables_[t][idx_[t]];
+                    if (e.useful > 0) {
+                        --e.useful;
+                    }
+                }
+            }
+        }
+        for (int w = 3; w > 0; --w) {
+            ghist_[w] = (ghist_[w] << 1) | (ghist_[w - 1] >> 63);
+        }
+        ghist_[0] = (ghist_[0] << 1) | (taken ? 1 : 0);
+    }
+
+    std::vector<uint8_t> base_;
+    std::vector<Entry> tables_[kTables];
+    uint64_t ghist_[4] = {};
+    uint64_t rng_state_ = 0x12345678;
+    int provider_ = -1;
+    int altpred_table_ = -1;
+    bool provider_pred_ = false;
+    bool altpred_ = false;
+    uint32_t base_idx_ = 0;
+    uint32_t idx_[kTables] = {};
+    uint16_t tag_[kTables] = {};
+};
+
+/** Over a million random and adversarial outcomes, every fold register
+ *  must equal the from-scratch fold of the current history, and the
+ *  predictions must equal the refolding predictor's. */
+TEST(Branch, TageIncrementalFoldsMatchReference)
+{
+    TagePredictor tage;
+    ReferenceTage oracle;
+    Rng rng(0x7a6eull);
+    uint64_t steps = 0;
+    auto step = [&](bool taken) {
+        const uint64_t pc = 0x400000 + 4 * rng.below(4096);
+        ASSERT_EQ(tage.predictAndUpdate(pc, taken),
+                  oracle.predictAndUpdate(pc, taken))
+            << "prediction " << steps;
+        const uint64_t history[4] = {tage.historyWord(0), tage.historyWord(1),
+                                     tage.historyWord(2), tage.historyWord(3)};
+        for (int t = 0; t < TagePredictor::kTables; ++t) {
+            for (int f = 0; f < TagePredictor::kFolds; ++f) {
+                ASSERT_EQ(tage.foldRegister(t, f),
+                          referenceFold(history, TagePredictor::kFoldWidths[f],
+                                        TagePredictor::kHistLengths[t]))
+                    << "table " << t << " fold " << f << " step " << steps;
+            }
+        }
+        ++steps;
+    };
+    auto run = [&](int count, auto outcome) {
+        for (int i = 0; i < count && !HasFatalFailure(); ++i) {
+            step(outcome(i));
+        }
+    };
+    run(400000, [&](int) { return rng.chance(0.5); });
+    run(100000, [](int) { return true; });   // All taken: every fold bit set.
+    run(100000, [](int) { return false; });  // And drained again.
+    run(100000, [](int i) { return (i & 1) != 0; });
+    // Runs whose edges cross history bits 63 and 127 at every phase.
+    for (int length : {62, 63, 64, 65, 126, 127, 128, 129, 130, 131}) {
+        run(20000, [length](int i) { return (i / length) % 2 == 0; });
+    }
+    run(100000, [&](int) { return rng.chance(0.9); }); // Biased random.
+    EXPECT_GE(steps, 1000000u);
 }
 
 // ---- Core model ------------------------------------------------------------
@@ -590,40 +889,48 @@ struct DiffRun
     bool helpers = false; ///< The stages ran on helper threads.
 };
 
-/** Copies a finished model's results. */
+/** Class `cls`'s results from a finished model. */
 DiffRun
-collect(CoreModel& model)
+classRun(const CoreModel& model, size_t cls)
 {
     DiffRun r;
-    r.stats = model.finish();
-    r.sites = model.attributionPerSite();
-    r.unattributed = model.attributionUnattributed();
-    r.phases = model.phaseSamples();
+    r.stats = model.stats(cls);
+    r.sites = model.attributionPerSite(cls);
+    r.unattributed = model.attributionUnattributed(cls);
+    r.phases = model.phaseSamples(cls);
     r.helpers = model.ranOnHelpers();
     return r;
 }
 
-/** Drives a deterministic pseudo-random probe stream — blocks of several
- *  sizes (some load-dependent, one larger than the L1i), hard and
- *  learnable branches, loads over a wandering working set, stores —
- *  through one CoreModel. */
+/** Finishes a one-class model and copies its results. */
 DiffRun
-runProbeStream(CoreParams params, bool reference, uint32_t batch,
-               StageMode mode = StageMode::Inline)
+collect(CoreModel& model)
 {
-    const CoreHold hold = holdFor(mode);
+    model.finish();
+    return classRun(model, 0);
+}
+
+/** Emits a deterministic pseudo-random probe stream into the attached
+ *  sink — blocks of several sizes (some load-dependent, one larger than
+ *  the L1i), hard and learnable branches, loads over a wandering working
+ *  set, stores. With `huge_block`, every 97th iteration also runs a
+ *  49 KB block, whose L1i misses then land inside phase windows. */
+void
+emitProbeStream(bool huge_block = false)
+{
     VT_SITE(blk_a, "coretest.diff.blk_a", 96, 11, Block);
     VT_SITE(blk_b, "coretest.diff.blk_b", 40, 5, Block);
     VT_SITE(blk_c, "coretest.diff.blk_c", 200, 23, BlockLoadDep);
     VT_SITE(br_a, "coretest.diff.br_a", 16, 2, Branch);
     VT_SITE(br_b, "coretest.diff.br_b", 12, 1, BranchLoadDep);
     VT_SITE(blk_big, "coretest.diff.blk_big", 8192, 37, Block);
-    params.reference_stepping = reference;
-    CoreModel model(params);
-    trace::setSink(&model, batch);
+    VT_SITE(blk_huge, "coretest.diff.blk_huge", 49152, 300, Block);
     Rng rng(0xd1ffe4e57ull);
     uint64_t addr = 0x700000000ull;
     for (int i = 0; i < 12000; ++i) {
+        if (huge_block && i % 97 == 0) {
+            trace::block(blk_huge);
+        }
         switch (rng.below(7)) {
           case 0:
             trace::block(blk_a);
@@ -652,6 +959,18 @@ runProbeStream(CoreParams params, bool reference, uint32_t batch,
         addr += 64 * rng.below(1024); // Wandering working set: mixed hits
                                       // and misses at every cache level.
     }
+}
+
+/** Runs emitProbeStream() through one CoreModel of one class. */
+DiffRun
+runProbeStream(CoreParams params, bool reference, uint32_t batch,
+               StageMode mode = StageMode::Inline)
+{
+    const CoreHold hold = holdFor(mode);
+    params.reference_stepping = reference;
+    CoreModel model(params);
+    trace::setSink(&model, batch);
+    emitProbeStream();
     trace::setSink(nullptr);
     return collect(model);
 }
@@ -996,6 +1315,172 @@ TEST(CorePipeline, RunInstrumentedIdenticalWithHelpersAndInline)
     EXPECT_EQ(helpers.attribution, inline_run.attribution);
     EXPECT_EQ(helpers.phases, inline_run.phases);
     EXPECT_NE(helpers.phases.find("topdown"), std::string::npos);
+}
+
+// ---- One pass, many classes -------------------------------------------------
+
+/** Runs emitProbeStream(huge_block) through one model of `classes`. */
+std::vector<DiffRun>
+runProbeStreamMulti(const std::vector<CoreParams>& classes, StageMode mode)
+{
+    const CoreHold hold = holdFor(mode);
+    CoreModel model(classes);
+    trace::setSink(&model, 256);
+    emitProbeStream(true);
+    trace::setSink(nullptr);
+    model.finish();
+    std::vector<DiffRun> runs;
+    for (size_t c = 0; c < classes.size(); ++c) {
+        runs.push_back(classRun(model, c));
+    }
+    return runs;
+}
+
+/** Runs one real transcode through one model of `classes`. */
+std::vector<DiffRun>
+transcodeMulti(const std::vector<CoreParams>& classes, StageMode mode)
+{
+    const CoreHold hold = holdFor(mode);
+    const auto& source = core::mezzanine("cat", 0.08);
+    trace::arena().reset();
+    CoreModel model(classes);
+    trace::setSink(&model);
+    codec::transcode(source, codec::presetParams("fast"));
+    trace::setSink(nullptr);
+    model.finish();
+    std::vector<DiffRun> runs;
+    for (size_t c = 0; c < classes.size(); ++c) {
+        runs.push_back(classRun(model, c));
+    }
+    return runs;
+}
+
+/** The classes of a shared pass: all five Table IV rows plus two that
+ *  split the sharing groups further — a baseline with other latencies
+ *  (same structures, another annotation) and one without attribution
+ *  (same annotation as the baseline, which attributes). */
+std::vector<CoreParams>
+sharedPassClasses()
+{
+    std::vector<CoreParams> classes = tableIVConfigs();
+    for (CoreParams& p : classes) {
+        p.attribute_sites = true;
+        p.phase_window = 1000;
+    }
+    CoreParams slow_memory = classes.front();
+    slow_memory.name = "baseline.slow_memory";
+    slow_memory.latencies.l3 += 7;
+    slow_memory.latencies.memory += 100;
+    classes.push_back(slow_memory);
+    CoreParams quiet = classes.front();
+    quiet.name = "baseline.quiet";
+    quiet.attribute_sites = false;
+    classes.push_back(quiet);
+    return classes;
+}
+
+/** Every class of one shared pass must match a model of that class
+ *  alone, field by field — CoreStats, per-site attribution and phase
+ *  samples — on a synthetic stream whose 49 KB block puts L1i misses
+ *  inside phase windows, and on a real transcode; inline and with
+ *  helper threads. */
+TEST(CoreMulti, SharedPassMatchesSeparateModels)
+{
+    const std::vector<CoreParams> classes = sharedPassClasses();
+    for (StageMode mode : stageModes()) {
+        const std::vector<DiffRun> stream = runProbeStreamMulti(classes, mode);
+        const std::vector<DiffRun> transcode = transcodeMulti(classes, mode);
+        ASSERT_EQ(stream.size(), classes.size());
+        for (size_t c = 0; c < classes.size(); ++c) {
+            const std::string what = classes[c].name + " " + modeName(mode);
+            const DiffRun alone = runProbeStreamMulti({classes[c]}, mode)[0];
+            EXPECT_EQ(stream[c].helpers, mode == StageMode::Helpers) << what;
+            EXPECT_GT(stream[c].stats.l1i_misses, 100000u) << what;
+            EXPECT_GT(stream[c].phases.size(), 100u) << what;
+            expectSameRun(stream[c], alone, "stream " + what);
+            expectSameRun(transcode[c], transcodeMulti({classes[c]}, mode)[0],
+                          "transcode " + what);
+        }
+        // The classes really differ: a shared pass must not collapse them.
+        EXPECT_NE(stream[0].stats.cycles, stream[3].stats.cycles);
+        EXPECT_NE(transcode[0].stats.l1i_misses,
+                  transcode[1].stats.l1i_misses);
+        EXPECT_NE(stream[0].stats.branch_mispredicts,
+                  stream[4].stats.branch_mispredicts);
+        EXPECT_NE(stream[0].stats.cycles, stream[5].stats.cycles);
+        EXPECT_TRUE(stream[6].sites.empty());
+    }
+}
+
+/** The class-list runInstrumented is the one-class run, class by class:
+ *  fingerprints (which cover every CoreStats field) agree. */
+TEST(CoreMulti, RunInstrumentedClassListMatchesLoneRuns)
+{
+    core::RunConfig cfg;
+    cfg.video = "cat";
+    cfg.seconds = 0.04;
+    cfg.params = codec::presetParams("fast");
+    const std::vector<CoreParams> classes = tableIVConfigs();
+    const std::vector<core::RunResult> shared =
+        core::runInstrumented(cfg, classes);
+    ASSERT_EQ(shared.size(), classes.size());
+    for (size_t c = 0; c < classes.size(); ++c) {
+        cfg.core = classes[c];
+        EXPECT_EQ(farm::fingerprint(shared[c]),
+                  farm::fingerprint(core::runInstrumented(cfg)))
+            << classes[c].name;
+    }
+}
+
+// ---- Parameter validation ----------------------------------------------------
+
+/** be_op1 with one field broken. */
+template <typename Mutate>
+CoreParams
+brokenBeOp1(Mutate mutate)
+{
+    CoreParams p = beOp1Config();
+    mutate(p);
+    return p;
+}
+
+TEST(CoreParamsValidationDeathTest, ErrorsNameTheClassAndField)
+{
+    using P = CoreParams;
+    const std::vector<std::pair<std::function<void(P&)>, std::string>> cases{
+        {[](P& p) { p.mshr_entries = 0; }, "mshr_entries"},
+        {[](P& p) { p.mshr_entries = -3; }, "mshr_entries"},
+        {[](P& p) { p.width = 0; }, "width"},
+        {[](P& p) { p.rob_size = 0; }, "rob_size"},
+        {[](P& p) { p.rs_size = -1; }, "rs_size"},
+        {[](P& p) { p.sb_size = 0; }, "sb_size"},
+        {[](P& p) { p.mispredict_penalty = -1; }, "mispredict_penalty"},
+        {[](P& p) { p.btb_miss_penalty = -2; }, "btb_miss_penalty"},
+        {[](P& p) { p.taken_bubble = -1; }, "taken_bubble"},
+        {[](P& p) { p.freq_ghz = 0.0; }, "freq_ghz"},
+        {[](P& p) { p.freq_ghz = -3.5; }, "freq_ghz"},
+        {[](P& p) { p.latencies.memory = -1; }, "latencies.memory"},
+        {[](P& p) { p.latencies.l2 = 1 << 15; }, "latencies.l2"},
+        {[](P& p) { p.itlb_entries = 0; }, "itlb_entries"},
+        {[](P& p) { p.itlb_entries = 6; }, "itlb_entries"},
+        {[](P& p) { p.itlb_entries = 12; }, "itlb_entries"},
+        {[](P& p) { p.l1d.size_bytes = 3000; }, "l1d.size_bytes"},
+        {[](P& p) { p.l2.line_bytes = 48; }, "l2.line_bytes"},
+        {[](P& p) { p.l3.assoc = 0; }, "l3.assoc"},
+        {[](P& p) { p.l4_size = 100000; }, "l4_size"},
+        {[](P& p) { p.predictor = "oracle"; }, "predictor"},
+    };
+    for (const auto& [mutate, field] : cases) {
+        const CoreParams bad = brokenBeOp1(mutate);
+        EXPECT_DEATH(validateCoreParams(bad), "'be_op1': " + field) << field;
+        // A bad class anywhere in a list stops the model before any
+        // state is built.
+        EXPECT_DEATH(CoreModel({baselineConfig(), bad}), "'be_op1': " + field)
+            << field;
+    }
+    for (const CoreParams& p : tableIVConfigs()) {
+        validateCoreParams(p); // Every shipped row is valid.
+    }
 }
 
 // ---- Resource-stall PKI rounding (regression) ------------------------------

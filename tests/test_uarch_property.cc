@@ -136,11 +136,11 @@ TEST(CacheProperty, LatencyOrderingAcrossLevels)
     EXPECT_LT(lat.l3, lat.l4);
     EXPECT_LT(lat.l4, lat.memory);
 
-    CacheHierarchy h({4096, 8, 64}, {8192, 8, 64}, {32768, 8, 64},
-                     {131072, 16, 64}, 262144, lat);
+    Cache l1d("L1d", {4096, 8, 64});
+    OuterLevels outer({32768, 8, 64}, {131072, 16, 64}, 262144);
     // Deeper levels never return faster than shallower ones.
-    const auto cold = h.dataAccess(0x123000);
-    const auto warm = h.dataAccess(0x123000);
+    const auto cold = hierarchyAccess(l1d, outer, lat, 0x123000);
+    const auto warm = hierarchyAccess(l1d, outer, lat, 0x123000);
     EXPECT_GT(cold.latency, warm.latency);
     EXPECT_EQ(warm.latency, lat.l1);
 }

@@ -100,6 +100,11 @@ echo "== pipelined core model: helper threads vs inline stages =="
 cmp "$OBS_DIR/uarch.json" "$OBS_DIR/uarch-jobs1.json"
 cmp "$OBS_DIR/hotspots.json" "$OBS_DIR/hotspots-jobs1.json"
 
+echo "== scheduler study smoke (five-class shared passes) =="
+# Every Table III task and the calibration reference run as one pass
+# simulated on all five Table IV classes; the study must complete.
+"$BUILD_DIR"/bench/fig9_scheduler --seconds 0.1 --quiet >/dev/null
+
 echo "== uarch attribution: exactness + non-perturbation =="
 # Per-site sums must equal CoreStats field by field; attribution on/off
 # must be bit-identical; phase samples must close at the run totals.
@@ -173,6 +178,10 @@ fi
 
 if [[ "${VTRANS_SKIP_TSAN:-0}" != 1 ]]; then
     echo "== thread-sanitizer: probe bus + farm + sweep + observability =="
+    # test_uarch includes the CoreMulti.* shared-pass suite (one helper
+    # thread runs the shared functional stage, another every class's
+    # timing stage); test_farm includes Farm.GroupedPassesMatchLoneRuns
+    # (a group's results entering the shared cache from 4 workers).
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S . -DVTRANS_SANITIZE=thread
     cmake --build "$TSAN_DIR" -j --target test_uarch test_trace test_farm \
@@ -191,11 +200,15 @@ if [[ "${VTRANS_SKIP_ASAN:-0}" != 1 ]]; then
     # UBSan findings are fatal here, not just logged.
     ASAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$ASAN_DIR" -S . -DVTRANS_SANITIZE=address,undefined
-    cmake --build "$ASAN_DIR" -j --target test_obs test_uarch test_trace
+    cmake --build "$ASAN_DIR" -j --target test_obs test_uarch test_trace \
+        test_farm
     export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
     "$ASAN_DIR"/tests/test_trace
     "$ASAN_DIR"/tests/test_uarch
     "$ASAN_DIR"/tests/test_obs
+    # The shared-pass farm path: grouped passes, the group cache fill.
+    "$ASAN_DIR"/tests/test_farm \
+        --gtest_filter='Farm.GroupedPassesMatchLoneRuns'
 fi
 
 echo "== check passed =="
