@@ -131,7 +131,7 @@ benchTracer()
  *                     backend is bit-identical)
  *   --kernel-model <m> simulated kernel cost model: scalar (default,
  *                     bit-identical fingerprints) or vector (SIMD-form
- *                     probe sites, see uarch/simdcost.h)
+ *                     probe sites, see trace/sites.def)
  * Observability (see observabilityReport()):
  *   --hotspots        collect + print the VTune-style hotspot table
  *   --hotspots-out <p> collect + write the hotspot report as JSON

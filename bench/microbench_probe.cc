@@ -51,6 +51,7 @@
 
 #include "common/cli.h"
 #include "common/status.h"
+#include "tests/test_site.h"
 #include "trace/probe.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
@@ -151,13 +152,13 @@ parseStream(const std::string& name)
 void
 emitStream(StreamKind kind, uint64_t iters)
 {
-    VT_SITE(site_alu, "mb.alu", 96, 12, Block);
-    VT_SITE(site_dep, "mb.loaddep", 80, 10, BlockLoadDep);
-    VT_SITE(site_early, "mb.early_exit", 12, 1, BranchLoadDep);
-    VT_SITE(site_loop, "mb.loop", 12, 1, Branch);
-    VT_SITE(site_blk2, "mb.blk2", 64, 7, Block);
-    VT_SITE(site_blk3, "mb.blk3", 180, 19, Block);
-    VT_SITE(site_br2, "mb.br2", 12, 1, Branch);
+    VT_TEST_SITE(site_alu, "mb.alu", 96, 12, Block);
+    VT_TEST_SITE(site_dep, "mb.loaddep", 80, 10, BlockLoadDep);
+    VT_TEST_SITE(site_early, "mb.early_exit", 12, 1, BranchLoadDep);
+    VT_TEST_SITE(site_loop, "mb.loop", 12, 1, Branch);
+    VT_TEST_SITE(site_blk2, "mb.blk2", 64, 7, Block);
+    VT_TEST_SITE(site_blk3, "mb.blk3", 180, 19, Block);
+    VT_TEST_SITE(site_br2, "mb.br2", 12, 1, Branch);
 
     constexpr uint64_t kCur = trace::SimArena::kHeapBase;
     constexpr uint64_t kRef = kCur + (4u << 20);

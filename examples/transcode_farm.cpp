@@ -258,19 +258,14 @@ main(int argc, char** argv)
                 chunking.enabled() ? ", chunked" : "",
                 zipf_s > 0.0 ? ", zipf + result cache" : "");
 
-    // Validate flags before the (multi-second) warm-up, so a typo fails
-    // fast; then pre-warm outside any comparison so every policy pays
-    // equal costs.
+    // Validate flags before any transcode, so a typo fails fast.
     const bool single_policy = cli.has("policy");
     const auto policy =
         farm::dispatchPolicyFromName(cli.str("policy", "smart"));
     const bool uarch_report = cli.has("uarch-report");
     const std::string uarch_out = cli.str("uarch-report-out", "");
     const int64_t phase = cli.num("phase-window", 0);
-    farm::Farm::warmupProcess();
 
-    // Enable attribution only after the warm-up so the report covers the
-    // measured service runs, not the cache-priming transcodes.
     if (uarch_report || !uarch_out.empty()) {
         obs::setUarchAttributionEnabled(true);
         obs::hotspotReport().reset();

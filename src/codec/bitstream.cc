@@ -18,7 +18,7 @@ BitWriter::BitWriter() : sim_base_(trace::arena().alloc(kStreamSimCapacity))
 void
 BitWriter::flushByte()
 {
-    VT_SITE(site, "bitstream.write.byte", 40, 6, Block);
+    VT_SITE(site, BitstreamWriteByte);
     trace::block(site);
     trace::store(sim_base_ + buffer_.size(), 1);
     buffer_.push_back(static_cast<uint8_t>(acc_));
@@ -51,7 +51,7 @@ BitWriter::putBits(uint32_t value, int count)
 void
 BitWriter::putUe(uint32_t value)
 {
-    VT_SITE(site, "bitstream.write.ue", 56, 8, Block);
+    VT_SITE(site, BitstreamWriteUe);
     trace::block(site);
     const uint64_t code = static_cast<uint64_t>(value) + 1;
     int len = 0;
@@ -107,7 +107,7 @@ BitReader::getBits(int count)
         const uint64_t byte_index = bit_pos_ >> 3;
         VT_ASSERT(byte_index < data_.size(), "bitstream underrun");
         if ((bit_pos_ & 7) == 0) {
-            VT_SITE(site, "bitstream.read.byte", 40, 5, Block);
+            VT_SITE(site, BitstreamReadByte);
             trace::block(site);
             trace::load(sim_base_ + byte_index, 1);
         }
@@ -121,7 +121,7 @@ BitReader::getBits(int count)
 uint32_t
 BitReader::getUe()
 {
-    VT_SITE(site, "bitstream.read.ue", 56, 8, Block);
+    VT_SITE(site, BitstreamReadUe);
     trace::block(site);
     int zeros = 0;
     while (getBits(1) == 0) {

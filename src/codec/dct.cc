@@ -6,7 +6,6 @@
 #include "codec/strategies/strategies.h"
 #include "codec/tables.h"
 #include "trace/probe.h"
-#include "uarch/simdcost.h"
 
 namespace vtrans::codec {
 
@@ -14,11 +13,10 @@ void
 forwardDct4x4(int16_t block[16])
 {
     if (vectorKernelModel()) {
-        VT_SITE(site_vec, "dct.forward4x4.vec", uarch::kVecDctForward.bytes,
-                uarch::kVecDctForward.instructions, BlockLoadDep);
+        VT_SITE(site_vec, DctForward4x4Vec);
         trace::block(site_vec);
     } else {
-        VT_SITE(site, "dct.forward4x4", 160, 40, BlockLoadDep);
+        VT_SITE(site, DctForward4x4);
         trace::block(site);
     }
     trace::load(static_cast<uint64_t>(Scratch::Residual), 32);
@@ -31,11 +29,10 @@ void
 inverseDct4x4(int16_t block[16])
 {
     if (vectorKernelModel()) {
-        VT_SITE(site_vec, "dct.inverse4x4.vec", uarch::kVecDctInverse.bytes,
-                uarch::kVecDctInverse.instructions, Block);
+        VT_SITE(site_vec, DctInverse4x4Vec);
         trace::block(site_vec);
     } else {
-        VT_SITE(site, "dct.inverse4x4", 160, 40, Block);
+        VT_SITE(site, DctInverse4x4);
         trace::block(site);
     }
     trace::load(static_cast<uint64_t>(Scratch::Dequant), 32);
@@ -48,11 +45,10 @@ int
 quantize4x4(int16_t block[16], int qp, bool intra)
 {
     if (vectorKernelModel()) {
-        VT_SITE(site_vec, "dct.quant4x4.vec", uarch::kVecQuant.bytes,
-                uarch::kVecQuant.instructions, Block);
+        VT_SITE(site_vec, DctQuant4x4Vec);
         trace::block(site_vec);
     } else {
-        VT_SITE(site, "dct.quant4x4", 120, 34, Block);
+        VT_SITE(site, DctQuant4x4);
         trace::block(site);
     }
     trace::load(static_cast<uint64_t>(Scratch::Coeff), 32);
@@ -68,11 +64,10 @@ void
 dequantize4x4(int16_t block[16], int qp)
 {
     if (vectorKernelModel()) {
-        VT_SITE(site_vec, "dct.dequant4x4.vec", uarch::kVecDequant.bytes,
-                uarch::kVecDequant.instructions, Block);
+        VT_SITE(site_vec, DctDequant4x4Vec);
         trace::block(site_vec);
     } else {
-        VT_SITE(site, "dct.dequant4x4", 96, 24, Block);
+        VT_SITE(site, DctDequant4x4);
         trace::block(site);
     }
     trace::load(static_cast<uint64_t>(Scratch::Coeff), 32);

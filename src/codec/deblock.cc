@@ -96,7 +96,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
         uint8_t& p0 = frame.at(Plane::Y, x - 1, y);
         uint8_t& q0 = frame.at(Plane::Y, x, y);
         uint8_t& q1 = frame.at(Plane::Y, x + 1, y);
-        VT_SITE(site_f, "deblock.filter", 48, 12, BranchLoadDep);
+        VT_SITE(site_f, DeblockFilter);
         const bool active = std::abs(static_cast<int>(p0) - q0) < alpha;
         trace::branch(site_f, active);
         filterSamples(p1, p0, q0, q1, alpha, beta, c0);
@@ -131,8 +131,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
         for (int y = 0; y < h; ++y) {
             for (int x = 8; x < w; x += 8) {
                 if (((x - 8) & 31) == 0) {
-                    VT_SITE(site, "deblock.vedge.simd4", 96, 9,
-                            BlockLoadDep);
+                    VT_SITE(site, DeblockVedgeSimd4);
                     trace::block(site);
                 }
                 vertical_sample_branchless(x, y);
@@ -142,7 +141,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
         for (int x = 8; x < w; x += 8) {
             for (int y = 0; y < h; ++y) {
                 if ((y & 15) == 0) {
-                    VT_SITE(site, "deblock.vedge.rows16", 64, 14, Block);
+                    VT_SITE(site, DeblockVedgeRows16);
                     trace::block(site);
                 }
                 vertical_sample(x, y);
@@ -154,7 +153,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
     for (int y = 8; y < h; y += 8) {
         for (int x = 0; x < w; ++x) {
             if ((x & 15) == 0) {
-                VT_SITE(site, "deblock.hedge.cols16", 64, 14, Block);
+                VT_SITE(site, DeblockHedgeCols16);
                 trace::block(site);
                 trace::load(frame.simAddr(Plane::Y, x, y - 2), 16);
                 trace::load(frame.simAddr(Plane::Y, x, y - 1), 16);
@@ -178,7 +177,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
             uint8_t& p0 = frame.at(Plane::Y, x, y - 1);
             uint8_t& q0 = frame.at(Plane::Y, x, y);
             uint8_t& q1 = frame.at(Plane::Y, x, y + 1);
-            VT_SITE(site_f, "deblock.filter.h", 48, 12, BranchLoadDep);
+            VT_SITE(site_f, DeblockFilterH);
             const bool active =
                 std::abs(static_cast<int>(p0) - q0) < alpha;
             trace::branch(site_f, active);
@@ -192,7 +191,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
         const int ch = frame.chromaHeight();
         auto chroma_vertical = [&](int x, int y, bool probe) {
             if (probe) {
-                VT_SITE(site, "deblock.chroma.v", 56, 10, Block);
+                VT_SITE(site, DeblockChromaV);
                 trace::block(site);
             }
             trace::load(frame.simAddr(plane, x - 2, y), 4);
@@ -227,7 +226,7 @@ deblockFrame(Frame& frame, const DeblockConfig& config, const int* qp_map,
         for (int y = 8; y < ch; y += 8) {
             for (int x = 0; x < cw; ++x) {
                 if ((x & 7) == 0) {
-                    VT_SITE(site, "deblock.chroma.h", 56, 10, Block);
+                    VT_SITE(site, DeblockChromaH);
                     trace::block(site);
                     trace::load(frame.simAddr(plane, x, y - 2), 8);
                     trace::load(frame.simAddr(plane, x, y), 8);

@@ -134,7 +134,7 @@ class StreamDecoder
     std::pair<int, std::unique_ptr<Frame>>
     decodeFrame(int width, int height)
     {
-        VT_SITE(site, "dec.frameheader", 64, 14, Block);
+        VT_SITE(site, DecFrameheader);
         trace::block(site);
 
         const auto type = static_cast<FrameType>(br_.getUe());
@@ -180,7 +180,7 @@ class StreamDecoder
     void
     parseBlock(int16_t levels[16])
     {
-        VT_SITE(site, "dec.parseblock", 80, 18, Block);
+        VT_SITE(site, DecParseblock);
         trace::block(site);
         std::fill(levels, levels + 16, static_cast<int16_t>(0));
         const int nnz = static_cast<int>(br_.getUe());
@@ -191,7 +191,7 @@ class StreamDecoder
             const int level = br_.getSe();
             pos += run + 1;
             VT_ASSERT(pos < 16, "corrupt residual block (run overflow)");
-            VT_SITE(site_c, "dec.coeff", 24, 4, BranchLoadDep);
+            VT_SITE(site_c, DecCoeff);
             trace::branch(site_c, level != 0);
             levels[kZigzag4x4[pos]] = static_cast<int16_t>(level);
         }
@@ -227,7 +227,7 @@ class StreamDecoder
         std::copy(levels, levels + 16, blk);
         dequantize4x4(blk, qp);
         inverseDct4x4(blk);
-        VT_SITE(site, "dec.recon4", 56, 14, Block);
+        VT_SITE(site, DecRecon4);
         trace::block(site);
         for (int y = 0; y < 4; ++y) {
             trace::store(recon.simAddr(plane, px, py + y), 4);
@@ -243,7 +243,7 @@ class StreamDecoder
     copyPred(Frame& recon, Plane plane, int px, int py, const uint8_t* pred,
              int pstride, int w, int h)
     {
-        VT_SITE(site, "dec.copypred", 40, 8, Block);
+        VT_SITE(site, DecCopypred);
         trace::block(site);
         for (int y = 0; y < h; ++y) {
             trace::store(recon.simAddr(plane, px, py + y), w);

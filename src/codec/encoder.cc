@@ -60,7 +60,7 @@ struct MbState
 double
 mbVariance(const Frame& f, int mx, int my)
 {
-    VT_SITE(site, "enc.mbvar", 72, 20, BlockLoadDep);
+    VT_SITE(site, EncMbvar);
     trace::block(site);
     int64_t sum = 0;
     int64_t sq = 0;
@@ -309,7 +309,7 @@ class SequenceEncoder
     residual4x4(const Frame& src, int px, int py, const uint8_t* pred,
                 int pstride, int16_t blk[16])
     {
-        VT_SITE(site, "enc.residual4", 64, 16, Block);
+        VT_SITE(site, EncResidual4);
         trace::block(site);
         trace::store(static_cast<uint64_t>(Scratch::Residual), 32);
         for (int y = 0; y < 4; ++y) {
@@ -327,7 +327,7 @@ class SequenceEncoder
     residualChroma4x4(const Frame& src, Plane plane, int px, int py,
                       const uint8_t* pred, int pstride, int16_t blk[16])
     {
-        VT_SITE(site, "enc.residual4c", 64, 16, Block);
+        VT_SITE(site, EncResidual4c);
         trace::block(site);
         trace::store(static_cast<uint64_t>(Scratch::Residual), 32);
         for (int y = 0; y < 4; ++y) {
@@ -361,7 +361,7 @@ class SequenceEncoder
         std::copy(levels, levels + 16, blk);
         dequantize4x4(blk, qp);
         inverseDct4x4(blk);
-        VT_SITE(site, "enc.recon4", 56, 14, Block);
+        VT_SITE(site, EncRecon4);
         trace::block(site);
         for (int y = 0; y < 4; ++y) {
             trace::store(recon.simAddr(plane, px, py + y), 4);
@@ -378,7 +378,7 @@ class SequenceEncoder
     copyPred(Frame& recon, Plane plane, int px, int py, const uint8_t* pred,
              int pstride, int w, int h)
     {
-        VT_SITE(site, "enc.copypred", 40, 8, Block);
+        VT_SITE(site, EncCopypred);
         trace::block(site);
         for (int y = 0; y < h; ++y) {
             trace::store(recon.simAddr(plane, px, py + y), w);
@@ -439,7 +439,7 @@ class SequenceEncoder
         for (int i = 0; i < 16; ++i) {
             // The per-coefficient significance test: the branchy,
             // data-dependent heart of entropy coding.
-            VT_SITE(site_sig, "entropy.sig", 16, 2, BranchLoadDep);
+            VT_SITE(site_sig, EntropySig);
             const bool sig = levels[kZigzag4x4[i]] != 0;
             trace::branch(site_sig, sig);
             if (sig) {
@@ -624,7 +624,7 @@ class SequenceEncoder
                              use_satd, lambda, &bc);
                 cost += bc;
             }
-            VT_SITE(site_i4, "enc.mode.i4cmp", 16, 2, BranchLoadDep);
+            VT_SITE(site_i4, EncModeI4cmp);
             const bool better = cost < best_cost;
             trace::branch(site_i4, better);
             if (better) {
@@ -648,7 +648,7 @@ class SequenceEncoder
             MeResult fwd = searchAllRefs(ctx, mx, my, 16, 16, pred0);
             {
                 const int cost = fwd.cost + ((lambda * 1) >> 4);
-                VT_SITE(site_cmp, "enc.mode.fwdcmp", 16, 2, BranchLoadDep);
+                VT_SITE(site_cmp, EncModeFwdcmp);
                 const bool better = cost < best_cost;
                 trace::branch(site_cmp, better);
                 if (better) {
@@ -670,8 +670,7 @@ class SequenceEncoder
                 me_candidates_ += bctx.candidates_evaluated;
                 {
                     const int cost = bwd.cost + ((lambda * 2) >> 4);
-                    VT_SITE(site_cmp, "enc.mode.bwdcmp", 16, 2,
-                            BranchLoadDep);
+                    VT_SITE(site_cmp, EncModeBwdcmp);
                     const bool better = cost < best_cost;
                     trace::branch(site_cmp, better);
                     if (better) {
@@ -715,8 +714,7 @@ class SequenceEncoder
                                      + mvdBits(bwd.mv, pred1)
                                      + ueBits(fwd.ref) + 2;
                     const int cost = dist + ((lambda * rate) >> 4);
-                    VT_SITE(site_cmp, "enc.mode.bicmp", 16, 2,
-                            BranchLoadDep);
+                    VT_SITE(site_cmp, EncModeBicmp);
                     const bool better = cost < best_cost;
                     trace::branch(site_cmp, better);
                     if (better) {
@@ -748,7 +746,7 @@ class SequenceEncoder
                     total += r.cost;
                 }
                 me_candidates_ += sctx.candidates_evaluated;
-                VT_SITE(site_cmp, "enc.mode.p8cmp", 16, 2, BranchLoadDep);
+                VT_SITE(site_cmp, EncModeP8cmp);
                 const bool better = total < best_cost;
                 trace::branch(site_cmp, better);
                 if (better) {
@@ -804,7 +802,7 @@ class SequenceEncoder
                        && mc.mv0 == pred0 && mc.mv1 == pred1;
             }
         }
-        VT_SITE(site_skip, "enc.mode.skip", 16, 2, BranchLoadDep);
+        VT_SITE(site_skip, EncModeSkip);
         trace::branch(site_skip, skip);
         if (skip) {
             mc.mode = MbMode::Skip;
@@ -836,7 +834,7 @@ class SequenceEncoder
     void
     writeMbHeader(FrameType type, const MbCoding& mc)
     {
-        VT_SITE(site, "enc.writembheader", 96, 20, Block);
+        VT_SITE(site, EncWritembheader);
         trace::block(site);
 
         if (type == FrameType::I) {

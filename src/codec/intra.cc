@@ -26,7 +26,7 @@ struct Neighbors16
 Neighbors16
 gatherNeighbors16(const Frame& recon, int mx, int my)
 {
-    VT_SITE(site, "intra.gather16", 64, 18, Block);
+    VT_SITE(site, IntraGather16);
     trace::block(site);
     Neighbors16 n;
     if (my > 0) {
@@ -53,7 +53,7 @@ void
 predictIntra16(const Frame& recon, int mx, int my, Intra16Mode mode,
                uint8_t pred[256])
 {
-    VT_SITE(site, "intra.pred16", 144, 30, Block);
+    VT_SITE(site, IntraPred16);
     trace::block(site);
     trace::store(static_cast<uint64_t>(Scratch::Pred), 256);
 
@@ -120,7 +120,7 @@ void
 predictIntra4(const Frame& recon, int x, int y, Intra4Mode mode,
               uint8_t pred[16])
 {
-    VT_SITE(site, "intra.pred4", 96, 20, Block);
+    VT_SITE(site, IntraPred4);
     trace::block(site);
     trace::store(static_cast<uint64_t>(Scratch::Pred), 16);
 
@@ -220,7 +220,7 @@ void
 predictChromaDc(const Frame& recon, Plane plane, int cx, int cy,
                 uint8_t pred[64])
 {
-    VT_SITE(site, "intra.predchroma", 72, 16, Block);
+    VT_SITE(site, IntraPredchroma);
     trace::block(site);
     trace::store(static_cast<uint64_t>(Scratch::Pred), 64);
 
@@ -260,7 +260,7 @@ chooseIntra16(const Frame& cur, const Frame& recon, int mx, int my,
             cost = satdBlock(cur, mx, my, pred, 16, 16, 16,
                              static_cast<uint64_t>(Scratch::Pred));
         } else {
-            VT_SITE(site_sad, "intra.sad16", 72, 20, Block);
+            VT_SITE(site_sad, IntraSad16);
             trace::block(site_sad);
             cost = 0;
             for (int y = 0; y < 16; ++y) {
@@ -275,7 +275,7 @@ chooseIntra16(const Frame& cur, const Frame& recon, int mx, int my,
             }
         }
         cost += (lambda_fp * 2) >> 4; // ~2 bits per mode signal
-        VT_SITE(site_cmp, "intra.cmp16", 12, 1, BranchLoadDep);
+        VT_SITE(site_cmp, IntraCmp16);
         const bool better = cost < best_cost;
         trace::branch(site_cmp, better);
         if (better) {
@@ -302,7 +302,7 @@ chooseIntra4(const Frame& cur, const Frame& recon, int x, int y,
             cost = satd4x4(cur, x, y, pred, 4,
                            static_cast<uint64_t>(Scratch::Pred));
         } else {
-            VT_SITE(site_sad, "intra.sad4", 48, 12, Block);
+            VT_SITE(site_sad, IntraSad4);
             trace::block(site_sad);
             cost = 0;
             for (int r = 0; r < 4; ++r) {
@@ -315,7 +315,7 @@ chooseIntra4(const Frame& cur, const Frame& recon, int x, int y,
             }
         }
         cost += (lambda_fp * 3) >> 4; // ~3 bits per 4x4 mode signal
-        VT_SITE(site_cmp, "intra.cmp4", 12, 1, BranchLoadDep);
+        VT_SITE(site_cmp, IntraCmp4);
         const bool better = cost < best_cost;
         trace::branch(site_cmp, better);
         if (better) {

@@ -31,7 +31,7 @@ int
 halfSad8x8(const Frame& cur, int bx, int by, const Frame& prev, int dx,
            int dy)
 {
-    VT_SITE(site, "lookahead.sad8", 96, 18, BlockLoadDep);
+    VT_SITE(site, LookaheadSad8);
     trace::block(site);
     const int hw = cur.width() / 2;
     const int hh = cur.height() / 2;
@@ -57,7 +57,7 @@ halfSad8x8(const Frame& cur, int bx, int by, const Frame& prev, int dx,
 int
 halfIntra8x8(const Frame& cur, int bx, int by)
 {
-    VT_SITE(site, "lookahead.intra8", 80, 24, Block);
+    VT_SITE(site, LookaheadIntra8);
     trace::block(site);
     int sum = 0;
     int vals[64];
@@ -94,7 +94,7 @@ analyzeBlockFused(const Frame& frame, const Frame* prev, int bx, int by,
 {
     static const int kDia[5][2] = {
         {0, 0}, {2, 0}, {-2, 0}, {0, 2}, {0, -2}};
-    VT_SITE(site, "lookahead.fused8", 128, 30, BlockLoadDep);
+    VT_SITE(site, LookaheadFused8);
     trace::block(site);
     const int hw = frame.width() / 2;
     const int hh = frame.height() / 2;
@@ -122,7 +122,7 @@ analyzeBlockFused(const Frame& frame, const Frame* prev, int bx, int by,
     }
     int best = INT32_MAX;
     for (const auto& d : kDia) {
-        VT_SITE(site_c, "lookahead.cand.fused", 24, 4, Block);
+        VT_SITE(site_c, LookaheadCandFused);
         trace::block(site_c);
         int sad = 0;
         for (int y = 0; y < 8; ++y) {
@@ -173,7 +173,7 @@ estimateFrameCosts(const Frame& frame, const Frame* prev)
             if (prev != nullptr) {
                 int best = INT32_MAX;
                 for (const auto& d : kDia) {
-                    VT_SITE(site_c, "lookahead.cand", 24, 4, Block);
+                    VT_SITE(site_c, LookaheadCand);
                     trace::block(site_c);
                     best = std::min(
                         best, halfSad8x8(frame, bx * 8, by * 8, *prev,

@@ -46,7 +46,7 @@ struct Search
         const int sad = sadBlock(*ctx->cur, cx, cy, *ref, cx + dx, cy + dy,
                                  w, h, best_cost - rate);
         const int cost = sad + rate;
-        VT_SITE(site_cmp, "me.cand.cmp", 16, 2, BranchLoadDep);
+        VT_SITE(site_cmp, MeCandCmp);
         const bool better = cost < best_cost;
         trace::branch(site_cmp, better);
         if (better) {
@@ -66,7 +66,7 @@ searchDia(Search& s)
     bool moved = true;
     int steps = 0;
     while (moved && steps++ < 2 * s.ctx->merange) {
-        VT_SITE(site_iter, "me.dia.iter", 40, 8, Block);
+        VT_SITE(site_iter, MeDiaIter);
         trace::block(site_iter);
         moved = false;
         const int cx0 = s.bx;
@@ -74,7 +74,7 @@ searchDia(Search& s)
         for (const auto& d : kDia) {
             s.tryCandidate(cx0 + d[0], cy0 + d[1]);
         }
-        VT_SITE(site_move, "me.dia.move", 12, 1, BranchLoadDep);
+        VT_SITE(site_move, MeDiaMove);
         moved = (s.bx != cx0 || s.by != cy0);
         trace::branch(site_move, moved);
     }
@@ -89,7 +89,7 @@ searchHex(Search& s)
     bool moved = true;
     int steps = 0;
     while (moved && steps++ < s.ctx->merange) {
-        VT_SITE(site_iter, "me.hex.iter", 48, 9, Block);
+        VT_SITE(site_iter, MeHexIter);
         trace::block(site_iter);
         moved = false;
         const int cx0 = s.bx;
@@ -97,7 +97,7 @@ searchHex(Search& s)
         for (const auto& d : kHex) {
             s.tryCandidate(cx0 + d[0], cy0 + d[1]);
         }
-        VT_SITE(site_move, "me.hex.move", 12, 1, BranchLoadDep);
+        VT_SITE(site_move, MeHexMove);
         moved = (s.bx != cx0 || s.by != cy0);
         trace::branch(site_move, moved);
     }
@@ -116,7 +116,7 @@ searchUmh(Search& s)
 {
     // Stage 1: unsymmetrical cross — horizontal reach is the full range,
     // vertical reach is half (motion is mostly horizontal in video).
-    VT_SITE(site_cross, "me.umh.cross", 64, 12, Block);
+    VT_SITE(site_cross, MeUmhCross);
     trace::block(site_cross);
     const int cx0 = s.bx;
     const int cy0 = s.by;
@@ -130,7 +130,7 @@ searchUmh(Search& s)
     }
 
     // Stage 2: 5x5 full search around the current best.
-    VT_SITE(site_sq, "me.umh.square", 56, 10, Block);
+    VT_SITE(site_sq, MeUmhSquare);
     trace::block(site_sq);
     const int sx = s.bx;
     const int sy = s.by;
@@ -152,7 +152,7 @@ searchUmh(Search& s)
     const int hx = s.bx;
     const int hy = s.by;
     for (int scale = 1; scale * 4 <= s.ctx->merange; ++scale) {
-        VT_SITE(site_ring, "me.umh.ring", 72, 14, Block);
+        VT_SITE(site_ring, MeUmhRing);
         trace::block(site_ring);
         for (const auto& d : kRing) {
             s.tryCandidate(hx + d[0] * scale, hy + d[1] * scale);
@@ -169,7 +169,7 @@ searchEsa(Search& s)
 {
     const int range = s.ctx->merange;
     for (int dy = -range; dy <= range; ++dy) {
-        VT_SITE(site_row, "me.esa.row", 48, 8, Block);
+        VT_SITE(site_row, MeEsaRow);
         trace::block(site_row);
         for (int dx = -range; dx <= range; ++dx) {
             s.tryCandidate(dx, dy);
@@ -202,7 +202,7 @@ tesaRefine(Search& s)
                 satdBlock(*s.ctx->cur, s.cx, s.cy, pred, s.w, s.w, s.h,
                           static_cast<uint64_t>(Scratch::Pred))
                 + s.mvCost(px, py);
-            VT_SITE(site_cmp, "me.tesa.cmp", 16, 2, BranchLoadDep);
+            VT_SITE(site_cmp, MeTesaCmp);
             const bool better = satd < best_satd;
             trace::branch(site_cmp, better);
             if (better) {
@@ -256,7 +256,7 @@ subpelRefine(const MeContext& ctx, const Frame& ref, int cx, int cy, int w,
 
     auto round = [&](int step, int iterations) {
         for (int it = 0; it < iterations; ++it) {
-            VT_SITE(site_iter, "me.subpel.iter", 56, 10, Block);
+            VT_SITE(site_iter, MeSubpelIter);
             trace::block(site_iter);
             const Mv center = mv;
             bool moved = false;
@@ -268,7 +268,7 @@ subpelRefine(const MeContext& ctx, const Frame& ref, int cx, int cy, int w,
                     Mv cand{static_cast<int16_t>(center.x + dx * step),
                             static_cast<int16_t>(center.y + dy * step)};
                     const int c = evalAt(cand, cost);
-                    VT_SITE(site_cmp, "me.subpel.cmp", 16, 2, BranchLoadDep);
+                    VT_SITE(site_cmp, MeSubpelCmp);
                     const bool better = c < cost;
                     trace::branch(site_cmp, better);
                     if (better) {
@@ -319,7 +319,7 @@ searchOneRef(const MeContext& ctx, int cx, int cy, int w, int h,
     s.pred_mv = pred_mv;
 
     // Seed candidates: the MV predictor (rounded to full-pel) and zero.
-    VT_SITE(site_seed, "me.seed", 48, 10, Block);
+    VT_SITE(site_seed, MeSeed);
     trace::block(site_seed);
     s.tryCandidate(0, 0);
     const int px = (pred_mv.x + (pred_mv.x >= 0 ? 2 : -2)) / 4;
@@ -376,11 +376,11 @@ searchAllRefs(const MeContext& ctx, int cx, int cy, int w, int h,
     MeResult best;
     const int nrefs = static_cast<int>(ctx.refs->size());
     for (int r = 0; r < nrefs; ++r) {
-        VT_SITE(site_ref, "me.refloop", 32, 6, Block);
+        VT_SITE(site_ref, MeRefloop);
         trace::block(site_ref);
         MeResult cand = searchOneRef(ctx, cx, cy, w, h, pred_mv, r,
                                      best.cost);
-        VT_SITE(site_cmp, "me.refloop.cmp", 16, 2, BranchLoadDep);
+        VT_SITE(site_cmp, MeRefloopCmp);
         const bool better = cand.cost < best.cost;
         trace::branch(site_cmp, better);
         if (better) {

@@ -6,7 +6,6 @@
 #include "codec/strategies/strategies.h"
 #include "common/status.h"
 #include "trace/probe.h"
-#include "uarch/simdcost.h"
 
 namespace vtrans::codec {
 
@@ -96,12 +95,10 @@ sadBlock(const Frame& cur, int cx, int cy, const Frame& ref, int rx, int ry,
     int sad = 0;
     for (int y0 = 0; y0 < h; y0 += chunk) {
         if (vectorKernelModel()) {
-            VT_SITE(site_vec, "pixel.sad.rows8.vec",
-                    uarch::kVecSadRows8.bytes,
-                    uarch::kVecSadRows8.instructions, BlockLoadDep);
+            VT_SITE(site_vec, PixelSadRows8Vec);
             trace::block(site_vec);
         } else {
-            VT_SITE(site_rows, "pixel.sad.rows8", 104, 16, BlockLoadDep);
+            VT_SITE(site_rows, PixelSadRows8);
             trace::block(site_rows);
         }
         // Guarded so native (sink-less) runs skip the simulated-address
@@ -134,7 +131,7 @@ sadBlock(const Frame& cur, int cx, int cy, const Frame& ref, int rx, int ry,
             }
         }
         // Early termination: data-dependent branch against the best cost.
-        VT_SITE(site_early, "pixel.sad.early_exit", 12, 1, BranchLoadDep);
+        VT_SITE(site_early, PixelSadEarlyExit);
         const bool bail = sad >= best;
         trace::branch(site_early, bail);
         if (bail) {
@@ -174,12 +171,10 @@ sadSubpel(const Frame& cur, int cx, int cy, const Frame& ref, int mvx,
     for (int y0 = 0; y0 < h; y0 += 4) {
         // Interpolating SAD touches two reference rows per output row.
         if (vectorKernelModel()) {
-            VT_SITE(site_vec, "pixel.sadsub.rows4.vec",
-                    uarch::kVecSadSubRows4.bytes,
-                    uarch::kVecSadSubRows4.instructions, BlockLoadDep);
+            VT_SITE(site_vec, PixelSadsubRows4Vec);
             trace::block(site_vec);
         } else {
-            VT_SITE(site_rows, "pixel.sadsub.rows4", 72, 14, BlockLoadDep);
+            VT_SITE(site_rows, PixelSadsubRows4);
             trace::block(site_rows);
         }
         if (trace::active()) {
@@ -216,7 +211,7 @@ sadSubpel(const Frame& cur, int cx, int cy, const Frame& ref, int mvx,
                 }
             }
         }
-        VT_SITE(site_early, "pixel.sadsub.early_exit", 12, 1, BranchLoadDep);
+        VT_SITE(site_early, PixelSadsubEarlyExit);
         const bool bail = sad >= best;
         trace::branch(site_early, bail);
         if (bail) {
@@ -231,11 +226,10 @@ satd4x4(const Frame& cur, int cx, int cy, const uint8_t* pred, int pstride,
         uint64_t pred_sim)
 {
     if (vectorKernelModel()) {
-        VT_SITE(site_vec, "pixel.satd4x4.vec", uarch::kVecSatd4x4.bytes,
-                uarch::kVecSatd4x4.instructions, BlockLoadDep);
+        VT_SITE(site_vec, PixelSatd4x4Vec);
         trace::block(site_vec);
     } else {
-        VT_SITE(site, "pixel.satd4x4", 128, 26, BlockLoadDep);
+        VT_SITE(site, PixelSatd4x4);
         trace::block(site);
     }
     if (trace::active()) {
@@ -281,13 +275,11 @@ mcLumaBlock(uint8_t* dst, int dstride, const Frame& ref, int cx, int cy,
             // Vector MC emits one block per *pair* of rows: the SIMD loop
             // body processes two rows per iteration.
             if ((y & 1) == 0) {
-                VT_SITE(site_pair, "pixel.mc.rowpair.vec",
-                        uarch::kVecMcRowPair.bytes,
-                        uarch::kVecMcRowPair.instructions, Block);
+                VT_SITE(site_pair, PixelMcRowpairVec);
                 trace::block(site_pair);
             }
         } else {
-            VT_SITE(site_row, "pixel.mc.row", 48, 6, Block);
+            VT_SITE(site_row, PixelMcRow);
             trace::block(site_row);
         }
         if (trace::active()) {
@@ -338,7 +330,7 @@ mcChromaBlock(uint8_t* dst, int dstride, const Frame& ref, Plane plane,
     const int bx4 = cx * 4 + cmvx;
     const int by4 = cy * 4 + cmvy;
     for (int y = 0; y < h; ++y) {
-        VT_SITE(site_row, "pixel.mcchroma.row", 44, 4, Block);
+        VT_SITE(site_row, PixelMcchromaRow);
         trace::block(site_row);
         if (trace::active()) {
             const int ry =
@@ -386,7 +378,7 @@ void
 averageBlocks(uint8_t* dst, const uint8_t* a, const uint8_t* b, int n,
               uint64_t dst_sim)
 {
-    VT_SITE(site, "pixel.average", 40, 8, Block);
+    VT_SITE(site, PixelAverage);
     trace::block(site);
     trace::load(static_cast<uint64_t>(Scratch::Pred), n);
     trace::load(static_cast<uint64_t>(Scratch::Pred2), n);

@@ -78,7 +78,7 @@ RateController::clampQp(double qp) const
 int
 RateController::startFrame(FrameType type, double complexity)
 {
-    VT_SITE(site, "rc.startframe", 96, 24, Block);
+    VT_SITE(site, RcStartframe);
     trace::block(site);
 
     frame_type_ = type;
@@ -165,7 +165,7 @@ RateController::startFrame(FrameType type, double complexity)
 int
 RateController::mbQp(int mb_index, uint64_t bits_so_far, double variance)
 {
-    VT_SITE(site, "rc.mbqp", 64, 14, Block);
+    VT_SITE(site, RcMbqp);
     trace::block(site);
 
     double qp = frame_qp_;
@@ -187,7 +187,7 @@ RateController::mbQp(int mb_index, uint64_t bits_so_far, double variance)
                                 * mb_index / mb_count_;
         const double ratio =
             static_cast<double>(bits_so_far) / std::max(1.0, expected);
-        VT_SITE(site_b, "rc.cbr.adjust", 24, 4, BranchLoadDep);
+        VT_SITE(site_b, RcCbrAdjust);
         const bool over = ratio > 1.0;
         trace::branch(site_b, over);
         qp += std::clamp(4.0 * std::log2(std::max(ratio, 1e-3)), -3.0, 3.0);
@@ -199,7 +199,7 @@ RateController::mbQp(int mb_index, uint64_t bits_so_far, double variance)
 void
 RateController::endFrame(uint64_t bits)
 {
-    VT_SITE(site, "rc.endframe", 48, 10, Block);
+    VT_SITE(site, RcEndframe);
     trace::block(site);
 
     total_bits_ += bits;

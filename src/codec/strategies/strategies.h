@@ -24,7 +24,7 @@
  *
  * Separately from the *native* backend, `setKernelModel()` switches the
  * *simulated* cost model of the kernels between their scalar and vector
- * forms (see uarch/simdcost.h); the default is the scalar model, which is
+ * forms (the `.vec` rows of trace/sites.def); the default is the scalar model, which is
  * bit-identical to the pre-strategies probe stream.
  */
 
@@ -148,8 +148,8 @@ std::vector<std::string> availableKernelIsas();
 /**
  * Simulated kernel cost model: Scalar emits exactly the historical probe
  * sites (default; bit-identical fingerprints), Vector emits the SIMD-form
- * sites — fewer, wider retired ops per block, costs from uarch/simdcost.h
- * — so instrumented runs show the Top-down shift of vectorization.
+ * sites — fewer, wider retired ops per block, costs in the `.vec` rows of
+ * trace/sites.def — so instrumented runs show the Top-down shift of vectorization.
  */
 enum class KernelModel : uint8_t { Scalar, Vector };
 

@@ -25,7 +25,7 @@ runLevelBits(int run, int level)
 int
 trellisQuantize4x4(int16_t coef[16], int qp, bool intra, int lambda_fp)
 {
-    VT_SITE(site, "trellis.quant4x4", 320, 90, Block);
+    VT_SITE(site, TrellisQuant4x4);
     trace::block(site);
     trace::load(static_cast<uint64_t>(Scratch::Coeff), 32);
     trace::store(static_cast<uint64_t>(Scratch::Coeff), 32);
@@ -86,7 +86,7 @@ trellisQuantize4x4(int16_t coef[16], int qp, bool intra, int lambda_fp)
             if (states[run].cost >= kInf) {
                 continue;
             }
-            VT_SITE(site_state, "trellis.state", 48, 10, Block);
+            VT_SITE(site_state, TrellisState);
             trace::block(site_state);
             for (int k = 0; k < n_cands; ++k) {
                 const int level = cands[k];
@@ -110,7 +110,7 @@ trellisQuantize4x4(int16_t coef[16], int qp, bool intra, int lambda_fp)
                             * runLevelBits(run, c < 0 ? -level : level);
                     new_run = 0;
                 }
-                VT_SITE(site_cmp, "trellis.cmp", 16, 2, BranchLoadDep);
+                VT_SITE(site_cmp, TrellisCmp);
                 const bool better = cost < next[new_run].cost;
                 trace::branch(site_cmp, better);
                 if (better) {

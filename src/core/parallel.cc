@@ -8,7 +8,6 @@
 #include "codec/params.h"
 #include "codec/transcode.h"
 #include "common/status.h"
-#include "farm/farm.h"
 #include "farm/server.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
@@ -62,14 +61,6 @@ parallelSweep(size_t count, int jobs,
     // Wall-time stage spans land in the process-wide tracer when one is
     // installed (Scoped is a no-op otherwise).
     obs::SpanTracer* tracer = obs::globalTracer();
-
-    // All probe code sites must be registered — serially, in a fixed
-    // order — before any worker can race a registration and perturb the
-    // virtual code layout (see farm/farm.h).
-    {
-        obs::SpanTracer::Scoped warmup(tracer, "sweep", "warmup");
-        farm::Farm::warmupProcess();
-    }
 
     SweepStats stats;
     stats.jobs = resolveJobs(jobs);
@@ -188,7 +179,6 @@ chunkedTranscode(const ChunkedOptions& options, SweepStats* stats)
     if (!options.chunking.enabled()) {
         // Chunking off: the ordinary whole-video path, byte-identical to
         // a plain instrumented run (no split, no remux).
-        farm::Farm::warmupProcess();
         RunConfig cfg;
         cfg.video = options.video;
         cfg.seconds = options.seconds;
@@ -214,9 +204,7 @@ chunkedTranscode(const ChunkedOptions& options, SweepStats* stats)
     // Split once, globally (boundaries come from the whole-clip
     // lookahead), then fan the chunk encodes out like any other sweep:
     // results land in pre-sized slots, so ordering never depends on
-    // completion order. warmupProcess runs inside parallelSweep before
-    // the fan-out; cachedSplit's segment encodes happen after it here.
-    farm::Farm::warmupProcess();
+    // completion order.
     const auto plan = cachedSplit(options.video, options.seconds,
                                   options.params, options.chunking);
     const auto groups = chunk::groupSegments(plan->segments.size(),

@@ -13,15 +13,13 @@
  * ## Determinism
  *
  * Results are collected by grid index into a pre-sized vector, so output
- * ordering never depends on completion order. Probe code-site
- * registration — the one piece of cross-run shared state, since it pins
- * the virtual code layout — happens once per process inside
- * `farm::Farm::warmupProcess()`, serially, before any fan-out. After
- * that, each point's `RunResult` (and therefore its `farm::fingerprint`)
- * is a pure function of its `RunConfig`: the parallel sweep is
- * bit-identical to the serial path at any worker count, and
- * `jobs == 1` runs the batch inline on the calling thread as the serial
- * reference.
+ * ordering never depends on completion order. The virtual code layout
+ * is fixed by the probe-site table (trace/sites.h) before any codec code
+ * runs, so each point's `RunResult` (and therefore its
+ * `farm::fingerprint`) is a pure function of its `RunConfig`: the
+ * parallel sweep is bit-identical to the serial path at any worker
+ * count, and `jobs == 1` runs the batch inline on the calling thread as
+ * the serial reference.
  */
 
 #include <cstddef>
@@ -53,9 +51,9 @@ int resolveJobs(int jobs);
 
 /**
  * Executes `count` independent, index-addressed grid points on a shared
- * `farm::WorkerPool` with `jobs` workers: pre-warms probe code sites via
- * `farm::Farm::warmupProcess()`, fans the points out (workers claim them
- * through the pool's atomic cursor), and returns once all have run.
+ * `farm::WorkerPool` with `jobs` workers: fans the points out (workers
+ * claim them through the pool's atomic cursor) and returns once all
+ * have run.
  * `run_point(i)` must write its result into slot `i` of a caller-owned,
  * pre-sized container and touch no other shared state. Returns the
  * wall-clock accounting of the batch.
@@ -118,7 +116,7 @@ struct ChunkedResult
 /**
  * Splits `options.video` at lookahead GOP/scenecut boundaries, encodes
  * the chunks as independent instrumented runs on the worker pool
- * (`parallelSweep` shape: warmup, fan-out, ordered collect), and
+ * (`parallelSweep` shape: fan-out, ordered collect), and
  * stitches the per-chunk bitstreams into one stream. The stitched bytes
  * — and `stream_fingerprint` — are identical for any `jobs` and any
  * chunk count (see chunk/chunk.h). With chunking disabled the whole

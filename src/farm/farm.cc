@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "core/workload.h"
 #include "obs/metrics.h"
+#include "trace/probe.h"
 #include "video/quality.h"
 
 namespace vtrans::farm {
@@ -80,23 +81,7 @@ backoffAfter(const FarmOptions& options, int attempt_number)
 void
 Farm::warmupProcess()
 {
-    static std::once_flag once;
-    std::call_once(once, [] {
-        // One short native transcode per kernel family: the four presets
-        // below span every motion-estimation method (dia/hex/umh/tesa),
-        // trellis level, B-frame adaptation mode and deblock setting, so
-        // every probe code site registers here — serially, in a fixed
-        // order — before any worker thread can race a registration and
-        // perturb the virtual code layout.
-        for (const char* preset :
-             {"ultrafast", "medium", "slower", "placebo"}) {
-            core::RunConfig cfg;
-            cfg.video = "cat"; // Smallest resolution class (480p scale).
-            cfg.seconds = 0.12;
-            cfg.params = codec::presetParams(preset);
-            core::runNative(cfg);
-        }
-    });
+    trace::registry();
 }
 
 Farm::Farm(FarmOptions options)
@@ -149,9 +134,6 @@ Farm::submitChunked(const JobRequest& request,
     if (!chunking.enabled()) {
         return submit(request);
     }
-    // The split encodes segments with the codec, so probe code sites must
-    // be pinned before it runs (see warmupProcess).
-    warmupProcess();
     auto plan = core::cachedSplit(request.task.video, options_.clip_seconds,
                                   request.task.params(), chunking);
     const auto groups =
@@ -1039,7 +1021,6 @@ Farm::drain()
         }
         drained_ = true;
     }
-    warmupProcess();
     drain_base_ = cache_->stats();
 
     std::vector<Job> jobs;

@@ -222,12 +222,11 @@ class Farm
     const FarmOptions& options() const { return options_; }
 
     /**
-     * Registers every probe code site the codec can emit by running a
-     * short warm-up transcode per kernel family, once per process.
-     * Called by `drain()`; exposed so benchmarks can pre-warm outside
-     * the timed region. Site registration order — and therefore the
-     * virtual code layout — must not depend on worker interleaving, so
-     * all registration happens here, serially, before any parallelism.
+     * Builds the probe-site registry if nothing has yet. Runs no
+     * transcode: the site table (trace/sites.h) fixes every site's id
+     * and default address before any codec code runs, whatever the
+     * worker interleaving. Nothing needs to call it; benchmarks may, to
+     * keep the one-time registry construction out of a timed region.
      */
     static void warmupProcess();
 

@@ -130,7 +130,7 @@ kernelFamily(const std::string& site_name)
     if (starts("dct.") || starts("trellis.")) {
         return "transform/quant";
     }
-    if (starts("arith.") || starts("bitstream.") || starts("entropy.")) {
+    if (starts("bitstream.") || starts("entropy.")) {
         return "entropy coding";
     }
     if (starts("deblock.")) {

@@ -92,9 +92,10 @@ ProbeSink::onBatch(const ProbeEvent* events, size_t count)
 SiteRegistry&
 registry()
 {
-    // Never destroyed: sites live for the whole process, and a static
-    // destructor that ran first would leave the CodeSites (and every
-    // VT_SITE reference to them) unowned at exit.
+    // Built on first use (a function-local static, so construction is
+    // thread-safe) and never destroyed: sites live for the whole process,
+    // and a static destructor that ran first would leave the CodeSites
+    // (and every VT_SITE reference to them) unowned at exit.
     static SiteRegistry* instance = new SiteRegistry;
     return *instance;
 }
@@ -104,6 +105,13 @@ arena()
 {
     thread_local SimArena instance;
     return instance;
+}
+
+SiteRegistry::SiteRegistry()
+{
+    for (const SiteRow& row : kSiteTable) {
+        define(row.name, row.bytes, row.instructions, row.kind);
+    }
 }
 
 CodeSite&

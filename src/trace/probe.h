@@ -7,11 +7,12 @@
  * codec's hot kernels) and observers (the microarchitecture simulator, the
  * AutoFDO-style profile collector).
  *
- * Instrumented code declares static CodeSites — symbolic basic blocks with
- * a size in code bytes, an instruction count, and a mutable layout address —
- * and emits dynamic events through the free functions block()/branch()/
- * load()/store(). When no sink is attached the per-event cost is a single
- * predictable branch, so the codec can also run "natively".
+ * Instrumented code names CodeSites from the site table (trace/sites.h) —
+ * symbolic basic blocks with a size in code bytes, an instruction count,
+ * and a mutable layout address — and emits dynamic events through the
+ * free functions block()/branch()/load()/store(). When no sink is
+ * attached the per-event cost is a single predictable branch, so the
+ * codec can also run "natively".
  *
  * The bus has one delivery path: an attached sink gets a thread-local batch
  * of compact `ProbeEvent` PODs, and each emit appends one record. A full
@@ -38,16 +39,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "trace/sites.h"
 
 namespace vtrans::trace {
-
-/** Classifies what a code site represents. */
-enum class SiteKind : uint8_t {
-    Block,         ///< Straight-line code; no terminating conditional.
-    BlockLoadDep,  ///< Straight-line code consuming just-loaded data.
-    Branch,        ///< Ends in a conditional branch (direction is probed).
-    BranchLoadDep, ///< Conditional branch whose condition depends on a load.
-};
 
 /**
  * A static basic block of the (virtual) workload binary.
@@ -130,15 +124,14 @@ class ProbeSink
 /**
  * The global table of code sites plus the default code layout.
  *
- * Sites register once (function-local statics in kernel code) and persist
- * for the process lifetime; registration and layout reset are mutex-guarded
- * so worker threads may run instrumented code concurrently (site storage is
- * stable, so readers need no lock). Registration *order* still determines
- * the default layout — processes that run workers should register all sites
- * serially first (see `farm::Farm::warmupProcess()`).
- * The default layout emulates a compiled binary
- * without profile feedback: blocks appear in registration order, separated
- * by cold-code padding, so the hot working set is diluted across many
+ * The registry is built from the site table (trace/sites.h) on first
+ * use, before any instrumented code can emit, so every table site has a
+ * fixed id and default address in every process. Tests append synthetic
+ * sites with define(); they take ids and addresses after the table.
+ * Appending and layout reset are mutex-guarded; site storage is stable,
+ * so readers need no lock. The default layout emulates a compiled binary
+ * without profile feedback: blocks appear in table order, separated by
+ * cold-code padding, so the hot working set is diluted across many
  * instruction-cache lines.
  */
 class SiteRegistry
@@ -159,7 +152,11 @@ class SiteRegistry
      *  L1i capacity, as in x264. */
     static constexpr uint32_t kCodeScale = 6;
 
-    /** Registers a site and assigns its default-layout address. */
+    /** Builds the registry from the site table. */
+    SiteRegistry();
+
+    /** Appends a synthetic site after every table site and assigns its
+     *  default-layout address. Instrumented code uses table sites. */
     CodeSite& define(std::string name, uint32_t bytes, uint32_t instructions,
                      SiteKind kind);
 
@@ -169,6 +166,9 @@ class SiteRegistry
     /** Looks up a site by id. */
     CodeSite& site(uint32_t id) { return *sites_.at(id); }
 
+    /** Looks up a table site. */
+    CodeSite& site(SiteId id) { return *sites_[static_cast<uint32_t>(id)]; }
+
     /** Restores default-layout addresses and clears polarity flips. */
     void resetLayout();
 
@@ -176,7 +176,7 @@ class SiteRegistry
     uint64_t defaultSpan() const { return next_address_ - kTextBase; }
 
   private:
-    std::mutex mu_; ///< Guards registration and layout reset.
+    std::mutex mu_; ///< Guards define() and layout reset.
     std::vector<CodeSite*> sites_;
     uint64_t next_address_ = kTextBase;
 };
@@ -370,12 +370,11 @@ SimArena& arena();
 } // namespace vtrans::trace
 
 /**
- * Declares (once) a static code site bound to a local reference.
- * Usage: VT_SITE(site, "me.sad.row", 48, 10, Block);
+ * Binds a local reference to a table site, resolved once.
+ * Usage: VT_SITE(site, MeSeed);
  */
-#define VT_SITE(var, name, bytes, instrs, kindtag) \
+#define VT_SITE(var, id) \
     static ::vtrans::trace::CodeSite& var = \
-        ::vtrans::trace::registry().define( \
-            name, bytes, instrs, ::vtrans::trace::SiteKind::kindtag)
+        ::vtrans::trace::registry().site(::vtrans::trace::SiteId::id)
 
 #endif // VTRANS_TRACE_PROBE_H_

@@ -183,7 +183,6 @@ TEST(ChunkedTranscode, DisabledMatchesWholeVideoPathByteForByte)
     EXPECT_EQ(disabled.chunks, 1u);
     EXPECT_DOUBLE_EQ(disabled.stitch_seconds, 0.0);
 
-    farm::Farm::warmupProcess();
     core::RunConfig cfg;
     cfg.video = "cat";
     cfg.seconds = kClipSeconds;

@@ -256,7 +256,6 @@ TEST(RunLog, PercentileEdgeCases)
 
 TEST(RunLog, FingerprintStableAcrossIdenticalRuns)
 {
-    Farm::warmupProcess();
     core::RunConfig config;
     config.video = "cat";
     config.seconds = 0.1;

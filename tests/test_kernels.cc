@@ -582,8 +582,8 @@ TEST(EncodeIdentity, BitstreamAcrossBackends)
 
 /** The vector probe model is opt-in: ON it retires fewer, wider
  *  instructions (Top-down shifts away from Frontend/Retiring); OFF (the
- *  default) the simulation is bit-identical before and after — vector
- *  sites registering must not perturb the default layout. */
+ *  default) the simulation is bit-identical before and after — running
+ *  the vector sites must not perturb the default layout. */
 TEST(VectorModel, OptInShiftAndDefaultIdentity)
 {
     IsaGuard guard;
@@ -608,7 +608,7 @@ TEST(VectorModel, OptInShiftAndDefaultIdentity)
     EXPECT_LT(vec.core.l1i_accesses, base.core.l1i_accesses);
 
     // Back on the default model, results are bit-identical to before the
-    // vector sites ever registered.
+    // vector sites ever ran.
     const core::RunResult restored = core::runInstrumented(config);
     EXPECT_EQ(restored.output, base.output);
     EXPECT_EQ(farm::fingerprint(restored), farm::fingerprint(base));

@@ -13,6 +13,7 @@
 #include "trace/probe.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
+#include "test_site.h"
 
 namespace vtrans {
 namespace {
@@ -21,8 +22,8 @@ using layout::ProfileCollector;
 
 TEST(Profile, CountsBlocksAndBranches)
 {
-    VT_SITE(a, "layouttest.count.a", 32, 4, Block);
-    VT_SITE(br, "layouttest.count.br", 16, 1, Branch);
+    VT_TEST_SITE(a, "layouttest.count.a", 32, 4, Block);
+    VT_TEST_SITE(br, "layouttest.count.br", 16, 1, Branch);
     ProfileCollector profile;
     trace::setSink(&profile);
     for (int i = 0; i < 10; ++i) {
@@ -39,9 +40,9 @@ TEST(Profile, CountsBlocksAndBranches)
 
 TEST(Profile, SuccessorEdges)
 {
-    VT_SITE(a, "layouttest.edge.a", 32, 4, Block);
-    VT_SITE(b, "layouttest.edge.b", 32, 4, Block);
-    VT_SITE(c, "layouttest.edge.c", 32, 4, Block);
+    VT_TEST_SITE(a, "layouttest.edge.a", 32, 4, Block);
+    VT_TEST_SITE(b, "layouttest.edge.b", 32, 4, Block);
+    VT_TEST_SITE(c, "layouttest.edge.c", 32, 4, Block);
     ProfileCollector profile;
     trace::setSink(&profile);
     for (int i = 0; i < 5; ++i) {
@@ -59,8 +60,8 @@ TEST(Profile, SuccessorEdges)
 
 TEST(Relayout, PacksHotChainContiguously)
 {
-    VT_SITE(a, "layouttest.pack.a", 64, 4, Block);
-    VT_SITE(b, "layouttest.pack.b", 64, 4, Block);
+    VT_TEST_SITE(a, "layouttest.pack.a", 64, 4, Block);
+    VT_TEST_SITE(b, "layouttest.pack.b", 64, 4, Block);
     ProfileCollector profile;
     trace::setSink(&profile);
     for (int i = 0; i < 1000; ++i) {
@@ -85,8 +86,8 @@ TEST(Relayout, PacksHotChainContiguously)
 
 TEST(Relayout, InvertsMajorityTakenBranches)
 {
-    VT_SITE(hot_taken, "layouttest.inv.taken", 16, 1, Branch);
-    VT_SITE(hot_nt, "layouttest.inv.nt", 16, 1, Branch);
+    VT_TEST_SITE(hot_taken, "layouttest.inv.taken", 16, 1, Branch);
+    VT_TEST_SITE(hot_nt, "layouttest.inv.nt", 16, 1, Branch);
     ProfileCollector profile;
     trace::setSink(&profile);
     for (int i = 0; i < 100; ++i) {
@@ -105,8 +106,8 @@ TEST(Relayout, InvertsMajorityTakenBranches)
 
 TEST(Relayout, ColdBlocksMovedOutOfHotRegion)
 {
-    VT_SITE(hot, "layouttest.cold.hot", 64, 4, Block);
-    VT_SITE(cold, "layouttest.cold.cold", 64, 4, Block);
+    VT_TEST_SITE(hot, "layouttest.cold.hot", 64, 4, Block);
+    VT_TEST_SITE(cold, "layouttest.cold.cold", 64, 4, Block);
     ProfileCollector profile;
     trace::setSink(&profile);
     for (int i = 0; i < 100000; ++i) {

@@ -4,7 +4,7 @@
  * fan-out engine runs every point exactly once and accounts its wall
  * time; the study variants at workers > 1 produce per-point results —
  * fingerprints included — bit-identical to workers = 1 and to the serial
- * studies path, in the same order.
+ * studies path, in the same order, under either kernel model.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <vector>
 
+#include "codec/strategies/strategies.h"
 #include "core/parallel.h"
 #include "core/studies.h"
 #include "farm/runlog.h"
@@ -68,7 +69,7 @@ TEST(ParallelSweep, CrfRefsSweepMatchesSerialAtAnyWorkerCount)
     const std::vector<int> refs{1, 3};
 
     const auto serial_pool = parallelCrfRefsSweep(crf, refs, fastStudy(1));
-    // The plain studies path (no pool) after warmup is the same bits too.
+    // The plain studies path (no pool) is the same bits too.
     const auto serial = crfRefsSweep(crf, refs, fastStudy(1));
     SweepStats stats;
     const auto parallel =
@@ -89,6 +90,31 @@ TEST(ParallelSweep, CrfRefsSweepMatchesSerialAtAnyWorkerCount)
             << "point " << i << " diverges from the workers=1 pool run";
         EXPECT_EQ(fp, farm::fingerprint(serial[i].run))
             << "point " << i << " diverges from the serial studies path";
+    }
+}
+
+TEST(ParallelSweep, VectorModelIdenticalAtOneAndFourJobs)
+{
+    const std::vector<int> crf{20, 40};
+    const std::vector<int> refs{1, 3};
+    const auto scalar = parallelCrfRefsSweep(crf, refs, fastStudy(1));
+
+    // Switched on after a scalar run, the vector model's sites first
+    // execute on whichever worker reaches them; their addresses must not
+    // depend on that. Four workers go first so they race.
+    codec::setKernelModel(codec::KernelModel::Vector);
+    const auto four = parallelCrfRefsSweep(crf, refs, fastStudy(4));
+    const auto one = parallelCrfRefsSweep(crf, refs, fastStudy(1));
+    codec::setKernelModel(codec::KernelModel::Scalar);
+
+    ASSERT_EQ(four.size(), crf.size() * refs.size());
+    ASSERT_EQ(one.size(), four.size());
+    for (size_t i = 0; i < four.size(); ++i) {
+        const uint64_t fp = farm::fingerprint(four[i].run);
+        EXPECT_EQ(fp, farm::fingerprint(one[i].run))
+            << "point " << i << " differs between 4 and 1 jobs";
+        EXPECT_NE(fp, farm::fingerprint(scalar[i].run))
+            << "point " << i << " ran the scalar model";
     }
 }
 

@@ -1,16 +1,25 @@
 /**
  * @file
- * Tests of the probe bus: site registration, default code layout, batched
- * event delivery, polarity inversion, and the simulated-address arena.
+ * Tests of the probe bus: the site table and default code layout,
+ * synthetic site registration, batched event delivery, polarity
+ * inversion, and the simulated-address arena.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "codec/loopflags.h"
+#include "codec/params.h"
+#include "codec/strategies/strategies.h"
+#include "core/parallel.h"
+#include "core/workload.h"
 #include "trace/probe.h"
+#include "test_site.h"
 
 namespace vtrans {
 namespace {
@@ -51,10 +60,164 @@ class RecordingSink : public ProbeSink
     }
 };
 
+/** (name, default address) of every site a default-model run of any
+ *  preset executes: the layout every default-model result depends on.
+ *  A reordered or resized table row moves these and fails loudly. */
+const std::vector<std::pair<std::string, uint64_t>> kDefaultPathLayout = {
+    {"lookahead.intra8", 0x400000},
+    {"lookahead.cand", 0x400820},
+    {"lookahead.sad8", 0x400ef0},
+    {"bitstream.write.byte", 0x401770},
+    {"bitstream.write.ue", 0x401ea0},
+    {"rc.startframe", 0x402630},
+    {"enc.mbvar", 0x402eb0},
+    {"rc.mbqp", 0x4036a0},
+    {"intra.pred16", 0x403e60},
+    {"intra.gather16", 0x404800},
+    {"intra.sad16", 0x404fc0},
+    {"intra.cmp16", 0x4057b0},
+    {"intra.pred4", 0x405e38},
+    {"intra.sad4", 0x4066b8},
+    {"intra.cmp4", 0x406e18},
+    {"enc.mode.i4cmp", 0x4074a0},
+    {"enc.residual4", 0x407b40},
+    {"dct.forward4x4", 0x408300},
+    {"trellis.quant4x4", 0x408d00},
+    {"trellis.state", 0x409ac0},
+    {"trellis.cmp", 0x40a220},
+    {"dct.dequant4x4", 0x40a8c0},
+    {"dct.inverse4x4", 0x40b140},
+    {"enc.recon4", 0x40bb40},
+    {"intra.predchroma", 0x40c2d0},
+    {"enc.residual4c", 0x40cac0},
+    {"enc.writembheader", 0x40d280},
+    {"entropy.sig", 0x40db00},
+    {"enc.copypred", 0x40e1a0},
+    {"deblock.vedge.rows16", 0x40e8d0},
+    {"deblock.hedge.cols16", 0x40f090},
+    {"deblock.chroma.v", 0x40f850},
+    {"deblock.chroma.h", 0x40ffe0},
+    {"rc.endframe", 0x410770},
+    {"me.refloop", 0x410ed0},
+    {"me.seed", 0x4115d0},
+    {"pixel.sad.rows8", 0x411d30},
+    {"pixel.sad.early_exit", 0x4125e0},
+    {"me.cand.cmp", 0x412c68},
+    {"me.hex.iter", 0x413308},
+    {"me.hex.move", 0x413a68},
+    {"pixel.sadsub.rows4", 0x4140f0},
+    {"pixel.sadsub.early_exit", 0x4148e0},
+    {"me.subpel.iter", 0x414f68},
+    {"me.subpel.cmp", 0x4156f8},
+    {"me.refloop.cmp", 0x415d98},
+    {"enc.mode.fwdcmp", 0x416438},
+    {"enc.mode.p8cmp", 0x416ad8},
+    {"pixel.mc.row", 0x417178},
+    {"pixel.mcchroma.row", 0x4178d8},
+    {"enc.mode.skip", 0x418020},
+    {"enc.mode.bwdcmp", 0x4186c0},
+    {"pixel.average", 0x418d60},
+    {"enc.mode.bicmp", 0x419490},
+    {"bitstream.read.byte", 0x419b30},
+    {"bitstream.read.ue", 0x41a260},
+    {"dec.frameheader", 0x41a9f0},
+    {"dec.parseblock", 0x41b1b0},
+    {"dec.coeff", 0x41b9d0},
+    {"dec.recon4", 0x41c0a0},
+    {"dec.copypred", 0x41c830},
+    {"dct.quant4x4", 0x41cf60},
+    {"me.dia.iter", 0x41d870},
+    {"me.dia.move", 0x41dfa0},
+    {"pixel.satd4x4", 0x41e628},
+    {"deblock.filter", 0x41ef68},
+    {"deblock.filter.h", 0x41f6c8},
+    {"me.umh.cross", 0x41fe28},
+    {"me.umh.square", 0x4205e8},
+    {"me.umh.ring", 0x420d78},
+    {"me.esa.row", 0x421568},
+    {"me.tesa.cmp", 0x421cc8},
+};
+
+/** Every site's (name, address), in id order. */
+std::vector<std::pair<std::string, uint64_t>>
+layoutSnapshot()
+{
+    std::vector<std::pair<std::string, uint64_t>> out;
+    for (const CodeSite* site : trace::registry().sites()) {
+        out.emplace_back(site->name, site->address);
+    }
+    return out;
+}
+
+// First in this file, so it sees the registry before any codec code ran
+// (and before any other test appended a synthetic site).
+TEST(Trace, SiteTableIsTheLayout)
+{
+    const auto& sites = trace::registry().sites();
+    ASSERT_EQ(sites.size(), trace::kTableSites);
+    uint64_t addr = trace::SiteRegistry::kTextBase;
+    for (size_t i = 0; i < trace::kTableSites; ++i) {
+        const trace::SiteRow& row = trace::kSiteTable[i];
+        const CodeSite& site = *sites[i];
+        EXPECT_EQ(static_cast<size_t>(row.id), i) << row.name;
+        EXPECT_EQ(site.id, i) << row.name;
+        EXPECT_EQ(&trace::registry().site(row.id), &site) << row.name;
+        EXPECT_EQ(site.name, row.name);
+        EXPECT_EQ(site.bytes, row.bytes * trace::SiteRegistry::kCodeScale)
+            << row.name;
+        EXPECT_EQ(site.instructions, row.instructions) << row.name;
+        EXPECT_EQ(site.kind, row.kind) << row.name;
+        EXPECT_EQ(site.address, addr) << row.name;
+        EXPECT_FALSE(site.invert) << row.name;
+        addr += site.bytes + trace::SiteRegistry::kDefaultColdPadding;
+    }
+    EXPECT_EQ(trace::registry().defaultSpan(),
+              addr - trace::SiteRegistry::kTextBase);
+
+    const auto before = layoutSnapshot();
+    ASSERT_GE(before.size(), kDefaultPathLayout.size());
+    for (size_t i = 0; i < kDefaultPathLayout.size(); ++i) {
+        EXPECT_EQ(before[i], kDefaultPathLayout[i]) << "site " << i;
+    }
+
+    // Every codec path registers nothing: each preset under both kernel
+    // models, both loop restructurings, CBR, and a chunk split + stitch.
+    auto run = [](const codec::EncoderParams& params) {
+        core::RunConfig cfg;
+        cfg.video = "cat";
+        cfg.seconds = 0.12;
+        cfg.params = params;
+        core::runNative(cfg);
+    };
+    for (auto model :
+         {codec::KernelModel::Scalar, codec::KernelModel::Vector}) {
+        codec::setKernelModel(model);
+        for (const auto& preset : codec::presetNames()) {
+            run(codec::presetParams(preset));
+        }
+    }
+    codec::setKernelModel(codec::KernelModel::Scalar);
+    codec::setLoopOptFlags({true, true});
+    run(codec::presetParams("medium"));
+    codec::setLoopOptFlags({});
+    codec::EncoderParams cbr = codec::presetParams("medium");
+    cbr.rc = codec::RateControl::CBR;
+    run(cbr);
+    core::ChunkedOptions chunked;
+    chunked.video = "cat";
+    chunked.seconds = 0.12;
+    chunked.params = codec::presetParams("ultrafast");
+    chunked.chunking.chunk_frames = 1;
+    const core::ChunkedResult result = core::chunkedTranscode(chunked);
+    EXPECT_GT(result.chunks, 1u);
+
+    EXPECT_EQ(layoutSnapshot(), before);
+}
+
 TEST(Probe, NoSinkMeansNoDispatch)
 {
     trace::setSink(nullptr);
-    VT_SITE(site, "test.nosink", 32, 4, Block);
+    VT_TEST_SITE(site, "test.nosink", 32, 4, Block);
     // Must not crash; nothing observable happens.
     trace::block(site);
     trace::load(0x1000, 8);
@@ -64,8 +227,8 @@ TEST(Probe, EventsReachSink)
 {
     RecordingSink sink;
     trace::setSink(&sink);
-    VT_SITE(site, "test.events", 32, 4, Block);
-    VT_SITE(br, "test.events.branch", 8, 1, Branch);
+    VT_TEST_SITE(site, "test.events", 32, 4, Block);
+    VT_TEST_SITE(br, "test.events.branch", 8, 1, Branch);
     trace::block(site);
     trace::load(0x2000, 16);
     trace::store(0x3000, 4);
@@ -85,7 +248,7 @@ TEST(Probe, EventsReachSink)
 TEST(Probe, BranchPolarityInversion)
 {
     RecordingSink sink;
-    VT_SITE(br, "test.invert", 8, 1, Branch);
+    VT_TEST_SITE(br, "test.invert", 8, 1, Branch);
     br.invert = false;
     trace::setSink(&sink);
     trace::branch(br, true);
@@ -102,8 +265,8 @@ TEST(Probe, BranchPolarityInversion)
 TEST(Probe, SitesHaveDistinctAddressesWithColdPadding)
 {
     auto& reg = trace::registry();
-    VT_SITE(a, "test.layout.a", 64, 8, Block);
-    VT_SITE(b, "test.layout.b", 64, 8, Block);
+    VT_TEST_SITE(a, "test.layout.a", 64, 8, Block);
+    VT_TEST_SITE(b, "test.layout.b", 64, 8, Block);
     EXPECT_NE(a.address, b.address);
     // Registration order is not guaranteed adjacent (other tests register
     // sites too), but every site must be inside the default span.
@@ -115,7 +278,7 @@ TEST(Probe, SitesHaveDistinctAddressesWithColdPadding)
 TEST(Probe, ResetLayoutRestoresDefaults)
 {
     auto& reg = trace::registry();
-    VT_SITE(a, "test.layoutreset.a", 64, 8, Block);
+    VT_TEST_SITE(a, "test.layoutreset.a", 64, 8, Block);
     const uint64_t original = a.address;
     a.address = 0xdead;
     a.invert = true;
@@ -131,7 +294,7 @@ TEST(Probe, PerThreadAttachmentDoesNotCrossTalk)
     // Sinks are thread-local: a sink attached on one thread must never
     // observe another thread's events, and attaching/detaching mid-run
     // on one thread must not disturb a sibling's sink.
-    VT_SITE(site, "test.probe.threads", 16, 2, Block);
+    VT_TEST_SITE(site, "test.probe.threads", 16, 2, Block);
 
     RecordingSink main_sink;
     trace::setSink(&main_sink);
@@ -209,8 +372,8 @@ class BatchRecordingSink : public ProbeSink
 
 TEST(BatchPipeline, DefaultReplayDeliversIdenticalEventSequence)
 {
-    VT_SITE(site, "test.batch.block", 32, 4, Block);
-    VT_SITE(br, "test.batch.branch", 8, 1, Branch);
+    VT_TEST_SITE(site, "test.batch.block", 32, 4, Block);
+    VT_TEST_SITE(br, "test.batch.branch", 8, 1, Branch);
     auto emit = [&] {
         trace::block(site);
         trace::load(0x2000, 16);
@@ -239,7 +402,7 @@ TEST(BatchPipeline, DefaultReplayDeliversIdenticalEventSequence)
 
 TEST(BatchPipeline, BranchIsOneFusedRecord)
 {
-    VT_SITE(br, "test.batch.fused", 8, 1, Branch);
+    VT_TEST_SITE(br, "test.batch.fused", 8, 1, Branch);
     BatchRecordingSink sink;
     trace::setSink(&sink, 16);
     trace::branch(br, true);
@@ -256,7 +419,7 @@ TEST(BatchPipeline, BranchIsOneFusedRecord)
 
 TEST(BatchPipeline, FusedRecordCarriesPostPolarityDirection)
 {
-    VT_SITE(br, "test.batch.fusedpolarity", 8, 1, Branch);
+    VT_TEST_SITE(br, "test.batch.fusedpolarity", 8, 1, Branch);
     BatchRecordingSink sink;
     br.invert = true;
     trace::setSink(&sink, 16);
@@ -270,7 +433,7 @@ TEST(BatchPipeline, FusedRecordCarriesPostPolarityDirection)
 
 TEST(BatchPipeline, FullBufferFlushesAndRefills)
 {
-    VT_SITE(site, "test.batch.wrap", 16, 2, Block);
+    VT_TEST_SITE(site, "test.batch.wrap", 16, 2, Block);
     BatchRecordingSink sink;
     trace::setSink(&sink, 4);
     for (int i = 0; i < 10; ++i) {
@@ -285,7 +448,7 @@ TEST(BatchPipeline, FullBufferFlushesAndRefills)
 
 TEST(BatchPipeline, ExplicitFlushDeliversPendingEvents)
 {
-    VT_SITE(site, "test.batch.flush", 16, 2, Block);
+    VT_TEST_SITE(site, "test.batch.flush", 16, 2, Block);
     BatchRecordingSink sink;
     trace::setSink(&sink, 64);
     trace::block(site);
@@ -301,7 +464,7 @@ TEST(BatchPipeline, ExplicitFlushDeliversPendingEvents)
 
 TEST(BatchPipeline, SwitchingSinksFlushesToTheOldSink)
 {
-    VT_SITE(site, "test.batch.switch", 16, 2, Block);
+    VT_TEST_SITE(site, "test.batch.switch", 16, 2, Block);
     BatchRecordingSink old_sink;
     RecordingSink new_sink;
     trace::setSink(&old_sink, 64);
@@ -337,8 +500,8 @@ TEST(BatchPipeline, CapacityAtMostOneIsPerEventDispatch)
     // A capacity of 0 or 1 is a batch of one, not a second delivery path:
     // every emit reaches onBatch at once, as one record, and the sink sees
     // the same sequence as at the default capacity.
-    VT_SITE(site, "test.batch.tiny", 16, 2, Block);
-    VT_SITE(br, "test.batch.tinybr", 8, 1, Branch);
+    VT_TEST_SITE(site, "test.batch.tiny", 16, 2, Block);
+    VT_TEST_SITE(br, "test.batch.tinybr", 8, 1, Branch);
     const std::vector<std::function<void()>> emits{
         [&] { trace::block(site); },
         [&] { trace::load(0x2000, 16); },
@@ -379,8 +542,8 @@ TEST(BatchPipeline, ThreadsBatchIndependently)
     // Each thread owns its cursor and buffer: concurrent batched runs
     // must neither cross-deliver nor corrupt each other (this is the
     // TSan coverage of the batched pipeline's thread-local state).
-    VT_SITE(site, "test.batch.threads", 16, 2, Block);
-    VT_SITE(br, "test.batch.threadsbr", 8, 1, Branch);
+    VT_TEST_SITE(site, "test.batch.threads", 16, 2, Block);
+    VT_TEST_SITE(br, "test.batch.threadsbr", 8, 1, Branch);
 
     constexpr int kThreads = 4;
     constexpr int kIters = 2000;

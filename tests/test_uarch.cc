@@ -27,6 +27,7 @@
 #include "uarch/lru.h"
 #include "uarch/ringbuf.h"
 #include "uarch/tlb.h"
+#include "test_site.h"
 
 namespace vtrans {
 namespace {
@@ -564,7 +565,7 @@ class CoreHarness
 
 TEST(Core, AluOnlyIsMostlyRetiring)
 {
-    VT_SITE(site, "coretest.alu", 64, 16, Block);
+    VT_TEST_SITE(site, "coretest.alu", 64, 16, Block);
     CoreHarness h(baselineConfig());
     for (int i = 0; i < 10000; ++i) {
         trace::block(site);
@@ -578,7 +579,7 @@ TEST(Core, AluOnlyIsMostlyRetiring)
 
 TEST(Core, StreamingLoadsAreMemoryBound)
 {
-    VT_SITE(site, "coretest.stream", 64, 2, Block);
+    VT_TEST_SITE(site, "coretest.stream", 64, 2, Block);
     CoreHarness h(baselineConfig());
     uint64_t addr = 0x200000000ull;
     for (int i = 0; i < 200000; ++i) {
@@ -599,7 +600,7 @@ TEST(Core, StreamingLoadsAreMemoryBound)
 
 TEST(Core, RandomBranchesCauseBadSpeculation)
 {
-    VT_SITE(br, "coretest.randbr", 16, 2, Branch);
+    VT_TEST_SITE(br, "coretest.randbr", 16, 2, Branch);
     CoreHarness h(baselineConfig());
     Rng rng(1);
     for (int i = 0; i < 100000; ++i) {
@@ -640,7 +641,7 @@ TEST(Core, SmallStoreBufferStalls)
 {
     CoreParams p = baselineConfig();
     p.sb_size = 4;
-    VT_SITE(site, "coretest.sbstall", 32, 1, Block);
+    VT_TEST_SITE(site, "coretest.sbstall", 32, 1, Block);
     CoreHarness h(p);
     uint64_t addr = 0x300000000ull;
     for (int i = 0; i < 50000; ++i) {
@@ -656,7 +657,7 @@ TEST(Core, SmallStoreBufferStalls)
 TEST(Core, BiggerRobReducesMemoryStalls)
 {
     auto run = [](const CoreParams& p) {
-        VT_SITE(site, "coretest.rob", 48, 6, Block);
+        VT_TEST_SITE(site, "coretest.rob", 48, 6, Block);
         CoreHarness h(p);
         uint64_t addr = 0x400000000ull;
         for (int i = 0; i < 100000; ++i) {
@@ -674,8 +675,8 @@ TEST(Core, BiggerRobReducesMemoryStalls)
 
 TEST(Core, TopdownSumsToOne)
 {
-    VT_SITE(site, "coretest.sum", 48, 4, Block);
-    VT_SITE(br, "coretest.sum.br", 16, 1, Branch);
+    VT_TEST_SITE(site, "coretest.sum", 48, 4, Block);
+    VT_TEST_SITE(br, "coretest.sum.br", 16, 1, Branch);
     CoreHarness h(baselineConfig());
     Rng rng(9);
     uint64_t addr = 0x500000000ull;
@@ -792,9 +793,9 @@ TEST(RingBuffer, MatchesDequeUnderRandomOperations)
 TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
 {
     auto run = [](uint32_t batch_capacity) {
-        VT_SITE(site, "coretest.batch.blk", 48, 6, Block);
-        VT_SITE(br, "coretest.batch.br", 16, 2, Branch);
-        VT_SITE(loop, "coretest.batch.loop", 12, 1, Branch);
+        VT_TEST_SITE(site, "coretest.batch.blk", 48, 6, Block);
+        VT_TEST_SITE(br, "coretest.batch.br", 16, 2, Branch);
+        VT_TEST_SITE(loop, "coretest.batch.loop", 12, 1, Branch);
         CoreModel model(baselineConfig());
         trace::setSink(&model, batch_capacity);
         Rng rng(7);
@@ -918,13 +919,13 @@ collect(CoreModel& model)
 void
 emitProbeStream(bool huge_block = false)
 {
-    VT_SITE(blk_a, "coretest.diff.blk_a", 96, 11, Block);
-    VT_SITE(blk_b, "coretest.diff.blk_b", 40, 5, Block);
-    VT_SITE(blk_c, "coretest.diff.blk_c", 200, 23, BlockLoadDep);
-    VT_SITE(br_a, "coretest.diff.br_a", 16, 2, Branch);
-    VT_SITE(br_b, "coretest.diff.br_b", 12, 1, BranchLoadDep);
-    VT_SITE(blk_big, "coretest.diff.blk_big", 8192, 37, Block);
-    VT_SITE(blk_huge, "coretest.diff.blk_huge", 49152, 300, Block);
+    VT_TEST_SITE(blk_a, "coretest.diff.blk_a", 96, 11, Block);
+    VT_TEST_SITE(blk_b, "coretest.diff.blk_b", 40, 5, Block);
+    VT_TEST_SITE(blk_c, "coretest.diff.blk_c", 200, 23, BlockLoadDep);
+    VT_TEST_SITE(br_a, "coretest.diff.br_a", 16, 2, Branch);
+    VT_TEST_SITE(br_b, "coretest.diff.br_b", 12, 1, BranchLoadDep);
+    VT_TEST_SITE(blk_big, "coretest.diff.blk_big", 8192, 37, Block);
+    VT_TEST_SITE(blk_huge, "coretest.diff.blk_huge", 49152, 300, Block);
     Rng rng(0xd1ffe4e57ull);
     uint64_t addr = 0x700000000ull;
     for (int i = 0; i < 12000; ++i) {
@@ -1132,8 +1133,8 @@ DiffRun
 runFreshSiteStream(bool reference, StageMode mode,
                    trace::CodeSite** fresh, uint64_t* home)
 {
-    VT_SITE(blk, "coretest.fresh.blk", 64, 9, Block);
-    VT_SITE(br, "coretest.fresh.br", 16, 2, Branch);
+    VT_TEST_SITE(blk, "coretest.fresh.blk", 64, 9, Block);
+    VT_TEST_SITE(br, "coretest.fresh.br", 16, 2, Branch);
     const CoreHold hold = holdFor(mode);
     CoreParams params = baselineConfig();
     params.reference_stepping = reference;
@@ -1193,7 +1194,7 @@ TEST(CoreDifferential, SiteDefinedAndMovedMidRunMatchesReference)
 
 TEST(CorePipeline, DestroyedMidStreamWithoutFinishJoins)
 {
-    VT_SITE(blk, "coretest.abandon.blk", 32, 4, Block);
+    VT_TEST_SITE(blk, "coretest.abandon.blk", 32, 4, Block);
     const int free_before = freeCores();
     for (StageMode mode : stageModes()) {
         for (int events : {0, 100, 2048, 2049, 50000}) {
@@ -1221,7 +1222,7 @@ TEST(CorePipeline, HelpersHoldTwoCoresUntilFinish)
     if (freeCores() < 2) {
         GTEST_SKIP() << "the core budget has fewer than two free cores";
     }
-    VT_SITE(blk, "coretest.budget.blk", 32, 4, Block);
+    VT_TEST_SITE(blk, "coretest.budget.blk", 32, 4, Block);
     const int free_before = freeCores();
     CoreModel model(baselineConfig());
     EXPECT_EQ(freeCores(), free_before) << "no cores before the first slot";

@@ -14,6 +14,7 @@
 #include "uarch/cache.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
+#include "test_site.h"
 
 namespace vtrans {
 namespace {
@@ -24,10 +25,10 @@ using namespace uarch;
 void
 runMixedWorkload(uint64_t seed, int n)
 {
-    VT_SITE(alu, "uprop.alu", 48, 6, Block);
-    VT_SITE(consumer, "uprop.consumer", 64, 8, BlockLoadDep);
-    VT_SITE(br, "uprop.branch", 16, 1, Branch);
-    VT_SITE(brd, "uprop.branchdep", 16, 1, BranchLoadDep);
+    VT_TEST_SITE(alu, "uprop.alu", 48, 6, Block);
+    VT_TEST_SITE(consumer, "uprop.consumer", 64, 8, BlockLoadDep);
+    VT_TEST_SITE(br, "uprop.branch", 16, 1, Branch);
+    VT_TEST_SITE(brd, "uprop.branchdep", 16, 1, BranchLoadDep);
     Rng rng(seed);
     uint64_t addr = 0x600000000ull;
     for (int i = 0; i < n; ++i) {
@@ -197,7 +198,7 @@ TEST(CoreProperty, MshrBoundsMlp)
     auto run = [](int mshrs) {
         CoreParams p = baselineConfig();
         p.mshr_entries = mshrs;
-        VT_SITE(site, "uprop.mshr", 32, 1, Block);
+        VT_TEST_SITE(site, "uprop.mshr", 32, 1, Block);
         CoreModel model(p);
         trace::setSink(&model);
         uint64_t addr = 0x700000000ull;

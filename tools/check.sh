@@ -20,6 +20,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
+echo "== probe sites come from the site table =="
+# Every site of the virtual binary is a row of src/trace/sites.def, so
+# its id and default address are fixed before any codec code runs.
+# Registering a site lazily (by name, on first execution) would let run
+# order and thread interleaving shape the layout again; define() and
+# named declarations stay with the tests' synthetic sites.
+if grep -rnE 'registry\(\)\.define\(|VT_(TEST_)?SITE\([^,)]*,[[:space:]]*("|$)' src; then
+    echo "lazily registered probe site under src/ (add a row to" \
+        "src/trace/sites.def and use VT_SITE(var, Id))" >&2
+    exit 1
+fi
+
 echo "== configure =="
 cmake -B "$BUILD_DIR" -S .
 
@@ -181,7 +193,10 @@ if [[ "${VTRANS_SKIP_TSAN:-0}" != 1 ]]; then
     # test_uarch includes the CoreMulti.* shared-pass suite (one helper
     # thread runs the shared functional stage, another every class's
     # timing stage); test_farm includes Farm.GroupedPassesMatchLoneRuns
-    # (a group's results entering the shared cache from 4 workers).
+    # (a group's results entering the shared cache from 4 workers);
+    # test_trace includes Trace.SiteTableIsTheLayout and
+    # test_parallel_sweep ParallelSweep.VectorModelIdenticalAtOneAndFourJobs
+    # (vector-model sites first reached by racing workers).
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S . -DVTRANS_SANITIZE=thread
     cmake --build "$TSAN_DIR" -j --target test_uarch test_trace test_farm \
