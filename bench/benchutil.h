@@ -160,14 +160,16 @@ parseBenchOptions(int argc, char** argv)
     setVerbose(!cli.has("quiet"));
 
     // Kernel backend (bit-identical across values) and simulated cost
-    // model (vector is the opt-in SIMD-form probe model).
+    // model (vector is the opt-in SIMD-form probe model; each point's
+    // RunConfig::binary carries it).
     const std::string kernels = cli.str("kernels", "");
     if (!kernels.empty() && !codec::setKernelIsa(kernels)) {
         VT_FATAL("--kernels must be scalar, sse41, avx2 or auto (and "
                  "supported by this CPU); got ", kernels);
     }
     const std::string kernel_model = cli.str("kernel-model", "");
-    if (!kernel_model.empty() && !codec::setKernelModel(kernel_model)) {
+    if (!kernel_model.empty()
+        && !codec::parseKernelModel(kernel_model, &options.study.kernels)) {
         VT_FATAL("--kernel-model must be scalar or vector; got ",
                  kernel_model);
     }

@@ -8,14 +8,14 @@
  *      (recompiling with the profile), and separately enable the
  *      Graphite-style loop restructurings.
  *   3. Measure: simulate the same transcode before/after each
- *      optimization and report where the cycles went.
+ *      optimization and report where the cycles went. Each optimized
+ *      build is a `RunConfig::binary` value of its own run.
  *
  *   ./build/examples/compiler_opt [--video landscape] [--seconds 1]
  */
 
 #include <cstdio>
 
-#include "codec/loopflags.h"
 #include "codec/transcode.h"
 #include "common/cli.h"
 #include "core/workload.h"
@@ -38,9 +38,6 @@ main(int argc, char** argv)
     run.seconds = seconds;
     run.params = codec::presetParams("medium");
     run.core = uarch::baselineConfig();
-
-    trace::registry().resetLayout();
-    codec::setLoopOptFlags({});
 
     auto report = [](const char* label, const core::RunResult& r) {
         const auto td = r.core.topdown();
@@ -74,19 +71,20 @@ main(int argc, char** argv)
     const auto relayout = layout::applyProfileGuidedLayout(profile);
     std::printf("%s\n", layout::describe(relayout).c_str());
 
-    const auto fdo = core::runInstrumented(run);
+    core::RunConfig fdo_run = run;
+    fdo_run.binary.layout = relayout.layout;
+    const auto fdo = core::runInstrumented(fdo_run);
     report("profile-guided layout", fdo);
     std::printf("  -> speedup %.2f%%\n",
                 (baseline.transcode_seconds / fdo.transcode_seconds - 1.0)
                     * 100.0);
-    trace::registry().resetLayout();
 
     // --- Graphite-style: loop restructuring --------------------------
     std::printf("\nenabling loop restructurings (deblock interchange + "
                 "lookahead fusion)...\n");
-    codec::setLoopOptFlags({true, true});
-    const auto graphite = core::runInstrumented(run);
-    codec::setLoopOptFlags({});
+    core::RunConfig graphite_run = run;
+    graphite_run.binary.loops = {true, true};
+    const auto graphite = core::runInstrumented(graphite_run);
     report("loop restructuring", graphite);
     std::printf("  -> speedup %.2f%%\n",
                 (baseline.transcode_seconds / graphite.transcode_seconds
@@ -94,11 +92,9 @@ main(int argc, char** argv)
                     * 100.0);
 
     // --- Both together ------------------------------------------------
-    layout::applyProfileGuidedLayout(profile);
-    codec::setLoopOptFlags({true, true});
-    const auto both = core::runInstrumented(run);
-    codec::setLoopOptFlags({});
-    trace::registry().resetLayout();
+    core::RunConfig both_run = fdo_run;
+    both_run.binary.loops = {true, true};
+    const auto both = core::runInstrumented(both_run);
     report("both combined", both);
     std::printf("  -> speedup %.2f%%\n",
                 (baseline.transcode_seconds / both.transcode_seconds

@@ -2,20 +2,24 @@
 
 namespace vtrans::codec {
 
-namespace {
-LoopOptFlags g_flags;
-} // namespace
+namespace detail {
 
-void
-setLoopOptFlags(const LoopOptFlags& flags)
+constinit thread_local LoopOptFlags t_loop_flags;
+
+} // namespace detail
+
+BuildScope::BuildScope(const LoopOptFlags& loops, KernelModel kernels)
+    : saved_loops_(detail::t_loop_flags),
+      saved_kernels_(detail::t_kernel_model)
 {
-    g_flags = flags;
+    detail::t_loop_flags = loops;
+    detail::t_kernel_model = kernels;
 }
 
-const LoopOptFlags&
-loopOptFlags()
+BuildScope::~BuildScope()
 {
-    return g_flags;
+    detail::t_loop_flags = saved_loops_;
+    detail::t_kernel_model = saved_kernels_;
 }
 
 } // namespace vtrans::codec

@@ -2,8 +2,8 @@
  * @file
  * Strategy selection: resolves VTRANS_KERNEL_ISA / setKernelIsa() to one
  * of the backend tables and publishes it for the hot-path kernels()
- * accessor. Also owns the simulated kernel cost model knob (scalar vs
- * vector probe sites).
+ * accessor. Also holds the calling thread's simulated kernel cost model
+ * (scalar vs vector probe sites).
  */
 
 #include "codec/strategies/strategies.h"
@@ -17,7 +17,7 @@ namespace vtrans::codec {
 namespace detail {
 
 std::atomic<const KernelOps*> g_kernels{nullptr};
-std::atomic<bool> g_vector_model{false};
+constinit thread_local KernelModel t_kernel_model = KernelModel::Scalar;
 
 namespace {
 
@@ -110,31 +110,14 @@ availableKernelIsas()
     return isas;
 }
 
-void
-setKernelModel(KernelModel model)
-{
-    detail::g_vector_model.store(model == KernelModel::Vector,
-                                 std::memory_order_relaxed);
-}
-
 bool
-setKernelModel(const std::string& name)
+parseKernelModel(const std::string& name, KernelModel* model)
 {
-    if (name == "scalar") {
-        setKernelModel(KernelModel::Scalar);
-        return true;
+    if (name != "scalar" && name != "vector") {
+        return false;
     }
-    if (name == "vector") {
-        setKernelModel(KernelModel::Vector);
-        return true;
-    }
-    return false;
-}
-
-KernelModel
-kernelModel()
-{
-    return vectorKernelModel() ? KernelModel::Vector : KernelModel::Scalar;
+    *model = name == "vector" ? KernelModel::Vector : KernelModel::Scalar;
+    return true;
 }
 
 } // namespace vtrans::codec

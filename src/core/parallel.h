@@ -3,23 +3,22 @@
 
 /**
  * @file
- * Parallel execution of the sweep-style studies on the farm's worker
- * pool. Every grid point of `crfRefsSweep` / `presetStudy` / `videoStudy`
- * is an independent instrumented run (thread-local probe sinks and
- * simulated heaps, see trace/probe.h), so the studies shard across
- * threads the same way the cloud-transcoding literature shards
- * parameter-space exploration across machines.
+ * The sweep-style studies (Figures 3-7) on the farm's worker pool. Every
+ * grid point is an independent instrumented run (thread-local probe
+ * sinks, simulated heaps and build choices, see trace/probe.h and
+ * codec/loopflags.h), so the studies shard across threads the same way
+ * the cloud-transcoding literature shards parameter-space exploration
+ * across machines. `jobs == 1` runs the batch inline on the calling
+ * thread: that is the serial case, not a separate implementation.
  *
  * ## Determinism
  *
  * Results are collected by grid index into a pre-sized vector, so output
- * ordering never depends on completion order. The virtual code layout
- * is fixed by the probe-site table (trace/sites.h) before any codec code
- * runs, so each point's `RunResult` (and therefore its
- * `farm::fingerprint`) is a pure function of its `RunConfig`: the
- * parallel sweep is bit-identical to the serial path at any worker
- * count, and `jobs == 1` runs the batch inline on the calling thread as
- * the serial reference.
+ * ordering never depends on completion order. The default layout is
+ * fixed by the probe-site table (trace/sites.h), and everything else
+ * that shapes a run is its `RunConfig::binary`, so each point's
+ * `RunResult` (and `farm::fingerprint`) is a pure function of its
+ * `RunConfig` at any worker count, even in a batch mixing binaries.
  */
 
 #include <cstddef>
@@ -62,9 +61,8 @@ SweepStats parallelSweep(size_t count, int jobs,
                          const std::function<void(size_t)>& run_point);
 
 /**
- * Figures 3/4/5 on the worker pool: `crfRefsSweep` with
- * `options.jobs` workers. Point order — and every per-point result —
- * is bit-identical to the serial path.
+ * Figures 3/4/5: the crf x refs grid of `sweepPointConfig`s, crf major,
+ * with `options.jobs` workers.
  */
 std::vector<SweepPoint>
 parallelCrfRefsSweep(const std::vector<int>& crf_values,
@@ -72,11 +70,11 @@ parallelCrfRefsSweep(const std::vector<int>& crf_values,
                      const StudyOptions& options,
                      SweepStats* stats = nullptr);
 
-/** Figure 6 on the worker pool: `presetStudy` with `options.jobs`. */
+/** Figure 6: every preset's `presetPointConfig`, `options.jobs` workers. */
 std::vector<PresetResult> parallelPresetStudy(const StudyOptions& options,
                                               SweepStats* stats = nullptr);
 
-/** Figure 7 on the worker pool: `videoStudy` with `options.jobs`. */
+/** Figure 7: the vbench `videoPointConfig`s in Table I order. */
 std::vector<VideoResult> parallelVideoStudy(const StudyOptions& options,
                                             SweepStats* stats = nullptr);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "codec/loopflags.h"
 #include "codec/transcode.h"
 #include "common/status.h"
 #include "layout/profile.h"
@@ -71,6 +70,7 @@ sweepPointConfig(const StudyOptions& options, int crf, int refs)
     config.params.crf = crf;
     config.params.refs = refs;
     config.core = uarch::baselineConfig();
+    config.binary.kernels = options.kernels;
     return config;
 }
 
@@ -83,6 +83,7 @@ presetPointConfig(const StudyOptions& options, const std::string& preset)
     // §III-C2: presets with the default crf (23) and refs (3).
     config.params = codec::presetParams(preset);
     config.core = uarch::baselineConfig();
+    config.binary.kernels = options.kernels;
     return config;
 }
 
@@ -94,59 +95,8 @@ videoPointConfig(const StudyOptions& options, const std::string& video)
     config.seconds = options.seconds;
     config.params = codec::presetParams("medium"); // crf 23, refs 3
     config.core = uarch::baselineConfig();
+    config.binary.kernels = options.kernels;
     return config;
-}
-
-std::vector<SweepPoint>
-crfRefsSweep(const std::vector<int>& crf_values,
-             const std::vector<int>& refs_values,
-             const StudyOptions& options)
-{
-    std::vector<SweepPoint> points;
-    points.reserve(crf_values.size() * refs_values.size());
-    for (int crf : crf_values) {
-        for (int refs : refs_values) {
-            progress(options.verbose,
-                     "sweep crf=" + std::to_string(crf)
-                         + " refs=" + std::to_string(refs));
-            SweepPoint point;
-            point.crf = crf;
-            point.refs = refs;
-            point.run = runInstrumented(sweepPointConfig(options, crf, refs));
-            points.push_back(std::move(point));
-        }
-    }
-    return points;
-}
-
-std::vector<PresetResult>
-presetStudy(const StudyOptions& options)
-{
-    std::vector<PresetResult> results;
-    for (const auto& preset : codec::presetNames()) {
-        progress(options.verbose, "preset " + preset);
-        PresetResult result;
-        result.preset = preset;
-        result.run = runInstrumented(presetPointConfig(options, preset));
-        results.push_back(std::move(result));
-    }
-    return results;
-}
-
-std::vector<VideoResult>
-videoStudy(const StudyOptions& options)
-{
-    std::vector<VideoResult> results;
-    for (const auto& spec : video::vbenchCorpus()) {
-        progress(options.verbose, "video " + spec.name);
-        VideoResult result;
-        result.video = spec.name;
-        result.resolution_class = spec.resolution_class;
-        result.entropy = spec.entropy;
-        result.run = runInstrumented(videoPointConfig(options, spec.name));
-        results.push_back(std::move(result));
-    }
-    return results;
 }
 
 std::vector<OptResult>
@@ -159,12 +109,8 @@ optimizationStudy(const OptStudyOptions& options)
         }
     }
 
-    // Make sure every code site is registered and the layout is pristine
-    // before profiling (one warm-up run touches all kernels).
-    trace::registry().resetLayout();
-    codec::setLoopOptFlags({});
-
-    // --- Training: profile collection over all study videos -----------
+    // --- Training: profile collection over all study videos, on the
+    // default binary -----------------------------------------------------
     layout::ProfileCollector profile;
     trace::setSink(&profile);
     for (const auto& video : videos) {
@@ -175,18 +121,21 @@ optimizationStudy(const OptStudyOptions& options)
     }
     trace::setSink(nullptr); // Delivers the pending batch.
 
-    auto measure = [&](const std::string& video) {
+    // AutoFDO stand-in: the profile-guided layout. Graphite stand-in:
+    // loop restructuring on the default layout.
+    Binary autofdo;
+    autofdo.layout = layout::applyProfileGuidedLayout(profile).layout;
+    Binary graphite;
+    graphite.loops = {true, true};
+
+    auto measure = [&](const std::string& video, const Binary& binary) {
         double total = 0.0;
         int combos = 0;
         for (int crf : options.crf_values) {
             for (int refs : options.refs_values) {
-                RunConfig config;
-                config.video = video;
-                config.seconds = options.seconds;
-                config.params = codec::presetParams("medium");
-                config.params.crf = crf;
-                config.params.refs = refs;
-                config.core = uarch::baselineConfig();
+                RunConfig config = sweepPointConfig(
+                    {.video = video, .seconds = options.seconds}, crf, refs);
+                config.binary = binary;
                 total += runInstrumented(config).transcode_seconds;
                 ++combos;
             }
@@ -200,22 +149,11 @@ optimizationStudy(const OptStudyOptions& options)
         OptResult r;
         r.video = video;
 
-        // Baseline: default layout, no loop restructuring.
-        trace::registry().resetLayout();
-        codec::setLoopOptFlags({});
-        r.baseline_seconds = measure(video);
-
-        // AutoFDO stand-in: profile-guided relayout.
-        layout::applyProfileGuidedLayout(profile);
-        const double fdo_seconds = measure(video);
-        trace::registry().resetLayout();
-        r.autofdo_speedup = r.baseline_seconds / fdo_seconds - 1.0;
-
-        // Graphite stand-in: loop restructuring, default layout.
-        codec::setLoopOptFlags({true, true});
-        const double graphite_seconds = measure(video);
-        codec::setLoopOptFlags({});
-        r.graphite_speedup = r.baseline_seconds / graphite_seconds - 1.0;
+        r.baseline_seconds = measure(video, Binary{});
+        r.autofdo_speedup =
+            r.baseline_seconds / measure(video, autofdo) - 1.0;
+        r.graphite_speedup =
+            r.baseline_seconds / measure(video, graphite) - 1.0;
 
         results.push_back(std::move(r));
     }

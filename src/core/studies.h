@@ -5,11 +5,11 @@
  * @file
  * The paper's experiments as reusable studies. Each corresponds to one or
  * more tables/figures (see DESIGN.md's per-experiment index):
- *  - crfRefsSweep      -> Figures 3, 4, 5
- *  - presetStudy       -> Figure 6 (a-d)
- *  - videoStudy        -> Figure 7 (a-c)
- *  - optimizationStudy -> Figure 8 (AutoFDO & Graphite)
- *  - schedulerStudy    -> Figure 9 (+ Tables III & IV)
+ *  - parallelCrfRefsSweep -> Figures 3, 4, 5   (core/parallel.h)
+ *  - parallelPresetStudy  -> Figure 6 (a-d)    (core/parallel.h)
+ *  - parallelVideoStudy   -> Figure 7 (a-c)    (core/parallel.h)
+ *  - optimizationStudy    -> Figure 8 (AutoFDO & Graphite)
+ *  - schedulerStudy       -> Figure 9 (+ Tables III & IV)
  */
 
 #include <string>
@@ -37,12 +37,13 @@ struct StudyOptions
     int jobs = 1;                ///< Worker threads for the parallel
                                  ///< runners (core/parallel.h); < 1 means
                                  ///< hardware concurrency.
+    /// Simulated kernel cost model of every point (Binary::kernels).
+    codec::KernelModel kernels = codec::KernelModel::Scalar;
 };
 
 /**
  * The `RunConfig` of one crf x refs sweep point (medium preset, baseline
- * core). The serial and parallel sweep runners both build their points
- * through this, so the two paths run bit-identical configurations.
+ * core, default binary with `options.kernels`).
  */
 RunConfig sweepPointConfig(const StudyOptions& options, int crf, int refs);
 
@@ -53,11 +54,6 @@ RunConfig presetPointConfig(const StudyOptions& options,
 /** The `RunConfig` of one video-study point (medium, crf 23, refs 3). */
 RunConfig videoPointConfig(const StudyOptions& options,
                            const std::string& video);
-
-/** Figures 3/4/5: sweep crf x refs at the medium preset. */
-std::vector<SweepPoint> crfRefsSweep(const std::vector<int>& crf_values,
-                                     const std::vector<int>& refs_values,
-                                     const StudyOptions& options);
 
 /** The default subsampled grid (Delta-crf 5; refs 1,2,3,4,6,8,12,16). */
 std::vector<int> defaultCrfGrid();
@@ -73,9 +69,6 @@ struct PresetResult
     RunResult run;
 };
 
-/** Figure 6: all ten presets at crf 23, refs 3. */
-std::vector<PresetResult> presetStudy(const StudyOptions& options);
-
 /** One video's measurements (Figure 7). */
 struct VideoResult
 {
@@ -84,9 +77,6 @@ struct VideoResult
     double entropy = 0.0;
     RunResult run;
 };
-
-/** Figure 7: all vbench videos at medium/23/3, Table I order. */
-std::vector<VideoResult> videoStudy(const StudyOptions& options);
 
 /** Per-video outcome of the compiler-optimization study (Figure 8). */
 struct OptResult
@@ -113,7 +103,9 @@ struct OptStudyOptions
  * stand-in) and loop restructuring (Graphite stand-in) per video,
  * averaged over the parameter combinations. Training profiles are
  * collected on all study videos, as the paper does ("transcode multiple
- * videos and collect execution profiles").
+ * videos and collect execution profiles"). Each optimized binary is a
+ * `RunConfig::binary` value of its own runs; nothing process-wide
+ * changes.
  */
 std::vector<OptResult> optimizationStudy(const OptStudyOptions& options);
 

@@ -59,11 +59,29 @@ exportModelObservability(const uarch::CoreModel& model,
     }
 }
 
-/** One result per class of a finished model, sharing everything but the
- *  class's CoreStats and simulated time. */
+/**
+ * Runs `work` on this thread as the configured binary, simulated on every
+ * class of `classes`, and returns one result per class: `work` returns
+ * the part they share, and each adds its class's CoreStats and simulated
+ * time. The simulated heap is reset first, so results are exactly
+ * reproducible whatever ran before.
+ */
+template <typename Work>
 std::vector<RunResult>
-perClassResults(const uarch::CoreModel& model, const RunResult& shared)
+simulate(const RunConfig& config,
+         const std::vector<uarch::CoreParams>& classes, Work work)
 {
+    trace::arena().reset();
+    const codec::BuildScope build(config.binary.loops,
+                                  config.binary.kernels);
+    uarch::CoreModel model(effectiveCoreParams(classes),
+                           config.binary.layout);
+    trace::setSink(&model);
+    const RunResult shared = work();
+    trace::setSink(nullptr); // Delivers the pending batch.
+
+    model.finish();
+    exportModelObservability(model, config);
     std::vector<RunResult> results(model.classCount(), shared);
     for (size_t c = 0; c < results.size(); ++c) {
         results[c].core = model.stats(c);
@@ -114,26 +132,18 @@ runInstrumented(const RunConfig& config,
     const auto& source = config.input != nullptr
                              ? *config.input
                              : mezzanine(config.video, config.seconds);
-
-    // Deterministic data addresses for this run, whatever ran before.
-    trace::arena().reset();
-
-    uarch::CoreModel model(effectiveCoreParams(classes));
-    trace::setSink(&model);
-    codec::TranscodeResult transcoded =
-        codec::transcode(source, config.params);
-    trace::setSink(nullptr); // Delivers the pending batch.
-
-    model.finish();
-    exportModelObservability(model, config);
-    RunResult shared;
-    shared.encode = transcoded.stats;
-    shared.psnr = transcoded.psnr();
-    shared.bitrate_kbps = transcoded.bitrateKbps();
-    if (config.keep_output) {
-        shared.output = std::move(transcoded.output);
-    }
-    return perClassResults(model, shared);
+    return simulate(config, classes, [&] {
+        codec::TranscodeResult transcoded =
+            codec::transcode(source, config.params);
+        RunResult shared;
+        shared.encode = transcoded.stats;
+        shared.psnr = transcoded.psnr();
+        shared.bitrate_kbps = transcoded.bitrateKbps();
+        if (config.keep_output) {
+            shared.output = std::move(transcoded.output);
+        }
+        return shared;
+    });
 }
 
 codec::EncodeStats
@@ -143,6 +153,8 @@ runNative(const RunConfig& config)
                              ? *config.input
                              : mezzanine(config.video, config.seconds);
     trace::arena().reset();
+    const codec::BuildScope build(config.binary.loops,
+                                  config.binary.kernels);
     codec::TranscodeResult transcoded =
         codec::transcode(source, config.params);
     return transcoded.stats;
@@ -163,71 +175,63 @@ runInstrumentedChunk(
     const RunConfig& config, const std::vector<uarch::CoreParams>& classes)
 {
     VT_ASSERT(!slices.empty(), "chunk run with no slices");
-    trace::arena().reset();
-
-    uarch::CoreModel model(effectiveCoreParams(classes));
-    trace::setSink(&model);
-
-    // Each slice is an independent closed-GOP transcode (its own encoder
-    // state) — the segment-atom contract that makes the stitched stream
-    // independent of how segments are grouped into chunks.
-    std::vector<codec::TranscodeResult> parts;
-    parts.reserve(slices.size());
-    for (const auto* slice : slices) {
-        parts.push_back(codec::transcode(*slice, config.params));
-    }
-    // The in-chunk remux is part of the chunk's work and is itself
-    // instrumented (the bitstream reader/writer trace their traffic).
-    std::vector<const std::vector<uint8_t>*> outputs;
-    outputs.reserve(parts.size());
-    for (const auto& part : parts) {
-        outputs.push_back(&part.output);
-    }
-    std::vector<uint8_t> stitched = chunk::stitch(outputs);
-
-    trace::setSink(nullptr);
-
-    model.finish();
-    exportModelObservability(model, config);
-    RunResult shared;
-    shared.output = std::move(stitched);
-
-    // Aggregate the per-slice encode statistics (frame-weighted means
-    // for the rates, plain sums for the counters).
-    int total_frames = 0;
-    double psnr_weighted = 0.0;
-    int display_offset = 0;
-    codec::EncodeStats& agg = shared.encode;
-    for (const auto& part : parts) {
-        const codec::EncodeStats& e = part.stats;
-        agg.total_bits += e.total_bits;
-        agg.i_frames += e.i_frames;
-        agg.p_frames += e.p_frames;
-        agg.b_frames += e.b_frames;
-        agg.mb_skip += e.mb_skip;
-        agg.mb_inter16 += e.mb_inter16;
-        agg.mb_inter8x8 += e.mb_inter8x8;
-        agg.mb_intra16 += e.mb_intra16;
-        agg.mb_intra4 += e.mb_intra4;
-        agg.me_candidates += e.me_candidates;
-        agg.vbv_violations += e.vbv_violations;
-        for (codec::FrameStat f : e.frames) {
-            f.display_index += display_offset;
-            agg.frames.push_back(f);
+    return simulate(config, classes, [&] {
+        // Each slice is an independent closed-GOP transcode (its own
+        // encoder state) — the segment-atom contract that makes the
+        // stitched stream independent of how segments are grouped into
+        // chunks.
+        std::vector<codec::TranscodeResult> parts;
+        parts.reserve(slices.size());
+        for (const auto* slice : slices) {
+            parts.push_back(codec::transcode(*slice, config.params));
         }
-        psnr_weighted += e.psnr * part.frame_count;
-        total_frames += part.frame_count;
-        display_offset += part.frame_count;
-    }
-    const int fps = parts.front().fps;
-    if (total_frames > 0) {
-        agg.psnr = psnr_weighted / total_frames;
-        agg.bitrate_kbps = static_cast<double>(agg.total_bits) / 1000.0
-                           / (static_cast<double>(total_frames) / fps);
-    }
-    shared.psnr = agg.psnr;
-    shared.bitrate_kbps = agg.bitrate_kbps;
-    return perClassResults(model, shared);
+        // The in-chunk remux is part of the chunk's work and is itself
+        // instrumented (the bitstream reader/writer trace their traffic).
+        std::vector<const std::vector<uint8_t>*> outputs;
+        outputs.reserve(parts.size());
+        for (const auto& part : parts) {
+            outputs.push_back(&part.output);
+        }
+        RunResult shared;
+        shared.output = chunk::stitch(outputs);
+
+        // Aggregate the per-slice encode statistics (frame-weighted means
+        // for the rates, plain sums for the counters).
+        int total_frames = 0;
+        double psnr_weighted = 0.0;
+        int display_offset = 0;
+        codec::EncodeStats& agg = shared.encode;
+        for (const auto& part : parts) {
+            const codec::EncodeStats& e = part.stats;
+            agg.total_bits += e.total_bits;
+            agg.i_frames += e.i_frames;
+            agg.p_frames += e.p_frames;
+            agg.b_frames += e.b_frames;
+            agg.mb_skip += e.mb_skip;
+            agg.mb_inter16 += e.mb_inter16;
+            agg.mb_inter8x8 += e.mb_inter8x8;
+            agg.mb_intra16 += e.mb_intra16;
+            agg.mb_intra4 += e.mb_intra4;
+            agg.me_candidates += e.me_candidates;
+            agg.vbv_violations += e.vbv_violations;
+            for (codec::FrameStat f : e.frames) {
+                f.display_index += display_offset;
+                agg.frames.push_back(f);
+            }
+            psnr_weighted += e.psnr * part.frame_count;
+            total_frames += part.frame_count;
+            display_offset += part.frame_count;
+        }
+        const int fps = parts.front().fps;
+        if (total_frames > 0) {
+            agg.psnr = psnr_weighted / total_frames;
+            agg.bitrate_kbps = static_cast<double>(agg.total_bits) / 1000.0
+                               / (static_cast<double>(total_frames) / fps);
+        }
+        shared.psnr = agg.psnr;
+        shared.bitrate_kbps = agg.bitrate_kbps;
+        return shared;
+    });
 }
 
 std::shared_ptr<const chunk::SplitPlan>

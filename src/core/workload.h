@@ -17,10 +17,23 @@
 
 #include "chunk/chunk.h"
 #include "codec/encoder.h"
+#include "codec/loopflags.h"
 #include "codec/params.h"
+#include "trace/probe.h"
 #include "uarch/core.h"
 
 namespace vtrans::core {
+
+/** How the simulated binary was built (the paper's compiler study,
+ *  §III-D1, plus the kernel cost model), as a value each run carries.
+ *  The default is the binary every farm runs. */
+struct Binary
+{
+    /// AutoFDO stand-in (layout/relayout.h); null = the default layout.
+    std::shared_ptr<const trace::CodeLayout> layout;
+    codec::LoopOptFlags loops; ///< Graphite stand-in loop schedules.
+    codec::KernelModel kernels = codec::KernelModel::Scalar;
+};
 
 /** What to run and where to run it. */
 struct RunConfig
@@ -29,6 +42,7 @@ struct RunConfig
     double seconds = 0.0;        ///< Clip length; 0 = full 5 s clip.
     codec::EncoderParams params; ///< Transcode parameters under study.
     uarch::CoreParams core;      ///< Simulated machine.
+    Binary binary;               ///< Simulated binary.
 
     /** Input stream override (not owned; must outlive the run). When
      *  set, `video`/`seconds` are bookkeeping only. nullptr = use the
@@ -61,9 +75,10 @@ const std::vector<uint8_t>& mezzanine(const std::string& video,
                                       double seconds);
 
 /**
- * Runs one instrumented transcode under the configured core model.
- * Resets the simulated heap first so results are exactly reproducible
- * regardless of what ran before.
+ * Runs one instrumented transcode of the configured binary under the
+ * configured core model. Resets the simulated heap first so results are
+ * exactly reproducible regardless of what ran before; the binary's loop
+ * flags and kernel model hold on this thread for the run only.
  */
 RunResult runInstrumented(const RunConfig& config);
 
@@ -78,8 +93,9 @@ std::vector<RunResult> runInstrumented(
     const RunConfig& config, const std::vector<uarch::CoreParams>& classes);
 
 /**
- * Runs the same transcode natively (no simulation) and returns only the
- * encode statistics — used where microarchitectural data is not needed.
+ * Runs the same transcode natively (no simulation; the binary's layout
+ * plays no part) and returns only the encode statistics — used where
+ * microarchitectural data is not needed.
  */
 codec::EncodeStats runNative(const RunConfig& config);
 

@@ -56,14 +56,14 @@ RelayoutResult
 applyProfileGuidedLayout(const ProfileCollector& profile,
                          const RelayoutOptions& options)
 {
-    auto& registry = trace::registry();
+    const auto& registry = trace::registry();
     const auto& sites = registry.sites();
     const size_t n = sites.size();
+    auto layout = std::make_shared<trace::CodeLayout>();
+    layout->sites.resize(n);
     RelayoutResult result;
+    result.layout = layout;
     result.span_before = registry.defaultSpan();
-    if (n == 0) {
-        return result;
-    }
 
     auto execCount = [&](uint32_t id) -> uint64_t {
         return id < profile.sites().size()
@@ -118,11 +118,10 @@ applyProfileGuidedLayout(const ProfileCollector& profile,
     // --- Placement: hot chains packed first, cold blocks after --------
     uint64_t addr = trace::SiteRegistry::kTextBase;
     auto place = [&](uint32_t id) {
-        trace::CodeSite& site = registry.site(id);
         addr = (addr + options.block_align - 1)
                & ~static_cast<uint64_t>(options.block_align - 1);
-        site.address = addr;
-        addr += site.bytes;
+        layout->sites[id].address = addr;
+        addr += sites[id]->bytes;
     };
 
     std::vector<uint32_t> cold;
@@ -149,7 +148,7 @@ applyProfileGuidedLayout(const ProfileCollector& profile,
 
     // --- Branch polarity: make the hot direction fall-through ---------
     for (size_t i = 0; i < n; ++i) {
-        trace::CodeSite& site = *sites[i];
+        const trace::CodeSite& site = *sites[i];
         if (site.kind != trace::SiteKind::Branch
             && site.kind != trace::SiteKind::BranchLoadDep) {
             continue;
@@ -163,7 +162,7 @@ applyProfileGuidedLayout(const ProfileCollector& profile,
         const double taken_fraction =
             static_cast<double>(sp.taken) / static_cast<double>(total);
         if (taken_fraction > options.invert_threshold) {
-            site.invert = true;
+            layout->sites[i].invert = true;
             ++result.inverted_branches;
         }
     }

@@ -120,29 +120,12 @@ SiteRegistry::define(std::string name, uint32_t bytes, uint32_t instructions,
 {
     VT_ASSERT(bytes > 0, "code site must have non-zero size: ", name);
     std::lock_guard<std::mutex> lock(mu_);
-    auto* site = new CodeSite;
-    site->id = static_cast<uint32_t>(sites_.size());
-    site->name = std::move(name);
-    site->bytes = bytes * kCodeScale;
-    site->instructions = instructions;
-    site->kind = kind;
-    site->address = next_address_;
+    auto* site = new CodeSite{static_cast<uint32_t>(sites_.size()),
+                              std::move(name), bytes * kCodeScale,
+                              instructions, kind, next_address_};
     next_address_ += site->bytes + kDefaultColdPadding;
     sites_.push_back(site);
     return *site;
-}
-
-void
-SiteRegistry::resetLayout()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t addr = kTextBase;
-    for (CodeSite* site : sites_) {
-        site->address = addr;
-        site->invert = false;
-        addr += site->bytes + kDefaultColdPadding;
-    }
-    next_address_ = addr;
 }
 
 } // namespace vtrans::trace

@@ -9,7 +9,7 @@
  *
  * Instrumented code names CodeSites from the site table (trace/sites.h) —
  * symbolic basic blocks with a size in code bytes, an instruction count,
- * and a mutable layout address — and emits dynamic events through the
+ * and a default-layout address — and emits dynamic events through the
  * free functions block()/branch()/load()/store(). When no sink is
  * attached the per-event cost is a single predictable branch, so the
  * codec can also run "natively".
@@ -23,9 +23,11 @@
  * replays the records through the per-event virtuals, so a sink that only
  * implements those sees the same event sequence at every capacity.
  *
- * A record carries a site id, not the site's layout address: sinks read
- * `CodeSite::address` when the batch is delivered. Relayout therefore runs
- * only while no sink is attached.
+ * A record carries a site id and, for a branch, the direction the program
+ * took. Where the site sits and which way its branch points belong to the
+ * simulated binary: a sink that models a layout resolves both from a
+ * `CodeLayout` value, and the registry never changes after a site is
+ * defined.
  *
  * This layer is the stand-in for binary instrumentation / hardware
  * performance counters in the paper's methodology (Intel VTune + Linux
@@ -44,22 +46,48 @@
 namespace vtrans::trace {
 
 /**
- * A static basic block of the (virtual) workload binary.
- *
- * `address` is the block's position in the virtual code layout; the
- * AutoFDO-style relayout pass rewrites it. `invert` models branch-polarity
- * flipping by basic-block chaining: when set, the dynamic direction fed to
- * the frontend is inverted so that the hot successor becomes fall-through.
+ * A static basic block of the (virtual) workload binary. Every field is
+ * fixed when the registry defines the site, hence const; `address` is
+ * the block's position in the default layout. A profile-guided layout
+ * places the block elsewhere through a `CodeLayout`, never by rewriting
+ * the site.
  */
 struct CodeSite
 {
-    uint32_t id = 0;           ///< Dense index into the registry.
-    std::string name;          ///< Hierarchical name, e.g. "me.sad.row".
-    uint32_t bytes = 0;        ///< Static code size of the block in bytes.
-    uint32_t instructions = 0; ///< Non-memory, non-branch instructions.
-    SiteKind kind = SiteKind::Block;
-    uint64_t address = 0;      ///< Current layout address (mutable).
-    bool invert = false;       ///< Branch polarity flip from relayout.
+    const uint32_t id = 0;           ///< Dense index into the registry.
+    const std::string name;          ///< Hierarchical name ("me.sad.row").
+    const uint32_t bytes = 0;        ///< Static code size in bytes.
+    const uint32_t instructions = 0; ///< Non-memory, non-branch instructions.
+    const SiteKind kind = SiteKind::Block;
+    const uint64_t address = 0;      ///< Default-layout address.
+};
+
+/** Where a code layout puts one site. `invert` flips its branch polarity
+ *  (basic-block chaining): the frontend sees the opposite direction, so
+ *  the hot successor falls through. */
+struct SitePlacement
+{
+    uint64_t address = 0;
+    bool invert = false;
+};
+
+/**
+ * A code layout of the virtual binary, as an immutable value: one
+ * placement per id of the sites registered when it was built; any other
+ * site keeps its default placement. A run holds its layout for its whole
+ * lifetime (core::Binary, uarch::CoreModel), so runs of different
+ * layouts may share a process and run concurrently.
+ */
+struct CodeLayout
+{
+    std::vector<SitePlacement> sites; ///< By CodeSite::id.
+
+    SitePlacement
+    at(const CodeSite& site) const
+    {
+        return site.id < sites.size() ? sites[site.id]
+                                      : SitePlacement{site.address, false};
+    }
 };
 
 /**
@@ -67,8 +95,8 @@ struct CodeSite
  *
  * Only the operand fields a kind defines are written on append; the rest
  * keep whatever the buffer slot last held, so consumers must not read
- * them. Branch records carry the direction *after* layout polarity is
- * applied (what the default replay hands to `onBranch`).
+ * them. Branch records carry the direction the program took; layout
+ * polarity is applied by the sink that models a layout.
  */
 struct ProbeEvent
 {
@@ -83,7 +111,7 @@ struct ProbeEvent
     uint64_t addr;  ///< Load/store simulated address.
     uint32_t aux;   ///< Site id (block/branch) or byte count (load/store).
     uint8_t kind;   ///< A Kind value.
-    uint8_t flags;  ///< kBlockBranch: bit 0 = taken (post-polarity).
+    uint8_t flags;  ///< kBlockBranch: bit 0 = taken.
     uint16_t reserved;
 };
 
@@ -100,7 +128,8 @@ class ProbeSink
 
     /**
      * The conditional branch terminating `site` executed.
-     * @param taken Direction after layout polarity is applied.
+     * @param taken Direction the program took (before any layout's
+     *        polarity flip).
      */
     virtual void onBranch(const CodeSite& site, bool taken) = 0;
 
@@ -128,11 +157,11 @@ class ProbeSink
  * use, before any instrumented code can emit, so every table site has a
  * fixed id and default address in every process. Tests append synthetic
  * sites with define(); they take ids and addresses after the table.
- * Appending and layout reset are mutex-guarded; site storage is stable,
- * so readers need no lock. The default layout emulates a compiled binary
- * without profile feedback: blocks appear in table order, separated by
- * cold-code padding, so the hot working set is diluted across many
- * instruction-cache lines.
+ * Appending is mutex-guarded; site storage is stable and a defined site
+ * never changes, so readers need no lock. The default layout emulates a
+ * compiled binary without profile feedback: blocks appear in table
+ * order, separated by cold-code padding, so the hot working set is
+ * diluted across many instruction-cache lines.
  */
 class SiteRegistry
 {
@@ -169,14 +198,11 @@ class SiteRegistry
     /** Looks up a table site. */
     CodeSite& site(SiteId id) { return *sites_[static_cast<uint32_t>(id)]; }
 
-    /** Restores default-layout addresses and clears polarity flips. */
-    void resetLayout();
-
     /** Total span of the default layout in bytes (footprint proxy). */
     uint64_t defaultSpan() const { return next_address_ - kTextBase; }
 
   private:
-    std::mutex mu_; ///< Guards define() and layout reset.
+    std::mutex mu_; ///< Guards define().
     std::vector<CodeSite*> sites_;
     uint64_t next_address_ = kTextBase;
 };
@@ -278,19 +304,18 @@ block(const CodeSite& site)
     });
 }
 
-/** Emits a block + conditional-branch event with layout polarity applied,
- *  as one fused record. */
+/** Emits a block + conditional-branch event, as one fused record
+ *  carrying the direction the program took. */
 inline void
 branch(const CodeSite& site, bool taken)
 {
     if (g_sink == nullptr) {
         return;
     }
-    const bool direction = taken != site.invert;
     detail::append([&](ProbeEvent& e) {
         e.aux = site.id;
         e.kind = ProbeEvent::kBlockBranch;
-        e.flags = direction ? 1 : 0;
+        e.flags = taken ? 1 : 0;
     });
 }
 

@@ -343,24 +343,18 @@ findOrAdd(std::vector<T>& groups, Same same, Make make)
 
 /**
  * Precomputed instruction-fetch geometry of one code site for one L1i.
- * The block's line span and iTLB page are pure functions of the site's
- * (immutable) size and its layout address, so they are computed once per
- * site and rebuilt only if a relayout pass rewrites the address
- * (`address` is the validity key). `slots` remembers, per line, the way
- * the line was last resident in; Cache::touchIfResident() re-validates
- * the hint on every use, so a stale slot costs one failed tag compare,
- * never a wrong result.
+ * The block's line span is a pure function of the site's size and its
+ * layout address, both fixed for the model's lifetime, so it is computed
+ * once, at the site's first sighting (`line_count` 0 = not built yet).
+ * `slots` remembers, per line, the way the line was last resident in;
+ * Cache::touchIfResident() re-validates the hint on every use, so a
+ * stale slot costs one failed tag compare, never a wrong result.
  */
 struct SiteFetchPlan
 {
-    /// No site ever lands at this address (layout starts at
-    /// SiteRegistry::kTextBase and grows).
-    static constexpr uint64_t kNoAddress = UINT64_MAX;
-
-    uint64_t address = kNoAddress; ///< Site address at build time.
-    uint64_t first_line = 0;       ///< First L1i line index.
-    uint32_t line_count = 0;       ///< Lines spanned by the block.
-    std::vector<uint32_t> slots;   ///< Resident-way hint per line.
+    uint64_t first_line = 0;     ///< First L1i line index.
+    uint32_t line_count = 0;     ///< Lines spanned by the block.
+    std::vector<uint32_t> slots; ///< Resident-way hint per line.
 };
 
 /**
@@ -494,20 +488,20 @@ struct CoreModel::Functional
     std::vector<Predictor> predictors;
     std::vector<Annotation> annotations;
 
-    /** The fetch plan of `site` at `address` in `fl` (built on demand:
-     *  at a site's first sighting, or after a relayout moved it). */
+    /** The fetch plan of `site` at `address` in `fl` (built at the
+     *  site's first sighting). */
     static SiteFetchPlan&
     planFor(FetchL1& fl, const trace::CodeSite& site, uint64_t address)
     {
         if (site.id < fl.plans.size()
-            && fl.plans[site.id].address == address) [[likely]] {
+            && fl.plans[site.id].line_count != 0) [[likely]] {
             return fl.plans[site.id];
         }
-        return rebuildPlan(fl, site, address);
+        return buildPlan(fl, site, address);
     }
-    static SiteFetchPlan& rebuildPlan(FetchL1& fl,
-                                      const trace::CodeSite& site,
-                                      uint64_t address);
+    static SiteFetchPlan& buildPlan(FetchL1& fl,
+                                    const trace::CodeSite& site,
+                                    uint64_t address);
 
     /** The members of a group vector, as a one-element span of
      *  compile-time extent when the model has one of each structure. */
@@ -1297,13 +1291,17 @@ CoreModel::ClassTiming::finishClock()
 
 // ---- CoreModel: construction ------------------------------------------------
 
-CoreModel::CoreModel(const CoreParams& params)
-    : CoreModel(std::vector<CoreParams>{params})
+CoreModel::CoreModel(const CoreParams& params,
+                     std::shared_ptr<const trace::CodeLayout> layout)
+    : CoreModel(std::vector<CoreParams>{params}, std::move(layout))
 {
 }
 
-CoreModel::CoreModel(const std::vector<CoreParams>& classes)
-    : fn_(std::make_unique<Functional>())
+CoreModel::CoreModel(const std::vector<CoreParams>& classes,
+                     std::shared_ptr<const trace::CodeLayout> layout)
+    : layout_(layout != nullptr ? std::move(layout)
+                                : std::make_shared<trace::CodeLayout>()),
+      fn_(std::make_unique<Functional>())
 {
     VT_ASSERT(!classes.empty(), "a core model needs at least one class");
     for (const CoreParams& p : classes) {
@@ -1518,22 +1516,25 @@ setState(std::atomic<uint32_t>& state, uint32_t value)
 void
 CoreModel::onBlock(const trace::CodeSite& site)
 {
+    const uint64_t address = layout_->at(site).address;
     if (!reference_stepping_) {
-        push(site.address, reinterpret_cast<uintptr_t>(&site) | kBlockBit);
+        push(address, reinterpret_cast<uintptr_t>(&site) | kBlockBit);
         return;
     }
-    referenceOnBlock(site);
+    referenceOnBlock(site, address);
 }
 
 void
 CoreModel::onBranch(const trace::CodeSite& site, bool taken)
 {
+    const trace::SitePlacement place = layout_->at(site);
+    taken = taken != place.invert;
     if (!reference_stepping_) {
-        push(site.address, reinterpret_cast<uintptr_t>(&site) | kBranchBit
-                               | (taken ? kFlagBit : 0));
+        push(place.address, reinterpret_cast<uintptr_t>(&site) | kBranchBit
+                                | (taken ? kFlagBit : 0));
         return;
     }
-    referenceOnBranch(site, taken);
+    referenceOnBranch(site, place.address, taken);
 }
 
 void
@@ -1564,12 +1565,15 @@ CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
         return;
     }
     // Loop-heavy streams repeat the same site id back to back, so a
-    // one-entry cache skips the registry lookup for the repeat case
-    // (CodeSite objects are stable once defined). Only this thread ever
-    // reads the registry: records carry the resolved CodeSite.
+    // one-entry cache skips the registry and layout lookups for the
+    // repeat case (CodeSite objects are stable once defined). Only this
+    // thread reads them: records carry the resolved CodeSite, its layout
+    // address and the post-polarity direction.
     trace::SiteRegistry& reg = trace::registry();
     const trace::CodeSite* last_site = nullptr;
     uint32_t last_aux = 0;
+    uint64_t last_address = 0;
+    uint64_t last_flip = 0; ///< kFlagBit if the layout inverts the site.
     for (size_t i = 0; i < count; ++i) {
         const trace::ProbeEvent& e = events[i];
         switch (e.kind) {
@@ -1578,12 +1582,16 @@ CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
             if (last_site == nullptr || e.aux != last_aux) {
                 last_site = &reg.site(e.aux);
                 last_aux = e.aux;
+                const trace::SitePlacement place = layout_->at(*last_site);
+                last_address = place.address;
+                last_flip = place.invert ? kFlagBit : 0;
             }
             uint64_t tag = reinterpret_cast<uintptr_t>(last_site) | kBlockBit;
             if (e.kind == trace::ProbeEvent::kBlockBranch) {
-                tag |= kBranchBit | ((e.flags & 1) != 0 ? kFlagBit : 0);
+                tag |= kBranchBit
+                       | (((e.flags & 1) != 0 ? kFlagBit : 0) ^ last_flip);
             }
-            push(last_site->address, tag);
+            push(last_address, tag);
             break;
         }
         case trace::ProbeEvent::kLoad:
@@ -1737,8 +1745,8 @@ CoreModel::timingStages(const Slot& slot, uint32_t count)
 // ---- Functional stage: caches, iTLBs, predictors, BTBs ----------------------
 
 SiteFetchPlan&
-CoreModel::Functional::rebuildPlan(FetchL1& fl, const trace::CodeSite& site,
-                                   uint64_t address)
+CoreModel::Functional::buildPlan(FetchL1& fl, const trace::CodeSite& site,
+                                 uint64_t address)
 {
     if (site.id >= fl.plans.size()) {
         fl.plans.resize(site.id + 1);
@@ -1749,7 +1757,6 @@ CoreModel::Functional::rebuildPlan(FetchL1& fl, const trace::CodeSite& site,
     const uint64_t last = (address + site.bytes - 1) / line_bytes;
     VT_ASSERT(fl.cache.fitsLine(last), "code address ", address,
               " beyond the simulated address range");
-    plan.address = address;
     plan.first_line = first;
     plan.line_count = static_cast<uint32_t>(last - first + 1);
     plan.slots.resize(plan.line_count);
@@ -1960,7 +1967,7 @@ CoreModel::functionalStage(Slot& slot, uint32_t count)
 // ---- Reference stepping ----------------------------------------------------
 
 void
-CoreModel::referenceOnBlock(const trace::CodeSite& site)
+CoreModel::referenceOnBlock(const trace::CodeSite& site, uint64_t address)
 {
     // Pre-fast-forward implementation: recompute the line span per event
     // and walk every line through the full cache access path.
@@ -1973,8 +1980,8 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
         ++t.attr_cur->blocks;
     }
     const uint32_t line = t.params.l1i.line_bytes;
-    const uint64_t first = site.address / line;
-    const uint64_t last = (site.address + site.bytes - 1) / line;
+    const uint64_t first = address / line;
+    const uint64_t last = (address + site.bytes - 1) / line;
     const LatencyParams& lat = t.params.latencies;
     int fetch_penalty = 0;
     for (uint64_t l = first; l <= last; ++l) {
@@ -1991,7 +1998,7 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
             fetch_penalty = std::max(fetch_penalty, r.latency - lat.l1);
         }
     }
-    if (!f.itlbs.front().tlb.access(site.address)) {
+    if (!f.itlbs.front().tlb.access(address)) {
         ++t.stats.itlb_misses;
         if (t.attr_cur != nullptr) {
             ++t.attr_cur->itlb_misses;
@@ -2003,7 +2010,8 @@ CoreModel::referenceOnBlock(const trace::CodeSite& site)
 }
 
 void
-CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
+CoreModel::referenceOnBranch(const trace::CodeSite& site, uint64_t address,
+                             bool taken)
 {
     // Pre-fast-forward implementation: separate predict() and update()
     // virtual calls.
@@ -2014,8 +2022,8 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
         ++t.attr_cur->branches;
         t.attr_cur->taken += taken ? 1 : 0;
     }
-    const bool predicted = p.predictor->predict(site.address);
-    p.predictor->update(site.address, taken);
+    const bool predicted = p.predictor->predict(address);
+    p.predictor->update(address, taken);
     const uint64_t resolve = t.dispatchBranch(site);
     bool btb_hit = false;
     if (predicted != taken) {
@@ -2023,7 +2031,7 @@ CoreModel::referenceOnBranch(const trace::CodeSite& site, bool taken)
             ++t.attr_cur->branch_mispredicts;
         }
     } else if (taken) {
-        btb_hit = p.btb.access(site.address);
+        btb_hit = p.btb.access(address);
         if (!btb_hit) {
             ++t.stats.btb_misses;
             if (t.attr_cur != nullptr) {

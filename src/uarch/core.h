@@ -210,6 +210,11 @@ void validateCoreParams(const CoreParams& params);
  * The core model; attach with trace::setSink(&model), run the workload,
  * then call finish().
  *
+ * The model simulates one code layout, fixed at construction (null = the
+ * default). Its producer places each block where the layout puts it and
+ * flips each branch the layout inverts, so every stage sees the stream
+ * of the laid-out binary.
+ *
  * One model simulates a list of server classes from one probe stream
  * (DESIGN.md §13, "One pass, many classes"). It runs as two stages over a
  * ring of compact event records ("Pipelined stages"). The functional
@@ -228,11 +233,13 @@ void validateCoreParams(const CoreParams& params);
 class CoreModel : public trace::ProbeSink
 {
   public:
-    explicit CoreModel(const CoreParams& params);
+    explicit CoreModel(const CoreParams& params,
+                       std::shared_ptr<const trace::CodeLayout> layout = {});
 
     /** Simulates every class of `classes` (at least one) from the one
      *  stream; each is validated before any state is built. */
-    explicit CoreModel(const std::vector<CoreParams>& classes);
+    explicit CoreModel(const std::vector<CoreParams>& classes,
+                       std::shared_ptr<const trace::CodeLayout> layout = {});
 
     /** Joins the helper threads if finish() never ran. */
     ~CoreModel() override;
@@ -299,9 +306,8 @@ class CoreModel : public trace::ProbeSink
      * The functional stage writes its outcome for each record to one
      * word per annotation group (see core.cc): the first group's over
      * `word` in place, every other group's to its own array. The producer
-     * copies the site address into the record, so a layout change never
-     * races a stage; the stages read only the immutable fields of the
-     * CodeSite (id, bytes, instructions, kind).
+     * resolves the site's layout address and branch polarity, so the
+     * stages never consult the layout.
      */
     struct StageRecord
     {
@@ -406,8 +412,9 @@ class CoreModel : public trace::ProbeSink
 
     /** The pre-fast-forward implementations, retained for the
      *  differential suite (CoreParams::reference_stepping). */
-    void referenceOnBlock(const trace::CodeSite& site);
-    void referenceOnBranch(const trace::CodeSite& site, bool taken);
+    void referenceOnBlock(const trace::CodeSite& site, uint64_t address);
+    void referenceOnBranch(const trace::CodeSite& site, uint64_t address,
+                           bool taken);
     void referenceOnLoad(uint64_t addr, uint32_t bytes);
     void referenceOnStore(uint64_t addr, uint32_t bytes);
 
@@ -415,6 +422,8 @@ class CoreModel : public trace::ProbeSink
      *  at the top of each event handler selects the retained path). */
     bool reference_stepping_ = false;
     bool finished_ = false;
+    /// The simulated layout (never null: empty is the default layout).
+    std::shared_ptr<const trace::CodeLayout> layout_;
 
     std::unique_ptr<Functional> fn_;
     std::vector<std::unique_ptr<ClassTiming>> classes_;

@@ -111,11 +111,12 @@ TEST(Deblock, InterchangedScheduleIsBitExact)
     b.copyFrom(a);
     std::vector<int> qp_map(6 * 4, 30);
 
-    codec::setLoopOptFlags({});
     codec::deblockFrame(a, {true, 0, 0}, qp_map.data(), 6, 4);
-    codec::setLoopOptFlags({true, false});
-    codec::deblockFrame(b, {true, 0, 0}, qp_map.data(), 6, 4);
-    codec::setLoopOptFlags({});
+    {
+        const codec::BuildScope interchanged({true, false},
+                                             codec::KernelModel::Scalar);
+        codec::deblockFrame(b, {true, 0, 0}, qp_map.data(), 6, 4);
+    }
 
     EXPECT_EQ(video::planeMse(a, b, Plane::Y), 0.0);
     EXPECT_EQ(video::planeMse(a, b, Plane::Cb), 0.0);
@@ -134,13 +135,12 @@ TEST(Lookahead, FusedCostsAreBitExact)
     spec.seed = 17;
     const auto frames = video::generateVideo(spec);
 
-    codec::setLoopOptFlags({});
     const auto plain =
         codec::estimateFrameCosts(frames[2], &frames[1]);
-    codec::setLoopOptFlags({false, true});
+    const codec::BuildScope fusion({false, true},
+                                   codec::KernelModel::Scalar);
     const auto fused =
         codec::estimateFrameCosts(frames[2], &frames[1]);
-    codec::setLoopOptFlags({});
 
     EXPECT_EQ(plain.intra_cost, fused.intra_cost);
     EXPECT_EQ(plain.inter_cost, fused.inter_cost);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.h"
 #include "core/studies.h"
 #include "core/workload.h"
 #include "uarch/config.h"
@@ -74,7 +75,7 @@ TEST(Studies, SweepShapesMatchPaper)
     options.video = "cricket";
     options.seconds = 0.4;
     const auto points =
-        core::crfRefsSweep({10, 40}, {1, 8}, options);
+        core::parallelCrfRefsSweep({10, 40}, {1, 8}, options);
     ASSERT_EQ(points.size(), 4u);
 
     auto at = [&](int crf, int refs) -> const core::SweepPoint& {
@@ -110,7 +111,7 @@ TEST(Studies, PresetLadderTimeMonotonicIsh)
     StudyOptions options;
     options.video = "cricket";
     options.seconds = 0.4;
-    const auto results = core::presetStudy(options);
+    const auto results = core::parallelPresetStudy(options);
     ASSERT_EQ(results.size(), 10u);
     EXPECT_EQ(results.front().preset, "ultrafast");
     EXPECT_EQ(results.back().preset, "placebo");
@@ -126,7 +127,7 @@ TEST(Studies, VideoStudyCoversCorpusInTableOrder)
 {
     StudyOptions options;
     options.seconds = 0.2;
-    const auto results = core::videoStudy(options);
+    const auto results = core::parallelVideoStudy(options);
     ASSERT_EQ(results.size(), 15u);
     EXPECT_EQ(results.front().video, "desktop");
     EXPECT_EQ(results.back().video, "hall");

@@ -51,11 +51,10 @@ TEST(Integration, LoopOptFlagsDoNotChangeOutput)
     const auto& source = core::mezzanine("cricket", 0.4);
     codec::EncoderParams params = codec::presetParams("medium");
 
-    codec::setLoopOptFlags({});
     const auto plain = codec::transcode(source, params);
-    codec::setLoopOptFlags({true, true});
+    const codec::BuildScope restructuring({true, true},
+                                          codec::KernelModel::Scalar);
     const auto restructured = codec::transcode(source, params);
-    codec::setLoopOptFlags({});
 
     EXPECT_EQ(plain.output, restructured.output)
         << "loop restructuring changed the encoded bits";
@@ -63,24 +62,27 @@ TEST(Integration, LoopOptFlagsDoNotChangeOutput)
 
 TEST(Integration, RelayoutDoesNotChangeOutput)
 {
-    const auto& source = core::mezzanine("cricket", 0.4);
-    codec::EncoderParams params = codec::presetParams("medium");
-
-    trace::registry().resetLayout();
-    const auto before = codec::transcode(source, params);
+    core::RunConfig config;
+    config.video = "cricket";
+    config.seconds = 0.4;
+    config.params = codec::presetParams("medium");
+    config.core = uarch::baselineConfig();
+    config.keep_output = true;
+    const auto before = core::runInstrumented(config);
 
     // A degenerate profile still yields a valid layout.
     layout::ProfileCollector profile;
     trace::setSink(&profile);
-    codec::transcode(source, params);
+    codec::transcode(core::mezzanine(config.video, config.seconds),
+                     config.params);
     trace::setSink(nullptr);
-    layout::applyProfileGuidedLayout(profile);
-
-    const auto after = codec::transcode(source, params);
-    trace::registry().resetLayout();
+    config.binary.layout = layout::applyProfileGuidedLayout(profile).layout;
+    const auto after = core::runInstrumented(config);
 
     EXPECT_EQ(before.output, after.output)
         << "code layout must never affect program semantics";
+    EXPECT_NE(before.core.l1i_misses, after.core.l1i_misses)
+        << "the relaid-out binary must reach the core model";
 }
 
 TEST(Integration, TableIVConfigsAllSpeedUpTheirTarget)

@@ -12,10 +12,12 @@
 
 #include <climits>
 #include <cstring>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "codec/dct.h"
+#include "codec/loopflags.h"
 #include "codec/pixel.h"
 #include "codec/strategies/strategies.h"
 #include "codec/tables.h"
@@ -88,13 +90,32 @@ TEST(KernelStrategies, SelectionRoundTrips)
 
 TEST(KernelStrategies, KernelModelParses)
 {
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Scalar);
-    EXPECT_TRUE(codec::setKernelModel("vector"));
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Vector);
-    EXPECT_FALSE(codec::setKernelModel("simd"));
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Vector);
-    EXPECT_TRUE(codec::setKernelModel("scalar"));
-    EXPECT_EQ(codec::kernelModel(), codec::KernelModel::Scalar);
+    codec::KernelModel model = codec::KernelModel::Scalar;
+    EXPECT_TRUE(codec::parseKernelModel("vector", &model));
+    EXPECT_EQ(model, codec::KernelModel::Vector);
+    EXPECT_FALSE(codec::parseKernelModel("simd", &model));
+    EXPECT_EQ(model, codec::KernelModel::Vector);
+    EXPECT_TRUE(codec::parseKernelModel("scalar", &model));
+    EXPECT_EQ(model, codec::KernelModel::Scalar);
+
+    // A thread runs the scalar model outside any build scope, and a
+    // scope restores the previous model on exit.
+    EXPECT_FALSE(codec::vectorKernelModel());
+    {
+        const codec::BuildScope vector({}, codec::KernelModel::Vector);
+        EXPECT_TRUE(codec::vectorKernelModel());
+        {
+            const codec::BuildScope scalar({}, codec::KernelModel::Scalar);
+            EXPECT_FALSE(codec::vectorKernelModel());
+        }
+        EXPECT_TRUE(codec::vectorKernelModel());
+        // The choice is per thread.
+        bool other_thread = true;
+        std::thread([&] { other_thread = codec::vectorKernelModel(); })
+            .join();
+        EXPECT_FALSE(other_thread);
+    }
+    EXPECT_FALSE(codec::vectorKernelModel());
 }
 
 TEST(KernelDifferential, SadRowsRandomizedStrides)
@@ -593,12 +614,11 @@ TEST(VectorModel, OptInShiftAndDefaultIdentity)
     config.keep_output = true;
     core::mezzanine(config.video, config.seconds);
 
-    ASSERT_EQ(codec::kernelModel(), codec::KernelModel::Scalar);
     const core::RunResult base = core::runInstrumented(config);
 
-    codec::setKernelModel(codec::KernelModel::Vector);
-    const core::RunResult vec = core::runInstrumented(config);
-    codec::setKernelModel(codec::KernelModel::Scalar);
+    core::RunConfig vector = config;
+    vector.binary.kernels = codec::KernelModel::Vector;
+    const core::RunResult vec = core::runInstrumented(vector);
 
     // The cost model must not touch pixels: identical bitstream.
     EXPECT_EQ(vec.output, base.output);

@@ -2,7 +2,8 @@
  * @file
  * Tests of profile collection and profile-guided relayout: counting,
  * edge affinity, Pettis-Hansen chain packing, branch polarity flips, and
- * the measurable frontend improvement in the simulator.
+ * the measurable frontend improvement in the simulator. Relayout returns
+ * a layout value and leaves the registry alone.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +59,17 @@ TEST(Profile, SuccessorEdges)
     EXPECT_EQ(profile.edgeCount(a.id, c.id), 0u);
 }
 
+/** Every registered site's default address, in id order. */
+std::vector<uint64_t>
+registryAddresses()
+{
+    std::vector<uint64_t> out;
+    for (const trace::CodeSite* site : trace::registry().sites()) {
+        out.push_back(site->address);
+    }
+    return out;
+}
+
 TEST(Relayout, PacksHotChainContiguously)
 {
     VT_TEST_SITE(a, "layouttest.pack.a", 64, 4, Block);
@@ -70,18 +82,22 @@ TEST(Relayout, PacksHotChainContiguously)
     }
     trace::setSink(nullptr);
 
+    const auto before = registryAddresses();
     const auto result = layout::applyProfileGuidedLayout(profile);
+    const trace::CodeLayout& packed = *result.layout;
+    ASSERT_EQ(packed.sites.size(), trace::registry().sites().size())
+        << "the layout covers every site registered when it was built";
     // a -> b is the hottest chain in this profile: b must directly follow
     // a in the new layout (modulo alignment).
-    EXPECT_GE(b.address, a.address + a.bytes);
-    EXPECT_LE(b.address, a.address + a.bytes + 16);
+    EXPECT_GE(packed.at(b).address, packed.at(a).address + a.bytes);
+    EXPECT_LE(packed.at(b).address, packed.at(a).address + a.bytes + 16);
     EXPECT_GT(result.chains, 0);
     EXPECT_LT(result.span_after, result.span_before)
         << "relayout must shrink the overall footprint (padding removed)";
 
-    trace::registry().resetLayout();
-    EXPECT_NE(b.address, a.address + a.bytes)
-        << "resetLayout must restore the padded default";
+    EXPECT_EQ(registryAddresses(), before)
+        << "relayout must leave the registry's default layout alone";
+    EXPECT_NE(b.address, a.address + a.bytes) << "the padded default";
 }
 
 TEST(Relayout, InvertsMajorityTakenBranches)
@@ -97,11 +113,17 @@ TEST(Relayout, InvertsMajorityTakenBranches)
     trace::setSink(nullptr);
 
     const auto result = layout::applyProfileGuidedLayout(profile);
-    EXPECT_TRUE(hot_taken.invert);
-    EXPECT_FALSE(hot_nt.invert);
+    EXPECT_TRUE(result.layout->at(hot_taken).invert);
+    EXPECT_FALSE(result.layout->at(hot_nt).invert);
     EXPECT_GE(result.inverted_branches, 1);
-    trace::registry().resetLayout();
-    EXPECT_FALSE(hot_taken.invert);
+
+    // The inversion lives in the layout only: the bus still delivers the
+    // direction the program took.
+    ProfileCollector after;
+    trace::setSink(&after);
+    trace::branch(hot_taken, true);
+    trace::setSink(nullptr);
+    EXPECT_EQ(after.sites()[hot_taken.id].taken, 1u);
 }
 
 TEST(Relayout, ColdBlocksMovedOutOfHotRegion)
@@ -116,10 +138,9 @@ TEST(Relayout, ColdBlocksMovedOutOfHotRegion)
     trace::block(cold);
     trace::setSink(nullptr);
 
-    layout::applyProfileGuidedLayout(profile);
-    EXPECT_LT(hot.address, cold.address)
+    const auto result = layout::applyProfileGuidedLayout(profile);
+    EXPECT_LT(result.layout->at(hot).address, result.layout->at(cold).address)
         << "cold block must be placed after the hot region";
-    trace::registry().resetLayout();
 }
 
 TEST(Relayout, ImprovesSimulatedFrontend)
@@ -138,10 +159,10 @@ TEST(Relayout, ImprovesSimulatedFrontend)
                 trace::SiteKind::Block));
         }
     }
-    trace::registry().resetLayout();
 
-    auto runRing = [&](int reps) {
-        uarch::CoreModel model(uarch::baselineConfig());
+    auto runRing = [&](int reps,
+                       std::shared_ptr<const trace::CodeLayout> layout) {
+        uarch::CoreModel model(uarch::baselineConfig(), std::move(layout));
         trace::setSink(&model);
         for (int r = 0; r < reps; ++r) {
             for (auto* s : ring) {
@@ -152,7 +173,7 @@ TEST(Relayout, ImprovesSimulatedFrontend)
         return model.finish();
     };
 
-    const auto before = runRing(500);
+    const auto before = runRing(500, nullptr);
 
     layout::ProfileCollector profile;
     trace::setSink(&profile);
@@ -162,14 +183,17 @@ TEST(Relayout, ImprovesSimulatedFrontend)
         }
     }
     trace::setSink(nullptr);
-    layout::applyProfileGuidedLayout(profile);
+    const auto packed = layout::applyProfileGuidedLayout(profile).layout;
 
-    const auto after = runRing(500);
-    trace::registry().resetLayout();
-
+    const auto after = runRing(500, packed);
     EXPECT_LT(after.l1i_misses, before.l1i_misses / 2)
         << "packing must cut instruction-cache misses substantially";
     EXPECT_LT(after.cycles, before.cycles);
+
+    // The default layout is unchanged for every other model.
+    const auto again = runRing(500, nullptr);
+    EXPECT_EQ(again.l1i_misses, before.l1i_misses);
+    EXPECT_EQ(again.cycles, before.cycles);
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "codec/loopflags.h"
 #include "codec/params.h"
 #include "codec/strategies/strategies.h"
 #include "codec/transcode.h"
@@ -681,9 +682,8 @@ TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
     // model retires far fewer instructions in the SIMD-converted cost
     // kernels (SAD/SATD/DCT/quant), so the cycle delta must concentrate
     // in the families those kernels map to.
-    auto reportData = [](const std::string& kernel_model,
-                         obs::ReportData* out) {
-        ASSERT_TRUE(codec::setKernelModel(kernel_model));
+    auto reportData = [](codec::KernelModel kernels, obs::ReportData* out) {
+        const codec::BuildScope build({}, kernels);
         const AttributedRun run =
             attributedTranscode("medium", "funny", 0.1);
         obs::HotspotReport report;
@@ -693,9 +693,8 @@ TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
     };
     obs::ReportData scalar;
     obs::ReportData vec;
-    reportData("scalar", &scalar);
-    reportData("vector", &vec);
-    codec::setKernelModel("scalar"); // Restore the process default.
+    reportData(codec::KernelModel::Scalar, &scalar);
+    reportData(codec::KernelModel::Vector, &vec);
 
     const obs::ReportDiff diff = obs::diffReports(scalar, vec);
     // Vectorization is a win: fewer instructions, fewer cycles.

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the probe bus: the site table and default code layout,
- * synthetic site registration, batched event delivery, polarity
- * inversion, and the simulated-address arena.
+ * synthetic site registration, batched event delivery, raw branch
+ * directions and layout values, and the simulated-address arena.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include "codec/strategies/strategies.h"
 #include "core/parallel.h"
 #include "core/workload.h"
+#include "layout/profile.h"
+#include "layout/relayout.h"
 #include "trace/probe.h"
 #include "test_site.h"
 
@@ -168,7 +170,6 @@ TEST(Trace, SiteTableIsTheLayout)
         EXPECT_EQ(site.instructions, row.instructions) << row.name;
         EXPECT_EQ(site.kind, row.kind) << row.name;
         EXPECT_EQ(site.address, addr) << row.name;
-        EXPECT_FALSE(site.invert) << row.name;
         addr += site.bytes + trace::SiteRegistry::kDefaultColdPadding;
     }
     EXPECT_EQ(trace::registry().defaultSpan(),
@@ -182,24 +183,26 @@ TEST(Trace, SiteTableIsTheLayout)
 
     // Every codec path registers nothing: each preset under both kernel
     // models, both loop restructurings, CBR, and a chunk split + stitch.
-    auto run = [](const codec::EncoderParams& params) {
+    auto run = [](const codec::EncoderParams& params,
+                  const core::Binary& binary = {}) {
         core::RunConfig cfg;
         cfg.video = "cat";
         cfg.seconds = 0.12;
         cfg.params = params;
+        cfg.binary = binary;
         core::runNative(cfg);
     };
     for (auto model :
          {codec::KernelModel::Scalar, codec::KernelModel::Vector}) {
-        codec::setKernelModel(model);
+        core::Binary binary;
+        binary.kernels = model;
         for (const auto& preset : codec::presetNames()) {
-            run(codec::presetParams(preset));
+            run(codec::presetParams(preset), binary);
         }
     }
-    codec::setKernelModel(codec::KernelModel::Scalar);
-    codec::setLoopOptFlags({true, true});
-    run(codec::presetParams("medium"));
-    codec::setLoopOptFlags({});
+    core::Binary restructured;
+    restructured.loops = {true, true};
+    run(codec::presetParams("medium"), restructured);
     codec::EncoderParams cbr = codec::presetParams("medium");
     cbr.rc = codec::RateControl::CBR;
     run(cbr);
@@ -247,19 +250,36 @@ TEST(Probe, EventsReachSink)
 
 TEST(Probe, BranchPolarityInversion)
 {
-    RecordingSink sink;
+    // Polarity belongs to a layout value, not to the emitted stream: the
+    // bus delivers the direction the program took, and a layout that
+    // inverts the site says so without touching the site.
     VT_TEST_SITE(br, "test.invert", 8, 1, Branch);
-    br.invert = false;
+    trace::CodeLayout inverted;
+    for (const CodeSite* site : trace::registry().sites()) {
+        inverted.sites.push_back({site->address, false});
+    }
+    inverted.sites[br.id] = {br.address + 4096, true};
+
+    RecordingSink sink;
     trace::setSink(&sink);
     trace::branch(br, true);
-    br.invert = true;
-    trace::branch(br, true);
+    trace::branch(br, false);
     trace::setSink(nullptr);
-    br.invert = false;
-
     ASSERT_EQ(sink.events.size(), 4u);
-    EXPECT_EQ(sink.events[1].b, 1u) << "uninverted taken";
-    EXPECT_EQ(sink.events[3].b, 0u) << "inverted taken -> not taken";
+    EXPECT_EQ(sink.events[1].b, 1u) << "taken arrives as taken";
+    EXPECT_EQ(sink.events[3].b, 0u) << "not taken arrives as not taken";
+
+    EXPECT_TRUE(inverted.at(br).invert);
+    EXPECT_EQ(inverted.at(br).address, br.address + 4096);
+    // The empty layout is the default one.
+    EXPECT_FALSE(trace::CodeLayout{}.at(br).invert);
+    EXPECT_EQ(trace::CodeLayout{}.at(br).address, br.address);
+    // A site defined after the layout was built keeps its default
+    // placement in it.
+    VT_TEST_SITE(later, "test.invert.later", 8, 1, Branch);
+    ASSERT_GE(later.id, inverted.sites.size());
+    EXPECT_EQ(inverted.at(later).address, later.address);
+    EXPECT_FALSE(inverted.at(later).invert);
 }
 
 TEST(Probe, SitesHaveDistinctAddressesWithColdPadding)
@@ -273,20 +293,6 @@ TEST(Probe, SitesHaveDistinctAddressesWithColdPadding)
     EXPECT_GE(a.address, trace::SiteRegistry::kTextBase);
     EXPECT_LT(a.address + a.bytes,
               trace::SiteRegistry::kTextBase + reg.defaultSpan());
-}
-
-TEST(Probe, ResetLayoutRestoresDefaults)
-{
-    auto& reg = trace::registry();
-    VT_TEST_SITE(a, "test.layoutreset.a", 64, 8, Block);
-    const uint64_t original = a.address;
-    a.address = 0xdead;
-    a.invert = true;
-    reg.resetLayout();
-    // resetLayout re-lays out all sites in registration order; the site
-    // must again live at its original default position.
-    EXPECT_EQ(a.address, original);
-    EXPECT_FALSE(a.invert);
 }
 
 TEST(Probe, PerThreadAttachmentDoesNotCrossTalk)
@@ -417,18 +423,28 @@ TEST(BatchPipeline, BranchIsOneFusedRecord)
     EXPECT_EQ(sink.records[1].flags & 1, 0);
 }
 
-TEST(BatchPipeline, FusedRecordCarriesPostPolarityDirection)
+TEST(BatchPipeline, FusedRecordCarriesRawDirection)
 {
+    // A profile-guided layout that inverts the branch exists in the
+    // process; the emitted record still carries the raw direction.
     VT_TEST_SITE(br, "test.batch.fusedpolarity", 8, 1, Branch);
-    BatchRecordingSink sink;
-    br.invert = true;
-    trace::setSink(&sink, 16);
-    trace::branch(br, true); // Inverted: delivered direction is false.
+    layout::ProfileCollector profile;
+    trace::setSink(&profile);
+    for (int i = 0; i < 10; ++i) {
+        trace::branch(br, true);
+    }
     trace::setSink(nullptr);
-    br.invert = false;
+    const auto relayout = layout::applyProfileGuidedLayout(profile);
+    ASSERT_TRUE(relayout.layout->at(br).invert);
 
-    ASSERT_EQ(sink.records.size(), 1u);
-    EXPECT_EQ(sink.records[0].flags & 1, 0);
+    BatchRecordingSink sink;
+    trace::setSink(&sink, 16);
+    trace::branch(br, true);
+    trace::branch(br, false);
+    trace::setSink(nullptr);
+    ASSERT_EQ(sink.records.size(), 2u);
+    EXPECT_EQ(sink.records[0].flags & 1, 1);
+    EXPECT_EQ(sink.records[1].flags & 1, 0);
 }
 
 TEST(BatchPipeline, FullBufferFlushesAndRefills)

@@ -1125,13 +1125,25 @@ TEST(CoreDifferential, InstrumentedFastForwardMatchesOnAllWidths)
     }
 }
 
-/** A stream whose second half uses a site first defined mid-run and
- *  then moved mid-run, as a relayout pass would. `fresh` is defined at
- *  the midpoint when null (and returned), else reused from a previous
- *  run, which must then see the same layout address sequence. */
+/** The default placement of every site registered now, as a layout
+ *  value (a site defined later is not covered). */
+std::shared_ptr<trace::CodeLayout>
+defaultLayoutNow()
+{
+    auto layout = std::make_shared<trace::CodeLayout>();
+    for (const trace::CodeSite* site : trace::registry().sites()) {
+        layout->sites.push_back({site->address, false});
+    }
+    return layout;
+}
+
+/** A stream whose second half branches on a site first defined mid-run,
+ *  simulated on `layout`. `fresh` is defined at the midpoint when null
+ *  (and returned), else reused from a previous run. */
 DiffRun
 runFreshSiteStream(bool reference, StageMode mode,
-                   trace::CodeSite** fresh, uint64_t* home)
+                   std::shared_ptr<const trace::CodeLayout> layout,
+                   trace::CodeSite** fresh)
 {
     VT_TEST_SITE(blk, "coretest.fresh.blk", 64, 9, Block);
     VT_TEST_SITE(br, "coretest.fresh.br", 16, 2, Branch);
@@ -1140,24 +1152,17 @@ runFreshSiteStream(bool reference, StageMode mode,
     params.reference_stepping = reference;
     params.attribute_sites = true;
     params.phase_window = 2000;
-    CoreModel model(params);
+    CoreModel model(params, std::move(layout));
     trace::setSink(&model, 256);
     Rng rng(0xf7e54ull);
     uint64_t addr = 0x900000000ull;
     constexpr int kIters = 20000;
     for (int i = 0; i < kIters; ++i) {
-        if (i == kIters / 2) {
-            if (*fresh == nullptr) {
-                // Registry growth while the stages are mid-stream.
-                *fresh = &trace::registry().define(
-                    "coretest.fresh.mid" + std::string(modeName(mode)),
-                    48, 5, trace::SiteKind::BranchLoadDep);
-                *home = (*fresh)->address;
-            }
-            (*fresh)->address = *home;
-        }
-        if (i == 3 * kIters / 4) {
-            (*fresh)->address = *home + 4096 * 7; // Relayout mid-run.
+        if (i == kIters / 2 && *fresh == nullptr) {
+            // Registry growth while the stages are mid-stream.
+            *fresh = &trace::registry().define(
+                "coretest.fresh.mid" + std::string(modeName(mode)), 48, 5,
+                trace::SiteKind::BranchLoadDep);
         }
         trace::block(blk);
         trace::load(addr, 16);
@@ -1170,24 +1175,74 @@ runFreshSiteStream(bool reference, StageMode mode,
         addr += 64 * rng.below(256);
     }
     trace::setSink(nullptr);
-    (*fresh)->address = *home;
     return collect(model);
 }
 
 TEST(CoreDifferential, SiteDefinedAndMovedMidRunMatchesReference)
 {
     for (StageMode mode : stageModes()) {
+        // Defined mid-run: the layout predates the site, which keeps its
+        // default placement.
         trace::CodeSite* fresh = nullptr;
-        uint64_t home = 0;
-        const DiffRun opt = runFreshSiteStream(false, mode, &fresh, &home);
-        const DiffRun ref = runFreshSiteStream(true, mode, &fresh, &home);
+        const auto before = defaultLayoutNow();
+        const DiffRun opt = runFreshSiteStream(false, mode, before, &fresh);
+        const DiffRun ref = runFreshSiteStream(true, mode, before, &fresh);
         const std::string what = std::string("fresh site ")
                                  + modeName(mode);
         EXPECT_EQ(opt.helpers, mode == StageMode::Helpers) << what;
         ASSERT_GT(opt.sites.size(), fresh->id) << what;
         EXPECT_GT(opt.sites[fresh->id].branches, 5000u) << what;
         expectSameRun(opt, ref, what);
+
+        // Moved: the same stream on a second layout, which places the
+        // site seven pages away and inverts its branch.
+        auto moved = defaultLayoutNow();
+        moved->sites[fresh->id] = {fresh->address + 4096 * 7, true};
+        const DiffRun opt_moved =
+            runFreshSiteStream(false, mode, moved, &fresh);
+        const DiffRun ref_moved =
+            runFreshSiteStream(true, mode, moved, &fresh);
+        expectSameRun(opt_moved, ref_moved, "moved " + what);
+        const SiteUarch& a = opt.sites[fresh->id];
+        const SiteUarch& b = opt_moved.sites[fresh->id];
+        EXPECT_EQ(a.branches, b.branches) << what;
+        EXPECT_EQ(a.taken + b.taken, a.branches)
+            << what << ": the moved layout inverts every direction";
     }
+}
+
+TEST(CoreLayout, InvertingLayoutFlipsTaken)
+{
+    // A layout that inverts a branch feeds the model exactly the stream
+    // a program taking the opposite directions would: per-site tallies,
+    // predictor and BTB outcomes and every CoreStats field.
+    VT_TEST_SITE(blk, "coretest.layout.blk", 64, 9, Block);
+    VT_TEST_SITE(br, "coretest.layout.br", 16, 2, Branch);
+    auto run = [&](std::shared_ptr<const trace::CodeLayout> layout,
+                   bool flip_input) {
+        CoreParams params = baselineConfig();
+        params.attribute_sites = true;
+        CoreModel model(params, std::move(layout));
+        trace::setSink(&model, 256);
+        Rng rng(0x1a70u);
+        for (int i = 0; i < 5000; ++i) {
+            trace::block(blk);
+            trace::branch(br, rng.chance(0.9) != flip_input);
+        }
+        trace::setSink(nullptr);
+        return collect(model);
+    };
+    auto inverted = defaultLayoutNow();
+    inverted->sites[br.id].invert = true;
+
+    const DiffRun plain = run(nullptr, false);
+    const DiffRun flipped = run(inverted, false);
+    const DiffRun flipped_input = run(nullptr, true);
+    EXPECT_EQ(plain.sites[br.id].branches, 5000u);
+    EXPECT_GT(plain.sites[br.id].taken, 4000u);
+    EXPECT_EQ(flipped.sites[br.id].taken,
+              5000u - plain.sites[br.id].taken);
+    expectSameRun(flipped, flipped_input, "inverted layout");
 }
 
 // ---- Pipeline lifetime and the core budget ---------------------------------

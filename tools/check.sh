@@ -117,6 +117,13 @@ echo "== scheduler study smoke (five-class shared passes) =="
 # simulated on all five Table IV classes; the study must complete.
 "$BUILD_DIR"/bench/fig9_scheduler --seconds 0.1 --quiet >/dev/null
 
+echo "== compiler-optimization study smoke (non-default binaries) =="
+# The only consumers of a profile-guided layout and of the loop
+# restructurings: each optimized binary is a RunConfig::binary value,
+# so both must run to completion beside default runs in one process.
+"$BUILD_DIR"/bench/fig8_compileropt --seconds 0.1 --quiet >/dev/null
+"$BUILD_DIR"/examples/compiler_opt --seconds 0.1 >/dev/null
+
 echo "== uarch attribution: exactness + non-perturbation =="
 # Per-site sums must equal CoreStats field by field; attribution on/off
 # must be bit-identical; phase samples must close at the run totals.
@@ -196,7 +203,9 @@ if [[ "${VTRANS_SKIP_TSAN:-0}" != 1 ]]; then
     # (a group's results entering the shared cache from 4 workers);
     # test_trace includes Trace.SiteTableIsTheLayout and
     # test_parallel_sweep ParallelSweep.VectorModelIdenticalAtOneAndFourJobs
-    # (vector-model sites first reached by racing workers).
+    # (vector-model sites first reached by racing workers) and
+    # ParallelSweep.BinaryIsAValue (one batch mixing layouts, loop flags
+    # and kernel models across four workers).
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S . -DVTRANS_SANITIZE=thread
     cmake --build "$TSAN_DIR" -j --target test_uarch test_trace test_farm \
