@@ -23,6 +23,7 @@ main(int argc, char** argv)
 
     const std::string video = cli.str("video", "cricket");
     const double seconds = cli.real("seconds", 1.0);
+    cli.rejectUnknown();
 
     bench::banner("Codec feature ablation (crf 23 on " + video + ")");
 

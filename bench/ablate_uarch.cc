@@ -25,6 +25,7 @@ main(int argc, char** argv)
     core::RunConfig base;
     base.video = cli.str("video", "funny");
     base.seconds = cli.real("seconds", 1.0);
+    cli.rejectUnknown();
     base.params = codec::presetParams("medium");
     base.core = uarch::baselineConfig();
 

@@ -119,7 +119,7 @@ benchTracer()
 /**
  * Parses the standard bench flags:
  *   --video <name>    sweep video (default "funny", a 1080p-class clip)
- *   --seconds <s>     clip length per point (default 1.0)
+ *   --seconds <s>     clip length per point (default 0.8)
  *   --jobs <n>        worker threads for the sweep (default 1 = serial;
  *                     0 = hardware concurrency)
  *   --coarse          6x5 grid (fast preview)
@@ -149,9 +149,8 @@ benchTracer()
  * Default grid: 8x5 (40 points).
  */
 inline BenchOptions
-parseBenchOptions(int argc, char** argv)
+parseBenchOptions(const Cli& cli)
 {
-    Cli cli(argc, argv);
     BenchOptions options;
     options.study.video = cli.str("video", "funny");
     options.study.seconds = cli.real("seconds", 0.8);

@@ -213,6 +213,21 @@ main(int argc, char** argv)
     farm::FarmOptions base;
     base.clip_seconds = cli.real("seconds", 0.2);
     base.fault_rate = cli.real("faults", 0.1);
+    // Parts 3 and 4 run only when their flag is given; their settings
+    // are read up front so a mistyped flag fails before any work.
+    const bool chunk_part = cli.has("chunk-frames");
+    const int chunk_frames = static_cast<int>(cli.num("chunk-frames", 3));
+    const bool zipf_part = cli.has("zipf-s");
+    const double zipf_s = cli.real("zipf-s", 1.1);
+    const int zipf_jobs = static_cast<int>(cli.num("zipf-jobs", 2000));
+    const int zipf_items = static_cast<int>(cli.num("zipf-items", 48));
+    const double zipf_load = cli.real("zipf-load", 1.2);
+    const double min_p99_gain = cli.real("min-p99-gain", 0.0);
+    const size_t cache_bytes =
+        static_cast<size_t>(cli.num("cache-mb", 256)) << 20;
+    const std::string out_path = cli.str("out", "");
+    const bool zipf_knee = cli.has("zipf-knee");
+    cli.rejectUnknown();
 
     const auto stream = makeJobStream(jobs, retries, seed);
 
@@ -303,10 +318,9 @@ main(int argc, char** argv)
 
     // --- Part 3: whole vs GOP-chunked dispatch (--chunk-frames) -------
     bool chunk_pass = true;
-    if (cli.has("chunk-frames")) {
+    if (chunk_part) {
         chunk::ChunkOptions chunking;
-        chunking.chunk_frames =
-            static_cast<int>(cli.num("chunk-frames", 3));
+        chunking.chunk_frames = chunk_frames;
 
         // Chunking converts idle capacity into lower time-to-ready, so
         // the A/B stream must leave capacity to convert: mostly light
@@ -414,19 +428,18 @@ main(int argc, char** argv)
 
     // --- Part 4: Zipf sustained load, cache on vs off (--zipf-s) ------
     bool zipf_pass = true;
-    if (cli.has("zipf-s")) {
-        const double s = cli.real("zipf-s", 1.1);
-        const int zjobs = static_cast<int>(cli.num("zipf-jobs", 2000));
-        const int zitems = static_cast<int>(cli.num("zipf-items", 48));
-        const double load = cli.real("zipf-load", 1.2);
-        const double min_gain = cli.real("min-p99-gain", 0.0);
+    if (zipf_part) {
+        const double s = zipf_s;
+        const int zjobs = zipf_jobs;
+        const int zitems = zipf_items;
+        const double load = zipf_load;
+        const double min_gain = min_p99_gain;
         const auto catalog = makeZipfCatalog(zitems);
 
         farm::FarmOptions zbase = base;
         zbase.fault_rate = 0.0; // Clean A/B: no retry noise in either arm.
         farm::CacheOptions cache_opts;
-        cache_opts.max_bytes =
-            static_cast<size_t>(cli.num("cache-mb", 256)) << 20;
+        cache_opts.max_bytes = cache_bytes;
         auto memo = std::make_shared<farm::ResultCache>(cache_opts);
 
         // Calibrate fleet capacity: one drain with each catalog item
@@ -520,7 +533,6 @@ main(int argc, char** argv)
                     static_cast<double>(cached.cache.bytes)
                         / (1024.0 * 1024.0));
 
-        const std::string out_path = cli.str("out", "");
         if (!out_path.empty()) {
             std::FILE* f = std::fopen(out_path.c_str(), "w");
             if (f == nullptr) {
@@ -563,7 +575,7 @@ main(int argc, char** argv)
 
         // Optional knee sweep: where does each dispatch policy start
         // shedding, and what does the cache do to that knee?
-        if (cli.has("zipf-knee")) {
+        if (zipf_knee) {
             Table knee({"load", "policy", "arm", "completed", "shed",
                         "p99 (ms)"});
             for (const double l : {0.6, 0.9, 1.2, 1.5}) {

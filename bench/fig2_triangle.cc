@@ -16,13 +16,14 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv);
+    auto options = bench::parseBenchOptions(cli);
     // Only four points are measured, so afford longer clips by default:
     // the refs -> size effect needs enough anchor frames to show.
-    Cli cli(argc, argv);
     if (!cli.has("seconds")) {
         options.study.seconds = 2.5;
     }
+    cli.rejectUnknown();
 
     bench::banner("Figure 2: speed / quality / size triangle");
 

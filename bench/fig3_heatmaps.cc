@@ -16,7 +16,9 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    const auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv);
+    const auto options = bench::parseBenchOptions(cli);
+    cli.rejectUnknown();
 
     bench::banner("Figure 3: FE / BE / BS bound pipeline slots (%)");
     std::printf("video=%s, %zu x %zu grid, %.2fs clips, %d job(s)\n",

@@ -16,12 +16,13 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv);
+    auto options = bench::parseBenchOptions(cli);
     // Projections need few crf lines but the full refs axis.
-    Cli cli(argc, argv);
     if (!cli.has("full") && !cli.has("coarse")) {
         options.crf_grid = {6, 16, 26, 36, 46};
     }
+    cli.rejectUnknown();
 
     bench::banner("Figure 4: projections A and B");
     core::SweepStats stats;

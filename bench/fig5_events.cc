@@ -16,7 +16,9 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    const auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv);
+    const auto options = bench::parseBenchOptions(cli);
+    cli.rejectUnknown();
 
     bench::banner(
         "Figure 5: microarchitectural event rates over crf x refs");

@@ -15,13 +15,14 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv);
+    auto options = bench::parseBenchOptions(cli);
     // The preset ladder's slow end (tesa, refs irrelevant at 3) is heavy;
     // a 720p-class clip keeps placebo tractable by default.
-    Cli cli(argc, argv);
     if (!cli.has("video")) {
         options.study.video = "cricket";
     }
+    cli.rejectUnknown();
 
     bench::banner("Figure 6: the ten presets at crf=23, refs=3");
     std::printf("video=%s, %.2fs clips, %d job(s)\n",

@@ -17,7 +17,9 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    auto options = bench::parseBenchOptions(argc, argv);
+    const Cli cli(argc, argv);
+    auto options = bench::parseBenchOptions(cli);
+    cli.rejectUnknown();
 
     bench::banner("Figure 7: across vbench videos (medium, crf=23, refs=3)");
     std::printf("%.2fs clips, %d job(s)\n", options.study.seconds,

@@ -30,6 +30,7 @@ main(int argc, char** argv)
         options.crf_values = {11, 17, 23, 30};
         options.refs_values = {1, 3, 6, 12};
     }
+    cli.rejectUnknown();
 
     bench::banner("Figure 8: AutoFDO- and Graphite-style speedups");
     const auto results = core::optimizationStudy(options);

@@ -16,8 +16,10 @@ main(int argc, char** argv)
 {
     using namespace vtrans;
     Cli cli(argc, argv);
-    setVerbose(!cli.has("quiet"));
     const double seconds = cli.real("seconds", 1.0);
+    const bool verbose = !cli.has("quiet");
+    cli.rejectUnknown();
+    setVerbose(verbose);
 
     bench::banner("Table III: transcoding tasks");
     {
@@ -34,7 +36,7 @@ main(int argc, char** argv)
         std::printf("%s", t.toText().c_str());
     }
 
-    const auto result = core::schedulerStudy(seconds, !cli.has("quiet"));
+    const auto result = core::schedulerStudy(seconds, verbose);
 
     bench::banner("Simulated transcoding time per (task, configuration)");
     {

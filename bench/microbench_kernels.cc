@@ -219,6 +219,7 @@ main(int argc, char** argv)
     const std::string out = cli.str("out", "");
     const bool smoke = cli.has("smoke");
     const bool quiet = cli.has("quiet");
+    cli.rejectUnknown();
 
     std::vector<std::pair<std::string, const KernelOps*>> backends;
     backends.emplace_back("scalar", &codec::scalarKernels());

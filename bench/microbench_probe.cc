@@ -377,6 +377,7 @@ main(int argc, char** argv)
     const StreamKind stream = parseStream(cli.str("stream", "mixed"));
     const std::string out = cli.str("out", "");
     const bool quiet = cli.has("quiet");
+    cli.rejectUnknown();
     const uint32_t default_batch = trace::kDefaultProbeBatch;
 
     const std::vector<uint32_t> capacities{1, 16, 64, 256, 1024};

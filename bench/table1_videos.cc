@@ -18,7 +18,8 @@ int
 main(int argc, char** argv)
 {
     using namespace vtrans;
-    Cli cli(argc, argv);
+    const Cli cli(argc, argv);
+    cli.rejectUnknown();
     setVerbose(false);
 
     bench::banner("Table I: vbench videos (scaled corpus)");

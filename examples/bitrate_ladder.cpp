@@ -24,6 +24,7 @@ main(int argc, char** argv)
     setVerbose(false);
     const std::string video = cli.str("video", "girl");
     const double seconds = cli.real("seconds", 1.0);
+    cli.rejectUnknown();
 
     const auto& spec = video::findVideo(video);
     std::printf("Upload: '%s' (%s class, entropy %.1f) -> %d-rung "

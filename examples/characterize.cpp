@@ -31,6 +31,7 @@ main(int argc, char** argv)
     run.params.crf = static_cast<int>(cli.num("crf", 23));
     run.params.refs = static_cast<int>(cli.num("refs", 3));
     run.core = uarch::configByName(cli.str("config", "baseline"));
+    cli.rejectUnknown();
     run.params.validate();
 
     const auto& spec = video::findVideo(run.video);

@@ -32,6 +32,7 @@ main(int argc, char** argv)
     setVerbose(false);
     const std::string video = cli.str("video", "landscape");
     const double seconds = cli.real("seconds", 1.0);
+    cli.rejectUnknown();
 
     core::RunConfig run;
     run.video = video;

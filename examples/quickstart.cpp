@@ -34,6 +34,7 @@ main(int argc, char** argv)
 
     const std::string video = cli.str("video", "cricket");
     const int crf = static_cast<int>(cli.num("crf", 23));
+    cli.rejectUnknown();
 
     // 1. A synthetic clip matching one row of the vbench corpus.
     video::VideoSpec spec = video::findVideo(video);

@@ -265,6 +265,10 @@ main(int argc, char** argv)
     const bool uarch_report = cli.has("uarch-report");
     const std::string uarch_out = cli.str("uarch-report-out", "");
     const int64_t phase = cli.num("phase-window", 0);
+    const std::string log_path = cli.str("log", "");
+    const std::string trace_path = cli.str("trace-out", "");
+    const bool metrics = cli.has("metrics");
+    cli.rejectUnknown();
 
     if (uarch_report || !uarch_out.empty()) {
         obs::setUarchAttributionEnabled(true);
@@ -293,10 +297,10 @@ main(int argc, char** argv)
         // and Chrome trace of the job lifecycle.
         std::printf("policy: %s\n", farm::toString(policy).c_str());
         runPolicy(stream, policy, queue_policy, base, true,
-                  cli.str("log", ""), cli.str("trace-out", ""),
+                  log_path, trace_path,
                   &chunking);
         uarchReport();
-        if (cli.has("metrics")) {
+        if (metrics) {
             std::printf("\n%s", obs::metrics().exposition().c_str());
         }
         return 0;
@@ -350,9 +354,9 @@ main(int argc, char** argv)
     // job-lifecycle trace.
     std::printf("\nsmart-policy service metrics:\n");
     runPolicy(stream, farm::DispatchPolicy::Smart, queue_policy, base,
-              true, cli.str("log", ""), cli.str("trace-out", ""));
+              true, log_path, trace_path);
     uarchReport();
-    if (cli.has("metrics")) {
+    if (metrics) {
         std::printf("\n%s", obs::metrics().exposition().c_str());
     }
     return 0;

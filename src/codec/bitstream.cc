@@ -16,59 +16,12 @@ BitWriter::BitWriter() : sim_base_(trace::arena().alloc(kStreamSimCapacity))
 }
 
 void
-BitWriter::flushByte()
+BitWriter::flushByte(uint8_t byte)
 {
     VT_SITE(site, BitstreamWriteByte);
     trace::block(site);
     trace::store(sim_base_ + buffer_.size(), 1);
-    buffer_.push_back(static_cast<uint8_t>(acc_));
-    acc_ = 0;
-    acc_bits_ = 0;
-}
-
-void
-BitWriter::putBits(uint32_t value, int count)
-{
-    VT_ASSERT(count >= 0 && count <= 32, "bit count out of range");
-    VT_ASSERT(!finished_, "write after finish()");
-    if (count < 32) {
-        value &= (1u << count) - 1;
-    }
-    bits_written_ += count;
-    while (count > 0) {
-        const int space = 8 - acc_bits_;
-        const int take = count < space ? count : space;
-        acc_ = (acc_ << take)
-               | ((value >> (count - take)) & ((1u << take) - 1));
-        acc_bits_ += take;
-        count -= take;
-        if (acc_bits_ == 8) {
-            flushByte();
-        }
-    }
-}
-
-void
-BitWriter::putUe(uint32_t value)
-{
-    VT_SITE(site, BitstreamWriteUe);
-    trace::block(site);
-    const uint64_t code = static_cast<uint64_t>(value) + 1;
-    int len = 0;
-    while ((code >> len) > 1) {
-        ++len;
-    }
-    putBits(0, len);
-    putBits(static_cast<uint32_t>(code), len + 1);
-}
-
-void
-BitWriter::putSe(int32_t value)
-{
-    const uint32_t mapped =
-        value > 0 ? static_cast<uint32_t>(value) * 2 - 1
-                  : static_cast<uint32_t>(-value) * 2;
-    putUe(mapped);
+    buffer_.push_back(byte);
 }
 
 void
@@ -77,9 +30,9 @@ BitWriter::align()
     if (acc_bits_ > 0) {
         const int pad = 8 - acc_bits_;
         bits_written_ += pad;
-        acc_ <<= pad;
-        acc_bits_ = 8;
-        flushByte();
+        flushByte(static_cast<uint8_t>(acc_ << pad));
+        acc_ = 0;
+        acc_bits_ = 0;
     }
 }
 
@@ -98,24 +51,35 @@ BitReader::BitReader(const std::vector<uint8_t>& data)
 {
 }
 
+uint8_t
+BitReader::enterByte()
+{
+    const uint64_t byte_index = bit_pos_ >> 3;
+    VT_ASSERT(byte_index < data_.size(), "bitstream underrun");
+    if ((bit_pos_ & 7) == 0) {
+        VT_SITE(site, BitstreamReadByte);
+        trace::block(site);
+        trace::load(sim_base_ + byte_index, 1);
+    }
+    return data_[byte_index];
+}
+
 uint32_t
 BitReader::getBits(int count)
 {
     VT_ASSERT(count >= 0 && count <= 32, "bit count out of range");
-    uint32_t result = 0;
-    for (int i = 0; i < count; ++i) {
-        const uint64_t byte_index = bit_pos_ >> 3;
-        VT_ASSERT(byte_index < data_.size(), "bitstream underrun");
-        if ((bit_pos_ & 7) == 0) {
-            VT_SITE(site, BitstreamReadByte);
-            trace::block(site);
-            trace::load(sim_base_ + byte_index, 1);
-        }
-        const int shift = 7 - static_cast<int>(bit_pos_ & 7);
-        result = (result << 1) | ((data_[byte_index] >> shift) & 1);
-        ++bit_pos_;
+    uint64_t result = 0;
+    while (count > 0) {
+        // The rest of the current byte, or as much of it as is asked for.
+        const int offset = static_cast<int>(bit_pos_ & 7);
+        const uint8_t byte = enterByte();
+        const int take = count < 8 - offset ? count : 8 - offset;
+        const int shift = 8 - offset - take;
+        result = (result << take) | ((byte >> shift) & ((1u << take) - 1));
+        bit_pos_ += take;
+        count -= take;
     }
-    return result;
+    return static_cast<uint32_t>(result);
 }
 
 uint32_t
@@ -123,10 +87,19 @@ BitReader::getUe()
 {
     VT_SITE(site, BitstreamReadUe);
     trace::block(site);
+    // Leading zeros, a byte at a time, up to and including the first one.
     int zeros = 0;
-    while (getBits(1) == 0) {
-        ++zeros;
+    for (;;) {
+        const int offset = static_cast<int>(bit_pos_ & 7);
+        const uint8_t rest = static_cast<uint8_t>(enterByte() << offset);
+        const int lead = rest == 0 ? 8 - offset : std::countl_zero(rest);
+        zeros += lead;
         VT_ASSERT(zeros <= 48, "malformed exp-Golomb code");
+        bit_pos_ += lead;
+        if (rest != 0) {
+            ++bit_pos_;
+            break;
+        }
     }
     uint32_t value = 1;
     if (zeros > 0) {

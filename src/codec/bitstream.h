@@ -10,8 +10,12 @@
  * paper identifies in the encode pipeline.
  */
 
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "common/status.h"
+#include "trace/probe.h"
 
 namespace vtrans::codec {
 
@@ -43,15 +47,57 @@ class BitWriter
     const std::vector<uint8_t>& bytes() const { return buffer_; }
 
   private:
-    void flushByte();
+    /** Appends one whole byte to the buffer (a probed store). */
+    void flushByte(uint8_t byte);
 
     std::vector<uint8_t> buffer_;
-    uint32_t acc_ = 0;       ///< Pending bits, left-aligned in 8-bit window.
+    uint32_t acc_ = 0;       ///< Pending bits, right-aligned.
     int acc_bits_ = 0;       ///< Number of pending bits (< 8).
     uint64_t bits_written_ = 0;
     uint64_t sim_base_;      ///< Simulated address of buffer_[0].
     bool finished_ = false;
 };
+
+inline void
+BitWriter::putBits(uint32_t value, int count)
+{
+    VT_ASSERT(count >= 0 && count <= 32, "bit count out of range");
+    VT_ASSERT(!finished_, "write after finish()");
+    if (count < 32) {
+        value &= (1u << count) - 1;
+    }
+    bits_written_ += count;
+    // Fewer than 8 pending bits plus at most 32 new ones fit in 64; every
+    // byte they complete is flushed in stream order.
+    uint64_t acc = (static_cast<uint64_t>(acc_) << count) | value;
+    int bits = acc_bits_ + count;
+    while (bits >= 8) {
+        bits -= 8;
+        flushByte(static_cast<uint8_t>(acc >> bits));
+    }
+    acc_ = static_cast<uint32_t>(acc & ((1u << bits) - 1));
+    acc_bits_ = bits;
+}
+
+inline void
+BitWriter::putUe(uint32_t value)
+{
+    VT_SITE(site, BitstreamWriteUe);
+    trace::block(site);
+    const uint64_t code = static_cast<uint64_t>(value) + 1;
+    const int len = static_cast<int>(std::bit_width(code)) - 1;
+    putBits(0, len);
+    putBits(static_cast<uint32_t>(code), len + 1);
+}
+
+inline void
+BitWriter::putSe(int32_t value)
+{
+    const uint32_t mapped =
+        value > 0 ? static_cast<uint32_t>(value) * 2 - 1
+                  : static_cast<uint32_t>(-value) * 2;
+    putUe(mapped);
+}
 
 /** Deserializes bits written by BitWriter. */
 class BitReader
@@ -79,6 +125,10 @@ class BitReader
     uint64_t bitPosition() const { return bit_pos_; }
 
   private:
+    /** The byte holding the next bit; emits the byte's read events when
+     *  the next bit is its first. Fatal past the end of the stream. */
+    uint8_t enterByte();
+
     const std::vector<uint8_t>& data_;
     uint64_t bit_pos_ = 0;
     uint64_t sim_base_; ///< Simulated address of data_[0].

@@ -8,6 +8,7 @@
  * bitstream writer will actually emit for the MV difference.
  */
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 
@@ -23,16 +24,13 @@ struct Mv
     bool operator!=(const Mv& o) const { return !(*this == o); }
 };
 
-/** Exp-Golomb code length in bits of an unsigned value. */
+/** Exp-Golomb code length in bits of an unsigned value: value + 1 in
+ *  binary, preceded by one fewer zero bits than it has digits. */
 inline int
 ueBits(uint32_t value)
 {
     const uint64_t code = static_cast<uint64_t>(value) + 1;
-    int len = 0;
-    while ((code >> len) > 1) {
-        ++len;
-    }
-    return 2 * len + 1;
+    return 2 * static_cast<int>(std::bit_width(code)) - 1;
 }
 
 /** Exp-Golomb code length in bits of a signed value. */

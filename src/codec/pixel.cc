@@ -1,7 +1,7 @@
 #include "codec/pixel.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstring>
 
 #include "codec/strategies/strategies.h"
 #include "common/status.h"
@@ -14,42 +14,42 @@ using video::Plane;
 
 namespace {
 
-/** Clamped read of a luma pixel (edge extension for out-of-frame MVs). */
-inline int
-refPixel(const Frame& ref, int x, int y)
-{
-    x = std::clamp(x, 0, ref.width() - 1);
-    y = std::clamp(y, 0, ref.height() - 1);
-    return ref.at(Plane::Y, x, y);
-}
+/** Largest window a kernel call reads: a 16x16 block plus the bilinear
+ *  filter's extra column and row. */
+constexpr int kEdgeTile = 17;
 
-/** Clamped read of a chroma pixel. */
-inline int
-refChroma(const Frame& ref, Plane p, int x, int y)
+/**
+ * Copies the w x h window at (x, y) of plane `p` into `tile` (stride
+ * kEdgeTile) with every coordinate clamped into the plane: the frame-edge
+ * extension out-of-frame motion vectors read. The kernels then run on
+ * the tile exactly as they run on an interior window of the plane.
+ */
+void
+gatherClamped(const Frame& ref, Plane p, int x, int y, int w, int h,
+              uint8_t* tile)
 {
-    x = std::clamp(x, 0, ref.chromaWidth() - 1);
-    y = std::clamp(y, 0, ref.chromaHeight() - 1);
-    return ref.at(p, x, y);
-}
-
-/** Quarter-pel bilinear sample of the luma plane at (x4, y4)/4. */
-inline int
-sampleQpel(const Frame& ref, int x4, int y4)
-{
-    const int xi = x4 >> 2;
-    const int yi = y4 >> 2;
-    const int dx = x4 & 3;
-    const int dy = y4 & 3;
-    if (dx == 0 && dy == 0) {
-        return refPixel(ref, xi, yi);
+    const uint8_t* plane = ref.data(p);
+    const int stride = ref.stride(p);
+    const int max_y = ref.planeHeight(p) - 1;
+    // The clamped columns are the same on every row.
+    uint8_t* row = tile;
+    int col[kEdgeTile];
+    for (int c = 0; c < w; ++c) {
+        col[c] = std::clamp(x + c, 0, stride - 1);
     }
-    const int p00 = refPixel(ref, xi, yi);
-    const int p10 = refPixel(ref, xi + 1, yi);
-    const int p01 = refPixel(ref, xi, yi + 1);
-    const int p11 = refPixel(ref, xi + 1, yi + 1);
-    return ((4 - dx) * (4 - dy) * p00 + dx * (4 - dy) * p10
-            + (4 - dx) * dy * p01 + dx * dy * p11 + 8)
-           >> 4;
+    const bool columns_inside = x >= 0 && x + w <= stride;
+    for (int r = 0; r < h; ++r, row += kEdgeTile) {
+        const uint8_t* src =
+            plane + static_cast<ptrdiff_t>(std::clamp(y + r, 0, max_y))
+                        * stride;
+        if (columns_inside) {
+            std::memcpy(row, src + x, static_cast<size_t>(w));
+        } else {
+            for (int c = 0; c < w; ++c) {
+                row[c] = src[col[c]];
+            }
+        }
+    }
 }
 
 /**
@@ -84,14 +84,21 @@ sadBlock(const Frame& cur, int cx, int cy, const Frame& ref, int rx, int ry,
     // between chunks, as in x264's pixel_sad ladders.
     const int chunk = h >= 8 ? 8 : h;
     const KernelOps& ops = kernels();
-    const bool interior = fullpelInterior(ref, rx, ry, w, h);
-    const uint8_t* cur_row = cur.data(Plane::Y)
-                             + static_cast<ptrdiff_t>(cy) * cur.stride(Plane::Y)
-                             + cx;
-    const uint8_t* ref_row =
-        interior ? ref.data(Plane::Y)
-                       + static_cast<ptrdiff_t>(ry) * ref.stride(Plane::Y) + rx
-                 : nullptr;
+    const int cstride = cur.stride(Plane::Y);
+    const uint8_t* cur_row =
+        cur.data(Plane::Y) + static_cast<ptrdiff_t>(cy) * cstride + cx;
+    // Reference rows come from the plane, or from an edge-extended copy
+    // of the window when it leaves the plane.
+    uint8_t edge[kEdgeTile * kEdgeTile];
+    const uint8_t* ref_row = edge;
+    int rstride = kEdgeTile;
+    if (fullpelInterior(ref, rx, ry, w, h)) {
+        rstride = ref.stride(Plane::Y);
+        ref_row =
+            ref.data(Plane::Y) + static_cast<ptrdiff_t>(ry) * rstride + rx;
+    } else {
+        gatherClamped(ref, Plane::Y, rx, ry, w, h, edge);
+    }
     int sad = 0;
     for (int y0 = 0; y0 < h; y0 += chunk) {
         if (vectorKernelModel()) {
@@ -113,23 +120,8 @@ sadBlock(const Frame& cur, int cx, int cy, const Frame& ref, int rx, int ry,
                     w);
             }
         }
-        if (interior) {
-            sad += ops.sad_rows(cur_row + y0 * cur.stride(Plane::Y),
-                                cur.stride(Plane::Y),
-                                ref_row + y0 * ref.stride(Plane::Y),
-                                ref.stride(Plane::Y), w, chunk);
-        } else {
-            // Edge-clamped fallback: identical math to the scalar kernel
-            // with refPixel() supplying the clamped reads.
-            for (int dy = 0; dy < chunk; ++dy) {
-                const int y = y0 + dy;
-                for (int x = 0; x < w; ++x) {
-                    sad += std::abs(static_cast<int>(cur.at(Plane::Y, cx + x,
-                                                            cy + y))
-                                    - refPixel(ref, rx + x, ry + y));
-                }
-            }
-        }
+        sad += ops.sad_rows(cur_row + y0 * cstride, cstride,
+                            ref_row + y0 * rstride, rstride, w, chunk);
         // Early termination: data-dependent branch against the best cost.
         VT_SITE(site_early, PixelSadEarlyExit);
         const bool bail = sad >= best;
@@ -151,22 +143,26 @@ sadSubpel(const Frame& cur, int cx, int cy, const Frame& ref, int mvx,
     const int yi0 = by4 >> 2;
     const int fx = bx4 & 3;
     const int fy = by4 & 3;
+    VT_ASSERT(w <= 16 && h <= 16, "unsupported subpel SAD block");
     const KernelOps& ops = kernels();
     const int cstride = cur.stride(Plane::Y);
-    const int rstride = ref.stride(Plane::Y);
     const uint8_t* cur_row =
         cur.data(Plane::Y) + static_cast<ptrdiff_t>(cy) * cstride + cx;
     // Full-pel MVs compare directly against reference rows; fractional MVs
     // interpolate into a stack tile first (both via the strategy kernels).
+    // A window that leaves the plane is read from an edge-extended copy.
     const bool fullpel = fx == 0 && fy == 0;
-    const bool vectorizable =
-        w <= 16
-        && (fullpel ? fullpelInterior(ref, xi0, yi0, w, h)
-                    : subpelInterior(ref, xi0, yi0, w, h));
-    const uint8_t* ref_row =
-        vectorizable
-            ? ref.data(Plane::Y) + static_cast<ptrdiff_t>(yi0) * rstride + xi0
-            : nullptr;
+    uint8_t edge[kEdgeTile * kEdgeTile];
+    const uint8_t* ref_row = edge;
+    int rstride = kEdgeTile;
+    if (fullpel ? fullpelInterior(ref, xi0, yi0, w, h)
+                : subpelInterior(ref, xi0, yi0, w, h)) {
+        rstride = ref.stride(Plane::Y);
+        ref_row =
+            ref.data(Plane::Y) + static_cast<ptrdiff_t>(yi0) * rstride + xi0;
+    } else {
+        gatherClamped(ref, Plane::Y, xi0, yi0, w + 1, h + 1, edge);
+    }
     int sad = 0;
     for (int y0 = 0; y0 < h; y0 += 4) {
         // Interpolating SAD touches two reference rows per output row.
@@ -190,26 +186,15 @@ sadSubpel(const Frame& cur, int cx, int cy, const Frame& ref, int mvx,
                             w + 1);
             }
         }
-        if (vectorizable && fullpel) {
+        if (fullpel) {
             sad += ops.sad_rows(cur_row + y0 * cstride, cstride,
                                 ref_row + y0 * rstride, rstride, w, 4);
-        } else if (vectorizable) {
+        } else {
             uint8_t tile[16 * 4];
             ops.mc_bilinear(tile, w, ref_row + y0 * rstride, rstride, w, 4,
                             fx, fy);
             sad += ops.sad_rows(cur_row + y0 * cstride, cstride, tile, w, w,
                                 4);
-        } else {
-            for (int dy = 0; dy < 4; ++dy) {
-                const int y = y0 + dy;
-                for (int x = 0; x < w; ++x) {
-                    const int pred =
-                        sampleQpel(ref, bx4 + x * 4, by4 + y * 4);
-                    sad += std::abs(
-                        static_cast<int>(cur.at(Plane::Y, cx + x, cy + y))
-                        - pred);
-                }
-            }
         }
         VT_SITE(site_early, PixelSadsubEarlyExit);
         const bool bail = sad >= best;
@@ -296,21 +281,23 @@ mcLumaBlock(uint8_t* dst, int dstride, const Frame& ref, int cx, int cy,
     }
     const int xi0 = bx4 >> 2;
     const int yi0 = by4 >> 2;
-    const int sstride = ref.stride(Plane::Y);
-    const uint8_t* src =
-        ref.data(Plane::Y) + static_cast<ptrdiff_t>(yi0) * sstride + xi0;
+    VT_ASSERT(w <= 16 && h <= 16, "unsupported luma MC block");
+    uint8_t edge[kEdgeTile * kEdgeTile];
+    const uint8_t* src = edge;
+    int sstride = kEdgeTile;
+    if (subpel ? subpelInterior(ref, xi0, yi0, w, h)
+               : fullpelInterior(ref, xi0, yi0, w, h)) {
+        sstride = ref.stride(Plane::Y);
+        src = ref.data(Plane::Y) + static_cast<ptrdiff_t>(yi0) * sstride
+              + xi0;
+    } else {
+        gatherClamped(ref, Plane::Y, xi0, yi0, w + 1, h + 1, edge);
+    }
     const KernelOps& ops = kernels();
-    if (!subpel && fullpelInterior(ref, xi0, yi0, w, h)) {
-        ops.mc_copy(dst, dstride, src, sstride, w, h);
-    } else if (subpel && subpelInterior(ref, xi0, yi0, w, h)) {
+    if (subpel) {
         ops.mc_bilinear(dst, dstride, src, sstride, w, h, bx4 & 3, by4 & 3);
     } else {
-        for (int y = 0; y < h; ++y) {
-            for (int x = 0; x < w; ++x) {
-                dst[y * dstride + x] = static_cast<uint8_t>(
-                    sampleQpel(ref, bx4 + x * 4, by4 + y * 4));
-            }
-        }
+        ops.mc_copy(dst, dstride, src, sstride, w, h);
     }
 }
 
@@ -345,33 +332,19 @@ mcChromaBlock(uint8_t* dst, int dstride, const Frame& ref, Plane plane,
     // Chroma always evaluates the 4-tap bilinear form (no full-pel
     // shortcut), so the interior window needs the +1 column and row even
     // at zero fractions.
+    VT_ASSERT(w <= 16 && h <= 16, "unsupported chroma MC block");
+    uint8_t edge[kEdgeTile * kEdgeTile];
+    const uint8_t* src = edge;
+    int sstride = kEdgeTile;
     if (xi0 >= 0 && yi0 >= 0 && xi0 + w < ref.chromaWidth()
         && yi0 + h < ref.chromaHeight()) {
-        const int sstride = ref.stride(plane);
-        kernels().mc_bilinear(
-            dst, dstride,
-            ref.data(plane) + static_cast<ptrdiff_t>(yi0) * sstride + xi0,
-            sstride, w, h, bx4 & 3, by4 & 3);
-        return;
+        sstride = ref.stride(plane);
+        src = ref.data(plane) + static_cast<ptrdiff_t>(yi0) * sstride + xi0;
+    } else {
+        gatherClamped(ref, plane, xi0, yi0, w + 1, h + 1, edge);
     }
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            const int x4 = bx4 + x * 4;
-            const int y4 = by4 + y * 4;
-            const int xi = x4 >> 2;
-            const int yi = y4 >> 2;
-            const int dx = x4 & 3;
-            const int dy = y4 & 3;
-            const int p00 = refChroma(ref, plane, xi, yi);
-            const int p10 = refChroma(ref, plane, xi + 1, yi);
-            const int p01 = refChroma(ref, plane, xi, yi + 1);
-            const int p11 = refChroma(ref, plane, xi + 1, yi + 1);
-            dst[y * dstride + x] = static_cast<uint8_t>(
-                ((4 - dx) * (4 - dy) * p00 + dx * (4 - dy) * p10
-                 + (4 - dx) * dy * p01 + dx * dy * p11 + 8)
-                >> 4);
-        }
-    }
+    kernels().mc_bilinear(dst, dstride, src, sstride, w, h, bx4 & 3,
+                          by4 & 3);
 }
 
 void

@@ -1,5 +1,6 @@
 #include "codec/tables.h"
 
+#include <array>
 #include <cmath>
 
 #include "common/status.h"
@@ -95,10 +96,18 @@ lambdaFp(int qp)
 {
     VT_ASSERT(qp >= 0 && qp < kQpCount, "QP out of range: ", qp);
     // x264-style: lambda grows as 2^((qp-12)/6); fixed point with 4
-    // fractional bits, floor of 1.
-    const double lambda = 0.85 * std::pow(2.0, (qp - 12) / 6.0);
-    const int fp = static_cast<int>(std::lround(lambda * 16.0));
-    return fp < 1 ? 1 : fp;
+    // fractional bits, floor of 1. Tabulated once: the encoder asks for
+    // it per block.
+    static const std::array<int, kQpCount> table = [] {
+        std::array<int, kQpCount> fps{};
+        for (int q = 0; q < kQpCount; ++q) {
+            const double lambda = 0.85 * std::pow(2.0, (q - 12) / 6.0);
+            const int fp = static_cast<int>(std::lround(lambda * 16.0));
+            fps[q] = fp < 1 ? 1 : fp;
+        }
+        return fps;
+    }();
+    return table[qp];
 }
 
 int

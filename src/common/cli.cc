@@ -34,6 +34,7 @@ Cli::Cli(int argc, const char* const* argv)
 bool
 Cli::has(const std::string& name) const
 {
+    read_.insert(name);
     for (const auto& [k, v] : flags_) {
         if (k == name) {
             return true;
@@ -45,6 +46,7 @@ Cli::has(const std::string& name) const
 std::string
 Cli::str(const std::string& name, const std::string& def) const
 {
+    read_.insert(name);
     for (const auto& [k, v] : flags_) {
         if (k == name) {
             return v;
@@ -56,6 +58,7 @@ Cli::str(const std::string& name, const std::string& def) const
 const std::string*
 Cli::value(const std::string& name) const
 {
+    read_.insert(name);
     for (const auto& [k, v] : flags_) {
         if (k == name && !v.empty()) {
             return &v;
@@ -94,6 +97,23 @@ Cli::real(const std::string& name, double def) const
         VT_FATAL("--", name, " expects a number, got '", *v, "'");
     }
     return parsed;
+}
+
+void
+Cli::rejectUnknown() const
+{
+    for (const auto& [k, v] : flags_) {
+        if (read_.count(k) != 0) {
+            continue;
+        }
+        std::string known;
+        for (const auto& name : read_) {
+            known += known.empty() ? "--" : ", --";
+            known += name;
+        }
+        VT_FATAL(program_, ": unknown flag --", k,
+                 " (this run reads: ", known.empty() ? "none" : known, ")");
+    }
 }
 
 } // namespace vtrans

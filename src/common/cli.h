@@ -5,9 +5,13 @@
  * @file
  * A minimal command-line flag parser shared by the bench and example
  * binaries. Supports `--flag`, `--key=value` and `--key value` forms.
+ * Every accessor records the name it was asked for, so a binary that
+ * calls rejectUnknown() after its last read turns a mistyped or
+ * unsupported flag into an error instead of a silent default run.
  */
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,12 +44,20 @@ class Cli
     /** The binary name (argv[0]). */
     const std::string& program() const { return program_; }
 
+    /**
+     * Fatal (VT_FATAL) if the command line holds a flag that no accessor
+     * has been asked for, naming it and the flags this run reads. Call
+     * once every flag the run depends on has been read.
+     */
+    void rejectUnknown() const;
+
   private:
     /** The first non-empty value of `--name`, or nullptr. */
     const std::string* value(const std::string& name) const;
 
     std::string program_;
     std::vector<std::pair<std::string, std::string>> flags_;
+    mutable std::set<std::string> read_; ///< Names the accessors saw.
     std::vector<std::string> positional_;
 };
 

@@ -768,6 +768,62 @@ Farm::execute(const std::vector<Attempt>& attempts)
     pool_->run(std::move(tasks));
 }
 
+std::map<uint64_t, Farm::StitchOutcome>
+Farm::stitchGraphs(const Schedule& schedule)
+{
+    // The stitch job's real work: remux the chunk bitstreams — in chunk
+    // order — into the final stream, named by the chunks' final
+    // attempts. Its outcome depends on nothing the re-timing computes,
+    // so every graph is stitched, decoded and scored in one pool batch
+    // (after one batch decoding the mezzanines the scores compare
+    // against); only the scalars are kept, not the streams.
+    const std::vector<Attempt>& attempts = schedule.attempts;
+    std::map<uint64_t, StitchOutcome> outcomes;
+    std::map<std::string, codec::DecodeResult> mezz_decoded;
+    for (const Attempt& a : attempts) {
+        if (a.fixed) {
+            outcomes.emplace(a.job_id, StitchOutcome{});
+            mezz_decoded.emplace(graphs_.at(a.job_id).task.video,
+                                 codec::DecodeResult{});
+        }
+    }
+
+    std::vector<std::function<void()>> decodes;
+    for (auto& [video, decoded] : mezz_decoded) {
+        decodes.push_back([this, &video, &decoded] {
+            decoded =
+                codec::decode(core::mezzanine(video, options_.clip_seconds));
+        });
+    }
+    pool_->run(std::move(decodes));
+
+    std::vector<std::function<void()>> stitches;
+    for (auto& [job_id, outcome] : outcomes) {
+        const GraphInfo& g = graphs_.at(job_id);
+        std::vector<const std::vector<uint8_t>*> outputs;
+        for (uint64_t dep : g.chunk_ids) {
+            const Attempt& d = attempts[schedule.last_attempt.at(dep)];
+            outputs.push_back(
+                &resultFor(d.key, fleet_[d.server].config).output);
+        }
+        const auto& reference = mezz_decoded.at(g.task.video).frames;
+        stitches.push_back([&outcome, outputs = std::move(outputs),
+                            &reference] {
+            const std::vector<uint8_t> stream = chunk::stitch(outputs);
+            outcome.bytes = stream.size();
+            outcome.fingerprint = chunk::streamFingerprint(stream);
+            // Real measured quality of the stitched stream, against the
+            // same reference the unchunked path uses (the decoded
+            // mezzanine), so the run log's deltas are exact boundary
+            // cost.
+            outcome.psnr = video::sequencePsnr(codec::decode(stream).frames,
+                                               reference);
+        });
+    }
+    pool_->run(std::move(stitches));
+    return outcomes;
+}
+
 void
 Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
 {
@@ -838,20 +894,9 @@ Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
         records.emplace(job.id, std::move(rec));
     }
 
-    std::map<std::string, codec::DecodeResult> mezz_decoded;
-    auto mezzFrames = [&](const std::string& video)
-        -> const std::vector<video::Frame>& {
-        auto it = mezz_decoded.find(video);
-        if (it == mezz_decoded.end()) {
-            it = mezz_decoded
-                     .emplace(video, codec::decode(core::mezzanine(
-                                         video, options_.clip_seconds)))
-                     .first;
-        }
-        return it->second.frames;
-    };
-
     const std::vector<Attempt>& attempts = schedule.attempts;
+    const std::map<uint64_t, StitchOutcome> stitched =
+        stitchGraphs(schedule);
     const double hit_cost = std::max(options_.cache_hit_seconds, 1e-9);
     std::vector<double> server_free(fleet_.size(), 0.0);
     std::vector<double> finish(attempts.size(), 0.0);
@@ -866,24 +911,16 @@ Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
         double actual = 0.0;
         double dep_ready = 0.0;
         const core::RunResult* result = nullptr;
-        std::vector<uint8_t> stitched;
+        const StitchOutcome* stitch = nullptr;
         if (a.fixed) {
-            // The stitch job's real work: remux the chunk bitstreams —
-            // in chunk order — into the final stream. The planner only
-            // dispatched it once every chunk's final attempt succeeded,
-            // so those attempts name the results (and the finish times)
-            // it waits on.
-            std::vector<const std::vector<uint8_t>*> outputs;
+            // The stitch waits on its chunks' final attempts (the planner
+            // only dispatched it once every one succeeded).
             for (uint64_t dep : graphs_.at(a.job_id).chunk_ids) {
-                const int d = schedule.last_attempt.at(dep);
-                outputs.push_back(
-                    &resultFor(attempts[d].key,
-                               fleet_[attempts[d].server].config)
-                         .output);
-                dep_ready = std::max(dep_ready, finish[d]);
+                dep_ready = std::max(dep_ready,
+                                     finish[schedule.last_attempt.at(dep)]);
             }
-            stitched = chunk::stitch(outputs);
-            actual = chunk::stitchSeconds(stitched.size());
+            stitch = &stitched.at(a.job_id);
+            actual = chunk::stitchSeconds(stitch->bytes);
         } else {
             result = &resultFor(a.key, fleet_[a.server].config);
             actual = a.cache == Attempt::Cache::Hit
@@ -921,17 +958,13 @@ Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
         rec.actual_seconds = actual;
         rec.finish = end;
         if (a.fixed) {
-            // Real measured quality of the stitched stream, against the
-            // same reference the unchunked path uses (the decoded
-            // mezzanine), so the deltas below are exact boundary cost.
             const GraphInfo& g = graphs_.at(a.job_id);
-            rec.psnr = video::sequencePsnr(codec::decode(stitched).frames,
-                                           mezzFrames(g.task.video));
+            rec.psnr = stitch->psnr;
             const double duration =
                 static_cast<double>(g.plan->total_frames) / g.plan->fps;
-            rec.bitrate_kbps = static_cast<double>(stitched.size()) * 8.0
+            rec.bitrate_kbps = static_cast<double>(stitch->bytes) * 8.0
                                / 1000.0 / duration;
-            rec.result_fingerprint = chunk::streamFingerprint(stitched);
+            rec.result_fingerprint = stitch->fingerprint;
             const auto ref = unchunked_refs_.find(taskKey(g.task));
             if (ref != unchunked_refs_.end()) {
                 rec.delta_psnr_db = rec.psnr - ref->second.psnr;

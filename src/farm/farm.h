@@ -257,9 +257,20 @@ class Farm
         double bitrate_kbps = 0.0;
     };
 
+    /** What account() needs of one graph's stitched stream. */
+    struct StitchOutcome
+    {
+        size_t bytes = 0;
+        uint64_t fingerprint = 0;
+        double psnr = 0.0;  ///< Against the decoded mezzanine.
+    };
+
     void characterize(const std::vector<Job>& jobs);
     Schedule plan(std::vector<Job> jobs);
     void execute(const std::vector<Attempt>& attempts);
+    /** Every graph's stitch outcome, by stitch job id, computed on the
+     *  pool from the chunks' final attempts in `schedule`. */
+    std::map<uint64_t, StitchOutcome> stitchGraphs(const Schedule& schedule);
     void account(const std::vector<Job>& jobs, const Schedule& schedule);
     void recordMetrics() const;
 

@@ -22,44 +22,6 @@ Frame::Frame(int width, int height)
     plane_base_[2] = arena.alloc(cr_.size());
 }
 
-uint8_t&
-Frame::at(Plane p, int x, int y)
-{
-    switch (p) {
-      case Plane::Y:
-        return y_[static_cast<size_t>(y) * width_ + x];
-      case Plane::Cb:
-        return cb_[static_cast<size_t>(y) * (width_ / 2) + x];
-      default:
-        return cr_[static_cast<size_t>(y) * (width_ / 2) + x];
-    }
-}
-
-uint8_t
-Frame::at(Plane p, int x, int y) const
-{
-    return const_cast<Frame*>(this)->at(p, x, y);
-}
-
-uint8_t*
-Frame::data(Plane p)
-{
-    switch (p) {
-      case Plane::Y:
-        return y_.data();
-      case Plane::Cb:
-        return cb_.data();
-      default:
-        return cr_.data();
-    }
-}
-
-const uint8_t*
-Frame::data(Plane p) const
-{
-    return const_cast<Frame*>(this)->data(p);
-}
-
 void
 Frame::fill(uint8_t y, uint8_t cb, uint8_t cr)
 {

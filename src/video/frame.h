@@ -37,13 +37,30 @@ class Frame
     int chromaHeight() const { return height_ / 2; }
 
     /** Mutable pixel access into a plane (no bounds checks in release). */
-    uint8_t& at(Plane p, int x, int y);
+    uint8_t&
+    at(Plane p, int x, int y)
+    {
+        return data(p)[static_cast<size_t>(y) * stride(p) + x];
+    }
     /** Read-only pixel access into a plane. */
-    uint8_t at(Plane p, int x, int y) const;
+    uint8_t
+    at(Plane p, int x, int y) const
+    {
+        return data(p)[static_cast<size_t>(y) * stride(p) + x];
+    }
 
     /** Raw pointer to a plane's first pixel (row-major, tightly packed). */
-    uint8_t* data(Plane p);
-    const uint8_t* data(Plane p) const;
+    uint8_t*
+    data(Plane p)
+    {
+        return p == Plane::Y ? y_.data()
+                             : (p == Plane::Cb ? cb_.data() : cr_.data());
+    }
+    const uint8_t*
+    data(Plane p) const
+    {
+        return const_cast<Frame*>(this)->data(p);
+    }
 
     /** Row stride (== plane width) of a plane. */
     int stride(Plane p) const { return p == Plane::Y ? width_ : width_ / 2; }

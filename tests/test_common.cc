@@ -201,5 +201,23 @@ TEST(Cli, RealAndStringValues)
     EXPECT_DOUBLE_EQ(strict.real("tiny", 0.0), 1e-3);
 }
 
+TEST(Cli, RejectsFlagsNothingRead)
+{
+    const char* argv[] = {"prog", "--seconds", "0.1", "--quiet",
+                          "--bogus-flag", "3"};
+    Cli cli(6, argv);
+    EXPECT_DOUBLE_EQ(cli.real("seconds", 1.0), 0.1);
+    EXPECT_TRUE(cli.has("quiet"));
+    // A flag the run never asked for is named, beside what it does read.
+    EXPECT_DEATH(cli.rejectUnknown(),
+                 "unknown flag --bogus-flag.*--quiet, --seconds");
+
+    // Asking for a flag counts as reading it, whatever the accessor and
+    // whether or not it was given; then nothing is left to reject.
+    EXPECT_FALSE(cli.has("kernel-model"));
+    EXPECT_EQ(cli.num("bogus-flag", 0), 3);
+    cli.rejectUnknown();
+}
+
 } // namespace
 } // namespace vtrans

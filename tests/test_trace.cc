@@ -306,7 +306,8 @@ TEST(Probe, PerThreadAttachmentDoesNotCrossTalk)
     trace::setSink(&main_sink);
 
     RecordingSink worker_sink;
-    std::thread worker([&worker_sink, &site] {
+    // `site` is a static reference: the lambda names it directly.
+    std::thread worker([&worker_sink] {
         // This thread starts with no sink; emitting is a no-op.
         trace::block(site);
         trace::setSink(&worker_sink);
@@ -566,7 +567,8 @@ TEST(BatchPipeline, ThreadsBatchIndependently)
     std::vector<std::vector<RecordingSink::Event>> seen(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&seen, t, &site, &br] {
+        // `site` and `br` are static references, named without capture.
+        threads.emplace_back([&seen, t] {
             RecordingSink sink;
             // Different capacities per thread: wraparound at different
             // points, same delivered stream.

@@ -32,6 +32,7 @@ main(int argc, char** argv)
         return 1;
     }
     const int64_t limit_flag = cli.num("limit", 12);
+    cli.rejectUnknown();
     const size_t limit =
         limit_flag <= 0 ? 12 : static_cast<size_t>(limit_flag);
 
