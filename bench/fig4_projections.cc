@@ -80,7 +80,8 @@ main(int argc, char** argv)
             b.cell(static_cast<int64_t>(crf));
             b.cell(static_cast<int64_t>(p.refs));
             b.cell(p.run.transcode_seconds * 1000.0, 3);
-            b.cell("x" + formatDouble(p.run.transcode_seconds / base, 3));
+            b.cell(std::string("x").append(
+                formatDouble(p.run.transcode_seconds / base, 3)));
         }
     }
     std::printf("%sCSV:\n%s", b.toText().c_str(), b.toCsv().c_str());

@@ -22,8 +22,8 @@
  * retirement — the dispatch fast-forward), `branch` (predictor-bound),
  * `mem` (loads/stores — caches, MSHR, store buffer), or the default
  * codec-shaped `mixed`. --min-model-speedup R (0 = off) runs the
- * model sink's event-driven fast-forward against the retained
- * instruction-stepped reference path in the same binary, asserts their
+ * model sink's event-driven fast-forward against the instruction-stepped
+ * oracle (uarch::SteppingCore) in the same binary, asserts their
  * CoreStats are bit-identical, and fails below R x. --attr-overhead R
  * (0 = off) measures the model sink at the default batch with per-site
  * attribution on vs off (the median of --reps interleaved pairs),
@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,7 @@
 #include "trace/probe.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
+#include "uarch/stepping.h"
 
 namespace {
 
@@ -232,18 +234,18 @@ emitStream(StreamKind kind, uint64_t iters)
 /** One measured configuration: sink flavour x batch capacity. */
 struct Measurement
 {
-    std::string sink;   ///< "count" / "model".
+    std::string sink;   ///< "count" / "model" / "oracle".
     uint32_t batch = 1; ///< Batch capacity (1 = a batch of one).
     double best_seconds = 0.0;
     double events_per_sec = 0.0;
-    uarch::CoreStats stats;         ///< model mode.
+    uarch::CoreStats stats;         ///< model and oracle modes.
     uint64_t counted = 0;           ///< count mode.
 };
 
 Measurement
 runMode(const std::string& sink_kind, uint32_t batch, uint64_t iters,
         int reps, bool attribute = false,
-        StreamKind stream = StreamKind::Mixed, bool reference = false)
+        StreamKind stream = StreamKind::Mixed)
 {
     Measurement m;
     m.sink = sink_kind;
@@ -252,12 +254,16 @@ runMode(const std::string& sink_kind, uint32_t batch, uint64_t iters,
     for (int rep = 0; rep < reps; ++rep) {
         uarch::CoreParams params = uarch::baselineConfig();
         params.attribute_sites = attribute;
-        params.reference_stepping = reference;
-        uarch::CoreModel model(params);
+        std::unique_ptr<uarch::CoreModel> model;
+        std::unique_ptr<uarch::SteppingCore> oracle;
         CountingSink counter;
         trace::ProbeSink* sink = &counter;
         if (sink_kind == "model") {
-            sink = &model;
+            model = std::make_unique<uarch::CoreModel>(params);
+            sink = model.get();
+        } else if (sink_kind == "oracle") {
+            oracle = std::make_unique<uarch::SteppingCore>(params);
+            sink = oracle.get();
         }
         const auto t0 = Clock::now();
         trace::setSink(sink, batch);
@@ -267,8 +273,10 @@ runMode(const std::string& sink_kind, uint32_t batch, uint64_t iters,
         m.best_seconds = std::min(m.best_seconds, secs);
         if (rep == reps - 1) {
             // Stats are deterministic across reps; keep the last one.
-            if (sink_kind != "count") {
-                m.stats = model.finish();
+            if (model != nullptr) {
+                m.stats = model->finish();
+            } else if (oracle != nullptr) {
+                m.stats = oracle->finish();
             }
             m.counted = counter.events();
         }
@@ -344,8 +352,8 @@ printHelp(const char* prog)
         "  --min-speedup R       fail if the count sink at the default\n"
         "                        batch is < R x its batch-of-one rate\n"
         "  --min-model-speedup R fail if the model sink's event-driven\n"
-        "                        fast-forward is < R x the retained\n"
-        "                        instruction-stepped reference (also\n"
+        "                        fast-forward is < R x the\n"
+        "                        instruction-stepped oracle (also\n"
         "                        asserts their CoreStats are bit-identical)\n"
         "  --attr-overhead R     fail if per-site attribution costs > R x\n"
         "                        (0 = skip; also asserts identity)\n"
@@ -444,22 +452,22 @@ main(int argc, char** argv)
                                             : "FAILED");
 
     // --- Optional model-sink gate: the event-driven fast-forward vs the
-    // retained instruction-stepped reference path, same stream, same
-    // binary (so the ratio is machine-independent). The two must be
-    // bit-identical; the fast-forward must be at least
+    // instruction-stepped oracle (the reference of the JSON key), same
+    // stream, same binary (so the ratio is machine-independent). The
+    // two must be bit-identical; the fast-forward must be at least
     // --min-model-speedup x faster.
     double model_speedup_vs_reference = 0.0;
     if (min_model_speedup > 0.0) {
-        const Measurement ref = runMode("model", default_batch, iters,
-                                        reps, false, stream, true);
+        const Measurement ref = runMode("oracle", default_batch, iters,
+                                        reps, false, stream);
         const Measurement opt = runMode("model", default_batch, iters,
-                                        reps, false, stream, false);
+                                        reps, false, stream);
         model_speedup_vs_reference =
             opt.best_seconds > 0.0 ? ref.best_seconds / opt.best_seconds
                                    : 0.0;
         identical &= statsIdentical(opt.stats, ref.stats,
-                                    "fast-forward vs reference stepping");
-        std::printf("model fast-forward vs reference stepping: x%.2f "
+                                    "fast-forward vs stepping oracle");
+        std::printf("model fast-forward vs stepping oracle: x%.2f "
                     "(required x%.2f)\n",
                     model_speedup_vs_reference, min_model_speedup);
     }
@@ -544,7 +552,7 @@ main(int argc, char** argv)
         && model_speedup_vs_reference < min_model_speedup) {
         std::fprintf(stderr,
                      "MODEL SPEEDUP FAIL: fast-forward x%.3f < required "
-                     "x%.3f vs reference stepping\n",
+                     "x%.3f vs the stepping oracle\n",
                      model_speedup_vs_reference, min_model_speedup);
         return 1;
     }

@@ -39,9 +39,14 @@ main(int argc, char** argv)
     row("bframes",
         [](const P& p) { return std::to_string(p.bframes); });
     row("deblock", [](const P& p) {
-        return p.deblock ? "[" + std::to_string(p.deblock_alpha) + ":"
-                               + std::to_string(p.deblock_beta) + "]"
-                         : "off";
+        if (!p.deblock) {
+            return std::string("off");
+        }
+        return std::string("[")
+            .append(std::to_string(p.deblock_alpha))
+            .append(":")
+            .append(std::to_string(p.deblock_beta))
+            .append("]");
     });
     row("me", [](const P& p) { return codec::toString(p.me); });
     row("merange",

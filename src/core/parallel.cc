@@ -4,14 +4,11 @@
 #include <mutex>
 #include <thread>
 
-#include "codec/decoder.h"
 #include "codec/params.h"
-#include "codec/transcode.h"
 #include "common/status.h"
 #include "farm/server.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
-#include "video/quality.h"
 #include "video/vbench.h"
 
 namespace vtrans::core {
@@ -170,123 +167,6 @@ parallelPresetStudy(const StudyOptions& options, SweepStats* stats)
         *stats = s;
     }
     return results;
-}
-
-ChunkedResult
-chunkedTranscode(const ChunkedOptions& options, SweepStats* stats)
-{
-    ChunkedResult out;
-    if (!options.chunking.enabled()) {
-        // Chunking off: the ordinary whole-video path, byte-identical to
-        // a plain instrumented run (no split, no remux).
-        RunConfig cfg;
-        cfg.video = options.video;
-        cfg.seconds = options.seconds;
-        cfg.params = options.params;
-        cfg.core = options.core;
-        cfg.keep_output = true;
-        RunResult run = runInstrumented(cfg);
-        out.chunks = 1;
-        out.psnr = run.psnr;
-        out.bitrate_kbps = run.bitrate_kbps;
-        out.total_sim_seconds = run.transcode_seconds;
-        out.stitched = run.output;
-        out.stream_fingerprint = chunk::streamFingerprint(out.stitched);
-        out.chunk_runs.push_back(std::move(run));
-        if (stats != nullptr) {
-            *stats = SweepStats{};
-            stats->jobs = resolveJobs(options.jobs);
-            stats->points = 1;
-        }
-        return out;
-    }
-
-    // Split once, globally (boundaries come from the whole-clip
-    // lookahead), then fan the chunk encodes out like any other sweep:
-    // results land in pre-sized slots, so ordering never depends on
-    // completion order.
-    const auto plan = cachedSplit(options.video, options.seconds,
-                                  options.params, options.chunking);
-    const auto groups = chunk::groupSegments(plan->segments.size(),
-                                             options.chunking.max_chunks);
-    out.segments = plan->segments.size();
-    out.chunks = groups.size();
-    out.chunk_runs.resize(groups.size());
-
-    const SweepStats s = parallelSweep(
-        groups.size(), options.jobs, [&](size_t i) {
-            std::vector<const std::vector<uint8_t>*> slices;
-            slices.reserve(groups[i].second);
-            for (int k = 0; k < groups[i].second; ++k) {
-                slices.push_back(
-                    &plan->segments[groups[i].first + k].source);
-            }
-            RunConfig cfg;
-            cfg.video = options.video;
-            cfg.seconds = options.seconds;
-            cfg.params = options.params;
-            cfg.core = options.core;
-            out.chunk_runs[i] = runInstrumentedChunk(slices, cfg);
-        });
-    if (stats != nullptr) {
-        *stats = s;
-    }
-
-    // Ordered collect: stitch the per-chunk bitstreams left to right.
-    std::vector<const std::vector<uint8_t>*> outputs;
-    outputs.reserve(out.chunk_runs.size());
-    for (const RunResult& run : out.chunk_runs) {
-        outputs.push_back(&run.output);
-        out.total_sim_seconds += run.transcode_seconds;
-    }
-    out.stitched = chunk::stitch(outputs);
-    out.stream_fingerprint = chunk::streamFingerprint(out.stitched);
-    out.stitch_seconds = chunk::stitchSeconds(out.stitched.size());
-    out.total_sim_seconds += out.stitch_seconds;
-
-    // Measured quality of the final stream, against the same reference
-    // the unchunked path uses (the decoded mezzanine).
-    const auto& source = mezzanine(options.video, options.seconds);
-    out.psnr = video::sequencePsnr(codec::decode(out.stitched).frames,
-                                   codec::decode(source).frames);
-    out.bitrate_kbps =
-        static_cast<double>(out.stitched.size()) * 8.0 / 1000.0
-        / (static_cast<double>(plan->total_frames) / plan->fps);
-
-    auto& reg = obs::metrics();
-    reg.counter("chunk_jobs_total",
-                "Chunk encode jobs of split transcodes")
-        .inc(out.chunks);
-    reg.counter("chunk_graphs_total",
-                "Chunked transcode graphs (stitch jobs) submitted")
-        .inc();
-    reg.histogram("chunk_chunks_per_graph",
-                  "Chunk jobs per transcode graph")
-        .observe(static_cast<double>(out.chunks));
-    reg.histogram("chunk_stitch_latency_sim_seconds",
-                  "Service time of stitch jobs (simulated seconds)")
-        .observe(out.stitch_seconds);
-
-    if (options.compare_unchunked) {
-        // The boundary cost: closed-GOP chunk starts vs the open-GOP
-        // whole-video encode (native run; the encode outcome is a pure
-        // function of input + params, so no core model is needed).
-        const codec::TranscodeResult whole =
-            codec::transcode(source, options.params);
-        out.delta_psnr_db = out.psnr - whole.psnr();
-        out.delta_bitrate_kbps = out.bitrate_kbps - whole.bitrateKbps();
-        reg.histogram(
-               "chunk_boundary_delta_psnr_db",
-               "Stitched minus unchunked PSNR (chunk-boundary quality "
-               "cost)")
-            .observe(out.delta_psnr_db);
-        reg.histogram(
-               "chunk_boundary_delta_bitrate_kbps",
-               "Stitched minus unchunked bitrate (chunk-boundary size "
-               "cost)")
-            .observe(out.delta_bitrate_kbps);
-    }
-    return out;
 }
 
 std::vector<VideoResult>

@@ -78,52 +78,6 @@ std::vector<PresetResult> parallelPresetStudy(const StudyOptions& options,
 std::vector<VideoResult> parallelVideoStudy(const StudyOptions& options,
                                             SweepStats* stats = nullptr);
 
-/** Options of a GOP-chunked transcode (see chunk/chunk.h). */
-struct ChunkedOptions
-{
-    std::string video = "bbb";   ///< vbench short name (or "bbb").
-    double seconds = 0.0;        ///< Clip length; 0 = full 5 s clip.
-    codec::EncoderParams params; ///< Target transcode parameters.
-    uarch::CoreParams core;      ///< Simulated machine per chunk run.
-    chunk::ChunkOptions chunking; ///< Boundary spacing / chunk count.
-    int jobs = 1;                ///< Worker threads; < 1 = hardware.
-    bool compare_unchunked = false; ///< Also run the whole-video encode
-                                    ///< and report the boundary deltas.
-};
-
-/** Outcome of a chunked transcode. */
-struct ChunkedResult
-{
-    size_t segments = 0;         ///< Closed-GOP units in the split plan.
-    size_t chunks = 0;           ///< Encode jobs the segments grouped into.
-    std::vector<RunResult> chunk_runs; ///< Per-chunk instrumented runs.
-    std::vector<uint8_t> stitched;     ///< The final remuxed stream.
-    uint64_t stream_fingerprint = 0;   ///< FNV-1a over `stitched`.
-
-    double psnr = 0.0;           ///< Stitched stream vs decoded mezzanine.
-    double bitrate_kbps = 0.0;   ///< Of the stitched stream.
-    double stitch_seconds = 0.0; ///< Simulated remux service time.
-    double total_sim_seconds = 0.0; ///< Sum of chunk runs + stitch.
-
-    // Boundary cost (only when `compare_unchunked`): stitched minus
-    // whole-video encode of the same source and parameters.
-    double delta_psnr_db = 0.0;
-    double delta_bitrate_kbps = 0.0;
-};
-
-/**
- * Splits `options.video` at lookahead GOP/scenecut boundaries, encodes
- * the chunks as independent instrumented runs on the worker pool
- * (`parallelSweep` shape: fan-out, ordered collect), and
- * stitches the per-chunk bitstreams into one stream. The stitched bytes
- * — and `stream_fingerprint` — are identical for any `jobs` and any
- * chunk count (see chunk/chunk.h). With chunking disabled the whole
- * video runs as a single ordinary instrumented transcode and the output
- * is byte-identical to that path.
- */
-ChunkedResult chunkedTranscode(const ChunkedOptions& options,
-                               SweepStats* stats = nullptr);
-
 } // namespace vtrans::core
 
 #endif // VTRANS_CORE_PARALLEL_H_

@@ -1,7 +1,6 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/status.h"
 
@@ -28,36 +27,8 @@ tableIIITasks()
     };
 }
 
-namespace {
-
-/** Exhaustive permutation search; exact reference for tiny pools. */
 Assignment
-solveExhaustive(const std::vector<std::vector<double>>& scores)
-{
-    const int n_tasks = static_cast<int>(scores.size());
-    const int n_servers = static_cast<int>(scores[0].size());
-    std::vector<int> perm(n_servers);
-    std::iota(perm.begin(), perm.end(), 0);
-
-    Assignment best_assignment(n_tasks, 0);
-    double best_score = -1e300;
-    do {
-        double score = 0.0;
-        for (int t = 0; t < n_tasks; ++t) {
-            score += scores[t][perm[t]];
-        }
-        if (score > best_score) {
-            best_score = score;
-            best_assignment.assign(perm.begin(), perm.begin() + n_tasks);
-        }
-    } while (std::next_permutation(perm.begin(), perm.end()));
-    return best_assignment;
-}
-
-} // namespace
-
-Assignment
-solveAssignmentHungarian(const std::vector<std::vector<double>>& scores)
+solveAssignment(const std::vector<std::vector<double>>& scores)
 {
     const int n_tasks = static_cast<int>(scores.size());
     VT_ASSERT(n_tasks > 0, "empty assignment problem");
@@ -133,19 +104,6 @@ solveAssignmentHungarian(const std::vector<std::vector<double>>& scores)
         VT_ASSERT(out[t] >= 0, "Hungarian left a task unassigned");
     }
     return out;
-}
-
-Assignment
-solveAssignment(const std::vector<std::vector<double>>& scores)
-{
-    const int n_tasks = static_cast<int>(scores.size());
-    VT_ASSERT(n_tasks > 0, "empty assignment problem");
-    const int n_servers = static_cast<int>(scores[0].size());
-    VT_ASSERT(n_servers >= n_tasks, "need at least one server per task");
-    if (n_servers <= 8) {
-        return solveExhaustive(scores);
-    }
-    return solveAssignmentHungarian(scores);
 }
 
 namespace {

@@ -41,19 +41,12 @@ std::vector<Task> tableIIITasks();
 using Assignment = std::vector<int>;
 
 /**
- * Solves max-sum one-to-one assignment exactly.
- * Dispatches to exhaustive permutation search for tiny pools and to the
- * O(n^3) Hungarian algorithm for larger ones.
+ * Solves max-sum one-to-one assignment exactly with the O(n^3)
+ * Hungarian (Kuhn-Munkres) algorithm; rectangular problems (tasks <=
+ * servers) are padded square.
  * @param scores scores[task][server]; tasks <= servers.
  */
 Assignment solveAssignment(const std::vector<std::vector<double>>& scores);
-
-/**
- * The O(n^3) Hungarian (Kuhn-Munkres) algorithm for max-sum assignment;
- * handles rectangular problems (tasks <= servers) by padding.
- */
-Assignment solveAssignmentHungarian(
-    const std::vector<std::vector<double>>& scores);
 
 /**
  * Predicts how well a microarchitecture variant fits a task from the

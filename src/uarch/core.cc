@@ -7,7 +7,7 @@
 
 #include "common/status.h"
 #include "uarch/branch.h"
-#include "uarch/ringbuf.h"
+#include "uarch/timing.h"
 #include "uarch/tlb.h"
 
 namespace vtrans::uarch {
@@ -296,16 +296,6 @@ siteOf(uint64_t tag)
     return *reinterpret_cast<const trace::CodeSite*>(tag & ~kKindBits);
 }
 
-/** The bucket of `site_id` in a per-site table, growing it on demand. */
-SiteUarch&
-siteBucket(std::vector<SiteUarch>& table, uint32_t site_id)
-{
-    if (site_id >= table.size()) {
-        table.resize(site_id + 1);
-    }
-    return table[site_id];
-}
-
 bool
 sameCache(const CacheParams& a, const CacheParams& b)
 {
@@ -544,24 +534,15 @@ struct CoreModel::Functional
 
 // ---- Timing stage state -------------------------------------------------------
 
-/** One class's dispatch and window model, with its results. */
-struct CoreModel::ClassTiming
+/**
+ * One class's timing stage: the shared clock and windows
+ * (uarch/timing.h) advanced by the event-driven fast-forward, reading
+ * the functional stage's outcome word for each record. Attribution
+ * charges split between the two stages: the time-based ones land in
+ * this class's table, the order-only ones in its annotation group's.
+ */
+struct CoreModel::ClassTiming : TimingState
 {
-    enum class StallCause : uint8_t
-    {
-        Frontend,
-        BadSpeculation,
-        BackendMemory,
-        BackendCore,
-    };
-
-    struct WindowEntry
-    {
-        uint64_t time;  ///< Retire/issue/drain cycle.
-        uint32_t count; ///< Instructions coalesced into this entry.
-        bool is_mem;    ///< Blocking on memory (stall attribution).
-    };
-
     ClassTiming(const CoreParams& p, uint32_t annotation_group);
 
     /** Consumes `count` records in order; record i's outcome word is
@@ -575,102 +556,31 @@ struct CoreModel::ClassTiming
     void timeLoad(uint64_t outcome);
     void timeStore(uint64_t outcome);
 
-    /** Applies a fetch penalty starting now (0 = none). */
-    void delayFetch(uint64_t penalty);
-
     /** The window side of a block: its instructions in chunks. */
     void dispatchBlock(const trace::CodeSite& site);
 
     /** Dispatch of a resolving branch; returns its resolve cycle. */
     uint64_t dispatchBranch(const trace::CodeSite& site);
 
-    /** Redirect after a branch resolved at `resolve`. */
-    void redirect(bool taken, bool mispredict, bool btb_hit,
-                  uint64_t resolve);
-
     /** The MSHR-limited completion of a load of `latency` cycles. */
-    uint64_t loadComplete(int latency, bool reference);
+    uint64_t loadComplete(int latency);
 
-    void advanceTo(uint64_t target_cycle, StallCause cause);
     void dispatch(uint32_t count);
-    void referenceDispatch(uint32_t count);
-    void resolveFrontend();
-    void ensureRobSpace(uint32_t count);
-    void ensureRsSpace(uint32_t count);
-    void ensureSbSpace(uint32_t count);
-    void robPush(uint64_t complete, uint32_t count, bool is_mem);
-    void rsPush(uint64_t free, uint32_t count, bool is_mem);
-    void sbPush(uint64_t drain_time, uint32_t count);
-    void drain();
-    void capturePhase();
-
-    /** Runs the clock to the last retirement and closes the counters. */
-    void finishClock();
 
     static constexpr uint32_t kNoShift = UINT32_MAX;
 
-    CoreParams params;
     uint32_t annotation = 0; ///< Functional::annotations index.
-    bool reference_stepping = false;
     /// log2(width) when the width is a power of two, else kNoShift.
     uint32_t width_shift = kNoShift;
-    /// Largest instruction chunk a block dispatches at once: the
-    /// smaller window structure.
-    uint32_t max_chunk = 0;
-
-    // Dispatch state.
-    alignas(64) uint64_t cur_cycle = 0;
-    uint32_t slots_in_cycle = 0;
-
-    // Frontend availability.
-    uint64_t fetch_ready = 0;
-    StallCause fetch_reason = StallCause::Frontend;
-
-    // Window occupancy. Ring buffers instead of deques: coalescing keeps
-    // the entry count far below the modelled structure size, so in
-    // steady state these never allocate (see uarch/ringbuf.h).
-    RingBuffer<WindowEntry> rob;
-    RingBuffer<WindowEntry> rs;
-    RingBuffer<WindowEntry> sb;
-    uint64_t rob_count = 0;
-    uint64_t rs_count = 0;
-    uint64_t sb_count = 0;
-    uint64_t rob_last_complete = 0;
-    uint64_t rs_last_free = 0;
-    uint64_t sb_last_drain = 0;
-
-    uint64_t last_load_complete = 0;
-    RingBuffer<uint64_t> mshr; ///< Completion times of in-flight misses.
 
     /** mshr.front() (UINT64_MAX when empty), cached so a load skips the
      *  head-pruning loop entirely while the oldest miss is still in the
      *  future — the common case on a streaming miss train. */
     uint64_t mshr_head = UINT64_MAX;
-
-    CoreStats stats;
-
-    // Per-site attribution (CoreParams::attribute_sites): the time-based
-    // charges here, the order-only ones in the annotation group's table.
-    // attr_cur is null when attribution is off — a single predictable
-    // branch guards every mirrored charge — and otherwise always points
-    // at a live bucket (initially the unattributed one). It is refreshed
-    // on every site record, the only records that can grow attr_sites,
-    // so it never dangles across intervening loads/stores.
-    std::vector<SiteUarch> attr_sites;
-    SiteUarch attr_unattributed;
-    SiteUarch* attr_cur = nullptr;
-
-    // Phase time-series (CoreParams::phase_window). next_phase stays at
-    // UINT64_MAX when sampling is off, so the hot dispatch loop pays one
-    // never-taken compare per instruction.
-    std::vector<PhaseSample> phase;
-    uint64_t next_phase = UINT64_MAX;
 };
 
-CoreModel::ClassTiming::ClassTiming(const CoreParams& p,
-                                    uint32_t annotation_group)
-    : params(p), annotation(annotation_group),
-      reference_stepping(p.reference_stepping),
+TimingState::TimingState(const CoreParams& p)
+    : params(p),
       // Window rings hold at most one coalesced entry per occupant, so
       // reserving the modelled structure size up front means steady-state
       // pushes never reallocate — even with the fast-forward path's lazy
@@ -683,10 +593,6 @@ CoreModel::ClassTiming::ClassTiming(const CoreParams& p,
 {
     stats.width = params.width;
     stats.freq_ghz = params.freq_ghz;
-    const auto width = static_cast<uint32_t>(params.width);
-    if ((width & (width - 1)) == 0) {
-        width_shift = static_cast<uint32_t>(__builtin_ctz(width));
-    }
     max_chunk =
         static_cast<uint32_t>(std::min(params.rob_size, params.rs_size));
     if (params.attribute_sites) {
@@ -697,8 +603,18 @@ CoreModel::ClassTiming::ClassTiming(const CoreParams& p,
     }
 }
 
+CoreModel::ClassTiming::ClassTiming(const CoreParams& p,
+                                    uint32_t annotation_group)
+    : TimingState(p), annotation(annotation_group)
+{
+    const auto width = static_cast<uint32_t>(params.width);
+    if ((width & (width - 1)) == 0) {
+        width_shift = static_cast<uint32_t>(__builtin_ctz(width));
+    }
+}
+
 void
-CoreModel::ClassTiming::capturePhase()
+TimingState::capturePhase()
 {
     PhaseSample s;
     s.instructions = stats.instructions;
@@ -719,7 +635,7 @@ CoreModel::ClassTiming::capturePhase()
 }
 
 void
-CoreModel::ClassTiming::advanceTo(uint64_t target_cycle, StallCause cause)
+TimingState::advanceTo(uint64_t target_cycle, StallCause cause)
 {
     if (target_cycle <= cur_cycle) {
         return;
@@ -761,32 +677,12 @@ CoreModel::ClassTiming::advanceTo(uint64_t target_cycle, StallCause cause)
     slots_in_cycle = 0;
 }
 
-// The window helpers from here to resolveFrontend() are force-inlined:
-// the timing stage makes about six of these calls per event, and as the
-// slowest stage it sets the pipeline's rate (GCC's -O2 heuristics kept
-// them out of line).
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::drain()
-{
-    while (!rob.empty() && rob.front().time <= cur_cycle) {
-        rob_count -= rob.front().count;
-        rob.pop_front();
-    }
-    while (!rs.empty() && rs.front().time <= cur_cycle) {
-        rs_count -= rs.front().count;
-        rs.pop_front();
-    }
-    while (!sb.empty() && sb.front().time <= cur_cycle) {
-        sb_count -= sb.front().count;
-        sb.pop_front();
-    }
-}
-
 [[gnu::always_inline]] inline void
 CoreModel::ClassTiming::dispatch(uint32_t count)
 {
     // Event-driven fast-forward (DESIGN.md §13). Two facts make a
-    // closed-form advance bit-exact vs the stepped reference loop:
+    // closed-form advance bit-exact vs stepping one instruction at a
+    // time (the oracle in uarch/stepping.cc):
     //
     //  1. fetch_ready is invariant across this call and cur_cycle only
     //     grows, so the per-instruction frontend check can fire at most
@@ -801,10 +697,6 @@ CoreModel::ClassTiming::dispatch(uint32_t count)
     //
     // What remains is pure arithmetic on (cur_cycle, slots_in_cycle,
     // slots_retiring, instructions): advance it in closed form.
-    if (reference_stepping) {
-        referenceDispatch(count);
-        return;
-    }
     if (fetch_ready > cur_cycle) {
         advanceTo(fetch_ready, fetch_reason);
         drain();
@@ -864,7 +756,7 @@ CoreModel::ClassTiming::dispatch(uint32_t count)
             stats.instructions += span;
             done += span;
             if (span == to_boundary) {
-                // The reference loop samples after the boundary
+                // A stepped loop samples after the boundary
                 // instruction's retire/instruction increments but before
                 // its dispatch slot is consumed: position the clock at
                 // the cycle the first (done - 1) slots of this call
@@ -882,187 +774,6 @@ CoreModel::ClassTiming::dispatch(uint32_t count)
     }
     if (rolled > 0) {
         drain();
-    }
-}
-
-void
-CoreModel::ClassTiming::referenceDispatch(uint32_t count)
-{
-    if (attr_cur == nullptr && next_phase == UINT64_MAX) {
-        // The pre-fast-forward hot path: one step per retired
-        // instruction (retained for the differential suite).
-        for (uint32_t i = 0; i < count; ++i) {
-            // Frontend availability gates dispatch.
-            if (fetch_ready > cur_cycle) {
-                advanceTo(fetch_ready, fetch_reason);
-                drain();
-            }
-            ++stats.slots_retiring;
-            ++stats.instructions;
-            ++slots_in_cycle;
-            if (slots_in_cycle == static_cast<uint32_t>(params.width)) {
-                ++cur_cycle;
-                slots_in_cycle = 0;
-                drain();
-            }
-        }
-        return;
-    }
-    // Instrumented reference path: per-site charges accumulate in locals
-    // and post once after the loop; the phase check stays per
-    // instruction so samples land on window boundaries.
-    uint64_t cycles_rolled = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-        if (fetch_ready > cur_cycle) {
-            advanceTo(fetch_ready, fetch_reason);
-            drain();
-        }
-        ++stats.slots_retiring;
-        ++stats.instructions;
-        if (stats.instructions >= next_phase) {
-            capturePhase();
-        }
-        ++slots_in_cycle;
-        if (slots_in_cycle == static_cast<uint32_t>(params.width)) {
-            ++cur_cycle;
-            slots_in_cycle = 0;
-            ++cycles_rolled;
-            drain();
-        }
-    }
-    if (attr_cur != nullptr) {
-        attr_cur->slots_retiring += count;
-        attr_cur->cycles += cycles_rolled;
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::ensureRobSpace(uint32_t count)
-{
-    while (rob_count + count > static_cast<uint64_t>(params.rob_size)) {
-        VT_ASSERT(!rob.empty(), "ROB accounting broke");
-        const WindowEntry& head = rob.front();
-        if (head.time > cur_cycle) {
-            const uint64_t before =
-                stats.slots_backend_memory + stats.slots_backend_core;
-            advanceTo(head.time, head.is_mem ? StallCause::BackendMemory
-                                             : StallCause::BackendCore);
-            stats.slots_rob_stall +=
-                stats.slots_backend_memory + stats.slots_backend_core
-                - before;
-        }
-        drain();
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::robPush(uint64_t complete, uint32_t count,
-                                bool is_mem)
-{
-    // In-order retirement: completion times are made monotone so an entry
-    // cannot retire before its predecessors.
-    complete = std::max(complete, rob_last_complete);
-    rob_last_complete = complete;
-    if (!rob.empty() && rob.back().time == complete
-        && rob.back().is_mem == is_mem) {
-        rob.back().count += count;
-    } else {
-        rob.emplace_back(complete, count, is_mem);
-    }
-    rob_count += count;
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::ensureRsSpace(uint32_t count)
-{
-    if (params.issue_at_dispatch) {
-        return;
-    }
-    while (rs_count + count > static_cast<uint64_t>(params.rs_size)) {
-        VT_ASSERT(!rs.empty(), "RS accounting broke");
-        const WindowEntry& head = rs.front();
-        if (head.time > cur_cycle) {
-            const uint64_t before =
-                stats.slots_backend_memory + stats.slots_backend_core;
-            advanceTo(head.time, head.is_mem ? StallCause::BackendMemory
-                                             : StallCause::BackendCore);
-            stats.slots_rs_stall +=
-                stats.slots_backend_memory + stats.slots_backend_core
-                - before;
-        }
-        drain();
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::rsPush(uint64_t free, uint32_t count, bool is_mem)
-{
-    if (params.issue_at_dispatch) {
-        return; // be_op2: instructions leave the RS immediately.
-    }
-    free = std::max(free, rs_last_free);
-    rs_last_free = free;
-    if (!rs.empty() && rs.back().time == free && rs.back().is_mem == is_mem) {
-        rs.back().count += count;
-    } else {
-        rs.emplace_back(free, count, is_mem);
-    }
-    rs_count += count;
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::ensureSbSpace(uint32_t count)
-{
-    while (sb_count + count > static_cast<uint64_t>(params.sb_size)) {
-        VT_ASSERT(!sb.empty(), "SB accounting broke");
-        const WindowEntry& head = sb.front();
-        if (head.time > cur_cycle) {
-            const uint64_t before =
-                stats.slots_backend_memory + stats.slots_backend_core;
-            // The paper groups store-buffer stalls under core bound
-            // (Fig 5e-h discussion).
-            advanceTo(head.time, StallCause::BackendCore);
-            stats.slots_sb_stall +=
-                stats.slots_backend_memory + stats.slots_backend_core
-                - before;
-        }
-        drain();
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::sbPush(uint64_t drain_time, uint32_t count)
-{
-    // Stores drain in order: drain times are made monotone like ROB
-    // completion times, and same-cycle drains coalesce into one entry.
-    const uint64_t t = std::max(drain_time, sb_last_drain);
-    sb_last_drain = t;
-    if (!sb.empty() && sb.back().time == t) {
-        sb.back().count += count;
-    } else {
-        sb.emplace_back(t, count, true);
-    }
-    sb_count += count;
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::resolveFrontend()
-{
-    if (fetch_ready > cur_cycle) {
-        advanceTo(fetch_ready, fetch_reason);
-        drain();
-    }
-}
-
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::delayFetch(uint64_t penalty)
-{
-    if (penalty > 0) {
-        const uint64_t ready = cur_cycle + penalty;
-        if (ready > fetch_ready) {
-            fetch_ready = ready;
-            fetch_reason = StallCause::Frontend;
-        }
     }
 }
 
@@ -1115,43 +826,19 @@ CoreModel::ClassTiming::dispatchBranch(const trace::CodeSite& site)
     return resolve;
 }
 
-[[gnu::always_inline]] inline void
-CoreModel::ClassTiming::redirect(bool taken, bool mispredict, bool btb_hit,
-                                 uint64_t resolve)
-{
-    if (mispredict) {
-        ++stats.branch_mispredicts;
-        const uint64_t ready =
-            resolve + static_cast<uint64_t>(params.mispredict_penalty);
-        if (ready > fetch_ready) {
-            fetch_ready = ready;
-            fetch_reason = StallCause::BadSpeculation;
-        }
-    } else if (taken) {
-        // Correctly predicted taken: redirect bubble, larger on BTB miss.
-        const int bubble =
-            btb_hit ? params.taken_bubble : params.btb_miss_penalty;
-        const uint64_t ready = cur_cycle + bubble;
-        if (ready > fetch_ready) {
-            fetch_ready = ready;
-            fetch_reason = StallCause::Frontend;
-        }
-    }
-}
-
 [[gnu::always_inline]] inline uint64_t
-CoreModel::ClassTiming::loadComplete(int latency, bool reference)
+CoreModel::ClassTiming::loadComplete(int latency)
 {
     // Miss-status-holding registers bound memory-level parallelism: a
     // miss beyond the outstanding limit starts only when the oldest one
     // completes. mshr_head caches the oldest outstanding completion
     // (UINT64_MAX when empty), so the common no-expiry case skips the
     // pruning scan entirely; the queue itself is untouched until a head
-    // actually expires, which pops the same entries the stepped loop
-    // (`reference`: an unconditional scan) would.
+    // actually expires, which pops the same entries an unconditional
+    // scan would.
     uint64_t complete = cur_cycle + latency;
     if (latency > params.latencies.l1) {
-        if (reference || mshr_head <= cur_cycle) {
+        if (mshr_head <= cur_cycle) {
             while (!mshr.empty() && mshr.front() <= cur_cycle) {
                 mshr.pop_front();
             }
@@ -1197,7 +884,7 @@ CoreModel::ClassTiming::timeLoad(uint64_t outcome)
     stats.l2_misses += (outcome >> 16) & 0xffff;
     stats.l3_misses += (outcome >> 32) & 0xffff;
     const int latency = static_cast<int>(outcome >> 48);
-    const uint64_t complete = loadComplete(latency, false);
+    const uint64_t complete = loadComplete(latency);
     last_load_complete = complete;
     robPush(complete, 1, true);
     // Loads leave the reservation station at issue (address generation),
@@ -1257,7 +944,7 @@ CoreModel::ClassTiming::run(const StageRecord* records,
 }
 
 void
-CoreModel::ClassTiming::finishClock()
+TimingState::finishClock()
 {
     // Let the machine drain: run the clock to the last retirement.
     uint64_t end = std::max(cur_cycle, fetch_ready);
@@ -1306,11 +993,6 @@ CoreModel::CoreModel(const std::vector<CoreParams>& classes,
     VT_ASSERT(!classes.empty(), "a core model needs at least one class");
     for (const CoreParams& p : classes) {
         validateCoreParams(p);
-    }
-    reference_stepping_ = classes.front().reference_stepping;
-    for (const CoreParams& p : classes) {
-        VT_ASSERT(!p.reference_stepping || classes.size() == 1,
-                  "reference stepping simulates one class");
     }
 
     // Group every structure by its sharing key (see Functional).
@@ -1516,54 +1198,33 @@ setState(std::atomic<uint32_t>& state, uint32_t value)
 void
 CoreModel::onBlock(const trace::CodeSite& site)
 {
-    const uint64_t address = layout_->at(site).address;
-    if (!reference_stepping_) {
-        push(address, reinterpret_cast<uintptr_t>(&site) | kBlockBit);
-        return;
-    }
-    referenceOnBlock(site, address);
+    push(layout_->at(site).address,
+         reinterpret_cast<uintptr_t>(&site) | kBlockBit);
 }
 
 void
 CoreModel::onBranch(const trace::CodeSite& site, bool taken)
 {
     const trace::SitePlacement place = layout_->at(site);
-    taken = taken != place.invert;
-    if (!reference_stepping_) {
-        push(place.address, reinterpret_cast<uintptr_t>(&site) | kBranchBit
-                                | (taken ? kFlagBit : 0));
-        return;
-    }
-    referenceOnBranch(site, place.address, taken);
+    push(place.address, reinterpret_cast<uintptr_t>(&site) | kBranchBit
+                            | (taken != place.invert ? kFlagBit : 0));
 }
 
 void
 CoreModel::onLoad(uint64_t addr, uint32_t bytes)
 {
-    if (!reference_stepping_) {
-        push(addr, static_cast<uint64_t>(bytes) << 32);
-        return;
-    }
-    referenceOnLoad(addr, bytes);
+    push(addr, static_cast<uint64_t>(bytes) << 32);
 }
 
 void
 CoreModel::onStore(uint64_t addr, uint32_t bytes)
 {
-    if (!reference_stepping_) {
-        push(addr, (static_cast<uint64_t>(bytes) << 32) | kFlagBit);
-        return;
-    }
-    referenceOnStore(addr, bytes);
+    push(addr, (static_cast<uint64_t>(bytes) << 32) | kFlagBit);
 }
 
 void
 CoreModel::onBatch(const trace::ProbeEvent* events, size_t count)
 {
-    if (reference_stepping_) {
-        ProbeSink::onBatch(events, count); // Per-event replay.
-        return;
-    }
     // Loop-heavy streams repeat the same site id back to back, so a
     // one-entry cache skips the registry and layout lookups for the
     // repeat case (CodeSite objects are stable once defined). Only this
@@ -1964,184 +1625,6 @@ CoreModel::functionalStage(Slot& slot, uint32_t count)
     }
 }
 
-// ---- Reference stepping ----------------------------------------------------
-
-void
-CoreModel::referenceOnBlock(const trace::CodeSite& site, uint64_t address)
-{
-    // Pre-fast-forward implementation: recompute the line span per event
-    // and walk every line through the full cache access path.
-    ClassTiming& t = *classes_.front();
-    Functional& f = *fn_;
-    Cache& l1i = f.l1i.front().cache;
-    OuterLevels& outer = f.outers.front().levels;
-    if (t.attr_cur != nullptr) {
-        t.attr_cur = &siteBucket(t.attr_sites, site.id);
-        ++t.attr_cur->blocks;
-    }
-    const uint32_t line = t.params.l1i.line_bytes;
-    const uint64_t first = address / line;
-    const uint64_t last = (address + site.bytes - 1) / line;
-    const LatencyParams& lat = t.params.latencies;
-    int fetch_penalty = 0;
-    for (uint64_t l = first; l <= last; ++l) {
-        ++t.stats.l1i_accesses;
-        if (t.attr_cur != nullptr) {
-            ++t.attr_cur->l1i_accesses;
-        }
-        const AccessResult r = hierarchyAccess(l1i, outer, lat, l * line);
-        if (r.l1_miss) {
-            ++t.stats.l1i_misses;
-            if (t.attr_cur != nullptr) {
-                ++t.attr_cur->l1i_misses;
-            }
-            fetch_penalty = std::max(fetch_penalty, r.latency - lat.l1);
-        }
-    }
-    if (!f.itlbs.front().tlb.access(address)) {
-        ++t.stats.itlb_misses;
-        if (t.attr_cur != nullptr) {
-            ++t.attr_cur->itlb_misses;
-        }
-        fetch_penalty += lat.itlb_miss;
-    }
-    t.delayFetch(static_cast<uint64_t>(fetch_penalty));
-    t.dispatchBlock(site);
-}
-
-void
-CoreModel::referenceOnBranch(const trace::CodeSite& site, uint64_t address,
-                             bool taken)
-{
-    // Pre-fast-forward implementation: separate predict() and update()
-    // virtual calls.
-    ClassTiming& t = *classes_.front();
-    Functional::Predictor& p = fn_->predictors.front();
-    if (t.attr_cur != nullptr) {
-        t.attr_cur = &siteBucket(t.attr_sites, site.id);
-        ++t.attr_cur->branches;
-        t.attr_cur->taken += taken ? 1 : 0;
-    }
-    const bool predicted = p.predictor->predict(address);
-    p.predictor->update(address, taken);
-    const uint64_t resolve = t.dispatchBranch(site);
-    bool btb_hit = false;
-    if (predicted != taken) {
-        if (t.attr_cur != nullptr) {
-            ++t.attr_cur->branch_mispredicts;
-        }
-    } else if (taken) {
-        btb_hit = p.btb.access(address);
-        if (!btb_hit) {
-            ++t.stats.btb_misses;
-            if (t.attr_cur != nullptr) {
-                ++t.attr_cur->btb_misses;
-            }
-        }
-    }
-    t.redirect(taken, predicted != taken, btb_hit, resolve);
-}
-
-namespace {
-
-/** Walks a reference-stepped data access line by line; returns its
- *  latency. */
-template <typename Charge>
-int
-referenceDataWalk(Cache& l1d, OuterLevels& outer, const LatencyParams& lat,
-                  uint64_t addr, uint32_t bytes, Charge charge)
-{
-    const uint32_t line = l1d.lineBytes();
-    const uint64_t first = addr / line;
-    const uint64_t last = (addr + (bytes == 0 ? 0 : bytes - 1)) / line;
-    int latency = lat.l1;
-    for (uint64_t l = first; l <= last; ++l) {
-        const AccessResult r = hierarchyAccess(l1d, outer, lat, l * line);
-        charge(r);
-        latency = std::max(latency, r.latency);
-    }
-    return latency;
-}
-
-} // namespace
-
-void
-CoreModel::referenceOnLoad(uint64_t addr, uint32_t bytes)
-{
-    // Pre-fast-forward implementation: unconditional MSHR pruning scan.
-    ClassTiming& t = *classes_.front();
-    if (t.attr_cur != nullptr) {
-        ++t.attr_cur->loads;
-        t.attr_cur->load_bytes += bytes;
-    }
-    t.resolveFrontend();
-    t.ensureRobSpace(1);
-    t.ensureRsSpace(1);
-    const int latency = referenceDataWalk(
-        fn_->l1d.front().cache, fn_->outers.front().levels,
-        t.params.latencies, addr, bytes, [&t](const AccessResult& r) {
-            ++t.stats.l1d_accesses;
-            t.stats.l1d_misses += r.l1_miss ? 1 : 0;
-            t.stats.l2_misses += r.l2_miss ? 1 : 0;
-            t.stats.l3_misses += r.l3_miss ? 1 : 0;
-            if (t.attr_cur != nullptr) {
-                ++t.attr_cur->l1d_accesses;
-                t.attr_cur->l1d_misses += r.l1_miss ? 1 : 0;
-                t.attr_cur->l2_misses += r.l2_miss ? 1 : 0;
-                t.attr_cur->l3_misses += r.l3_miss ? 1 : 0;
-            }
-        });
-    const uint64_t complete = t.loadComplete(latency, true);
-    t.last_load_complete = complete;
-    t.robPush(complete, 1, true);
-    t.rsPush(t.cur_cycle + std::min(latency, 15), 1, true);
-    t.dispatch(1);
-}
-
-void
-CoreModel::referenceOnStore(uint64_t addr, uint32_t bytes)
-{
-    // Pre-fast-forward implementation: division-based line math and the
-    // store-buffer push open-coded (pre-sbPush).
-    ClassTiming& t = *classes_.front();
-    if (t.attr_cur != nullptr) {
-        ++t.attr_cur->stores;
-        t.attr_cur->store_bytes += bytes;
-    }
-    t.resolveFrontend();
-    t.ensureRobSpace(1);
-    t.ensureRsSpace(1);
-    t.ensureSbSpace(1);
-    const int latency = referenceDataWalk(
-        fn_->l1d.front().cache, fn_->outers.front().levels,
-        t.params.latencies, addr, bytes, [&t](const AccessResult& r) {
-            ++t.stats.l1d_accesses;
-            t.stats.l1d_misses += r.l1_miss ? 1 : 0;
-            t.stats.l2_misses += r.l2_miss ? 1 : 0;
-            t.stats.l3_misses += r.l3_miss ? 1 : 0;
-            if (t.attr_cur != nullptr) {
-                ++t.attr_cur->l1d_accesses;
-                t.attr_cur->l1d_misses += r.l1_miss ? 1 : 0;
-                t.attr_cur->l2_misses += r.l2_miss ? 1 : 0;
-                t.attr_cur->l3_misses += r.l3_miss ? 1 : 0;
-            }
-        });
-
-    const uint64_t drain_time = t.cur_cycle + latency;
-    const uint64_t drain_monotone = std::max(drain_time, t.sb_last_drain);
-    t.sb_last_drain = drain_monotone;
-    if (!t.sb.empty() && t.sb.back().time == drain_monotone) {
-        t.sb.back().count += 1;
-    } else {
-        t.sb.push_back({drain_monotone, 1, true});
-    }
-    ++t.sb_count;
-
-    t.robPush(t.cur_cycle + 1, 1, false);
-    t.rsPush(t.cur_cycle + 1, 1, false);
-    t.dispatch(1);
-}
-
 // ---- finish ------------------------------------------------------------------
 
 CoreStats
@@ -2152,9 +1635,7 @@ CoreModel::finish()
     drainPipeline();
 
     // Fold in the functional stage's order-only counters and per-site
-    // tallies (none is part of a PhaseSample; both stay zero under
-    // reference stepping, which charges the class's stats and
-    // attribution itself).
+    // tallies (none is part of a PhaseSample).
     const Functional& f = *fn_;
     for (const auto& cls : classes_) {
         ClassTiming& t = *cls;

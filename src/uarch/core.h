@@ -66,15 +66,6 @@ struct CoreParams
                                   ///< misses to the current CodeSite.
     uint64_t phase_window = 0;    ///< Cumulative-counter snapshot every N
                                   ///< retired instructions (0 = off).
-
-    /** Test-only: step the model one retired instruction at a time and
-     *  walk every fetch line through the full cache path, as the model
-     *  did before the event-driven fast-forward (DESIGN.md §13). The
-     *  differential suite and the microbench's model-sink gate run the
-     *  same stream through both paths and require bit-identical
-     *  CoreStats/SiteUarch; production code never sets this. Only a
-     *  one-class model steps. */
-    bool reference_stepping = false;
 };
 
 /**
@@ -408,19 +399,6 @@ class CoreModel : public trace::ProbeSink
     /** Every class's timing stage over a slot's first `count` records. */
     void timingStages(const Slot& slot, uint32_t count);
 
-    // ---- Reference stepping (one class, on the calling thread) ----
-
-    /** The pre-fast-forward implementations, retained for the
-     *  differential suite (CoreParams::reference_stepping). */
-    void referenceOnBlock(const trace::CodeSite& site, uint64_t address);
-    void referenceOnBranch(const trace::CodeSite& site, uint64_t address,
-                           bool taken);
-    void referenceOnLoad(uint64_t addr, uint32_t bytes);
-    void referenceOnStore(uint64_t addr, uint32_t bytes);
-
-    /** CoreParams::reference_stepping, hoisted (one predictable branch
-     *  at the top of each event handler selects the retained path). */
-    bool reference_stepping_ = false;
     bool finished_ = false;
     /// The simulated layout (never null: empty is the default layout).
     std::shared_ptr<const trace::CodeLayout> layout_;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "chunk/chunk.h"
 #include "codec/decoder.h"
 #include "codec/params.h"
-#include "core/parallel.h"
 #include "core/workload.h"
 #include "farm/farm.h"
 #include "farm/queue.h"
@@ -36,20 +36,6 @@ targetParams()
     params.crf = 30;
     params.refs = 1;
     return params;
-}
-
-core::ChunkedOptions
-chunkedOptions(int chunk_frames, int max_chunks, int jobs = 1)
-{
-    core::ChunkedOptions options;
-    options.video = "cat";
-    options.seconds = kClipSeconds;
-    options.params = targetParams();
-    options.core = uarch::baselineConfig();
-    options.chunking.chunk_frames = chunk_frames;
-    options.chunking.max_chunks = max_chunks;
-    options.jobs = jobs;
-    return options;
 }
 
 /** A small all-baseline farm (no calibration work, cheap to drain). */
@@ -72,6 +58,70 @@ request(int retry_budget = 0)
     req.task = {"cat", 30, 1, "ultrafast"};
     req.retry_budget = retry_budget;
     return req;
+}
+
+/** A farm request chunked at `chunk_frames` spacing into at most
+ *  `max_chunks` chunk jobs. */
+chunk::ChunkOptions
+chunking(int chunk_frames, int max_chunks = 0)
+{
+    chunk::ChunkOptions options;
+    options.chunk_frames = chunk_frames;
+    options.max_chunks = max_chunks;
+    return options;
+}
+
+/** The stitched stream of `request()` under `options`, built the way the
+ *  farm's chunk and stitch jobs build it: one instrumented chunk encode
+ *  per segment group of the shared split plan, stitched in order. */
+std::vector<uint8_t>
+stitchedStream(const chunk::ChunkOptions& options)
+{
+    const auto plan =
+        core::cachedSplit("cat", kClipSeconds, targetParams(), options);
+    core::RunConfig cfg;
+    cfg.video = "cat";
+    cfg.seconds = kClipSeconds;
+    cfg.params = targetParams();
+    cfg.keep_output = true;
+    std::vector<core::RunResult> runs;
+    for (const auto& [first, count] :
+         chunk::groupSegments(plan->segments.size(), options.max_chunks)) {
+        std::vector<const std::vector<uint8_t>*> slices;
+        for (int k = 0; k < count; ++k) {
+            slices.push_back(&plan->segments[first + k].source);
+        }
+        runs.push_back(core::runInstrumentedChunk(slices, cfg));
+    }
+    std::vector<const std::vector<uint8_t>*> outputs;
+    for (const core::RunResult& run : runs) {
+        outputs.push_back(&run.output);
+    }
+    return chunk::stitch(outputs);
+}
+
+constexpr int kMaxChunks[] = {1, 2, 4, 8};
+
+/** One farm of `workers` running a one-frame-spaced graph of
+ *  `request()` per kMaxChunks entry; returns their stitch records (in
+ *  kMaxChunks order) and the run log. */
+std::vector<farm::JobRecord>
+graphsByMaxChunks(int workers, std::string* jsonl = nullptr)
+{
+    farm::Farm farm(lightFarm(workers));
+    std::vector<uint64_t> ids;
+    for (int max_chunks : kMaxChunks) {
+        ids.push_back(farm.submitChunked(request(), chunking(1, max_chunks)));
+    }
+    const farm::RunLog& log = farm.drain();
+    std::vector<farm::JobRecord> out;
+    for (uint64_t id : ids) {
+        out.push_back(log.record(id));
+    }
+    if (jsonl != nullptr) {
+        *jsonl = log.toJsonl();
+    }
+    return out;
 }
 
 TEST(ChunkSplit, BoundariesComeFromLookaheadAndCoverTheClip)
@@ -118,57 +168,58 @@ TEST(ChunkSplit, GroupingIsContiguousAndBalanced)
 
 TEST(ChunkedTranscode, StitchedBytesInvariantToChunkCount)
 {
-    std::vector<uint64_t> fingerprints;
-    std::vector<size_t> sizes;
-    for (int max_chunks : {1, 2, 4, 8}) {
-        const core::ChunkedResult result =
-            core::chunkedTranscode(chunkedOptions(1, max_chunks));
-        ASSERT_FALSE(result.stitched.empty());
-        EXPECT_EQ(result.chunks,
-                  std::min<size_t>(max_chunks, result.segments));
+    const size_t segments =
+        core::cachedSplit("cat", kClipSeconds, targetParams(), chunking(1))
+            ->segments.size();
+    const std::vector<farm::JobRecord> stitches = graphsByMaxChunks(2);
+    for (size_t i = 0; i < stitches.size(); ++i) {
+        const farm::JobRecord& stitch = stitches[i];
+        const int max_chunks = kMaxChunks[i];
+        const std::string what = "max_chunks " + std::to_string(max_chunks);
+        ASSERT_EQ(stitch.state, farm::JobState::Done) << what;
+        EXPECT_EQ(static_cast<size_t>(stitch.chunk_count),
+                  std::min<size_t>(max_chunks, segments))
+            << what;
+        EXPECT_GT(stitch.psnr, 20.0) << what;
+        EXPECT_GT(stitch.bitrate_kbps, 0.0) << what;
+        EXPECT_EQ(stitch.result_fingerprint, stitches[0].result_fingerprint)
+            << what << ": chunk-count grouping changed the stitched bytes";
 
-        // Decoder round-trip of the stitched stream.
-        const codec::DecodeResult decoded = codec::decode(result.stitched);
-        EXPECT_EQ(static_cast<size_t>(decoded.frames.size()),
-                  static_cast<size_t>(9));
-        EXPECT_GT(result.psnr, 20.0);
-        EXPECT_GT(result.bitrate_kbps, 0.0);
-
-        fingerprints.push_back(result.stream_fingerprint);
-        sizes.push_back(result.stitched.size());
-    }
-    for (size_t i = 1; i < fingerprints.size(); ++i) {
-        EXPECT_EQ(fingerprints[i], fingerprints[0])
-            << "chunk-count grouping changed the stitched bytes";
-        EXPECT_EQ(sizes[i], sizes[0]);
+        // The stitched bytes behind the fingerprint decode to the clip.
+        const std::vector<uint8_t> stream =
+            stitchedStream(chunking(1, max_chunks));
+        EXPECT_EQ(chunk::streamFingerprint(stream), stitch.result_fingerprint)
+            << what;
+        EXPECT_EQ(codec::decode(stream).frames.size(), 9u) << what;
     }
 }
 
 TEST(ChunkedTranscode, StitchedBytesInvariantToWorkerCount)
 {
-    const core::ChunkedResult serial =
-        core::chunkedTranscode(chunkedOptions(1, 4, /*jobs=*/1));
-    const core::ChunkedResult parallel =
-        core::chunkedTranscode(chunkedOptions(1, 4, /*jobs=*/4));
-    ASSERT_EQ(serial.stitched.size(), parallel.stitched.size());
-    EXPECT_EQ(serial.stream_fingerprint, parallel.stream_fingerprint);
-    EXPECT_TRUE(serial.stitched == parallel.stitched);
+    std::string serial_log;
+    std::string parallel_log;
+    const auto serial = graphsByMaxChunks(1, &serial_log);
+    const auto parallel = graphsByMaxChunks(4, &parallel_log);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].result_fingerprint,
+                  parallel[i].result_fingerprint)
+            << "max_chunks " << kMaxChunks[i];
+    }
+    EXPECT_EQ(serial_log, parallel_log)
+        << "worker count changed the chunked run log";
 }
 
 TEST(ChunkedTranscode, IdrSetInvariantToChunkingAndSupersetOfPlan)
 {
-    const core::ChunkedResult two =
-        core::chunkedTranscode(chunkedOptions(3, 2));
-    const core::ChunkedResult four =
-        core::chunkedTranscode(chunkedOptions(3, 4));
-    const auto idr_two = chunk::iFrameDisplays(two.stitched);
-    const auto idr_four = chunk::iFrameDisplays(four.stitched);
+    const auto idr_two = chunk::iFrameDisplays(stitchedStream(chunking(3, 2)));
+    const auto idr_four =
+        chunk::iFrameDisplays(stitchedStream(chunking(3, 4)));
     EXPECT_EQ(idr_two, idr_four)
         << "chunk grouping changed the IDR placement";
 
-    const auto plan = core::cachedSplit(
-        "cat", kClipSeconds, targetParams(),
-        chunk::ChunkOptions{/*chunk_frames=*/3, /*max_chunks=*/0});
+    const auto plan =
+        core::cachedSplit("cat", kClipSeconds, targetParams(), chunking(3));
     const std::set<int> idr_set(idr_two.begin(), idr_two.end());
     for (int boundary : plan->boundaries) {
         EXPECT_TRUE(idr_set.count(boundary) != 0)
@@ -178,31 +229,66 @@ TEST(ChunkedTranscode, IdrSetInvariantToChunkingAndSupersetOfPlan)
 
 TEST(ChunkedTranscode, DisabledMatchesWholeVideoPathByteForByte)
 {
-    const core::ChunkedResult disabled =
-        core::chunkedTranscode(chunkedOptions(0, 0));
-    EXPECT_EQ(disabled.chunks, 1u);
-    EXPECT_DOUBLE_EQ(disabled.stitch_seconds, 0.0);
+    // Chunking off: submitChunked is the plain whole-video submit, with
+    // the same run log and the plain instrumented run's result.
+    std::string logs[2];
+    uint64_t result_fingerprint = 0;
+    {
+        farm::Farm farm(lightFarm(2));
+        const uint64_t id = farm.submitChunked(request(), chunking(0));
+        const farm::RunLog& log = farm.drain();
+        const farm::JobRecord& rec = log.record(id);
+        EXPECT_EQ(rec.kind, "transcode");
+        EXPECT_EQ(rec.chunk_count, 0);
+        result_fingerprint = rec.result_fingerprint;
+        logs[0] = log.toJsonl();
+    }
+    {
+        farm::Farm farm(lightFarm(2));
+        farm.submit(request());
+        logs[1] = farm.drain().toJsonl();
+    }
+    EXPECT_EQ(logs[0], logs[1])
+        << "disabled chunking must be the plain whole-video path";
 
     core::RunConfig cfg;
     cfg.video = "cat";
     cfg.seconds = kClipSeconds;
     cfg.params = targetParams();
     cfg.core = uarch::baselineConfig();
-    cfg.keep_output = true;
-    const core::RunResult whole = core::runInstrumented(cfg);
-    EXPECT_TRUE(disabled.stitched == whole.output)
-        << "disabled chunking must be byte-identical to the plain path";
+    EXPECT_EQ(result_fingerprint,
+              farm::fingerprint(core::runInstrumented(cfg)));
 }
 
 TEST(ChunkedTranscode, ReportsBoundaryCostAgainstUnchunked)
 {
-    core::ChunkedOptions options = chunkedOptions(3, 0);
-    options.compare_unchunked = true;
-    const core::ChunkedResult result = core::chunkedTranscode(options);
-    EXPECT_GT(result.psnr, 20.0);
-    // Closed-GOP chunk starts cost bits/quality but must stay sane.
-    EXPECT_LT(std::abs(result.delta_psnr_db), 10.0);
-    EXPECT_GT(result.total_sim_seconds, result.stitch_seconds);
+    farm::Farm farm(lightFarm(2));
+    const uint64_t stitch_id = farm.submitChunked(request(), chunking(3));
+    const farm::RunLog& log = farm.drain();
+    const farm::JobRecord& stitch = log.record(stitch_id);
+    ASSERT_EQ(stitch.state, farm::JobState::Done);
+    EXPECT_GT(stitch.psnr, 20.0);
+
+    // The deltas are stitched minus the whole-video encode of the same
+    // source and parameters; closed-GOP chunk starts cost bits and
+    // quality but must stay sane.
+    core::RunConfig cfg;
+    cfg.video = "cat";
+    cfg.seconds = kClipSeconds;
+    cfg.params = targetParams();
+    const codec::EncodeStats whole = core::runNative(cfg);
+    EXPECT_DOUBLE_EQ(stitch.delta_psnr_db, stitch.psnr - whole.psnr);
+    EXPECT_DOUBLE_EQ(stitch.delta_bitrate_kbps,
+                     stitch.bitrate_kbps - whole.bitrate_kbps);
+    EXPECT_LT(std::abs(stitch.delta_psnr_db), 10.0);
+
+    double chunk_seconds = 0.0;
+    for (const farm::JobRecord& r : log.records()) {
+        if (r.parent_id == stitch_id) {
+            chunk_seconds += r.actual_seconds;
+        }
+    }
+    EXPECT_GT(chunk_seconds, stitch.actual_seconds);
 }
 
 TEST(JobQueue, DependenciesHoldJobsUntilEveryDepIsDone)

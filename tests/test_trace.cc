@@ -13,10 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "chunk/chunk.h"
+#include "codec/decoder.h"
 #include "codec/loopflags.h"
 #include "codec/params.h"
 #include "codec/strategies/strategies.h"
-#include "core/parallel.h"
 #include "core/workload.h"
 #include "layout/profile.h"
 #include "layout/relayout.h"
@@ -206,13 +207,25 @@ TEST(Trace, SiteTableIsTheLayout)
     codec::EncoderParams cbr = codec::presetParams("medium");
     cbr.rc = codec::RateControl::CBR;
     run(cbr);
-    core::ChunkedOptions chunked;
-    chunked.video = "cat";
-    chunked.seconds = 0.12;
-    chunked.params = codec::presetParams("ultrafast");
-    chunked.chunking.chunk_frames = 1;
-    const core::ChunkedResult result = core::chunkedTranscode(chunked);
-    EXPECT_GT(result.chunks, 1u);
+    core::RunConfig chunk_cfg;
+    chunk_cfg.video = "cat";
+    chunk_cfg.seconds = 0.12;
+    chunk_cfg.params = codec::presetParams("ultrafast");
+    chunk_cfg.keep_output = true;
+    const auto plan =
+        core::cachedSplit(chunk_cfg.video, chunk_cfg.seconds,
+                          chunk_cfg.params, chunk::ChunkOptions{1, 0});
+    EXPECT_GT(plan->segments.size(), 1u);
+    std::vector<core::RunResult> chunks;
+    for (const chunk::Segment& segment : plan->segments) {
+        chunks.push_back(
+            core::runInstrumentedChunk({&segment.source}, chunk_cfg));
+    }
+    std::vector<const std::vector<uint8_t>*> outputs;
+    for (const core::RunResult& c : chunks) {
+        outputs.push_back(&c.output);
+    }
+    EXPECT_FALSE(codec::decode(chunk::stitch(outputs)).frames.empty());
 
     EXPECT_EQ(layoutSnapshot(), before);
 }

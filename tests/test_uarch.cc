@@ -26,6 +26,7 @@
 #include "uarch/core.h"
 #include "uarch/lru.h"
 #include "uarch/ringbuf.h"
+#include "uarch/stepping.h"
 #include "uarch/tlb.h"
 #include "test_site.h"
 
@@ -845,7 +846,7 @@ TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
     }
 }
 
-// ---- Event-driven fast-forward vs stepped reference (bit-identity) --------
+// ---- Event-driven fast-forward vs the stepping oracle (bit-identity) -----
 
 /** How a pipelined model runs its two stages. */
 enum class StageMode
@@ -880,7 +881,7 @@ holdFor(StageMode mode)
     return CoreHold(mode == StageMode::Inline ? std::max(freeCores(), 0) : 0);
 }
 
-/** Everything one optimized/reference run pair must agree on. */
+/** Everything a CoreModel class and the stepping oracle must agree on. */
 struct DiffRun
 {
     CoreStats stats;
@@ -909,6 +910,33 @@ collect(CoreModel& model)
 {
     model.finish();
     return classRun(model, 0);
+}
+
+/** Runs `emit` through a one-class CoreModel on `layout`, or through the
+ *  stepping oracle when `oracle` is set. */
+template <typename Emit>
+DiffRun
+runStream(const CoreParams& params, bool oracle, uint32_t batch,
+          std::shared_ptr<const trace::CodeLayout> layout, Emit emit)
+{
+    if (oracle) {
+        SteppingCore core(params, std::move(layout));
+        trace::setSink(&core, batch);
+        emit();
+        trace::setSink(nullptr);
+        core.finish();
+        DiffRun r;
+        r.stats = core.stats();
+        r.sites = core.attributionPerSite();
+        r.unattributed = core.attributionUnattributed();
+        r.phases = core.phaseSamples();
+        return r;
+    }
+    CoreModel model(params, std::move(layout));
+    trace::setSink(&model, batch);
+    emit();
+    trace::setSink(nullptr);
+    return collect(model);
 }
 
 /** Emits a deterministic pseudo-random probe stream into the attached
@@ -962,18 +990,15 @@ emitProbeStream(bool huge_block = false)
     }
 }
 
-/** Runs emitProbeStream() through one CoreModel of one class. */
+/** Runs emitProbeStream() through one CoreModel of one class, or
+ *  through the stepping oracle. */
 DiffRun
-runProbeStream(CoreParams params, bool reference, uint32_t batch,
+runProbeStream(const CoreParams& params, bool oracle, uint32_t batch,
                StageMode mode = StageMode::Inline)
 {
     const CoreHold hold = holdFor(mode);
-    params.reference_stepping = reference;
-    CoreModel model(params);
-    trace::setSink(&model, batch);
-    emitProbeStream();
-    trace::setSink(nullptr);
-    return collect(model);
+    return runStream(params, oracle, batch, nullptr,
+                     [] { emitProbeStream(); });
 }
 
 void
@@ -1061,8 +1086,8 @@ expectSameRun(const DiffRun& opt, const DiffRun& ref,
     }
 }
 
-/** The tentpole's differential suite: the fast-forward model must be
- *  bit-identical to the retained stepped reference across dispatch
+/** The differential suite: the fast-forward model must be
+ *  bit-identical to the stepping oracle across dispatch
  *  widths, every Table IV row, a batch of one and the default, and all
  *  four instrumentation states (attribution x phase sampling — each
  *  selects a different dispatch code path). */
@@ -1141,7 +1166,7 @@ defaultLayoutNow()
  *  simulated on `layout`. `fresh` is defined at the midpoint when null
  *  (and returned), else reused from a previous run. */
 DiffRun
-runFreshSiteStream(bool reference, StageMode mode,
+runFreshSiteStream(bool oracle, StageMode mode,
                    std::shared_ptr<const trace::CodeLayout> layout,
                    trace::CodeSite** fresh)
 {
@@ -1149,33 +1174,30 @@ runFreshSiteStream(bool reference, StageMode mode,
     VT_TEST_SITE(br, "coretest.fresh.br", 16, 2, Branch);
     const CoreHold hold = holdFor(mode);
     CoreParams params = baselineConfig();
-    params.reference_stepping = reference;
     params.attribute_sites = true;
     params.phase_window = 2000;
-    CoreModel model(params, std::move(layout));
-    trace::setSink(&model, 256);
-    Rng rng(0xf7e54ull);
-    uint64_t addr = 0x900000000ull;
-    constexpr int kIters = 20000;
-    for (int i = 0; i < kIters; ++i) {
-        if (i == kIters / 2 && *fresh == nullptr) {
-            // Registry growth while the stages are mid-stream.
-            *fresh = &trace::registry().define(
-                "coretest.fresh.mid" + std::string(modeName(mode)), 48, 5,
-                trace::SiteKind::BranchLoadDep);
+    return runStream(params, oracle, 256, std::move(layout), [&] {
+        Rng rng(0xf7e54ull);
+        uint64_t addr = 0x900000000ull;
+        constexpr int kIters = 20000;
+        for (int i = 0; i < kIters; ++i) {
+            if (i == kIters / 2 && *fresh == nullptr) {
+                // Registry growth while the stages are mid-stream.
+                *fresh = &trace::registry().define(
+                    "coretest.fresh.mid" + std::string(modeName(mode)), 48,
+                    5, trace::SiteKind::BranchLoadDep);
+            }
+            trace::block(blk);
+            trace::load(addr, 16);
+            if (i >= kIters / 2) {
+                trace::branch(**fresh, rng.chance(0.3));
+            } else {
+                trace::branch(br, rng.chance(0.5));
+            }
+            trace::store(addr + 8, 8);
+            addr += 64 * rng.below(256);
         }
-        trace::block(blk);
-        trace::load(addr, 16);
-        if (i >= kIters / 2) {
-            trace::branch(**fresh, rng.chance(0.3));
-        } else {
-            trace::branch(br, rng.chance(0.5));
-        }
-        trace::store(addr + 8, 8);
-        addr += 64 * rng.below(256);
-    }
-    trace::setSink(nullptr);
-    return collect(model);
+    });
 }
 
 TEST(CoreDifferential, SiteDefinedAndMovedMidRunMatchesReference)

@@ -40,6 +40,17 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 echo "== build =="
 cmake --build "$BUILD_DIR" -j
 
+echo "== the stepping oracle stays out of shipped binaries =="
+# uarch::SteppingCore (src/uarch/stepping.h) is CoreModel's test oracle:
+# only the differential suite and the probe microbench link it.
+for bin in examples/quickstart tools/uarch_diff; do
+    symbols=$(nm -C "$BUILD_DIR/$bin")
+    if grep -E 'Stepping(Core|Timing)' <<<"$symbols"; then
+        echo "$bin links the stepping oracle (vtrans_uarch_stepping)" >&2
+        exit 1
+    fi
+done
+
 echo "== tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
@@ -156,15 +167,17 @@ if [[ "${VTRANS_SKIP_PERF:-0}" != 1 ]]; then
     # microbench_probe exits non-zero otherwise. --attr-overhead also
     # gates per-site attribution: identical CoreStats and <= 1.25x the
     # unattributed model sink. Writes BENCH_probe.json.
+    # Warning-free at -O3 too, like the main build.
     PERF_DIR="${BUILD_DIR}-release"
-    cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+    cmake -B "$PERF_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
     cmake --build "$PERF_DIR" -j --target microbench_probe
     "$PERF_DIR"/bench/microbench_probe --min-speedup 1.5 \
         --attr-overhead 1.25 --out "$PERF_DIR/BENCH_probe.json"
     # --min-model-speedup gates the core model's event-driven
-    # fast-forward against the retained instruction-stepped reference
-    # path in the same binary (machine-independent ratio, bit-identical
-    # CoreStats required). Run it on the block stream, which isolates
+    # fast-forward against its instruction-stepped oracle
+    # (uarch::SteppingCore) in the same binary (machine-independent
+    # ratio, bit-identical CoreStats required). Run it on the block stream, which isolates
     # the dispatch/fetch fast path: the mixed stream spends most of its
     # time in the shared cache-hierarchy model, so its ratio saturates
     # near ~1.3 regardless of how fast the fast-forward itself gets.
