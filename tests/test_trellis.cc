@@ -6,7 +6,10 @@
  * The shipped quantizer keeps one cost per run plus back-pointers and
  * traces the winner back once; it must choose the same levels and emit
  * the same probe events (one TrellisState block per live state, one
- * TrellisCmp branch per candidate with the same outcome) on every input.
+ * TrellisCmp branch per candidate with the same outcome) on every input,
+ * and choose the same levels again with no sink attached. The oracle
+ * also counts the corner cases its inputs reach, so each suite asserts
+ * that it exercises the case it is named for.
  */
 
 #include <gtest/gtest.h>
@@ -30,8 +33,23 @@
 namespace vtrans {
 namespace {
 
+/** The corner cases the oracle's inputs reached, summed over calls. */
+struct Coverage
+{
+    /** Positions with no non-zero candidate (run 0 dies there) after a
+     *  position with one and before another. */
+    int dead_run0 = 0;
+    /** Run-0 compares that tied the running best from another run. */
+    int run_ties = 0;
+    /** Run-0 compares that tied another candidate of the same run. */
+    int level_ties = 0;
+};
+
+Coverage g_coverage;
+
 /** The path-copy trellis: the codec's quantizer before the back-pointer
- *  rewrite, verbatim in its decisions and its probe emission. */
+ *  rewrite, verbatim in its decisions and its probe emission. Counts
+ *  into g_coverage, which changes neither. */
 int
 oracleTrellisQuantize4x4(int16_t coef[16], int qp, bool intra,
                          int lambda_fp)
@@ -58,6 +76,7 @@ oracleTrellisQuantize4x4(int16_t coef[16], int qp, bool intra,
         s.cost = kInf;
     }
     states[0].cost = 0;
+    int base_levels[16];
 
     for (int pos = 0; pos < 16; ++pos) {
         const int raster = kZigzag4x4[pos];
@@ -66,6 +85,7 @@ oracleTrellisQuantize4x4(int16_t coef[16], int qp, bool intra,
         const int v = dequantV(qp, raster) << (qp / 6);
         const int abs_c = std::abs(c);
         const int base_level = (abs_c * mf + f) >> shift;
+        base_levels[pos] = base_level;
 
         int cands[3];
         int n_cands = 0;
@@ -81,6 +101,7 @@ oracleTrellisQuantize4x4(int16_t coef[16], int qp, bool intra,
         for (auto& s : next) {
             s.cost = kInf;
         }
+        int run0_from = -1;
 
         for (int run = 0; run <= pos && run <= 16; ++run) {
             if (states[run].cost >= kInf) {
@@ -109,6 +130,13 @@ oracleTrellisQuantize4x4(int16_t coef[16], int qp, bool intra,
                 VT_SITE(site_cmp, TrellisCmp);
                 const bool better = cost < next[new_run].cost;
                 trace::branch(site_cmp, better);
+                if (new_run == 0 && cost == next[0].cost) {
+                    ++(run0_from == run ? g_coverage.level_ties
+                                        : g_coverage.run_ties);
+                }
+                if (better && new_run == 0) {
+                    run0_from = run;
+                }
                 if (better) {
                     next[new_run] = states[run];
                     next[new_run].cost = cost;
@@ -119,6 +147,16 @@ oracleTrellisQuantize4x4(int16_t coef[16], int qp, bool intra,
         }
         for (int run = 0; run <= 16; ++run) {
             states[run] = next[run];
+        }
+    }
+
+    for (int pos = 1; pos < 15; ++pos) {
+        if (base_levels[pos] == 0
+            && std::any_of(base_levels, base_levels + pos,
+                           [](int b) { return b > 0; })
+            && std::any_of(base_levels + pos + 1, base_levels + 16,
+                           [](int b) { return b > 0; })) {
+            ++g_coverage.dead_run0;
         }
     }
 
@@ -187,7 +225,9 @@ run(Quantizer quantize, const int16_t coef[16], int qp, bool intra,
     return out;
 }
 
-/** Compares shipped vs oracle on one block; returns false on mismatch. */
+/** Compares shipped vs oracle on one block, and the shipped quantizer
+ *  with a sink against itself with none (its probe emission replays the
+ *  costs only while a sink is attached); returns false on mismatch. */
 bool
 agrees(const int16_t coef[16], int qp, bool intra, int lambda_fp)
 {
@@ -195,14 +235,55 @@ agrees(const int16_t coef[16], int qp, bool intra, int lambda_fp)
         run(oracleTrellisQuantize4x4, coef, qp, intra, lambda_fp);
     const Outcome got =
         run(codec::trellisQuantize4x4, coef, qp, intra, lambda_fp);
+    int16_t untraced[16];
+    std::copy(coef, coef + 16, untraced);
+    const int untraced_nonzero =
+        codec::trellisQuantize4x4(untraced, qp, intra, lambda_fp);
     const bool same = std::equal(want.levels, want.levels + 16, got.levels)
                       && want.nonzero == got.nonzero
-                      && want.events == got.events;
+                      && want.events == got.events
+                      && std::equal(got.levels, got.levels + 16, untraced)
+                      && got.nonzero == untraced_nonzero;
     EXPECT_TRUE(same) << "qp " << qp << (intra ? " intra" : " inter")
                       << " lambda_fp " << lambda_fp << ": "
                       << got.events.size() << " events vs "
                       << want.events.size();
     return same;
+}
+
+/** The DCT'd 4x4 luma residuals of a clip's frame 1: each tile against
+ *  the co-located tile of frame 0 (inter) and against mid-grey (intra),
+ *  interleaved. */
+std::vector<std::array<int16_t, 16>>
+residualBlocks(const char* name, double seconds)
+{
+    video::VideoSpec spec = video::findVideo(name);
+    spec.seconds = seconds;
+    const auto frames = video::generateVideo(spec);
+    EXPECT_GE(frames.size(), 2u);
+    std::vector<std::array<int16_t, 16>> blocks;
+    if (frames.size() < 2) {
+        return blocks;
+    }
+    const video::Frame& cur = frames[1];
+    const video::Frame& prev = frames[0];
+    for (int y = 0; y + 4 <= cur.height(); y += 4) {
+        for (int x = 0; x + 4 <= cur.width(); x += 4) {
+            std::array<int16_t, 16> inter;
+            std::array<int16_t, 16> intra;
+            for (int i = 0; i < 16; ++i) {
+                const int px = cur.at(video::Plane::Y, x + i % 4, y + i / 4);
+                inter[i] = static_cast<int16_t>(
+                    px - prev.at(video::Plane::Y, x + i % 4, y + i / 4));
+                intra[i] = static_cast<int16_t>(px - 128);
+            }
+            codec::forwardDct4x4(inter.data());
+            codec::forwardDct4x4(intra.data());
+            blocks.push_back(inter);
+            blocks.push_back(intra);
+        }
+    }
+    return blocks;
 }
 
 TEST(TrellisOracle, RandomCoefficientsEveryQp)
@@ -234,31 +315,8 @@ TEST(TrellisOracle, RandomCoefficientsEveryQp)
 
 TEST(TrellisOracle, RealDctBlocksEveryQp)
 {
-    // Residuals of a real clip: each 4x4 luma tile of frame 1 against the
-    // co-located tile of frame 0, and against a flat mid-grey prediction.
-    video::VideoSpec spec = video::findVideo("cat");
-    spec.seconds = 0.1;
-    const auto frames = video::generateVideo(spec);
-    ASSERT_GE(frames.size(), 2u);
-    const video::Frame& cur = frames[1];
-    const video::Frame& prev = frames[0];
-    std::vector<std::array<int16_t, 16>> blocks;
-    for (int y = 0; y + 4 <= cur.height(); y += 4) {
-        for (int x = 0; x + 4 <= cur.width(); x += 4) {
-            std::array<int16_t, 16> inter;
-            std::array<int16_t, 16> intra;
-            for (int i = 0; i < 16; ++i) {
-                const int px = cur.at(video::Plane::Y, x + i % 4, y + i / 4);
-                inter[i] = static_cast<int16_t>(
-                    px - prev.at(video::Plane::Y, x + i % 4, y + i / 4));
-                intra[i] = static_cast<int16_t>(px - 128);
-            }
-            codec::forwardDct4x4(inter.data());
-            codec::forwardDct4x4(intra.data());
-            blocks.push_back(inter);
-            blocks.push_back(intra);
-        }
-    }
+    const auto blocks = residualBlocks("cat", 0.1);
+    ASSERT_FALSE(blocks.empty());
     for (int qp = 0; qp < codec::kQpCount; ++qp) {
         for (size_t b = 0; b < blocks.size(); b += 7) {
             const bool intra = (b & 1) != 0;
@@ -267,6 +325,88 @@ TEST(TrellisOracle, RealDctBlocksEveryQp)
             }
         }
     }
+}
+
+TEST(TrellisOracle, DeadRunZeroBetweenLevels)
+{
+    // Exact zeros between strong coefficients: a zero coefficient has no
+    // non-zero candidate, so run 0 dies there and only the zero-run
+    // states carry the paths to the next level.
+    g_coverage = {};
+    Rng rng(1019);
+    for (int qp = 0; qp < codec::kQpCount; ++qp) {
+        for (int trial = 0; trial < 40; ++trial) {
+            const int strong = 64 << (trial % 6);
+            int16_t coef[16];
+            for (auto& c : coef) {
+                c = rng.below(2) == 0
+                        ? 0
+                        : static_cast<int16_t>(rng.range(-strong, strong));
+            }
+            if (!agrees(coef, qp, (trial & 1) != 0, codec::lambdaFp(qp))) {
+                return;
+            }
+        }
+    }
+    EXPECT_GT(g_coverage.dead_run0, 0);
+}
+
+TEST(TrellisOracle, ExactTiesAcrossRunsAndCandidates)
+{
+    // Small coefficients at fine quantizers, where the level terms round
+    // to the same few values, under a zero rate weight (lambda_fp <= 5
+    // gives lambda_rate 0, so equal distortions tie across runs) and
+    // under the codec's own lambda (runs with equal ueBits tie).
+    g_coverage = {};
+    Rng rng(7);
+    for (int qp = 0; qp < 18; ++qp) {
+        for (int trial = 0; trial < 200; ++trial) {
+            const int spread = 2 + trial % 24;
+            int16_t coef[16];
+            for (auto& c : coef) {
+                c = static_cast<int16_t>(rng.range(-spread, spread));
+            }
+            const int lambda_fp = trial % 2 == 0
+                                      ? static_cast<int>(rng.below(6))
+                                      : codec::lambdaFp(qp);
+            if (!agrees(coef, qp, (trial & 2) != 0, lambda_fp)) {
+                return;
+            }
+        }
+    }
+    EXPECT_GT(g_coverage.run_ties, 0);
+    EXPECT_GT(g_coverage.level_ties, 0);
+}
+
+TEST(TrellisOracle, MezzanineGradeCoefficients)
+{
+    // The mezzanine encodes at crf 10: real residuals of a low- and a
+    // high-entropy clip and full-range random coefficients, at the
+    // quantizers crf 10's frame-level adaptation reaches.
+    g_coverage = {};
+    std::vector<std::array<int16_t, 16>> blocks = residualBlocks("hall",
+                                                                 0.1);
+    const auto calm = residualBlocks("desktop", 0.1);
+    blocks.insert(blocks.end(), calm.begin(), calm.end());
+    ASSERT_FALSE(blocks.empty());
+    Rng rng(10);
+    for (int i = 0; i < 600; ++i) {
+        std::array<int16_t, 16> coef;
+        const int spread = 16 << (i % 8);
+        for (auto& c : coef) {
+            c = static_cast<int16_t>(rng.range(-spread, spread));
+        }
+        blocks.push_back(coef);
+    }
+    for (int qp = 4; qp <= 16; ++qp) {
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            const bool intra = (b & 1) != 0;
+            if (!agrees(blocks[b].data(), qp, intra, codec::lambdaFp(qp))) {
+                return;
+            }
+        }
+    }
+    EXPECT_GT(g_coverage.dead_run0, 0);
 }
 
 } // namespace
