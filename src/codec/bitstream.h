@@ -86,6 +86,13 @@ BitWriter::putUe(uint32_t value)
     trace::block(site);
     const uint64_t code = static_cast<uint64_t>(value) + 1;
     const int len = static_cast<int>(std::bit_width(code)) - 1;
+    // len zeros, then code in len + 1 bits: one write of code in
+    // 2 * len + 1 bits whenever that fits (the same bytes, flushed in the
+    // same order).
+    if (len < 16) {
+        putBits(static_cast<uint32_t>(code), 2 * len + 1);
+        return;
+    }
     putBits(0, len);
     putBits(static_cast<uint32_t>(code), len + 1);
 }

@@ -437,13 +437,14 @@ class SequenceEncoder
     {
         int nnz = 0;
         for (int i = 0; i < 16; ++i) {
-            // The per-coefficient significance test: the branchy,
-            // data-dependent heart of entropy coding.
+            nnz += levels[i] != 0 ? 1 : 0;
+        }
+        if (trace::active()) {
+            // The per-coefficient significance test in scan order: the
+            // branchy, data-dependent heart of entropy coding.
             VT_SITE(site_sig, EntropySig);
-            const bool sig = levels[kZigzag4x4[i]] != 0;
-            trace::branch(site_sig, sig);
-            if (sig) {
-                ++nnz;
+            for (int i = 0; i < 16; ++i) {
+                trace::branch(site_sig, levels[kZigzag4x4[i]] != 0);
             }
         }
         bw_.putUe(static_cast<uint32_t>(nnz));

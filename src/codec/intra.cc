@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "codec/pixel.h"
+#include "codec/strategies/strategies.h"
 #include "common/status.h"
 #include "trace/probe.h"
 
@@ -116,42 +117,67 @@ predictIntra16(const Frame& recon, int mx, int my, Intra16Mode mode,
     }
 }
 
+namespace {
+
+/** The reconstructed edge a 4x4 block predicts from: eight top
+ *  neighbors (with top-right replication past the frame edge), four left
+ *  neighbors and the top-left corner, 128 where the frame has none. */
+struct Edges4
+{
+    uint8_t top[8];
+    uint8_t left[4];
+    uint8_t tl;
+    bool have_top;
+    bool have_left;
+};
+
+Edges4
+gatherEdges4(const Frame& recon, int x, int y)
+{
+    Edges4 e;
+    e.have_top = y > 0;
+    e.have_left = x > 0;
+    if (e.have_top) {
+        for (int i = 0; i < 8; ++i) {
+            const int tx = std::min(x + i, recon.width() - 1);
+            e.top[i] = recon.at(Plane::Y, tx, y - 1);
+        }
+    } else {
+        std::fill(e.top, e.top + 8, 128);
+    }
+    if (e.have_left) {
+        for (int i = 0; i < 4; ++i) {
+            e.left[i] = recon.at(Plane::Y, x - 1, y + i);
+        }
+    } else {
+        std::fill(e.left, e.left + 4, 128);
+    }
+    e.tl = (e.have_top && e.have_left) ? recon.at(Plane::Y, x - 1, y - 1)
+                                       : 128;
+    return e;
+}
+
+/** The probe events of one 4x4 prediction: the block, its store to the
+ *  prediction scratch and its edge loads. */
 void
-predictIntra4(const Frame& recon, int x, int y, Intra4Mode mode,
-              uint8_t pred[16])
+emitPredict4(const Frame& recon, int x, int y, const Edges4& e)
 {
     VT_SITE(site, IntraPred4);
     trace::block(site);
     trace::store(static_cast<uint64_t>(Scratch::Pred), 16);
-
-    const bool have_top = y > 0;
-    const bool have_left = x > 0;
-
-    // Eight top neighbors (with top-right replication past the frame edge)
-    // and four left neighbors.
-    uint8_t top[8];
-    uint8_t left[4];
-    if (have_top) {
+    if (e.have_top) {
         trace::load(recon.simAddr(Plane::Y, x, y - 1), 8);
-        for (int i = 0; i < 8; ++i) {
-            const int tx = std::min(x + i, recon.width() - 1);
-            top[i] = recon.at(Plane::Y, tx, y - 1);
-        }
-    } else {
-        std::fill(top, top + 8, 128);
     }
-    if (have_left) {
+    if (e.have_left) {
         trace::load(recon.simAddr(Plane::Y, x - 1, y), 1);
-        for (int i = 0; i < 4; ++i) {
-            left[i] = recon.at(Plane::Y, x - 1, y + i);
-        }
-    } else {
-        std::fill(left, left + 4, 128);
     }
-    const uint8_t tl = (have_top && have_left)
-                           ? recon.at(Plane::Y, x - 1, y - 1)
-                           : 128;
+}
 
+void
+predictFromEdges4(const Edges4& e, Intra4Mode mode, uint8_t pred[16])
+{
+    const uint8_t* top = e.top;
+    const uint8_t* left = e.left;
     switch (mode) {
       case Intra4Mode::V: {
         for (int r = 0; r < 4; ++r) {
@@ -172,11 +198,11 @@ predictIntra4(const Frame& recon, int x, int y, Intra4Mode mode,
       case Intra4Mode::DC: {
         int sum = 0;
         int count = 0;
-        if (have_top) {
+        if (e.have_top) {
             sum += top[0] + top[1] + top[2] + top[3];
             count += 4;
         }
-        if (have_left) {
+        if (e.have_left) {
             sum += left[0] + left[1] + left[2] + left[3];
             count += 4;
         }
@@ -206,7 +232,7 @@ predictIntra4(const Frame& recon, int x, int y, Intra4Mode mode,
                 } else if (d < 0) {
                     v = left[-d - 1];
                 } else {
-                    v = tl;
+                    v = e.tl;
                 }
                 pred[r * 4 + c] = v;
             }
@@ -214,6 +240,17 @@ predictIntra4(const Frame& recon, int x, int y, Intra4Mode mode,
         break;
       }
     }
+}
+
+} // namespace
+
+void
+predictIntra4(const Frame& recon, int x, int y, Intra4Mode mode,
+              uint8_t pred[16])
+{
+    const Edges4 e = gatherEdges4(recon, x, y);
+    emitPredict4(recon, x, y, e);
+    predictFromEdges4(e, mode, pred);
 }
 
 void
@@ -291,12 +328,20 @@ Intra4Mode
 chooseIntra4(const Frame& cur, const Frame& recon, int x, int y,
              bool use_satd, int lambda_fp, int* cost_out)
 {
+    // Every mode predicts from the same edge, so it is gathered once;
+    // each mode still emits its own prediction's events.
+    const Edges4 edges = gatherEdges4(recon, x, y);
+    const int cstride = cur.stride(Plane::Y);
+    const uint8_t* cur_block =
+        cur.data(Plane::Y) + static_cast<ptrdiff_t>(y) * cstride + x;
+    const auto sad_rows = kernels().sad_rows;
     uint8_t pred[16];
     int best_cost = INT32_MAX;
     Intra4Mode best_mode = Intra4Mode::DC;
     for (int m = 0; m < kIntra4Modes; ++m) {
         const auto mode = static_cast<Intra4Mode>(m);
-        predictIntra4(recon, x, y, mode, pred);
+        emitPredict4(recon, x, y, edges);
+        predictFromEdges4(edges, mode, pred);
         int cost;
         if (use_satd) {
             cost = satd4x4(cur, x, y, pred, 4,
@@ -304,15 +349,12 @@ chooseIntra4(const Frame& cur, const Frame& recon, int x, int y,
         } else {
             VT_SITE(site_sad, IntraSad4);
             trace::block(site_sad);
-            cost = 0;
-            for (int r = 0; r < 4; ++r) {
-                trace::load(cur.simAddr(Plane::Y, x, y + r), 4);
-                for (int c = 0; c < 4; ++c) {
-                    cost += std::abs(
-                        static_cast<int>(cur.at(Plane::Y, x + c, y + r))
-                        - pred[r * 4 + c]);
+            if (trace::active()) {
+                for (int r = 0; r < 4; ++r) {
+                    trace::load(cur.simAddr(Plane::Y, x, y + r), 4);
                 }
             }
+            cost = sad_rows(cur_block, cstride, pred, 4, 4, 4);
         }
         cost += (lambda_fp * 3) >> 4; // ~3 bits per 4x4 mode signal
         VT_SITE(site_cmp, IntraCmp4);

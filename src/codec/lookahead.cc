@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
+#include <vector>
 
 #include "codec/loopflags.h"
 #include "codec/pixel.h"
@@ -15,26 +17,54 @@ using video::Plane;
 
 namespace {
 
-/** Half-resolution luma sample (2x2 box filter). */
-inline int
-halfPixel(const Frame& f, int hx, int hy)
+/** The half-resolution luma plane of a frame (2x2 box filter), computed
+ *  once per frame so each block and candidate reads it instead of
+ *  re-filtering. */
+class HalfPlane
 {
-    const int x = hx * 2;
-    const int y = hy * 2;
-    return (f.at(Plane::Y, x, y) + f.at(Plane::Y, x + 1, y)
-            + f.at(Plane::Y, x, y + 1) + f.at(Plane::Y, x + 1, y + 1) + 2)
-           >> 2;
-}
+  public:
+    explicit HalfPlane(const Frame& f)
+        : width_(f.width() / 2), height_(f.height() / 2),
+          pixels_(static_cast<size_t>(width_) * height_)
+    {
+        for (int hy = 0; hy < height_; ++hy) {
+            for (int hx = 0; hx < width_; ++hx) {
+                const int x = hx * 2;
+                const int y = hy * 2;
+                pixels_[static_cast<size_t>(hy) * width_ + hx] =
+                    static_cast<uint8_t>(
+                        (f.at(Plane::Y, x, y) + f.at(Plane::Y, x + 1, y)
+                         + f.at(Plane::Y, x, y + 1)
+                         + f.at(Plane::Y, x + 1, y + 1) + 2)
+                        >> 2);
+            }
+        }
+    }
+
+    int width() const { return width_; }
+    int height() const { return height_; }
+
+    int
+    at(int hx, int hy) const
+    {
+        return pixels_[static_cast<size_t>(hy) * width_ + hx];
+    }
+
+  private:
+    int width_;
+    int height_;
+    std::vector<uint8_t> pixels_;
+};
 
 /** 8x8 SAD between half-res blocks of two frames with displacement. */
 int
-halfSad8x8(const Frame& cur, int bx, int by, const Frame& prev, int dx,
-           int dy)
+halfSad8x8(const Frame& cur, const HalfPlane& cur_half, int bx, int by,
+           const Frame& prev, const HalfPlane& prev_half, int dx, int dy)
 {
     VT_SITE(site, LookaheadSad8);
     trace::block(site);
-    const int hw = cur.width() / 2;
-    const int hh = cur.height() / 2;
+    const int hw = cur_half.width();
+    const int hh = cur_half.height();
     int sad = 0;
     for (int y = 0; y < 8; ++y) {
         trace::load(cur.simAddr(Plane::Y, bx * 2, (by + y) * 2), 16);
@@ -46,8 +76,8 @@ halfSad8x8(const Frame& cur, int bx, int by, const Frame& prev, int dx,
         for (int x = 0; x < 8; ++x) {
             const int px = std::clamp(bx + dx + x, 0, hw - 1);
             const int py = std::clamp(by + dy + y, 0, hh - 1);
-            sad += std::abs(halfPixel(cur, bx + x, by + y)
-                            - halfPixel(prev, px, py));
+            sad += std::abs(cur_half.at(bx + x, by + y)
+                            - prev_half.at(px, py));
         }
     }
     return sad;
@@ -55,7 +85,7 @@ halfSad8x8(const Frame& cur, int bx, int by, const Frame& prev, int dx,
 
 /** Intra cost proxy of an 8x8 half-res block: deviation from its DC. */
 int
-halfIntra8x8(const Frame& cur, int bx, int by)
+halfIntra8x8(const Frame& cur, const HalfPlane& cur_half, int bx, int by)
 {
     VT_SITE(site, LookaheadIntra8);
     trace::block(site);
@@ -64,7 +94,7 @@ halfIntra8x8(const Frame& cur, int bx, int by)
     for (int y = 0; y < 8; ++y) {
         trace::load(cur.simAddr(Plane::Y, bx * 2, (by + y) * 2), 16);
         for (int x = 0; x < 8; ++x) {
-            vals[y * 8 + x] = halfPixel(cur, bx + x, by + y);
+            vals[y * 8 + x] = cur_half.at(bx + x, by + y);
             sum += vals[y * 8 + x];
         }
     }
@@ -77,10 +107,6 @@ halfIntra8x8(const Frame& cur, int bx, int by)
     return cost + 64;
 }
 
-} // namespace
-
-namespace {
-
 /**
  * Fused per-block analysis (Graphite's loop fusion / distribution
  * inverse, see loopflags.h): the current block's half-res pixels are
@@ -89,22 +115,23 @@ namespace {
  * Arithmetic is identical to the unfused path.
  */
 void
-analyzeBlockFused(const Frame& frame, const Frame* prev, int bx, int by,
-                  int64_t* intra_out, int64_t* inter_out)
+analyzeBlockFused(const Frame& frame, const HalfPlane& frame_half,
+                  const Frame* prev, const HalfPlane* prev_half, int bx,
+                  int by, int64_t* intra_out, int64_t* inter_out)
 {
     static const int kDia[5][2] = {
         {0, 0}, {2, 0}, {-2, 0}, {0, 2}, {0, -2}};
     VT_SITE(site, LookaheadFused8);
     trace::block(site);
-    const int hw = frame.width() / 2;
-    const int hh = frame.height() / 2;
+    const int hw = frame_half.width();
+    const int hh = frame_half.height();
 
     int vals[64];
     int sum = 0;
     for (int y = 0; y < 8; ++y) {
         trace::load(frame.simAddr(Plane::Y, bx * 2, (by + y) * 2), 16);
         for (int x = 0; x < 8; ++x) {
-            vals[y * 8 + x] = halfPixel(frame, bx + x, by + y);
+            vals[y * 8 + x] = frame_half.at(bx + x, by + y);
             sum += vals[y * 8 + x];
         }
     }
@@ -136,7 +163,7 @@ analyzeBlockFused(const Frame& frame, const Frame* prev, int bx, int by,
             for (int x = 0; x < 8; ++x) {
                 const int px = std::clamp(bx + d[0] + x, 0, hw - 1);
                 const int py = std::clamp(by + d[1] + y, 0, hh - 1);
-                sad += std::abs(vals[y * 8 + x] - halfPixel(*prev, px, py));
+                sad += std::abs(vals[y * 8 + x] - prev_half->at(px, py));
             }
         }
         best = std::min(best, sad);
@@ -156,19 +183,25 @@ estimateFrameCosts(const Frame& frame, const Frame* prev)
     static const int kDia[5][2] = {
         {0, 0}, {2, 0}, {-2, 0}, {0, 2}, {0, -2}};
     const bool fused = loopOptFlags().fuse_lookahead;
+    const HalfPlane frame_half(frame);
+    std::optional<HalfPlane> prev_half;
+    if (prev != nullptr) {
+        prev_half.emplace(*prev);
+    }
 
     for (int by = 0; by < hbh; ++by) {
         for (int bx = 0; bx < hbw; ++bx) {
             if (fused) {
                 int64_t intra = 0;
                 int64_t inter = 0;
-                analyzeBlockFused(frame, prev, bx * 8, by * 8, &intra,
-                                  &inter);
+                analyzeBlockFused(frame, frame_half, prev,
+                                  prev_half ? &*prev_half : nullptr, bx * 8,
+                                  by * 8, &intra, &inter);
                 costs.intra_cost += intra;
                 costs.inter_cost += prev != nullptr ? inter : 0;
                 continue;
             }
-            const int intra = halfIntra8x8(frame, bx * 8, by * 8);
+            const int intra = halfIntra8x8(frame, frame_half, bx * 8, by * 8);
             costs.intra_cost += intra;
             if (prev != nullptr) {
                 int best = INT32_MAX;
@@ -176,8 +209,8 @@ estimateFrameCosts(const Frame& frame, const Frame* prev)
                     VT_SITE(site_c, LookaheadCand);
                     trace::block(site_c);
                     best = std::min(
-                        best, halfSad8x8(frame, bx * 8, by * 8, *prev,
-                                         d[0], d[1]));
+                        best, halfSad8x8(frame, frame_half, bx * 8, by * 8,
+                                         *prev, *prev_half, d[0], d[1]));
                 }
                 // Inter blocks can fall back to intra coding.
                 costs.inter_cost += std::min(best + 16, intra);

@@ -31,24 +31,23 @@ gatherClamped(const Frame& ref, Plane p, int x, int y, int w, int h,
     const uint8_t* plane = ref.data(p);
     const int stride = ref.stride(p);
     const int max_y = ref.planeHeight(p) - 1;
-    // The clamped columns are the same on every row.
+    // Every row splits the same way: columns [0, inside) left of the
+    // plane repeat its first pixel, [inside, outside) are in the plane,
+    // and [outside, w) right of it repeat its last pixel.
+    const int inside = std::clamp(-x, 0, w);
+    const int outside = std::clamp(stride - x, inside, w);
     uint8_t* row = tile;
-    int col[kEdgeTile];
-    for (int c = 0; c < w; ++c) {
-        col[c] = std::clamp(x + c, 0, stride - 1);
-    }
-    const bool columns_inside = x >= 0 && x + w <= stride;
     for (int r = 0; r < h; ++r, row += kEdgeTile) {
         const uint8_t* src =
             plane + static_cast<ptrdiff_t>(std::clamp(y + r, 0, max_y))
                         * stride;
-        if (columns_inside) {
-            std::memcpy(row, src + x, static_cast<size_t>(w));
-        } else {
-            for (int c = 0; c < w; ++c) {
-                row[c] = src[col[c]];
-            }
+        std::memset(row, src[0], static_cast<size_t>(inside));
+        if (outside > inside) {
+            std::memcpy(row + inside, src + x + inside,
+                        static_cast<size_t>(outside - inside));
         }
+        std::memset(row + outside, src[stride - 1],
+                    static_cast<size_t>(w - outside));
     }
 }
 

@@ -17,10 +17,14 @@ namespace vtrans::codec {
 /**
  * Rate-distortion optimal quantization of one 4x4 coefficient block.
  *
- * For each zigzag position the quantizer considers the rounded-down level,
- * one above, and zero, and picks the path minimizing
+ * For each zigzag position the quantizer considers the dead-zone-rounded
+ * level, the level one below it, and zero, and picks the path minimizing
  * distortion + lambda * rate, where rate mirrors the (run, level)
- * exp-Golomb coding the bitstream writer emits.
+ * exp-Golomb coding the bitstream writer emits. It keeps one cost per
+ * run and a back-pointer for run 0 only (a zero level moves run r to
+ * r + 1, the only way to reach it). Its probe events model a scan over
+ * every live (run, candidate) pair and are replayed from the same costs
+ * while a sink is attached; the levels chosen do not depend on it.
  *
  * @param coef   Transform coefficients (overwritten with chosen levels).
  * @param qp     Quantization parameter.

@@ -36,23 +36,6 @@ Cache::Cache(std::string name, const CacheParams& params)
 {
 }
 
-AccessResult
-hierarchyAccess(Cache& l1, OuterLevels& outer, const LatencyParams& lat,
-                uint64_t addr)
-{
-    AccessResult r{lat.l1, false, false, false, false};
-    if (l1.access(addr)) {
-        return r;
-    }
-    const uint32_t level = outer.walk(addr);
-    r.l1_miss = true;
-    r.l2_miss = level >= kServedL3;
-    r.l3_miss = level >= kServedL4;
-    r.l4_miss = level == kServedMemory && outer.hasL4();
-    r.latency += missLatency(level, lat);
-    return r;
-}
-
 OuterLevels::OuterLevels(const CacheParams& l2, const CacheParams& l3,
                          uint32_t l4_size)
     : l2_("L2", l2), l3_("L3", l3)

@@ -101,16 +101,6 @@ struct LatencyParams
     int itlb_miss = 30;
 };
 
-/** Result of a hierarchy access: total latency plus the miss path. */
-struct AccessResult
-{
-    int latency = 0;
-    bool l1_miss = false;
-    bool l2_miss = false;
-    bool l3_miss = false;
-    bool l4_miss = false;
-};
-
 /** The level that served an L1 miss (OuterLevels::walk). */
 enum MissLevel : uint32_t
 {
@@ -166,12 +156,6 @@ class OuterLevels
     Cache l3_;
     std::unique_ptr<Cache> l4_;
 };
-
-/** One access of `addr` through an L1 and the levels behind it: the L1
- *  latency on a hit, else the miss path, filling every level on the way
- *  back. */
-AccessResult hierarchyAccess(Cache& l1, OuterLevels& outer,
-                             const LatencyParams& lat, uint64_t addr);
 
 } // namespace vtrans::uarch
 

@@ -12,6 +12,36 @@ namespace vtrans::uarch {
 
 namespace {
 
+/** Result of a hierarchy access: total latency plus the miss path. */
+struct AccessResult
+{
+    int latency = 0;
+    bool l1_miss = false;
+    bool l2_miss = false;
+    bool l3_miss = false;
+    bool l4_miss = false;
+};
+
+/** One access of `addr` through an L1 and the levels behind it: the L1
+ *  latency on a hit, else the miss path, filling every level on the way
+ *  back. */
+AccessResult
+hierarchyAccess(Cache& l1, OuterLevels& outer, const LatencyParams& lat,
+                uint64_t addr)
+{
+    AccessResult r{lat.l1, false, false, false, false};
+    if (l1.access(addr)) {
+        return r;
+    }
+    const uint32_t level = outer.walk(addr);
+    r.l1_miss = true;
+    r.l2_miss = level >= kServedL3;
+    r.l3_miss = level >= kServedL4;
+    r.l4_miss = level == kServedMemory && outer.hasL4();
+    r.latency += missLatency(level, lat);
+    return r;
+}
+
 /** The shared windows and clock, dispatched one instruction at a time. */
 struct SteppingTiming : TimingState
 {

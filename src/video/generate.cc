@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/status.h"
 
@@ -114,12 +115,20 @@ Generator::renderInto(Frame& frame)
     const int h = spec_.height;
     uint8_t* luma = frame.data(Plane::Y);
 
-    // Background: two crossed sinusoids over a base level, panning.
+    // Background: two crossed sinusoids over a base level, panning. The
+    // first depends on the column only and the second on the row only,
+    // so each is evaluated once per column or row.
+    std::vector<double> col_tex(w);
+    std::vector<double> row_tex(h);
+    for (int x = 0; x < w; ++x) {
+        col_tex[x] = 18.0 * std::sin(bg_freq_ * x + bg_phase_x_);
+    }
+    for (int y = 0; y < h; ++y) {
+        row_tex[y] = 12.0 * std::sin(bg_freq_ * 1.7 * y + bg_phase_y_);
+    }
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
-            const double tex =
-                18.0 * std::sin(bg_freq_ * x + bg_phase_x_)
-                + 12.0 * std::sin(bg_freq_ * 1.7 * y + bg_phase_y_);
+            const double tex = col_tex[x] + row_tex[y];
             luma[y * w + x] = pixel(bg_luma_ + tex);
         }
     }
@@ -132,18 +141,39 @@ Generator::renderInto(Frame& frame)
     std::fill(cr, cr + static_cast<size_t>(cw) * ch,
               static_cast<uint8_t>(bg_cr_));
 
-    // Objects: textured rectangles painted over the background.
+    // Objects: textured rectangles painted over the background. The
+    // texture's two sinusoids depend on x + y and on x - y only, so each
+    // is evaluated once per diagonal of the painted rectangle.
+    std::vector<double> sum_tex;
+    std::vector<double> diff_tex;
     for (const auto& obj : objects_) {
         const int x0 = std::max(0, static_cast<int>(obj.x));
         const int y0 = std::max(0, static_cast<int>(obj.y));
         const int x1 = std::min(w, static_cast<int>(obj.x) + obj.w);
         const int y1 = std::min(h, static_cast<int>(obj.y) + obj.h);
-        for (int y = y0; y < y1; ++y) {
-            for (int x = x0; x < x1; ++x) {
-                const double tex =
-                    25.0 * std::sin(obj.tex_freq * (x + y) + obj.tex_phase)
-                    + 15.0 * std::sin(obj.tex_freq * 2.3 * (x - y));
-                luma[y * w + x] = pixel(obj.luma + tex);
+        if (x0 < x1 && y0 < y1) {
+            // x + y spans [x0 + y0, x1 + y1 - 2], x - y spans
+            // [x0 - y1 + 1, x1 - 1 - y0].
+            const int sum0 = x0 + y0;
+            const int diff0 = x0 - y1 + 1;
+            const int diagonals = (x1 - x0) + (y1 - y0) - 1;
+            sum_tex.resize(diagonals);
+            diff_tex.resize(diagonals);
+            for (int i = 0; i < diagonals; ++i) {
+                sum_tex[i] = 25.0
+                             * std::sin(obj.tex_freq * (sum0 + i)
+                                        + obj.tex_phase);
+                diff_tex[i] =
+                    15.0 * std::sin(obj.tex_freq * 2.3 * (diff0 + i));
+            }
+            for (int y = y0; y < y1; ++y) {
+                // Column x reads diagonal x + y - sum0 and x - y - diff0.
+                const double* sum_row = &sum_tex[y - y0];
+                const double* diff_row = &diff_tex[y1 - 1 - y];
+                for (int x = x0; x < x1; ++x) {
+                    const double tex = sum_row[x - x0] + diff_row[x - x0];
+                    luma[y * w + x] = pixel(obj.luma + tex);
+                }
             }
         }
         for (int y = y0 / 2; y < y1 / 2; ++y) {

@@ -94,15 +94,18 @@ TEST(Hierarchy, MissFallsThroughLevels)
     Cache l1d("L1d", {32768, 8, 64});
     OuterLevels outer({262144, 8, 64}, {8388608, 16, 64}, 0);
     const LatencyParams lat;
-    const AccessResult cold = hierarchyAccess(l1d, outer, lat, 0x10000);
-    EXPECT_TRUE(cold.l1_miss);
-    EXPECT_TRUE(cold.l2_miss);
-    EXPECT_TRUE(cold.l3_miss);
-    EXPECT_EQ(cold.latency, LatencyParams{}.memory + LatencyParams{}.l1);
+    // Cold: the L1 misses and no outer level holds the line, so memory
+    // serves it at the memory latency on top of the L1's.
+    EXPECT_FALSE(l1d.access(0x10000));
+    const uint32_t cold = outer.walk(0x10000);
+    EXPECT_EQ(cold, kServedMemory);
+    EXPECT_EQ(lat.l1 + missLatency(cold, lat),
+              LatencyParams{}.memory + LatencyParams{}.l1);
 
-    const AccessResult warm = hierarchyAccess(l1d, outer, lat, 0x10000);
-    EXPECT_FALSE(warm.l1_miss);
-    EXPECT_EQ(warm.latency, LatencyParams{}.l1);
+    // The miss filled every level on the way back: the L1 now hits at
+    // the L1 latency, and so would the L2 behind it.
+    EXPECT_TRUE(l1d.access(0x10000));
+    EXPECT_EQ(outer.walk(0x10000), kServedL2);
 }
 
 TEST(Hierarchy, L4ServicesL3Misses)
@@ -111,15 +114,20 @@ TEST(Hierarchy, L4ServicesL3Misses)
     OuterLevels outer({262144, 8, 64}, {1 << 20, 16, 64}, 16 << 20);
     const LatencyParams lat;
     ASSERT_TRUE(outer.hasL4());
-    hierarchyAccess(l1d, outer, lat, 0x40000); // cold fill, all levels
+    // Cold fill, all levels.
+    EXPECT_FALSE(l1d.access(0x40000));
+    EXPECT_EQ(outer.walk(0x40000), kServedMemory);
     // Evict from L1/L2/L3 by sweeping >L3-sized data; L4 keeps it.
     for (uint64_t a = 1 << 24; a < (1 << 24) + (2 << 20); a += 64) {
-        hierarchyAccess(l1d, outer, lat, a);
+        if (!l1d.access(a)) {
+            outer.walk(a);
+        }
     }
-    const AccessResult r = hierarchyAccess(l1d, outer, lat, 0x40000);
-    EXPECT_TRUE(r.l3_miss);
-    EXPECT_FALSE(r.l4_miss);
-    EXPECT_EQ(r.latency, LatencyParams{}.l4 + LatencyParams{}.l1);
+    EXPECT_FALSE(l1d.access(0x40000));
+    const uint32_t level = outer.walk(0x40000);
+    EXPECT_EQ(level, kServedL4);
+    EXPECT_EQ(lat.l1 + missLatency(level, lat),
+              LatencyParams{}.l4 + LatencyParams{}.l1);
 }
 
 TEST(Hierarchy, MultiLineAccessTouchesBothLines)

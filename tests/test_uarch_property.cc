@@ -139,11 +139,17 @@ TEST(CacheProperty, LatencyOrderingAcrossLevels)
 
     Cache l1d("L1d", {4096, 8, 64});
     OuterLevels outer({32768, 8, 64}, {131072, 16, 64}, 262144);
-    // Deeper levels never return faster than shallower ones.
-    const auto cold = hierarchyAccess(l1d, outer, lat, 0x123000);
-    const auto warm = hierarchyAccess(l1d, outer, lat, 0x123000);
-    EXPECT_GT(cold.latency, warm.latency);
-    EXPECT_EQ(warm.latency, lat.l1);
+    // Deeper levels never return faster than shallower ones: a cold line
+    // (an L1 miss served from memory) costs more than the L1 hit that
+    // follows it.
+    ASSERT_FALSE(l1d.access(0x123000));
+    const int cold = lat.l1 + missLatency(outer.walk(0x123000), lat);
+    ASSERT_TRUE(l1d.access(0x123000));
+    const int warm = lat.l1;
+    EXPECT_GT(cold, warm);
+    for (uint32_t level = kServedL2; level < kServedMemory; ++level) {
+        EXPECT_LT(missLatency(level, lat), missLatency(level + 1, lat));
+    }
 }
 
 // ---- Predictor properties ----------------------------------------------------

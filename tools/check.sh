@@ -42,10 +42,11 @@ cmake --build "$BUILD_DIR" -j
 
 echo "== the stepping oracle stays out of shipped binaries =="
 # uarch::SteppingCore (src/uarch/stepping.h) is CoreModel's test oracle:
-# only the differential suite and the probe microbench link it.
+# only the differential suite and the probe microbench link it, and with
+# it its per-access cache walk (hierarchyAccess).
 for bin in examples/quickstart tools/uarch_diff; do
     symbols=$(nm -C "$BUILD_DIR/$bin")
-    if grep -E 'Stepping(Core|Timing)' <<<"$symbols"; then
+    if grep -E 'Stepping(Core|Timing)|hierarchyAccess' <<<"$symbols"; then
         echo "$bin links the stepping oracle (vtrans_uarch_stepping)" >&2
         exit 1
     fi
@@ -235,16 +236,20 @@ if [[ "${VTRANS_SKIP_TSAN:-0}" != 1 ]]; then
 fi
 
 if [[ "${VTRANS_SKIP_ASAN:-0}" != 1 ]]; then
-    echo "== address + undefined sanitizers: probe bus + model + obs =="
-    # UBSan findings are fatal here, not just logged.
+    echo "== address + undefined sanitizers: probe bus + model + obs + codec =="
+    # UBSan findings are fatal here, not just logged. The trellis and
+    # golden suites run here too: the trellis keeps dead states at costs
+    # near INT64_MAX / 4 and must never overflow them.
     ASAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$ASAN_DIR" -S . -DVTRANS_SANITIZE=address,undefined
     cmake --build "$ASAN_DIR" -j --target test_obs test_uarch test_trace \
-        test_farm
+        test_farm test_trellis test_codec_golden
     export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
     "$ASAN_DIR"/tests/test_trace
     "$ASAN_DIR"/tests/test_uarch
     "$ASAN_DIR"/tests/test_obs
+    "$ASAN_DIR"/tests/test_trellis
+    "$ASAN_DIR"/tests/test_codec_golden
     # The shared-pass farm path: grouped passes, the group cache fill.
     "$ASAN_DIR"/tests/test_farm \
         --gtest_filter='Farm.GroupedPassesMatchLoneRuns'
