@@ -90,7 +90,7 @@ trellisQuantize4x4(int16_t coef[16], int qp, bool intra, int lambda_fp)
     int8_t run0_from[16];
     int16_t run0_level[16];
 
-    // The rounded-down level of each position. Past the last position
+    // The dead-zone-rounded level of each position. Past the last position
     // with a non-zero one, every path only extends its run by zeros, at
     // the same cost added to every state, so the cheapest state and its
     // path are already fixed there. The scan stops at that position
