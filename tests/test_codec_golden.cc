@@ -11,7 +11,7 @@
  *   - the mezzanine encode (crf 10) of the source clip;
  *   - for every vbench video and `bbb` at 0.1 s and 0.3 s: each plane of
  *     the frames `video::generateVideo` renders, and the mezzanine encode
- *     of those frames;
+ *     of those frames (its bytes also with no sink attached);
  *   - `codec::decode` of a transcoded stream (events + decoded pixels);
  *   - `chunk::split` of the mezzanine plus `chunk::stitch` of its slices.
  *
@@ -531,12 +531,17 @@ TEST(GoldenDigests, MezzanineEveryVideo)
     int checked = 0;
     for (const double seconds : {0.1, 0.3}) {
         for (const auto& spec : corpusClips(seconds)) {
+            std::ostringstream name;
+            name << "mezzanine " << spec.name << " " << seconds << " s";
             const Digests actual = record(kS, [&] {
                 return bytesDigest(codec::makeSourceStream(spec));
             });
+            // Set-up encodes run with no sink attached, and the codec
+            // skips its probe-only work then: the bytes must not move.
+            EXPECT_EQ(bytesDigest(codec::makeSourceStream(spec)),
+                      actual.output)
+                << name.str() << " without a sink";
             const ClipGolden* golden = findClipGolden(spec);
-            std::ostringstream name;
-            name << "mezzanine " << spec.name << " " << seconds << " s";
             const uint64_t none[3] = {};
             if (golden == nullptr) {
                 ADD_FAILURE() << name.str() << ": no row; "

@@ -3,8 +3,8 @@
  * Differential test of the trellis quantizer against a reference
  * implementation kept here as the oracle: the straightforward dynamic
  * program that carries a full copy of each path's levels in every state.
- * The shipped quantizer keeps one cost per run plus back-pointers and
- * traces the winner back once; it must choose the same levels and emit
+ * The shipped quantizer keeps one cost per run and a back-pointer for
+ * run 0 only, and traces the winner back once; it must choose the same levels and emit
  * the same probe events (one TrellisState block per live state, one
  * TrellisCmp branch per candidate with the same outcome) on every input,
  * and choose the same levels again with no sink attached. The oracle
