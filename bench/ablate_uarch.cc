@@ -9,6 +9,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/benchutil.h"
 #include "common/table.h"
@@ -27,26 +29,47 @@ main(int argc, char** argv)
     base.seconds = cli.real("seconds", 1.0);
     cli.rejectUnknown();
     base.params = codec::presetParams("medium");
-    base.core = uarch::baselineConfig();
 
     bench::banner("Microarchitecture ablation (medium/23/3 on "
                   + base.video + ")");
 
+    // One knob at a time against the baseline, all simulated from one
+    // codec pass.
+    std::vector<std::string> names;
+    std::vector<uarch::CoreParams> classes;
+    auto knob = [&](const std::string& name, auto change) {
+        names.push_back(name);
+        classes.push_back(uarch::baselineConfig());
+        change(classes.back());
+    };
+    using P = uarch::CoreParams;
+    knob("baseline", [](P&) {});
+    knob("L1d x2", [](P& c) { c.l1d.size_bytes *= 2; });
+    knob("L1d /2", [](P& c) { c.l1d.size_bytes /= 2; });
+    knob("L1i x2", [](P& c) { c.l1i.size_bytes *= 2; });
+    knob("L2 x2", [](P& c) { c.l2.size_bytes *= 2; });
+    knob("L3 x2", [](P& c) { c.l3.size_bytes *= 2; });
+    knob("ROB x2", [](P& c) { c.rob_size *= 2; });
+    knob("RS x2", [](P& c) { c.rs_size *= 2; });
+    knob("issue@dispatch", [](P& c) { c.issue_at_dispatch = true; });
+    knob("MSHR=1 (no MLP)", [](P& c) { c.mshr_entries = 1; });
+    knob("MSHR=32", [](P& c) { c.mshr_entries = 32; });
+    knob("TAGE predictor", [](P& c) { c.predictor = "tage"; });
+    knob("2x flush penalty", [](P& c) { c.mispredict_penalty *= 2; });
+    knob("iTLB x4", [](P& c) { c.itlb_entries *= 4; });
+    knob("6-wide dispatch", [](P& c) { c.width = 6; });
+
+    const std::vector<core::RunResult> results =
+        core::runInstrumented(base, classes);
+
     Table t({"variant", "time (ms)", "vs base", "FE%", "BS%", "BE-mem%",
              "BE-core%", "L1d MPKI", "L1i MPKI", "br MPKI"});
-
-    double base_seconds = 0.0;
-    auto measure = [&](const std::string& name,
-                       const uarch::CoreParams& core) {
-        core::RunConfig run = base;
-        run.core = core;
-        const auto r = core::runInstrumented(run);
+    const double base_seconds = results[0].transcode_seconds;
+    for (size_t i = 0; i < names.size(); ++i) {
+        const core::RunResult& r = results[i];
         const auto td = r.core.topdown();
-        if (name == "baseline") {
-            base_seconds = r.transcode_seconds;
-        }
         t.beginRow();
-        t.cell(name);
+        t.cell(names[i]);
         t.cell(r.transcode_seconds * 1000.0, 3);
         t.cell(base_seconds > 0
                    ? formatPercent(
@@ -59,80 +82,6 @@ main(int argc, char** argv)
         t.cell(r.core.l1dMpki(), 2);
         t.cell(r.core.l1iMpki(), 2);
         t.cell(r.core.branchMpki(), 2);
-    };
-
-    measure("baseline", uarch::baselineConfig());
-
-    // One knob at a time.
-    {
-        auto c = uarch::baselineConfig();
-        c.l1d.size_bytes *= 2;
-        measure("L1d x2", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.l1d.size_bytes /= 2;
-        measure("L1d /2", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.l1i.size_bytes *= 2;
-        measure("L1i x2", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.l2.size_bytes *= 2;
-        measure("L2 x2", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.l3.size_bytes *= 2;
-        measure("L3 x2", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.rob_size *= 2;
-        measure("ROB x2", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.rs_size *= 2;
-        measure("RS x2", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.issue_at_dispatch = true;
-        measure("issue@dispatch", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.mshr_entries = 1;
-        measure("MSHR=1 (no MLP)", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.mshr_entries = 32;
-        measure("MSHR=32", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.predictor = "tage";
-        measure("TAGE predictor", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.mispredict_penalty *= 2;
-        measure("2x flush penalty", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.itlb_entries *= 4;
-        measure("iTLB x4", c);
-    }
-    {
-        auto c = uarch::baselineConfig();
-        c.width = 6;
-        measure("6-wide dispatch", c);
     }
 
     std::printf("%sCSV:\n%s", t.toText().c_str(), t.toCsv().c_str());

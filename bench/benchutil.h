@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,23 @@ class ZipfSampler
     Rng rng_;
     std::vector<double> cdf_; ///< Normalized cumulative popularity.
 };
+
+/**
+ * The result-cache byte budget of `--cache-mb` (MiB, default 256), read
+ * the same way by every farm binary. A negative value, or one whose
+ * bytes do not fit a size_t, is fatal and names the flag.
+ */
+inline size_t
+cacheBudgetBytes(const Cli& cli)
+{
+    constexpr int64_t kMaxMb =
+        static_cast<int64_t>(std::numeric_limits<size_t>::max() >> 20);
+    const int64_t mb = cli.num("cache-mb", 256);
+    if (mb < 0 || mb > kMaxMb) {
+        VT_FATAL("--cache-mb expects MiB in [0, ", kMaxMb, "], got ", mb);
+    }
+    return static_cast<size_t>(mb) << 20;
+}
 
 /** The tracer wall-time sweep spans land in when --trace-out is set. */
 inline obs::SpanTracer&

@@ -223,8 +223,7 @@ main(int argc, char** argv)
     const int zipf_items = static_cast<int>(cli.num("zipf-items", 48));
     const double zipf_load = cli.real("zipf-load", 1.2);
     const double min_p99_gain = cli.real("min-p99-gain", 0.0);
-    const size_t cache_bytes =
-        static_cast<size_t>(cli.num("cache-mb", 256)) << 20;
+    const size_t cache_bytes = bench::cacheBudgetBytes(cli);
     const std::string out_path = cli.str("out", "");
     const bool zipf_knee = cli.has("zipf-knee");
     cli.rejectUnknown();

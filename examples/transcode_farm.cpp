@@ -27,8 +27,9 @@
  * exponential inter-arrival gaps, and the content-addressed result
  * cache *serves* repeats: a job whose (source, params, class) digest is
  * already cached completes at hit cost, concurrent identical requests
- * single-flight behind one encode. `--cache-mb M` sizes the cache
- * (default 256). The run prints the cache hit/miss/eviction counters
+ * single-flight behind one encode. `--cache-mb M` sets the byte budget
+ * of the one-store cache in MiB (default 256; a negative or overflowing
+ * value is fatal). The run prints the cache hit/miss/eviction counters
  * next to the service metrics.
  *
  * With `--chunked` every request is submitted as a GOP-chunked job graph
@@ -237,8 +238,7 @@ main(int argc, char** argv)
     base.fault_rate = cli.real("faults", 0.0);
     base.verbose = cli.has("verbose");
     const double zipf_s = cli.real("zipf-s", 0.0);
-    base.cache.max_bytes =
-        static_cast<size_t>(cli.num("cache-mb", 256)) << 20;
+    base.cache.max_bytes = bench::cacheBudgetBytes(cli);
     base.cache_serve_hits = zipf_s > 0.0;
     const auto queue_policy =
         farm::queuePolicyFromName(cli.str("queue", "fifo"));

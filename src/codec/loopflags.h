@@ -16,8 +16,9 @@
  *    in two separate passes over the half-resolution planes; fused, each
  *    block's pixels are loaded once for both.
  *
- * The schedules are verified legal by the loopopt dependence test (see
- * tests/test_loopopt.cc) and produce bit-identical output either way.
+ * Both schedules produce bit-identical output: the
+ * Integration.LoopOptFlagsDoNotChangeOutput and
+ * ParallelSweep.BinaryIsAValue tests check the output identity.
  *
  * The flags and the kernel model (strategies.h) describe how the
  * simulated binary was built, so they belong to a run: a `BuildScope`

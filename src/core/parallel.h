@@ -7,7 +7,7 @@
  * grid point is an independent instrumented run (thread-local probe
  * sinks, simulated heaps and build choices, see trace/probe.h and
  * codec/loopflags.h), so the studies shard across threads the same way
- * the cloud-transcoding literature shards parameter-space exploration
+ * the cloud-transcoding literature splits parameter-space exploration
  * across machines. `jobs == 1` runs the batch inline on the calling
  * thread: that is the serial case, not a separate implementation.
  *

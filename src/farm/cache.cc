@@ -1,6 +1,6 @@
 #include "farm/cache.h"
 
-#include <algorithm>
+#include <numeric>
 
 #include "common/status.h"
 
@@ -57,32 +57,7 @@ makeCacheKey(uint64_t source_fp, uint64_t params_digest,
     return key;
 }
 
-ResultCache::ResultCache(CacheOptions options) : options_(options)
-{
-    size_t shards = 1;
-    while (shards < std::max<size_t>(options_.shards, 1)) {
-        shards <<= 1;
-    }
-    shard_mask_ = shards - 1;
-    shard_bytes_ = std::max<size_t>(options_.max_bytes / shards, 1);
-    shard_entries_ = std::max<size_t>(options_.max_entries / shards, 1);
-    shards_.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-        shards_.push_back(std::make_unique<Shard>());
-    }
-}
-
-ResultCache::Shard&
-ResultCache::shardFor(const CacheKey& key)
-{
-    return *shards_[static_cast<size_t>(key.lo) & shard_mask_];
-}
-
-const ResultCache::Shard&
-ResultCache::shardFor(const CacheKey& key) const
-{
-    return *shards_[static_cast<size_t>(key.lo) & shard_mask_];
-}
+ResultCache::ResultCache(CacheOptions options) : options_(options) {}
 
 size_t
 ResultCache::entryBytes(const core::RunResult& result)
@@ -92,107 +67,42 @@ ResultCache::entryBytes(const core::RunResult& result)
                  * sizeof(result.encode.frames[0]);
 }
 
-double
-ResultCache::now() const
-{
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    return clock_;
-}
-
-void
-ResultCache::advance(double seconds)
-{
-    VT_ASSERT(seconds >= 0.0, "cache clock cannot run backwards");
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    clock_ += seconds;
-}
-
-bool
-ResultCache::expired(const Entry& entry, double now) const
-{
-    return options_.ttl_seconds > 0.0
-           && now - entry.inserted >= options_.ttl_seconds;
-}
-
-void
-ResultCache::dropEntry(Shard& shard, std::list<Entry>::iterator it)
-{
-    shard.bytes -= it->bytes;
-    shard.index.erase(it->key);
-    shard.lru.erase(it);
-}
-
-void
-ResultCache::evictToFit(Shard& shard)
-{
-    while (!shard.lru.empty()
-           && (shard.bytes > shard_bytes_
-               || shard.lru.size() > shard_entries_)) {
-        dropEntry(shard, std::prev(shard.lru.end()));
-        ++shard.evictions;
-    }
-}
-
 ResultCache::Value
-ResultCache::lookupLocked(Shard& shard, const CacheKey& key, double now)
+ResultCache::touchLocked(const CacheKey& key)
 {
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-        return nullptr;
-    }
-    if (expired(*it->second, now)) {
-        dropEntry(shard, it->second);
-        ++shard.expirations;
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
         return nullptr;
     }
     // Touch: splice the node to the LRU front (no reallocation).
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return shard.lru.front().value;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return lru_.front().value;
 }
 
-ResultCache::Value
-ResultCache::getOrCompute(const CacheKey& key, const ComputeFn& compute)
+void
+ResultCache::publishLocked(const CacheKey& key, Flight& flight,
+                           const Value& value)
 {
-    Shard& shard = shardFor(key);
-    std::unique_lock<std::mutex> lock(shard.mu);
-    while (true) {
-        if (Value ready = lookupLocked(shard, key, now())) {
-            ++shard.lookups;
-            ++shard.hits;
-            return ready;
-        }
-        const auto fit = shard.inflight.find(key);
-        if (fit == shard.inflight.end()) {
-            break; // This caller becomes the computer.
-        }
-        // Single-flight wait: hold the Flight so the rendezvous outlives
-        // any eviction, and sleep until the computer publishes.
-        std::shared_ptr<Flight> flight = fit->second;
-        ++shard.inflight_waits;
-        shard.cv.wait(lock, [&] { return flight->done; });
-        if (!flight->aborted) {
-            ++shard.lookups;
-            ++shard.hits;
-            return flight->value;
-        }
-        // The computer threw; loop and contend to take over.
+    flight.done = true;
+    flight.value = value;
+    inflight_.erase(key);
+    const size_t bytes = entryBytes(*value);
+    if (bytes > options_.max_bytes) {
+        // Larger than the whole budget: serve, don't retain.
+        ++counts_.rejected;
+        return;
     }
-
-    auto flight = std::make_shared<Flight>();
-    shard.inflight.emplace(key, flight);
-    ++shard.lookups;
-    ++shard.misses;
-    lock.unlock();
-
-    Value value;
-    try {
-        value = std::make_shared<const core::RunResult>(compute());
-    } catch (...) {
-        abandon(key, flight);
-        throw;
+    lru_.push_front(Entry{key, value, bytes});
+    index_[key] = lru_.begin();
+    bytes_ += bytes;
+    while (!lru_.empty()
+           && (bytes_ > options_.max_bytes
+               || lru_.size() > options_.max_entries)) {
+        bytes_ -= lru_.back().bytes;
+        index_.erase(lru_.back().key);
+        lru_.pop_back();
+        ++counts_.evictions;
     }
-    publish(key, flight, value);
-    return value;
 }
 
 std::vector<ResultCache::Value>
@@ -200,138 +110,100 @@ ResultCache::getOrComputeGroup(const std::vector<CacheKey>& keys,
                                const GroupComputeFn& compute)
 {
     std::vector<Value> values(keys.size());
-    std::vector<size_t> claimed;
-    std::vector<std::shared_ptr<Flight>> flights;
-    std::vector<size_t> in_flight;
-    for (size_t i = 0; i < keys.size(); ++i) {
-        Shard& shard = shardFor(keys[i]);
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (Value ready = lookupLocked(shard, keys[i], now())) {
-            ++shard.lookups;
-            ++shard.hits;
-            values[i] = std::move(ready);
-        } else if (shard.inflight.count(keys[i]) != 0) {
-            in_flight.push_back(i);
-        } else {
-            auto flight = std::make_shared<Flight>();
-            shard.inflight.emplace(keys[i], flight);
-            ++shard.lookups;
-            ++shard.misses;
-            claimed.push_back(i);
-            flights.push_back(std::move(flight));
-        }
-    }
-
-    if (!claimed.empty()) {
-        std::vector<core::RunResult> computed;
-        try {
-            computed = compute(claimed);
-            VT_ASSERT(computed.size() == claimed.size(),
-                      "group compute returned ", computed.size(),
-                      " results for ", claimed.size(), " keys");
-        } catch (...) {
-            for (size_t k = 0; k < claimed.size(); ++k) {
-                abandon(keys[claimed[k]], flights[k]);
+    std::vector<size_t> pending(keys.size());
+    std::iota(pending.begin(), pending.end(), size_t{0});
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!pending.empty()) {
+        // Serve ready keys, claim absent ones, and keep the keys in
+        // flight elsewhere pending.
+        std::vector<size_t> claimed;
+        std::vector<std::shared_ptr<Flight>> flights;
+        std::vector<size_t> busy;
+        for (size_t i : pending) {
+            if (Value ready = touchLocked(keys[i])) {
+                ++counts_.lookups;
+                ++counts_.hits;
+                values[i] = std::move(ready);
+            } else if (inflight_.count(keys[i]) != 0) {
+                busy.push_back(i);
+            } else {
+                flights.push_back(std::make_shared<Flight>());
+                inflight_.emplace(keys[i], flights.back());
+                ++counts_.lookups;
+                ++counts_.misses;
+                claimed.push_back(i);
             }
-            throw;
         }
-        for (size_t k = 0; k < claimed.size(); ++k) {
-            const size_t i = claimed[k];
-            values[i] =
-                std::make_shared<const core::RunResult>(std::move(computed[k]));
-            publish(keys[i], flights[k], values[i]);
-        }
-    }
+        pending = std::move(busy);
 
-    for (size_t i : in_flight) {
-        values[i] = getOrCompute(keys[i], [&] {
-            return std::move(compute({i}).front());
-        });
+        if (!claimed.empty()) {
+            lock.unlock();
+            std::vector<core::RunResult> computed;
+            try {
+                computed = compute(claimed);
+                VT_ASSERT(computed.size() == claimed.size(),
+                          "group compute returned ", computed.size(),
+                          " results for ", claimed.size(), " keys");
+            } catch (...) {
+                // Release every claim; a waiter on each takes over.
+                lock.lock();
+                for (size_t k = 0; k < claimed.size(); ++k) {
+                    flights[k]->done = true;
+                    flights[k]->aborted = true;
+                    inflight_.erase(keys[claimed[k]]);
+                }
+                cv_.notify_all();
+                throw;
+            }
+            for (size_t k = 0; k < claimed.size(); ++k) {
+                values[claimed[k]] = std::make_shared<const core::RunResult>(
+                    std::move(computed[k]));
+            }
+            lock.lock();
+            for (size_t k = 0; k < claimed.size(); ++k) {
+                publishLocked(keys[claimed[k]], *flights[k],
+                              values[claimed[k]]);
+            }
+            cv_.notify_all();
+            // Rescan: the pending keys may have landed meanwhile.
+            continue;
+        }
+        if (pending.empty()) {
+            break;
+        }
+
+        // Nothing left to claim: wait on the first key in flight. The
+        // Flight is held, so the rendezvous outlives any eviction.
+        const std::shared_ptr<Flight> flight = inflight_.at(keys[pending[0]]);
+        ++counts_.inflight_waits;
+        cv_.wait(lock, [&] { return flight->done; });
+        if (!flight->aborted) {
+            ++counts_.lookups;
+            ++counts_.hits;
+            values[pending[0]] = flight->value;
+            pending.erase(pending.begin());
+        }
+        // An aborted key stays pending: the rescan serves it, waits on
+        // the waiter that took it over, or claims it.
     }
     return values;
-}
-
-void
-ResultCache::abandon(const CacheKey& key,
-                     const std::shared_ptr<Flight>& flight)
-{
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    flight->done = true;
-    flight->aborted = true;
-    shard.inflight.erase(key);
-    shard.cv.notify_all();
-}
-
-void
-ResultCache::publish(const CacheKey& key,
-                     const std::shared_ptr<Flight>& flight,
-                     const Value& value)
-{
-    const size_t bytes = entryBytes(*value);
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    flight->done = true;
-    flight->value = value;
-    shard.inflight.erase(key);
-    if (bytes > shard_bytes_) {
-        // Larger than a whole shard's budget: serve, don't retain.
-        ++shard.rejected;
-    } else {
-        Entry entry;
-        entry.key = key;
-        entry.value = value;
-        entry.bytes = bytes;
-        entry.inserted = now();
-        shard.lru.push_front(std::move(entry));
-        shard.index[key] = shard.lru.begin();
-        shard.bytes += bytes;
-        evictToFit(shard);
-    }
-    shard.cv.notify_all();
-}
-
-ResultCache::Value
-ResultCache::peek(const CacheKey& key)
-{
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Value ready = lookupLocked(shard, key, now());
-    ++shard.lookups;
-    if (ready) {
-        ++shard.hits;
-    } else {
-        ++shard.misses;
-    }
-    return ready;
 }
 
 bool
 ResultCache::contains(const CacheKey& key) const
 {
-    const Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    return it != shard.index.end() && !expired(*it->second, now());
+    std::lock_guard<std::mutex> lock(mu_);
+    return index_.count(key) != 0;
 }
 
 CacheStats
 ResultCache::stats() const
 {
-    CacheStats total;
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        total.lookups += shard->lookups;
-        total.hits += shard->hits;
-        total.misses += shard->misses;
-        total.inflight_waits += shard->inflight_waits;
-        total.evictions += shard->evictions;
-        total.expirations += shard->expirations;
-        total.rejected += shard->rejected;
-        total.bytes += shard->bytes;
-        total.entries += shard->lru.size();
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mu_);
+    CacheStats stats = counts_;
+    stats.bytes = bytes_;
+    stats.entries = lru_.size();
+    return stats;
 }
 
 } // namespace vtrans::farm

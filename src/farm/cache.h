@@ -3,48 +3,41 @@
 
 /**
  * @file
- * Sharded, content-addressed result cache for the transcoding farm.
+ * Content-addressed result cache for the transcoding farm.
  *
- * At millions-of-users scale the same (video, config) request recurs
- * constantly, and every recurrence the farm re-encodes is paid-for work a
- * cache hit makes free. The cache stores one immutable `core::RunResult`
- * per *content digest* — a `CacheKey` derived from the source video's
- * byte fingerprint, the canonicalized encoder parameters (see
- * `codec::canonicalDigest`), and the simulated server class the result
- * was measured on — never from raw `Job::key()` strings. Two jobs that
- * describe identical work therefore alias to one entry regardless of how
- * their requests were spelled, which graph they belong to, or which
- * drain window submitted them.
+ * A repeat-heavy service sees the same (video, config) request again
+ * and again, and every recurrence the farm re-encodes is paid-for work
+ * a cache hit makes free. The cache stores one immutable
+ * `core::RunResult` per *content digest* — a `CacheKey` derived from
+ * the source video's byte fingerprint, the canonicalized encoder
+ * parameters (see `codec::canonicalDigest`), and the simulated server
+ * class the result was measured on — never from raw `Job::key()`
+ * strings. Two jobs that describe identical work therefore alias to one
+ * entry regardless of how their requests were spelled, which graph they
+ * belong to, or which drain window submitted them.
  *
  * ## Structure
  *
- * The store is N-way sharded by key hash. Each shard owns a mutex, an
- * LRU list (most-recent first; the entry nodes themselves carry the
- * links via `std::list` splicing, so a touch is O(1) and allocation
- * free), and a hash index into that list. Byte and entry budgets are
- * enforced per shard (total budget / shard count): inserting past the
- * budget evicts from the LRU tail until the shard fits again, so
- * `stats().bytes` is within budget after every eviction. An entry whose
- * own footprint exceeds a whole shard's budget is returned to the caller
- * but not retained (`rejected` in the stats).
+ * One store sized to the farm's traffic (a few hundred lookups per
+ * drain): one mutex, one LRU list (most-recent first; a touch splices
+ * the node to the front, O(1) and allocation free), one hash index into
+ * that list, and one map of keys in flight. Byte and entry budgets hold
+ * over the whole store: inserting past either evicts from the LRU tail
+ * until the store fits again, so `stats().bytes` is within budget after
+ * every insert. A value whose own footprint exceeds the whole byte
+ * budget is returned to the caller but not retained (`rejected`).
+ * Entries never expire; only the budgets evict.
  *
  * ## Single-flight
  *
- * `getOrCompute` guarantees *exactly one* execution of the compute
+ * `getOrComputeGroup` is the one lookup path; a one-key group is the
+ * single-key case. It guarantees *exactly one* execution of the compute
  * function per key, even under concurrent identical requests: the first
- * caller becomes the computer, later callers block on the in-flight
- * entry and receive the computer's value (`inflight_waits` counts them).
- * There is no thundering herd and no duplicate encode. If the computer
- * throws, one waiter takes over; the exception propagates only to the
- * thrower.
- *
- * ## Time
- *
- * TTL expiry runs on an explicit logical clock (`advance`), not wall
- * time: the farm advances it by each drain's simulated makespan, tests
- * drive it directly. Every cache decision is therefore a pure function
- * of the operation sequence — deterministic at any thread count for any
- * serial sequence of operations.
+ * caller claims the key and computes it, later callers block on the
+ * in-flight entry and receive the computer's value (`inflight_waits`
+ * counts them). If the computer throws, one waiter takes over; the
+ * exception propagates only to the thrower. Every cache decision is a
+ * pure function of the operation sequence.
  *
  * Values are returned as `shared_ptr<const RunResult>` pins: eviction
  * removes an entry from the cache's index and byte accounting, but a
@@ -68,7 +61,7 @@ namespace vtrans::farm {
 /**
  * A 128-bit content digest. Built by `makeCacheKey` from independent
  * FNV-1a streams over the components, so distinct work practically
- * never collides and the low word doubles as the shard/index hash.
+ * never collides and the low word doubles as the index hash.
  */
 struct CacheKey
 {
@@ -117,36 +110,31 @@ uint64_t fnv1a(const std::string& text,
 CacheKey makeCacheKey(uint64_t source_fp, uint64_t params_digest,
                       const std::string& server_class);
 
-/** Sizing and lifetime policy of a ResultCache. */
+/** Sizing of a ResultCache: budgets over the whole store. */
 struct CacheOptions
 {
-    size_t shards = 8;            ///< Rounded up to a power of two.
-    size_t max_bytes = 256 << 20; ///< Total byte budget (split per shard).
-    size_t max_entries = 4096;    ///< Total entry budget (split per shard).
-    double ttl_seconds = 0.0;     ///< Age limit on the logical clock;
-                                  ///< 0 = entries never expire.
+    size_t max_bytes = 256 << 20; ///< Byte budget.
+    size_t max_entries = 4096;    ///< Entry budget.
 };
 
-/** Aggregate counters over all shards (hits + misses == lookups). */
+/** Counters of a ResultCache (hits + misses == lookups). */
 struct CacheStats
 {
-    uint64_t lookups = 0;        ///< Resolved getOrCompute/peek calls.
-    uint64_t hits = 0;           ///< Served from a ready entry.
+    uint64_t lookups = 0;        ///< Resolved keys of getOrComputeGroup.
+    uint64_t hits = 0;           ///< Served from a ready or landed entry.
     uint64_t misses = 0;         ///< Required a compute.
-    uint64_t inflight_waits = 0; ///< Callers that blocked on a compute.
+    uint64_t inflight_waits = 0; ///< Waits on another caller's compute.
     uint64_t evictions = 0;      ///< Entries evicted for budget.
-    uint64_t expirations = 0;    ///< Entries dropped past their TTL.
     uint64_t rejected = 0;       ///< Values too large to retain.
     uint64_t bytes = 0;          ///< Current retained bytes.
     uint64_t entries = 0;        ///< Current retained entries.
 };
 
-/** The sharded, single-flight result store. Thread-safe throughout. */
+/** The single-flight result store. Thread-safe throughout. */
 class ResultCache
 {
   public:
     using Value = std::shared_ptr<const core::RunResult>;
-    using ComputeFn = std::function<core::RunResult()>;
     /** Computes the values of the keys at `indices` (of a group), one
      *  result per index, in order. */
     using GroupComputeFn = std::function<std::vector<core::RunResult>(
@@ -158,51 +146,29 @@ class ResultCache
     ResultCache& operator=(const ResultCache&) = delete;
 
     /**
-     * Returns the cached value for `key`, computing it at most once:
-     * a ready entry is served (LRU-touched); an in-flight entry is
-     * waited on; an absent entry makes this caller the single computer.
-     * The returned pin stays valid regardless of later eviction.
-     */
-    Value getOrCompute(const CacheKey& key, const ComputeFn& compute);
-
-    /**
-     * getOrCompute() over a group of keys whose values one computation
-     * produces together (a multi-class pass). Ready entries are served;
-     * every absent key is claimed by this caller and all of them are
-     * computed in a single `compute` call; keys in flight elsewhere are
-     * waited on only after this caller has published its own, so two
-     * overlapping groups never wait on each other. Counts (lookups,
-     * hits, misses, waits) exactly as one getOrCompute() per key.
+     * Returns the value of every key of a group whose values one
+     * computation produces together (a multi-class pass), computing
+     * each at most once. Ready entries are served (LRU-touched); every
+     * absent key is claimed by this caller and all of them are computed
+     * in a single `compute` call; keys in flight elsewhere are waited
+     * on only after this caller has published its own, so two
+     * overlapping groups never wait on each other. Each key counts one
+     * lookup, as a hit or a miss. The returned pins stay valid
+     * regardless of later eviction.
      */
     std::vector<Value> getOrComputeGroup(const std::vector<CacheKey>& keys,
                                          const GroupComputeFn& compute);
 
     /**
-     * Returns the ready value for `key` or nullptr, counting the lookup
-     * (hit or miss) and touching the LRU. Does not wait on in-flight
-     * computes and never computes.
-     */
-    Value peek(const CacheKey& key);
-
-    /**
-     * True if a ready, unexpired entry exists. Quiet: no stats, no LRU
-     * touch — the farm planner snapshots prior contents with this.
+     * True if a ready entry exists. Quiet: no stats, no LRU touch — the
+     * farm planner snapshots prior contents with this.
      */
     bool contains(const CacheKey& key) const;
 
-    /** Advances the logical TTL clock by `seconds` (>= 0). */
-    void advance(double seconds);
-
-    /** The logical clock (sum of all `advance` calls). */
-    double now() const;
-
-    /** Aggregated counters over all shards. */
+    /** The store's counters. */
     CacheStats stats() const;
 
     const CacheOptions& options() const { return options_; }
-
-    /** Shard count after power-of-two rounding. */
-    size_t shardCount() const { return shards_.size(); }
 
     /**
      * The retained footprint of a value: the result struct itself plus
@@ -216,11 +182,10 @@ class ResultCache
         CacheKey key;
         Value value;
         size_t bytes = 0;
-        double inserted = 0.0; ///< Logical-clock time of insertion.
     };
 
     /** Single-flight rendezvous: waiters hold the Flight and sleep on
-     *  the shard cv until the computer publishes or aborts. */
+     *  `cv_` until the computer publishes or aborts. */
     struct Flight
     {
         bool done = false;
@@ -228,59 +193,24 @@ class ResultCache
         Value value;
     };
 
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::condition_variable cv;
-        std::list<Entry> lru; ///< Front = most recently used.
-        std::unordered_map<CacheKey, std::list<Entry>::iterator,
-                           CacheKeyHash>
-            index;
-        std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash>
-            inflight;
-        size_t bytes = 0;
+    /** Returns the ready value (touching the LRU) or nullptr. */
+    Value touchLocked(const CacheKey& key);
 
-        uint64_t lookups = 0;
-        uint64_t hits = 0;
-        uint64_t misses = 0;
-        uint64_t inflight_waits = 0;
-        uint64_t evictions = 0;
-        uint64_t expirations = 0;
-        uint64_t rejected = 0;
-    };
-
-    Shard& shardFor(const CacheKey& key);
-    const Shard& shardFor(const CacheKey& key) const;
-
-    /** True if the entry is past its TTL at logical time `now`. */
-    bool expired(const Entry& entry, double now) const;
-
-    /** Drops `it` from the shard (no stats; caller counts). */
-    static void dropEntry(Shard& shard,
-                          std::list<Entry>::iterator it);
-
-    /** Evicts from the LRU tail until the shard is within budget. */
-    void evictToFit(Shard& shard);
-
-    /** Publishes a claimed key's computed value and wakes its waiters. */
-    void publish(const CacheKey& key, const std::shared_ptr<Flight>& flight,
-                 const Value& value);
-
-    /** Releases a claimed key whose compute threw; a waiter takes over. */
-    void abandon(const CacheKey& key, const std::shared_ptr<Flight>& flight);
-
-    /** Locked lookup: returns the ready value (touching the LRU) or
-     *  nullptr, dropping the entry if expired. */
-    Value lookupLocked(Shard& shard, const CacheKey& key, double now);
+    /** Retains a claimed key's computed value and ends its flight. */
+    void publishLocked(const CacheKey& key, Flight& flight,
+                       const Value& value);
 
     CacheOptions options_;
-    size_t shard_bytes_ = 0;   ///< Per-shard byte budget.
-    size_t shard_entries_ = 0; ///< Per-shard entry budget.
-    size_t shard_mask_ = 0;
-    std::vector<std::unique_ptr<Shard>> shards_;
 
-    mutable std::mutex clock_mu_;
-    double clock_ = 0.0;
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    std::list<Entry> lru_; ///< Front = most recently used.
+    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
+        index_;
+    std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash>
+        inflight_;
+    size_t bytes_ = 0;
+    CacheStats counts_; ///< Counters; `bytes`/`entries` filled by stats().
 };
 
 } // namespace vtrans::farm

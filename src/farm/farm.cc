@@ -25,7 +25,7 @@ struct Farm::Attempt
     enum class Cache : uint8_t {
         None,    ///< Hit modeling off (or fixed-time stitch).
         Compute, ///< This attempt runs the encode (or faulted mid-run).
-        Hit,     ///< Ready entry: serves in cache_hit_seconds.
+        Hit,     ///< Ready entry: serves in kCacheHitSeconds.
         Wait,    ///< Single-flight wait on an in-flight provider.
     };
 
@@ -57,6 +57,16 @@ struct Farm::Schedule
 };
 
 namespace {
+
+/** Jobs the smart matcher may look at, in queue-policy order. */
+constexpr size_t kMatchWindow = 8;
+
+/** Seed of the Random dispatch policy. */
+constexpr uint64_t kRandomDispatchSeed = 0x7a57ull;
+
+/** Simulated service time of a cache hit (result handoff; same scale
+ *  as the stitch remux byte model). */
+constexpr double kCacheHitSeconds = 5e-5;
 
 /** The chunk-free task signature (Job::key() of a plain job). */
 std::string
@@ -258,7 +268,6 @@ Farm::cacheDrainStats() const
     d.misses = now.misses - drain_base_.misses;
     d.inflight_waits = now.inflight_waits - drain_base_.inflight_waits;
     d.evictions = now.evictions - drain_base_.evictions;
-    d.expirations = now.expirations - drain_base_.expirations;
     d.rejected = now.rejected - drain_base_.rejected;
     d.bytes = now.bytes;
     d.entries = now.entries;
@@ -426,7 +435,7 @@ Farm::plan(std::vector<Job> jobs)
     JobQueue queue(options_.queue_policy);
     std::vector<Job> retries; // Waiting out their backoff.
     std::vector<double> busy(fleet_.size(), 0.0);
-    Rng rng(options_.rng_seed);
+    Rng rng(kRandomDispatchSeed);
     size_t rr_cursor = 0;
     size_t next_arrival = 0;
     Schedule schedule;
@@ -473,7 +482,6 @@ Farm::plan(std::vector<Job> jobs)
     // decided on the event clock, so the schedule stays bit-identical
     // at any worker count.
     const bool serve = options_.cache_serve_hits;
-    const double hit_cost = std::max(options_.cache_hit_seconds, 1e-9);
     struct Provider
     {
         double finish = 0.0; ///< Event-clock finish of the compute.
@@ -544,10 +552,10 @@ Farm::plan(std::vector<Job> jobs)
             int server = -1;
             if (matching) {
                 // Characterization-driven matching: among the first
-                // match_window jobs in queue-policy order, take the
+                // kMatchWindow jobs in queue-policy order, take the
                 // (job, idle server) pair with the best predicted fit.
                 const auto window =
-                    queue.peekWindow(t, options_.match_window);
+                    queue.peekWindow(t, kMatchWindow);
                 if (window.empty()) {
                     break;
                 }
@@ -622,11 +630,11 @@ Farm::plan(std::vector<Job> jobs)
                     att.cache = Attempt::Cache::Compute;
                 } else if (warm || landed) {
                     att.cache = Attempt::Cache::Hit;
-                    predicted = hit_cost;
+                    predicted = kCacheHitSeconds;
                 } else if (pv != providers.end()) {
                     att.cache = Attempt::Cache::Wait;
                     att.provider = pv->second.index;
-                    predicted = (pv->second.finish - t) + hit_cost;
+                    predicted = (pv->second.finish - t) + kCacheHitSeconds;
                 } else {
                     att.cache = Attempt::Cache::Compute;
                     providers[ck] = {t + predicted, index};
@@ -897,7 +905,6 @@ Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
     const std::vector<Attempt>& attempts = schedule.attempts;
     const std::map<uint64_t, StitchOutcome> stitched =
         stitchGraphs(schedule);
-    const double hit_cost = std::max(options_.cache_hit_seconds, 1e-9);
     std::vector<double> server_free(fleet_.size(), 0.0);
     std::vector<double> finish(attempts.size(), 0.0);
     // A failed attempt's job becomes ready again one backoff after it.
@@ -924,7 +931,7 @@ Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
         } else {
             result = &resultFor(a.key, fleet_[a.server].config);
             actual = a.cache == Attempt::Cache::Hit
-                         ? hit_cost
+                         ? kCacheHitSeconds
                          : result->transcode_seconds;
         }
         const double ready =
@@ -937,7 +944,7 @@ Farm::account(const std::vector<Job>& jobs, const Schedule& schedule)
             // rides its provider — it serves at hit cost once the
             // provider's (measured) compute lands, however that differs
             // from the planned timeline.
-            end = std::max(finish[a.provider], start) + hit_cost;
+            end = std::max(finish[a.provider], start) + kCacheHitSeconds;
             actual = end - start;
         }
         server_free[a.server] = end;
@@ -1074,9 +1081,6 @@ Farm::drain()
         account(jobs, schedule);
     }
     recordMetrics();
-    // Age the cache by the drain's simulated duration: TTL expiry runs
-    // on the same clock every other farm decision does.
-    cache_->advance(log_.metrics(fleet_).makespan);
     return log_;
 }
 
@@ -1126,9 +1130,6 @@ Farm::recordMetrics() const
         reg.counter("cache_evictions_total",
                     "Entries evicted for the byte/entry budget")
             .inc(cs.evictions);
-        reg.counter("cache_expirations_total",
-                    "Entries dropped past their TTL")
-            .inc(cs.expirations);
         reg.gauge("cache_bytes", "Bytes retained in the result cache")
             .set(static_cast<double>(cs.bytes));
         reg.gauge("cache_entries", "Entries retained in the result cache")

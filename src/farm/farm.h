@@ -70,7 +70,6 @@ struct FarmOptions
     size_t queue_capacity = 256;  ///< Backlog bound: arrivals into a full
                                   ///< backlog are shed; an admitted job's
                                   ///< retries always re-enter.
-    size_t match_window = 8;      ///< Jobs the smart matcher may look at.
 
     double clip_seconds = 0.4;    ///< Clip length of every transcode.
     std::string reference_video = "bbb"; ///< Relief-calibration workload.
@@ -82,7 +81,6 @@ struct FarmOptions
                                   ///< keeps deep retry budgets from pushing
                                   ///< retry expiry off the event clock.
 
-    uint64_t rng_seed = 0x7a57ull; ///< Seed of the Random dispatch policy.
     bool verbose = false;
 
     // Content-addressed result cache (see farm/cache.h). The cache is
@@ -90,21 +88,19 @@ struct FarmOptions
     // results map, deduplicating identical work safely at any worker
     // count. Whether cache hits also *shorten the schedule* is a
     // separate, explicitly-opted-in modeling choice:
-    CacheOptions cache;          ///< Sizing/TTL of the farm's own cache.
+    CacheOptions cache;          ///< Sizing of the farm's own cache.
     /** Share an external cache instead of owning one: results persist
      *  across drain windows and across farms (warm starts, cross-farm
      *  single-flight). Null = the farm builds its own from `cache`. */
     std::shared_ptr<ResultCache> shared_cache;
     /** Model hit service times in the schedule: an attempt whose digest
-     *  is already cached serves in `cache_hit_seconds`; one whose digest
-     *  is being computed by an earlier in-flight attempt waits for that
-     *  provider, then serves at hit cost (single-flight). OFF keeps the
-     *  seed schedule bit-identical: every attempt is timed as a full
-     *  encode even though the store already dedups the real work. */
+     *  is already cached serves in a fixed hit time (a result handoff,
+     *  5e-5 simulated seconds); one whose digest is being computed by an
+     *  earlier in-flight attempt waits for that provider, then serves at
+     *  hit cost (single-flight). OFF keeps the seed schedule
+     *  bit-identical: every attempt is timed as a full encode even
+     *  though the store already dedups the real work. */
     bool cache_serve_hits = false;
-    double cache_hit_seconds = 5e-5; ///< Simulated service time of a hit
-                                     ///< (result handoff; same scale as
-                                     ///< the stitch remux byte model).
     /** Plan as if the cache started this drain empty: pre-existing
      *  entries are ignored by the scheduler (intra-drain hits still
      *  model), while execution still reuses them as a memo. This is the

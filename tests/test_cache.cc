@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests of the sharded content-addressed result cache (farm/cache.h)
- * and its farm integration: hit/miss accounting, LRU/TTL/byte-budget
- * determinism, single-flight execution under contention, run-log
- * bit-identity of cache-served drains across worker counts, outcome
- * identity of cached vs uncached drains, cross-drain warm reuse over a
- * shared cache, concurrent drains + lookups (the old `results_` race),
- * and the fixed-seed Zipf request sampler the benches share.
+ * Tests of the content-addressed result cache (farm/cache.h) and its
+ * farm integration: hit/miss accounting, LRU/byte-budget determinism,
+ * single-flight execution under contention, run-log bit-identity of
+ * cache-served drains across worker counts, outcome identity of cached
+ * vs uncached drains, cross-drain warm reuse over a shared cache,
+ * concurrent drains + lookups (the old `results_` race), the
+ * `--cache-mb` budget flag, and the fixed-seed Zipf request sampler the
+ * benches share.
  */
 
 #include <gtest/gtest.h>
@@ -60,24 +61,46 @@ baseBytes()
     return ResultCache::entryBytes(core::RunResult{});
 }
 
+/** A one-key group: the single-key lookup of the store. */
+template <typename Fn>
+ResultCache::Value
+getOne(ResultCache& cache, const CacheKey& k, Fn compute)
+{
+    return cache
+        .getOrComputeGroup({k},
+                           [&](const std::vector<size_t>& indices) {
+                               EXPECT_EQ(indices.size(), 1u);
+                               std::vector<core::RunResult> values;
+                               values.push_back(compute());
+                               return values;
+                           })
+        .front();
+}
+
 // ---- Store semantics ---------------------------------------------------
 
 TEST(Cache, HitMissAndStatsReconcile)
 {
     ResultCache cache(CacheOptions{});
     int computes = 0;
-    const auto first = cache.getOrCompute(key(1), [&] {
+    const auto first = getOne(cache, key(1), [&] {
         ++computes;
         return payload(0, 7.0);
     });
-    const auto second = cache.getOrCompute(key(1), [&] {
+    const auto second = getOne(cache, key(1), [&] {
         ++computes;
         return payload(0, 8.0);
     });
     EXPECT_EQ(computes, 1);
     EXPECT_EQ(first.get(), second.get());
     EXPECT_DOUBLE_EQ(second->transcode_seconds, 7.0);
-    EXPECT_EQ(cache.peek(key(2)), nullptr);
+    // A lookup whose compute throws is a miss that retains nothing.
+    EXPECT_FALSE(cache.contains(key(2)));
+    EXPECT_THROW(getOne(cache, key(2),
+                        []() -> core::RunResult {
+                            throw std::runtime_error("no value");
+                        }),
+                 std::runtime_error);
 
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.lookups, 3u);
@@ -100,18 +123,17 @@ TEST(Cache, KeyDerivationSeparatesEveryComponent)
 TEST(Cache, LruEvictionIsDeterministic)
 {
     CacheOptions opts;
-    opts.shards = 1;
     opts.max_entries = 3;
     opts.max_bytes = size_t{1} << 30;
     ResultCache cache(opts);
-    ASSERT_EQ(cache.shardCount(), 1u);
 
     for (uint64_t k = 1; k <= 3; ++k) {
-        cache.getOrCompute(key(k), [&] { return payload(0, double(k)); });
+        getOne(cache, key(k), [&] { return payload(0, double(k)); });
     }
-    // Touch key 1 so key 2 becomes the LRU tail, then overflow.
-    ASSERT_NE(cache.peek(key(1)), nullptr);
-    cache.getOrCompute(key(4), [] { return payload(0, 4.0); });
+    // Touch key 1 (a hit) so key 2 becomes the LRU tail, then overflow.
+    ASSERT_NE(getOne(cache, key(1), [] { return payload(0, -1.0); }),
+              nullptr);
+    getOne(cache, key(4), [] { return payload(0, 4.0); });
 
     EXPECT_TRUE(cache.contains(key(1)));
     EXPECT_FALSE(cache.contains(key(2)));
@@ -124,61 +146,32 @@ TEST(Cache, LruEvictionIsDeterministic)
     EXPECT_EQ(s.lookups, s.hits + s.misses);
 }
 
-TEST(Cache, TtlExpiresOnTheLogicalClock)
-{
-    CacheOptions opts;
-    opts.shards = 1;
-    opts.ttl_seconds = 10.0;
-    ResultCache cache(opts);
-
-    int computes = 0;
-    const auto compute = [&] {
-        ++computes;
-        return payload(0, 1.0);
-    };
-    cache.getOrCompute(key(1), compute);
-
-    cache.advance(5.0); // Age 5 < TTL: still warm.
-    EXPECT_TRUE(cache.contains(key(1)));
-    EXPECT_NE(cache.peek(key(1)), nullptr);
-    EXPECT_EQ(computes, 1);
-
-    cache.advance(5.0); // Age 10 >= TTL: expired.
-    EXPECT_FALSE(cache.contains(key(1)));
-    cache.getOrCompute(key(1), compute);
-    EXPECT_EQ(computes, 2);
-    EXPECT_EQ(cache.stats().expirations, 1u);
-    EXPECT_EQ(cache.stats().lookups,
-              cache.stats().hits + cache.stats().misses);
-}
-
 TEST(Cache, ByteBudgetIsEnforcedAndOversizedValuesAreRejected)
 {
     const size_t unit = baseBytes() + 1000;
     CacheOptions opts;
-    opts.shards = 1;
     opts.max_entries = 100;
     opts.max_bytes = 3 * unit + 500;
     ResultCache cache(opts);
 
     for (uint64_t k = 1; k <= 3; ++k) {
-        cache.getOrCompute(key(k), [&] { return payload(1000, double(k)); });
+        getOne(cache, key(k), [&] { return payload(1000, double(k)); });
     }
     EXPECT_EQ(cache.stats().bytes, 3 * unit);
     EXPECT_EQ(cache.stats().entries, 3u);
 
     // A fourth entry overflows the byte budget: the LRU tail (key 1,
     // never touched) is evicted and accounting lands back in budget.
-    cache.getOrCompute(key(4), [] { return payload(1000, 4.0); });
+    getOne(cache, key(4), [] { return payload(1000, 4.0); });
     EXPECT_EQ(cache.stats().bytes, 3 * unit);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_FALSE(cache.contains(key(1)));
     EXPECT_TRUE(cache.contains(key(4)));
 
-    // A value bigger than the whole shard budget is served to the
-    // caller but not retained, and does not disturb resident entries.
+    // A value bigger than the whole budget is served to the caller but
+    // not retained, and does not disturb resident entries.
     const auto big =
-        cache.getOrCompute(key(9), [&] { return payload(opts.max_bytes, 9.0); });
+        getOne(cache, key(9), [&] { return payload(opts.max_bytes, 9.0); });
     ASSERT_NE(big, nullptr);
     EXPECT_DOUBLE_EQ(big->transcode_seconds, 9.0);
     EXPECT_EQ(cache.stats().rejected, 1u);
@@ -200,10 +193,10 @@ TEST(Cache, SingleFlightComputesExactlyOnceUnderContention)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             arrived.fetch_add(1);
-            const auto value = cache.getOrCompute(key(1), [&] {
+            const auto value = getOne(cache, key(1), [&] {
                 computes.fetch_add(1);
                 // Hold the flight until every thread has at least
-                // entered getOrCompute, then linger so they all reach
+                // entered the lookup, then linger so they all reach
                 // the in-flight wait.
                 while (arrived.load() < kThreads) {
                     std::this_thread::yield();
@@ -239,7 +232,7 @@ TEST(Cache, AbortedComputeHandsTheFlightToAWaiter)
 
     std::thread first([&] {
         try {
-            cache.getOrCompute(key(1), [&]() -> core::RunResult {
+            getOne(cache, key(1), [&]() -> core::RunResult {
                 computing.store(true);
                 while (!waiter_arrived.load()) {
                     std::this_thread::yield();
@@ -256,7 +249,7 @@ TEST(Cache, AbortedComputeHandsTheFlightToAWaiter)
     }
     std::thread second([&] {
         waiter_arrived.store(true);
-        const auto value = cache.getOrCompute(key(1), [&] {
+        const auto value = getOne(cache, key(1), [&] {
             good_computes.fetch_add(1);
             return payload(0, 5.0);
         });
@@ -275,7 +268,6 @@ TEST(Cache, AbortedComputeHandsTheFlightToAWaiter)
 TEST(Cache, ConcurrentStressStaysWithinBudgetAndReconciles)
 {
     CacheOptions opts;
-    opts.shards = 4;
     opts.max_entries = 16;
     opts.max_bytes = 16 * (baseBytes() + 64);
     ResultCache cache(opts);
@@ -292,12 +284,22 @@ TEST(Cache, ConcurrentStressStaysWithinBudgetAndReconciles)
                 const uint64_t k = (state >> 33) % kKeys;
                 switch ((state >> 13) % 3) {
                 case 0:
-                    cache.getOrCompute(key(k), [&] {
+                    getOne(cache, key(k), [&] {
                         return payload((state >> 5) % 128, double(k));
                     });
                     break;
                 case 1:
-                    cache.peek(key(k));
+                    // Two overlapping keys computed in one pass.
+                    cache.getOrComputeGroup(
+                        {key(k), key((k + 1) % kKeys)},
+                        [&](const std::vector<size_t>& indices) {
+                            std::vector<core::RunResult> values;
+                            for (size_t i : indices) {
+                                values.push_back(payload(
+                                    (state >> 7) % 128, double(k + i)));
+                            }
+                            return values;
+                        });
                     break;
                 default:
                     cache.contains(key(k));
@@ -486,7 +488,7 @@ TEST(CacheFarm, ConcurrentDrainsOnASharedCacheMatchSerialLogs)
         uint64_t n = 0;
         while (!stop.load()) {
             shared->contains(key(n % 64));
-            shared->peek(key((n * 7) % 64));
+            shared->contains(key((n * 7) % 64));
             ++n;
         }
     });
@@ -503,6 +505,27 @@ TEST(CacheFarm, ConcurrentDrainsOnASharedCacheMatchSerialLogs)
     EXPECT_EQ(log_b, expected);
     const CacheStats s = shared->stats();
     EXPECT_EQ(s.lookups, s.hits + s.misses);
+}
+
+// ---- Budget flag -------------------------------------------------------
+
+TEST(CacheBudgetDeathTest, CacheMbMustBeANonNegativeSizeInRange)
+{
+    const char* sized[] = {"prog", "--cache-mb=64"};
+    EXPECT_EQ(bench::cacheBudgetBytes(Cli(2, sized)), size_t{64} << 20);
+    EXPECT_EQ(bench::cacheBudgetBytes(Cli(1, sized)), size_t{256} << 20);
+    const char* largest[] = {"prog", "--cache-mb=17592186044415"};
+    EXPECT_EQ(bench::cacheBudgetBytes(Cli(2, largest)),
+              ((size_t{1} << 44) - 1) << 20);
+
+    // A negative budget, or 2^44 MiB and up, no longer wraps silently.
+    const char* negative[] = {"prog", "--cache-mb=-1"};
+    EXPECT_DEATH(bench::cacheBudgetBytes(Cli(2, negative)),
+                 "--cache-mb expects MiB in \\[0, 17592186044415\\], "
+                 "got -1");
+    const char* huge[] = {"prog", "--cache-mb=17592186044416"};
+    EXPECT_DEATH(bench::cacheBudgetBytes(Cli(2, huge)),
+                 "--cache-mb expects MiB.*got 17592186044416");
 }
 
 // ---- Zipf sampler ------------------------------------------------------

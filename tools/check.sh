@@ -236,14 +236,15 @@ if [[ "${VTRANS_SKIP_TSAN:-0}" != 1 ]]; then
 fi
 
 if [[ "${VTRANS_SKIP_ASAN:-0}" != 1 ]]; then
-    echo "== address + undefined sanitizers: probe bus + model + obs + codec =="
+    echo "== address + undefined sanitizers: probe bus + model + obs + codec" \
+        "+ cache =="
     # UBSan findings are fatal here, not just logged. The trellis and
     # golden suites run here too: the trellis keeps dead states at costs
     # near INT64_MAX / 4 and must never overflow them.
     ASAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$ASAN_DIR" -S . -DVTRANS_SANITIZE=address,undefined
     cmake --build "$ASAN_DIR" -j --target test_obs test_uarch test_trace \
-        test_farm test_trellis test_codec_golden
+        test_farm test_cache test_trellis test_codec_golden
     export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
     "$ASAN_DIR"/tests/test_trace
     "$ASAN_DIR"/tests/test_uarch
@@ -253,6 +254,9 @@ if [[ "${VTRANS_SKIP_ASAN:-0}" != 1 ]]; then
     # The shared-pass farm path: grouped passes, the group cache fill.
     "$ASAN_DIR"/tests/test_farm \
         --gtest_filter='Farm.GroupedPassesMatchLoneRuns'
+    # The result cache: LRU list nodes and single-flight Flight objects
+    # outliving eviction, abort hand-off and the concurrent stress mix.
+    "$ASAN_DIR"/tests/test_cache
 fi
 
 echo "== check passed =="
