@@ -38,7 +38,6 @@ struct BenchOptions
     std::vector<int> refs_grid;
 
     bool hotspots = false;    ///< Print the hotspot table after the run.
-    std::string hotspots_out; ///< Hotspot JSON report path ("" = none).
     std::string trace_out;    ///< Chrome trace JSON path ("" = none).
     bool metrics = false;     ///< Dump the Prometheus exposition.
 
@@ -152,7 +151,6 @@ benchTracer()
  *                     probe sites, see trace/sites.def)
  * Observability (see observabilityReport()):
  *   --hotspots        collect + print the VTune-style hotspot table
- *   --hotspots-out <p> collect + write the hotspot report as JSON
  *   --trace-out <p>   export sweep stage spans as Chrome trace JSON
  *   --metrics         dump the Prometheus-style metrics exposition
  *   --uarch-report    per-site µarch attribution (cycles/top-down/MPKI
@@ -206,7 +204,6 @@ parseBenchOptions(const Cli& cli)
     }
 
     options.hotspots = cli.has("hotspots");
-    options.hotspots_out = cli.str("hotspots-out", "");
     options.trace_out = cli.str("trace-out", "");
     options.metrics = cli.has("metrics");
     options.uarch_report = cli.has("uarch-report");
@@ -214,7 +211,7 @@ parseBenchOptions(const Cli& cli)
     options.uarch_baseline = cli.str("uarch-baseline", "");
     const int64_t phase = cli.num("phase-window", 0);
     options.phase_window = phase <= 0 ? 0 : static_cast<uint64_t>(phase);
-    if (options.hotspots || !options.hotspots_out.empty()) {
+    if (options.hotspots) {
         obs::setHotspotsEnabled(true);
     }
     if (options.uarch_report || !options.uarch_report_out.empty()
@@ -253,8 +250,9 @@ sweepReport(const core::SweepStats& stats)
 
 /**
  * Emits whatever observability output the flags requested: the hotspot
- * table (--hotspots), the hotspot JSON report (--hotspots-out), the
- * Chrome trace of the sweep's stage spans (--trace-out), and the
+ * table (--hotspots), the Chrome trace of the sweep's stage spans
+ * (--trace-out), the µarch attribution table, JSON report and baseline
+ * diff (--uarch-report, --uarch-report-out, --uarch-baseline), and the
  * Prometheus metrics exposition (--metrics). Call once, after the
  * bench's sweeps have run. Export failures are reported, not fatal —
  * the bench's results have already been printed.
@@ -265,15 +263,6 @@ observabilityReport(const BenchOptions& options)
     if (options.hotspots) {
         banner("hotspots");
         std::printf("%s\n", obs::hotspotReport().table().c_str());
-    }
-    if (!options.hotspots_out.empty()) {
-        if (obs::hotspotReport().writeJson(options.hotspots_out)) {
-            std::printf("hotspot report: %s\n",
-                        options.hotspots_out.c_str());
-        } else {
-            std::printf("hotspot report NOT written (cannot open %s)\n",
-                        options.hotspots_out.c_str());
-        }
     }
     if (!options.trace_out.empty()) {
         obs::setGlobalTracer(nullptr);
@@ -299,20 +288,16 @@ observabilityReport(const BenchOptions& options)
         }
     }
     if (!options.uarch_baseline.empty()) {
-        obs::ReportData baseline;
-        obs::ReportData current;
+        obs::HotspotReport baseline;
         std::string error;
         if (!obs::loadReport(options.uarch_baseline, &baseline, &error)) {
             std::printf("uarch baseline NOT loaded (%s)\n", error.c_str());
-        } else if (!obs::parseReport(obs::hotspotReport().toJson(),
-                                     &current, &error)) {
-            std::printf("uarch diff NOT computed (%s)\n", error.c_str());
         } else {
             banner("uarch diff vs baseline (this run minus baseline)");
-            std::printf(
-                "%s\n",
-                obs::diffTable(obs::diffReports(baseline, current))
-                    .c_str());
+            std::printf("%s\n",
+                        obs::diffTable(obs::diffReports(baseline,
+                                                        obs::hotspotReport()))
+                            .c_str());
         }
     }
     if (options.metrics) {

@@ -286,46 +286,23 @@ runMode(const std::string& sink_kind, uint32_t batch, uint64_t iters,
     return m;
 }
 
-/** Field-by-field CoreStats comparison; prints every mismatch. */
+/** Counter-by-counter CoreStats comparison; prints every mismatch. */
 bool
 statsIdentical(const uarch::CoreStats& a, const uarch::CoreStats& b,
                const std::string& label)
 {
     bool ok = true;
-    auto check = [&](const char* field, uint64_t x, uint64_t y) {
-        if (x != y) {
+    for (const uarch::Counter<uarch::CoreStats>& c :
+         uarch::kCoreStatsCounters) {
+        if (a.*c.member != b.*c.member) {
             std::fprintf(stderr,
                          "IDENTITY FAIL [%s] %s: %llu != %llu\n",
-                         label.c_str(), field,
-                         static_cast<unsigned long long>(x),
-                         static_cast<unsigned long long>(y));
+                         label.c_str(), c.name,
+                         static_cast<unsigned long long>(a.*c.member),
+                         static_cast<unsigned long long>(b.*c.member));
             ok = false;
         }
-    };
-    check("instructions", a.instructions, b.instructions);
-    check("cycles", a.cycles, b.cycles);
-    check("branches", a.branches, b.branches);
-    check("branch_mispredicts", a.branch_mispredicts,
-          b.branch_mispredicts);
-    check("l1d_accesses", a.l1d_accesses, b.l1d_accesses);
-    check("l1d_misses", a.l1d_misses, b.l1d_misses);
-    check("l2_misses", a.l2_misses, b.l2_misses);
-    check("l3_misses", a.l3_misses, b.l3_misses);
-    check("l1i_accesses", a.l1i_accesses, b.l1i_accesses);
-    check("l1i_misses", a.l1i_misses, b.l1i_misses);
-    check("itlb_misses", a.itlb_misses, b.itlb_misses);
-    check("btb_misses", a.btb_misses, b.btb_misses);
-    check("slots_total", a.slots_total, b.slots_total);
-    check("slots_retiring", a.slots_retiring, b.slots_retiring);
-    check("slots_frontend", a.slots_frontend, b.slots_frontend);
-    check("slots_bad_spec", a.slots_bad_spec, b.slots_bad_spec);
-    check("slots_backend_memory", a.slots_backend_memory,
-          b.slots_backend_memory);
-    check("slots_backend_core", a.slots_backend_core,
-          b.slots_backend_core);
-    check("slots_rob_stall", a.slots_rob_stall, b.slots_rob_stall);
-    check("slots_rs_stall", a.slots_rs_stall, b.slots_rs_stall);
-    check("slots_sb_stall", a.slots_sb_stall, b.slots_sb_stall);
+    }
     return ok;
 }
 

@@ -160,15 +160,6 @@ runNative(const RunConfig& config)
     return transcoded.stats;
 }
 
-RunResult
-runInstrumentedChunk(
-    const std::vector<const std::vector<uint8_t>*>& slices,
-    const RunConfig& config)
-{
-    return std::move(runInstrumentedChunk(slices, config, {config.core})
-                         .front());
-}
-
 std::vector<RunResult>
 runInstrumentedChunk(
     const std::vector<const std::vector<uint8_t>*>& slices,

@@ -105,14 +105,10 @@ codec::EncodeStats runNative(const RunConfig& config);
  * the chunk's bitstream — all within a single instrumented session, so
  * `transcode_seconds` covers the chunk's full service time. The result's
  * `output` always holds the chunk bitstream; `encode`/`psnr`/`bitrate`
- * aggregate over the slices (frame-weighted).
+ * aggregate over the slices (frame-weighted). Simulated on every class
+ * of `classes` at once, as the class-list runInstrumented() is; the
+ * result holds one RunResult per class.
  */
-RunResult runInstrumentedChunk(
-    const std::vector<const std::vector<uint8_t>*>& slices,
-    const RunConfig& config);
-
-/** runInstrumentedChunk() simulated on every class of `classes` at once,
- *  as the class-list runInstrumented() is. */
 std::vector<RunResult> runInstrumentedChunk(
     const std::vector<const std::vector<uint8_t>*>& slices,
     const RunConfig& config, const std::vector<uarch::CoreParams>& classes);

@@ -37,28 +37,10 @@ uint64_t
 fingerprint(const core::RunResult& result)
 {
     uint64_t h = 0xcbf29ce484222325ull;
-    const auto& c = result.core;
-    mix(h, c.instructions);
-    mix(h, c.cycles);
-    mix(h, c.branches);
-    mix(h, c.branch_mispredicts);
-    mix(h, c.l1d_accesses);
-    mix(h, c.l1d_misses);
-    mix(h, c.l2_misses);
-    mix(h, c.l3_misses);
-    mix(h, c.l1i_accesses);
-    mix(h, c.l1i_misses);
-    mix(h, c.itlb_misses);
-    mix(h, c.btb_misses);
-    mix(h, c.slots_total);
-    mix(h, c.slots_retiring);
-    mix(h, c.slots_frontend);
-    mix(h, c.slots_bad_spec);
-    mix(h, c.slots_backend_memory);
-    mix(h, c.slots_backend_core);
-    mix(h, c.slots_rob_stall);
-    mix(h, c.slots_rs_stall);
-    mix(h, c.slots_sb_stall);
+    for (const uarch::Counter<uarch::CoreStats>& c :
+         uarch::kCoreStatsCounters) {
+        mix(h, result.core.*c.member);
+    }
     const auto& e = result.encode;
     mix(h, e.total_bits);
     mix(h, e.bitrate_kbps);

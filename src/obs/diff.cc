@@ -1,6 +1,7 @@
 #include "obs/diff.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -13,66 +14,34 @@ namespace vtrans::obs {
 
 namespace {
 
-uint64_t
-fieldU64(const JsonValue& obj, const char* key)
-{
-    // Counters are emitted as integer-valued doubles; missing keys (a
-    // report written before the field existed) read as zero.
-    const double v = obj.numberOr(key, 0.0);
-    return v <= 0.0 ? 0 : static_cast<uint64_t>(v);
-}
-
-SiteCounters
-parseCounters(const JsonValue& obj)
-{
-    SiteCounters c;
-    c.blocks = fieldU64(obj, "blocks");
-    c.instructions = fieldU64(obj, "instructions");
-    c.code_bytes = fieldU64(obj, "code_bytes");
-    c.branches = fieldU64(obj, "branches");
-    c.taken = fieldU64(obj, "taken");
-    c.loads = fieldU64(obj, "loads");
-    c.stores = fieldU64(obj, "stores");
-    c.load_bytes = fieldU64(obj, "load_bytes");
-    c.store_bytes = fieldU64(obj, "store_bytes");
-    c.cycles = fieldU64(obj, "cycles");
-    c.slots_retiring = fieldU64(obj, "slots_retiring");
-    c.slots_frontend = fieldU64(obj, "slots_frontend");
-    c.slots_bad_spec = fieldU64(obj, "slots_bad_spec");
-    c.slots_backend_memory = fieldU64(obj, "slots_backend_memory");
-    c.slots_backend_core = fieldU64(obj, "slots_backend_core");
-    c.branch_mispredicts = fieldU64(obj, "branch_mispredicts");
-    c.l1d_accesses = fieldU64(obj, "l1d_accesses");
-    c.l1d_misses = fieldU64(obj, "l1d_misses");
-    c.l2_misses = fieldU64(obj, "l2_misses");
-    c.l3_misses = fieldU64(obj, "l3_misses");
-    c.l1i_accesses = fieldU64(obj, "l1i_accesses");
-    c.l1i_misses = fieldU64(obj, "l1i_misses");
-    c.itlb_misses = fieldU64(obj, "itlb_misses");
-    c.btb_misses = fieldU64(obj, "btb_misses");
-    return c;
-}
-
 bool
-parseRows(const JsonValue& doc, const char* key,
-          std::vector<HotspotRow>* out, std::string* error)
+fail(std::string* error, const std::string& message)
 {
-    const JsonValue* rows = doc.find(key);
-    if (rows == nullptr || !rows->isArray()) {
-        if (error != nullptr) {
-            *error = std::string("report has no \"") + key + "\" array";
-        }
-        return false;
+    if (error != nullptr) {
+        *error = message;
     }
-    for (const JsonValue& row : rows->array()) {
-        if (!row.isObject()) {
-            if (error != nullptr) {
-                *error = std::string(key) + " row is not an object";
-            }
-            return false;
+    return false;
+}
+
+/** Reads every counter of kSiteCounters present in `obj` (`where` names
+ *  the object in errors). Counters are written as integers, so anything
+ *  else — a string, a fraction, a negative or a value past 2^64 — is a
+ *  malformed report, not a value to clamp. */
+bool
+parseCounters(const JsonValue& obj, const std::string& where,
+              SiteCounters* out, std::string* error)
+{
+    for (const uarch::Counter<SiteCounters>& c : kSiteCounters) {
+        const JsonValue* v = obj.find(c.name);
+        if (v == nullptr) {
+            continue;
         }
-        out->push_back(
-            HotspotRow{row.strOr("name", ""), parseCounters(row)});
+        const double x = v->isNumber() ? v->number() : -1.0;
+        if (!(x >= 0.0 && x < 0x1p64 && x == std::floor(x))) {
+            return fail(error, where + ": \"" + c.name
+                                   + "\" is not an integer in [0, 2^64)");
+        }
+        out->*c.member = static_cast<uint64_t>(x);
     }
     return true;
 }
@@ -80,45 +49,57 @@ parseRows(const JsonValue& doc, const char* key,
 } // namespace
 
 bool
-parseReport(const std::string& json, ReportData* out, std::string* error)
+parseReport(const std::string& json, HotspotReport* out, std::string* error)
 {
     const std::unique_ptr<JsonValue> doc = parseJson(json, error);
     if (doc == nullptr) {
         return false;
     }
     if (!doc->isObject()) {
-        if (error != nullptr) {
-            *error = "report is not a JSON object";
+        return fail(error, "report is not a JSON object");
+    }
+    const JsonValue* rows = doc->find("by_site");
+    if (rows == nullptr || !rows->isArray()) {
+        return fail(error, "report has no \"by_site\" array");
+    }
+    std::map<std::string, SiteCounters> by_name;
+    for (size_t i = 0; i < rows->array().size(); ++i) {
+        const JsonValue& row = rows->array()[i];
+        const std::string where = "by_site row " + std::to_string(i);
+        if (!row.isObject()) {
+            return fail(error, where + " is not an object");
         }
-        return false;
-    }
-    const JsonValue* totals = doc->find("totals");
-    if (totals == nullptr || !totals->isObject()) {
-        if (error != nullptr) {
-            *error = "report has no \"totals\" object";
+        const JsonValue* name = row.find("name");
+        if (name == nullptr || !name->isString()) {
+            return fail(error, where + ": \"name\" is not a string");
         }
-        return false;
+        SiteCounters counters;
+        if (!parseCounters(row, where, &counters, error)) {
+            return false;
+        }
+        by_name[name->str()].merge(counters);
     }
-    *out = ReportData{};
-    out->totals = parseCounters(*totals);
-    if (const JsonValue* un = doc->find("unattributed");
-        un != nullptr && un->isObject()) {
-        out->unattributed = parseCounters(*un);
+    SiteCounters unattributed;
+    if (const JsonValue* un = doc->find("unattributed"); un != nullptr) {
+        if (!un->isObject()) {
+            return fail(error, "\"unattributed\" is not an object");
+        }
+        if (!parseCounters(*un, "unattributed", &unattributed, error)) {
+            return false;
+        }
     }
-    return parseRows(*doc, "by_family", &out->by_family, error)
-           && parseRows(*doc, "by_prefix", &out->by_prefix, error)
-           && parseRows(*doc, "by_site", &out->by_site, error);
+    std::lock_guard<std::mutex> lock(out->mu_);
+    out->by_name_ = std::move(by_name);
+    out->unattributed_ = unattributed;
+    return true;
 }
 
 bool
-loadReport(const std::string& path, ReportData* out, std::string* error)
+loadReport(const std::string& path, HotspotReport* out, std::string* error)
 {
     std::ifstream in(path);
     if (!in) {
-        if (error != nullptr) {
-            *error = "cannot open " + path;
-        }
-        return false;
+        return fail(error, "cannot open " + path);
     }
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -189,15 +170,15 @@ appendDiffRows(Table* t, const std::vector<DiffRow>& rows, size_t limit)
 } // namespace
 
 ReportDiff
-diffReports(const ReportData& baseline, const ReportData& candidate)
+diffReports(const HotspotReport& baseline, const HotspotReport& candidate)
 {
     ReportDiff diff;
     diff.totals.name = "totals";
-    diff.totals.baseline = baseline.totals;
-    diff.totals.candidate = candidate.totals;
-    diff.by_family = diffRows(baseline.by_family, candidate.by_family);
-    diff.by_prefix = diffRows(baseline.by_prefix, candidate.by_prefix);
-    diff.by_site = diffRows(baseline.by_site, candidate.by_site);
+    diff.totals.baseline = baseline.totals();
+    diff.totals.candidate = candidate.totals();
+    diff.by_family = diffRows(baseline.byFamily(), candidate.byFamily());
+    diff.by_prefix = diffRows(baseline.byPrefix(), candidate.byPrefix());
+    diff.by_site = diffRows(baseline.bySite(), candidate.bySite());
     return diff;
 }
 

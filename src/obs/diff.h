@@ -19,24 +19,18 @@
 
 namespace vtrans::obs {
 
-/** One loaded report: totals plus the three name-keyed rollups. */
-struct ReportData
-{
-    SiteCounters totals;
-    SiteCounters unattributed;
-    std::vector<HotspotRow> by_family;
-    std::vector<HotspotRow> by_prefix;
-    std::vector<HotspotRow> by_site;
-};
-
-/** Parses a HotspotReport::toJson() document. Reports from before a
- *  field existed load that field as zero. False + `error` on malformed
- *  or wrongly-shaped input. */
-bool parseReport(const std::string& json, ReportData* out,
+/** Parses a HotspotReport::toJson() document into `out` (replacing its
+ *  tallies): the `by_site` rows and the `unattributed` bucket, from which
+ *  `out` recomputes the totals and rollups. A counter absent from a row
+ *  (a report written before the field existed) loads as zero. False +
+ *  `error` on malformed or wrongly-shaped input, naming the row and
+ *  field: a counter that is not an integer in [0, 2^64), or a row whose
+ *  name is not a string. */
+bool parseReport(const std::string& json, HotspotReport* out,
                  std::string* error);
 
 /** Reads `path` and parses it with parseReport. */
-bool loadReport(const std::string& path, ReportData* out,
+bool loadReport(const std::string& path, HotspotReport* out,
                 std::string* error);
 
 /** One aligned row of a differential comparison (candidate minus
@@ -72,8 +66,8 @@ struct ReportDiff
 };
 
 /** Aligns `baseline` and `candidate` by row name at every level. */
-ReportDiff diffReports(const ReportData& baseline,
-                       const ReportData& candidate);
+ReportDiff diffReports(const HotspotReport& baseline,
+                       const HotspotReport& candidate);
 
 /** Text tables (family, prefix, top-`limit` sites) of the deltas:
  *  cycles and instructions on both sides, the deltas, the relative

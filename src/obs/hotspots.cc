@@ -12,31 +12,10 @@ namespace vtrans::obs {
 void
 SiteCounters::merge(const SiteCounters& other)
 {
-    add(other);
-    instructions += other.instructions;
-    code_bytes += other.code_bytes;
+    for (const uarch::Counter<SiteCounters>& c : kSiteCounters) {
+        this->*c.member += other.*c.member;
+    }
 }
-
-namespace {
-
-double
-perKiloInstructions(uint64_t events, uint64_t instructions)
-{
-    return instructions == 0
-               ? 0.0
-               : 1000.0 * static_cast<double>(events)
-                     / static_cast<double>(instructions);
-}
-
-double
-slotShare(uint64_t slots, uint64_t total)
-{
-    return total == 0 ? 0.0
-                      : static_cast<double>(slots)
-                            / static_cast<double>(total);
-}
-
-} // namespace
 
 double
 SiteCounters::cpi() const
@@ -51,66 +30,6 @@ SiteCounters::slotsTotal() const
 {
     return slots_retiring + slots_frontend + slots_bad_spec
            + slots_backend_memory + slots_backend_core;
-}
-
-double
-SiteCounters::retiringShare() const
-{
-    return slotShare(slots_retiring, slotsTotal());
-}
-
-double
-SiteCounters::frontendShare() const
-{
-    return slotShare(slots_frontend, slotsTotal());
-}
-
-double
-SiteCounters::badSpecShare() const
-{
-    return slotShare(slots_bad_spec, slotsTotal());
-}
-
-double
-SiteCounters::backendMemoryShare() const
-{
-    return slotShare(slots_backend_memory, slotsTotal());
-}
-
-double
-SiteCounters::backendCoreShare() const
-{
-    return slotShare(slots_backend_core, slotsTotal());
-}
-
-double
-SiteCounters::branchMpki() const
-{
-    return perKiloInstructions(branch_mispredicts, instructions);
-}
-
-double
-SiteCounters::l1dMpki() const
-{
-    return perKiloInstructions(l1d_misses, instructions);
-}
-
-double
-SiteCounters::l2Mpki() const
-{
-    return perKiloInstructions(l2_misses, instructions);
-}
-
-double
-SiteCounters::l3Mpki() const
-{
-    return perKiloInstructions(l3_misses, instructions);
-}
-
-double
-SiteCounters::l1iMpki() const
-{
-    return perKiloInstructions(l1i_misses, instructions);
 }
 
 std::string
@@ -227,6 +146,14 @@ sortedByCycles(std::vector<HotspotRow> rows)
     return rows;
 }
 
+double
+slotShare(uint64_t slots, uint64_t total)
+{
+    return total == 0 ? 0.0
+                      : static_cast<double>(slots)
+                            / static_cast<double>(total);
+}
+
 void
 appendUarchRows(Table* t, const std::vector<HotspotRow>& rows, size_t limit,
                 uint64_t total_cycles)
@@ -242,11 +169,14 @@ appendUarchRows(Table* t, const std::vector<HotspotRow>& rows, size_t limit,
                                     / static_cast<double>(total_cycles);
         t->cell(formatPercent(share));
         t->cell(c.cpi(), 2);
-        t->cell(formatPercent(c.retiringShare()));
-        t->cell(formatPercent(c.frontendShare()));
-        t->cell(formatPercent(c.badSpecShare()));
-        t->cell(formatPercent(c.backendMemoryShare()));
-        t->cell(formatPercent(c.backendCoreShare()));
+        for (uint64_t uarch::SiteUarch::*slots :
+             {&uarch::SiteUarch::slots_retiring,
+              &uarch::SiteUarch::slots_frontend,
+              &uarch::SiteUarch::slots_bad_spec,
+              &uarch::SiteUarch::slots_backend_memory,
+              &uarch::SiteUarch::slots_backend_core}) {
+            t->cell(formatPercent(slotShare(c.*slots, c.slotsTotal())));
+        }
         t->cell(c.branchMpki(), 2);
         t->cell(c.l1dMpki(), 2);
         t->cell(c.l2Mpki(), 2);
@@ -258,27 +188,11 @@ appendUarchRows(Table* t, const std::vector<HotspotRow>& rows, size_t limit,
 void
 appendCountersJson(std::ostringstream* os, const SiteCounters& c)
 {
-    *os << "\"instructions\":" << c.instructions
-        << ",\"blocks\":" << c.blocks << ",\"code_bytes\":" << c.code_bytes
-        << ",\"branches\":" << c.branches << ",\"taken\":" << c.taken
-        << ",\"loads\":" << c.loads << ",\"stores\":" << c.stores
-        << ",\"load_bytes\":" << c.load_bytes
-        << ",\"store_bytes\":" << c.store_bytes
-        << ",\"cycles\":" << c.cycles
-        << ",\"slots_retiring\":" << c.slots_retiring
-        << ",\"slots_frontend\":" << c.slots_frontend
-        << ",\"slots_bad_spec\":" << c.slots_bad_spec
-        << ",\"slots_backend_memory\":" << c.slots_backend_memory
-        << ",\"slots_backend_core\":" << c.slots_backend_core
-        << ",\"branch_mispredicts\":" << c.branch_mispredicts
-        << ",\"l1d_accesses\":" << c.l1d_accesses
-        << ",\"l1d_misses\":" << c.l1d_misses
-        << ",\"l2_misses\":" << c.l2_misses
-        << ",\"l3_misses\":" << c.l3_misses
-        << ",\"l1i_accesses\":" << c.l1i_accesses
-        << ",\"l1i_misses\":" << c.l1i_misses
-        << ",\"itlb_misses\":" << c.itlb_misses
-        << ",\"btb_misses\":" << c.btb_misses;
+    const char* sep = "";
+    for (const uarch::Counter<SiteCounters>& f : kSiteCounters) {
+        *os << sep << "\"" << f.name << "\":" << c.*f.member;
+        sep = ",";
+    }
 }
 
 void
@@ -354,23 +268,19 @@ HotspotReport::empty() const
 std::string
 HotspotReport::table(size_t limit) const
 {
-    const SiteCounters total = totals();
+    const uint64_t total_instructions = totals().instructions;
     std::ostringstream os;
-
-    Table families({"kernel family", "instructions", "share", "blocks",
-                    "branches", "loads", "stores", "ld bytes", "st bytes"});
-    appendRows(&families, byFamily(), limit, total.instructions);
-    os << "hotspots by kernel family\n" << families.toText() << "\n";
-
-    Table prefixes({"site prefix", "instructions", "share", "blocks",
-                    "branches", "loads", "stores", "ld bytes", "st bytes"});
-    appendRows(&prefixes, byPrefix(), limit, total.instructions);
-    os << "hotspots by site prefix\n" << prefixes.toText() << "\n";
-
-    Table sites({"code site", "instructions", "share", "blocks", "branches",
+    auto section = [&](const std::string& title, const char* name_header,
+                       const std::vector<HotspotRow>& rows, bool last) {
+        Table t({name_header, "instructions", "share", "blocks", "branches",
                  "loads", "stores", "ld bytes", "st bytes"});
-    appendRows(&sites, bySite(), limit, total.instructions);
-    os << "hotspots by code site (top " << limit << ")\n" << sites.toText();
+        appendRows(&t, rows, limit, total_instructions);
+        os << title << "\n" << t.toText() << (last ? "" : "\n");
+    };
+    section("hotspots by kernel family", "kernel family", byFamily(), false);
+    section("hotspots by site prefix", "site prefix", byPrefix(), false);
+    section("hotspots by code site (top " + std::to_string(limit) + ")",
+            "code site", bySite(), true);
     return os.str();
 }
 

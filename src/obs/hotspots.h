@@ -16,7 +16,10 @@
  * to the model's `CoreStats::instructions` counter bit-for-bit.
  */
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -41,17 +44,34 @@ struct SiteCounters : uarch::SiteUarch
     // Derived per-site metrics (0 when the inputs are missing).
     double cpi() const;           ///< cycles / instructions.
     uint64_t slotsTotal() const;  ///< Sum of the five slot classes.
-    double retiringShare() const;
-    double frontendShare() const;
-    double badSpecShare() const;
-    double backendMemoryShare() const;
-    double backendCoreShare() const;
-    double branchMpki() const;    ///< Mispredicts per kilo-instruction.
-    double l1dMpki() const;
-    double l2Mpki() const;
-    double l3Mpki() const;
-    double l1iMpki() const;
+    double branchMpki() const     ///< Mispredicts per kilo-instruction.
+    {
+        return uarch::perKilo(branch_mispredicts, instructions);
+    }
+    double l1dMpki() const { return uarch::perKilo(l1d_misses, instructions); }
+    double l2Mpki() const { return uarch::perKilo(l2_misses, instructions); }
+    double l3Mpki() const { return uarch::perKilo(l3_misses, instructions); }
+    double l1iMpki() const { return uarch::perKilo(l1i_misses, instructions); }
 };
+
+/** SiteCounters's counters in the order HotspotReport::toJson() writes
+ *  them: the model's uarch::kSiteUarchCounters with `instructions` first
+ *  and `code_bytes` after `blocks`. */
+inline constexpr auto kSiteCounters = [] {
+    std::array<uarch::Counter<SiteCounters>,
+               std::size(uarch::kSiteUarchCounters) + 2>
+        out{};
+    size_t n = 0;
+    out[n++] = {"instructions", &SiteCounters::instructions};
+    for (const uarch::Counter<uarch::SiteUarch>& c :
+         uarch::kSiteUarchCounters) {
+        out[n++] = {c.name, c.member};
+        if (c.member == &uarch::SiteUarch::blocks) {
+            out[n++] = {"code_bytes", &SiteCounters::code_bytes};
+        }
+    }
+    return out;
+}();
 
 /** One row of a hotspot table: a name (site / prefix / family) + tallies. */
 struct HotspotRow
@@ -72,8 +92,10 @@ std::string kernelFamily(const std::string& site_name);
  * Aggregated hotspot totals across runs and threads.
  *
  * Thread-safe: worker threads merge their finished per-run models
- * concurrently through mergeAttribution, the only way in. Rollups are
- * computed on demand from the merged per-site tallies.
+ * concurrently through mergeAttribution; parseReport (obs/diff.h) reads
+ * a written report back. Totals and rollups are computed on demand from
+ * the per-site tallies, so a loaded report groups by the same rules as
+ * a merged one.
  */
 class HotspotReport
 {
@@ -115,9 +137,12 @@ class HotspotReport
     void reset();
 
   private:
-    // The only way in (declared and documented in obs/uarch.h).
+    // The two ways in (declared and documented in obs/uarch.h and
+    // obs/diff.h).
     friend void mergeAttribution(HotspotReport* report,
                                  const uarch::CoreModel& model, size_t cls);
+    friend bool parseReport(const std::string& json, HotspotReport* out,
+                            std::string* error);
 
     std::map<std::string, SiteCounters> snapshot() const;
 

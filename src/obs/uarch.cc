@@ -24,15 +24,6 @@ withDerived(const uarch::SiteUarch& u, const trace::CodeSite* site)
     return c;
 }
 
-double
-perKilo(uint64_t events, uint64_t instructions)
-{
-    return instructions == 0
-               ? 0.0
-               : 1000.0 * static_cast<double>(events)
-                     / static_cast<double>(instructions);
-}
-
 } // namespace
 
 void
@@ -87,6 +78,7 @@ void
 emitPhaseCounters(SpanTracer* tracer, const uarch::CoreModel& model,
                   const std::string& label, size_t cls)
 {
+    using uarch::perKilo;
     const std::vector<uarch::PhaseSample>& samples = model.phaseSamples(cls);
     if (tracer == nullptr || samples.empty()) {
         return;

@@ -22,15 +22,16 @@ CoreStats::ipc() const
                : static_cast<double>(instructions) / cycles;
 }
 
-namespace {
-
 double
 perKilo(uint64_t events, uint64_t instructions)
 {
     return instructions == 0
                ? 0.0
-               : 1000.0 * static_cast<double>(events) / instructions;
+               : 1000.0 * static_cast<double>(events)
+                     / static_cast<double>(instructions);
 }
+
+namespace {
 
 /** Resource-stall slots -> stall cycles per kilo-instruction. The
  *  slots-to-cycles conversion divides in floating point: an integer
@@ -51,36 +52,6 @@ double
 CoreStats::seconds() const
 {
     return static_cast<double>(cycles) / (freq_ghz * 1e9);
-}
-
-double
-CoreStats::branchMpki() const
-{
-    return perKilo(branch_mispredicts, instructions);
-}
-
-double
-CoreStats::l1dMpki() const
-{
-    return perKilo(l1d_misses, instructions);
-}
-
-double
-CoreStats::l2Mpki() const
-{
-    return perKilo(l2_misses, instructions);
-}
-
-double
-CoreStats::l3Mpki() const
-{
-    return perKilo(l3_misses, instructions);
-}
-
-double
-CoreStats::l1iMpki() const
-{
-    return perKilo(l1i_misses, instructions);
 }
 
 TopDown
@@ -130,28 +101,9 @@ CoreStats::anyResourceStallsPki() const
 void
 SiteUarch::add(const SiteUarch& other)
 {
-    blocks += other.blocks;
-    taken += other.taken;
-    loads += other.loads;
-    stores += other.stores;
-    load_bytes += other.load_bytes;
-    store_bytes += other.store_bytes;
-    cycles += other.cycles;
-    slots_retiring += other.slots_retiring;
-    slots_frontend += other.slots_frontend;
-    slots_bad_spec += other.slots_bad_spec;
-    slots_backend_memory += other.slots_backend_memory;
-    slots_backend_core += other.slots_backend_core;
-    branches += other.branches;
-    branch_mispredicts += other.branch_mispredicts;
-    l1d_accesses += other.l1d_accesses;
-    l1d_misses += other.l1d_misses;
-    l2_misses += other.l2_misses;
-    l3_misses += other.l3_misses;
-    l1i_accesses += other.l1i_accesses;
-    l1i_misses += other.l1i_misses;
-    itlb_misses += other.itlb_misses;
-    btb_misses += other.btb_misses;
+    for (const Counter<SiteUarch>& c : kSiteUarchCounters) {
+        this->*c.member += other.*c.member;
+    }
 }
 
 

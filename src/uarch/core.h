@@ -19,7 +19,9 @@
  */
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -140,6 +142,10 @@ struct TopDown
     double backend() const { return backend_memory + backend_core; }
 };
 
+/** `events` per thousand `instructions` (0 when no instruction retired);
+ *  every MPKI of CoreStats, obs::SiteCounters and the phase series. */
+double perKilo(uint64_t events, uint64_t instructions);
+
 /** Raw and derived counters of one simulation. */
 struct CoreStats
 {
@@ -176,11 +182,14 @@ struct CoreStats
     // Derived metrics.
     double ipc() const;
     double seconds() const;
-    double branchMpki() const;
-    double l1dMpki() const;
-    double l2Mpki() const;
-    double l3Mpki() const;
-    double l1iMpki() const;
+    double branchMpki() const
+    {
+        return perKilo(branch_mispredicts, instructions);
+    }
+    double l1dMpki() const { return perKilo(l1d_misses, instructions); }
+    double l2Mpki() const { return perKilo(l2_misses, instructions); }
+    double l3Mpki() const { return perKilo(l3_misses, instructions); }
+    double l1iMpki() const { return perKilo(l1i_misses, instructions); }
     TopDown topdown() const;
     /** Resource stall cycles per kilo-instruction. */
     double robStallsPki() const;
@@ -188,6 +197,75 @@ struct CoreStats
     double sbStallsPki() const;
     double anyResourceStallsPki() const;
 };
+
+/** One raw counter of `Stats`: its JSON name and its member. Every list
+ *  of a stats struct's counters (accumulating, hashing, writing, reading,
+ *  comparing) iterates one table of these. */
+template <typename Stats>
+struct Counter
+{
+    const char* name;
+    uint64_t Stats::*member;
+};
+
+/** CoreStats's raw counters in declaration order, the order
+ *  farm::fingerprint hashes them. */
+inline constexpr Counter<CoreStats> kCoreStatsCounters[] = {
+    {"instructions", &CoreStats::instructions},
+    {"cycles", &CoreStats::cycles},
+    {"branches", &CoreStats::branches},
+    {"branch_mispredicts", &CoreStats::branch_mispredicts},
+    {"l1d_accesses", &CoreStats::l1d_accesses},
+    {"l1d_misses", &CoreStats::l1d_misses},
+    {"l2_misses", &CoreStats::l2_misses},
+    {"l3_misses", &CoreStats::l3_misses},
+    {"l1i_accesses", &CoreStats::l1i_accesses},
+    {"l1i_misses", &CoreStats::l1i_misses},
+    {"itlb_misses", &CoreStats::itlb_misses},
+    {"btb_misses", &CoreStats::btb_misses},
+    {"slots_total", &CoreStats::slots_total},
+    {"slots_retiring", &CoreStats::slots_retiring},
+    {"slots_frontend", &CoreStats::slots_frontend},
+    {"slots_bad_spec", &CoreStats::slots_bad_spec},
+    {"slots_backend_memory", &CoreStats::slots_backend_memory},
+    {"slots_backend_core", &CoreStats::slots_backend_core},
+    {"slots_rob_stall", &CoreStats::slots_rob_stall},
+    {"slots_rs_stall", &CoreStats::slots_rs_stall},
+    {"slots_sb_stall", &CoreStats::slots_sb_stall},
+};
+static_assert(offsetof(CoreStats, width)
+                  == std::size(kCoreStatsCounters) * sizeof(uint64_t),
+              "every raw CoreStats counter has a kCoreStatsCounters row");
+
+/** SiteUarch's counters in the order the attribution report writes them
+ *  (obs::kSiteCounters adds the two fields derived at merge). */
+inline constexpr Counter<SiteUarch> kSiteUarchCounters[] = {
+    {"blocks", &SiteUarch::blocks},
+    {"branches", &SiteUarch::branches},
+    {"taken", &SiteUarch::taken},
+    {"loads", &SiteUarch::loads},
+    {"stores", &SiteUarch::stores},
+    {"load_bytes", &SiteUarch::load_bytes},
+    {"store_bytes", &SiteUarch::store_bytes},
+    {"cycles", &SiteUarch::cycles},
+    {"slots_retiring", &SiteUarch::slots_retiring},
+    {"slots_frontend", &SiteUarch::slots_frontend},
+    {"slots_bad_spec", &SiteUarch::slots_bad_spec},
+    {"slots_backend_memory", &SiteUarch::slots_backend_memory},
+    {"slots_backend_core", &SiteUarch::slots_backend_core},
+    {"branch_mispredicts", &SiteUarch::branch_mispredicts},
+    {"l1d_accesses", &SiteUarch::l1d_accesses},
+    {"l1d_misses", &SiteUarch::l1d_misses},
+    {"l2_misses", &SiteUarch::l2_misses},
+    {"l3_misses", &SiteUarch::l3_misses},
+    {"l1i_accesses", &SiteUarch::l1i_accesses},
+    {"l1i_misses", &SiteUarch::l1i_misses},
+    {"itlb_misses", &SiteUarch::itlb_misses},
+    {"btb_misses", &SiteUarch::btb_misses},
+};
+static_assert(sizeof(SiteUarch)
+                  == std::size(kSiteUarchCounters) * sizeof(uint64_t),
+              "every SiteUarch field has a kSiteUarchCounters row");
 
 /**
  * Rejects a configuration the model cannot simulate, with a VT_FATAL

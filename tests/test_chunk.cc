@@ -91,7 +91,8 @@ stitchedStream(const chunk::ChunkOptions& options)
         for (int k = 0; k < count; ++k) {
             slices.push_back(&plan->segments[first + k].source);
         }
-        runs.push_back(core::runInstrumentedChunk(slices, cfg));
+        runs.push_back(
+            core::runInstrumentedChunk(slices, cfg, {cfg.core}).front());
     }
     std::vector<const std::vector<uint8_t>*> outputs;
     for (const core::RunResult& run : runs) {

@@ -579,7 +579,7 @@ loneRun(const Farm& farm, const JobRecord& rec,
         slices.push_back(&plan->segments[first + i].source);
     }
     cfg.keep_output = true;
-    return core::runInstrumentedChunk(slices, cfg);
+    return core::runInstrumentedChunk(slices, cfg, {cfg.core}).front();
 }
 
 /** A drain runs each task signature's server classes as one shared pass:

@@ -8,8 +8,8 @@
  * consistency); and the metrics registry's Prometheus exposition.
  *
  * The ArtifactValidation cases double as tools/check.sh's validator:
- * they parse files named by VTRANS_TRACE_JSON / VTRANS_HOTSPOT_JSON and
- * skip when the variables are unset.
+ * they parse files named by VTRANS_TRACE_JSON / VTRANS_UARCH_JSON /
+ * VTRANS_PHASE_TRACE_JSON and skip when the variables are unset.
  */
 
 #include <gtest/gtest.h>
@@ -306,12 +306,11 @@ sameCounters(const std::vector<T>& a, const std::vector<T>& b)
 std::vector<uint64_t>
 rawCounters(const uarch::CoreStats& s)
 {
-    return {s.instructions, s.cycles, s.branches, s.branch_mispredicts,
-            s.l1d_accesses, s.l1d_misses, s.l2_misses, s.l3_misses,
-            s.l1i_accesses, s.l1i_misses, s.itlb_misses, s.btb_misses,
-            s.slots_total, s.slots_retiring, s.slots_frontend,
-            s.slots_bad_spec, s.slots_backend_memory, s.slots_backend_core,
-            s.slots_rob_stall, s.slots_rs_stall, s.slots_sb_stall};
+    std::vector<uint64_t> out;
+    for (const auto& c : uarch::kCoreStatsCounters) {
+        out.push_back(s.*c.member);
+    }
+    return out;
 }
 
 TEST(Hotspots, BatchedPipelineBitIdenticalAtOneAndFourWorkers)
@@ -405,6 +404,25 @@ TEST(Hotspots, HotspotsOnlyRunMatchesAttributedRollup)
 
 // -------------------------------------------------- µarch attribution
 
+/** Expects every counter that `table_a` and `table_b` both name to hold
+ *  the same value in `a` and `b`; returns how many names they share. */
+template <typename A, typename TableA, typename B, typename TableB>
+size_t
+expectSharedCountersEqual(const A& a, const TableA& table_a, const B& b,
+                          const TableB& table_b)
+{
+    size_t shared = 0;
+    for (const auto& x : table_a) {
+        for (const auto& y : table_b) {
+            if (std::strcmp(x.name, y.name) == 0) {
+                ++shared;
+                EXPECT_EQ(a.*x.member, b.*y.member) << x.name;
+            }
+        }
+    }
+    return shared;
+}
+
 /** Sums a model's per-site attribution plus the unattributed bucket. */
 uarch::SiteUarch
 attributionSum(const uarch::CoreModel& model)
@@ -424,22 +442,9 @@ expectAttributionExact(const uarch::CoreModel& model,
                        const uarch::CoreStats& core)
 {
     const uarch::SiteUarch sum = attributionSum(model);
-    EXPECT_EQ(sum.cycles, core.cycles);
-    EXPECT_EQ(sum.slots_retiring, core.slots_retiring);
-    EXPECT_EQ(sum.slots_frontend, core.slots_frontend);
-    EXPECT_EQ(sum.slots_bad_spec, core.slots_bad_spec);
-    EXPECT_EQ(sum.slots_backend_memory, core.slots_backend_memory);
-    EXPECT_EQ(sum.slots_backend_core, core.slots_backend_core);
-    EXPECT_EQ(sum.branches, core.branches);
-    EXPECT_EQ(sum.branch_mispredicts, core.branch_mispredicts);
-    EXPECT_EQ(sum.l1d_accesses, core.l1d_accesses);
-    EXPECT_EQ(sum.l1d_misses, core.l1d_misses);
-    EXPECT_EQ(sum.l2_misses, core.l2_misses);
-    EXPECT_EQ(sum.l3_misses, core.l3_misses);
-    EXPECT_EQ(sum.l1i_accesses, core.l1i_accesses);
-    EXPECT_EQ(sum.l1i_misses, core.l1i_misses);
-    EXPECT_EQ(sum.itlb_misses, core.itlb_misses);
-    EXPECT_EQ(sum.btb_misses, core.btb_misses);
+    EXPECT_EQ(expectSharedCountersEqual(sum, uarch::kSiteUarchCounters, core,
+                                        uarch::kCoreStatsCounters),
+              16u);
     // The five slot classes partition every dispatch slot.
     EXPECT_EQ(sum.slots_retiring + sum.slots_frontend + sum.slots_bad_spec
                   + sum.slots_backend_memory + sum.slots_backend_core,
@@ -530,32 +535,15 @@ TEST(UarchAttribution, ReportTotalsMatchSweepCoreStats)
         const auto points = core::parallelCrfRefsSweep(crf, refs, options);
         uarch::CoreStats want;
         for (const auto& p : points) {
-            want.instructions += p.run.core.instructions;
-            want.cycles += p.run.core.cycles;
-            want.branch_mispredicts += p.run.core.branch_mispredicts;
-            want.l1d_misses += p.run.core.l1d_misses;
-            want.l2_misses += p.run.core.l2_misses;
-            want.l3_misses += p.run.core.l3_misses;
-            want.l1i_misses += p.run.core.l1i_misses;
-            want.slots_retiring += p.run.core.slots_retiring;
-            want.slots_frontend += p.run.core.slots_frontend;
-            want.slots_bad_spec += p.run.core.slots_bad_spec;
-            want.slots_backend_memory += p.run.core.slots_backend_memory;
-            want.slots_backend_core += p.run.core.slots_backend_core;
+            for (const auto& c : uarch::kCoreStatsCounters) {
+                want.*c.member += p.run.core.*c.member;
+            }
         }
-        const obs::SiteCounters totals = obs::hotspotReport().totals();
-        EXPECT_EQ(totals.instructions, want.instructions);
-        EXPECT_EQ(totals.cycles, want.cycles);
-        EXPECT_EQ(totals.branch_mispredicts, want.branch_mispredicts);
-        EXPECT_EQ(totals.l1d_misses, want.l1d_misses);
-        EXPECT_EQ(totals.l2_misses, want.l2_misses);
-        EXPECT_EQ(totals.l3_misses, want.l3_misses);
-        EXPECT_EQ(totals.l1i_misses, want.l1i_misses);
-        EXPECT_EQ(totals.slots_retiring, want.slots_retiring);
-        EXPECT_EQ(totals.slots_frontend, want.slots_frontend);
-        EXPECT_EQ(totals.slots_bad_spec, want.slots_bad_spec);
-        EXPECT_EQ(totals.slots_backend_memory, want.slots_backend_memory);
-        EXPECT_EQ(totals.slots_backend_core, want.slots_backend_core);
+        // The 16 shared µarch counters plus instructions.
+        EXPECT_EQ(expectSharedCountersEqual(obs::hotspotReport().totals(),
+                                            obs::kSiteCounters, want,
+                                            uarch::kCoreStatsCounters),
+                  17u);
     }
     obs::setUarchAttributionEnabled(false);
     obs::hotspotReport().reset();
@@ -646,14 +634,18 @@ TEST(UarchDiff, ReportRoundTripsAndSelfDiffIsZero)
     obs::HotspotReport report;
     obs::mergeAttribution(&report, *run.model);
 
-    obs::ReportData data;
+    const std::string json = report.toJson();
+    obs::HotspotReport data;
     std::string err;
-    ASSERT_TRUE(obs::parseReport(report.toJson(), &data, &err)) << err;
-    EXPECT_EQ(data.totals.cycles, run.core.cycles);
-    EXPECT_EQ(data.totals.instructions, run.core.instructions);
-    EXPECT_FALSE(data.by_family.empty());
-    EXPECT_FALSE(data.by_prefix.empty());
-    EXPECT_FALSE(data.by_site.empty());
+    ASSERT_TRUE(obs::parseReport(json, &data, &err)) << err;
+    EXPECT_EQ(data.totals().cycles, run.core.cycles);
+    EXPECT_EQ(data.totals().instructions, run.core.instructions);
+    EXPECT_FALSE(data.byFamily().empty());
+    EXPECT_FALSE(data.byPrefix().empty());
+    EXPECT_FALSE(data.bySite().empty());
+    // Totals and rollups are recomputed from the sites, so the loaded
+    // report writes the same bytes it was read from.
+    EXPECT_EQ(data.toJson(), json);
 
     const obs::ReportDiff self = obs::diffReports(data, data);
     EXPECT_EQ(self.totals.deltaCycles(), 0);
@@ -667,12 +659,49 @@ TEST(UarchDiff, ReportRoundTripsAndSelfDiffIsZero)
 
 TEST(UarchDiff, RejectsMalformedReports)
 {
-    obs::ReportData data;
+    obs::HotspotReport data;
     std::string err;
     EXPECT_FALSE(obs::parseReport("not json", &data, &err));
     EXPECT_FALSE(err.empty());
     EXPECT_FALSE(obs::parseReport(R"({"totals": 3})", &data, &err));
     EXPECT_FALSE(obs::loadReport("/nonexistent/uarch.json", &data, &err));
+
+    // A counter must be an integer in [0, 2^64), and the error names it:
+    // no value is clamped or cast out of range.
+    const auto siteRow = [](const std::string& field) {
+        return std::string(R"({"by_site":[{"name":"me.sad",)")
+            .append(field)
+            .append("}]}");
+    };
+    for (const char* field :
+         {R"("cycles":1e300)", R"("cycles":18446744073709551616)",
+          R"("cycles":-1)", R"("cycles":2.5)", R"("cycles":"7")"}) {
+        SCOPED_TRACE(field);
+        err.clear();
+        EXPECT_FALSE(obs::parseReport(siteRow(field), &data, &err));
+        EXPECT_NE(err.find("\"cycles\""), std::string::npos) << err;
+    }
+    err.clear();
+    EXPECT_FALSE(obs::parseReport(
+        R"({"by_site":[],"unattributed":{"loads":-3}})", &data, &err));
+    EXPECT_NE(err.find("\"loads\""), std::string::npos) << err;
+    // A row's name must be a string.
+    for (const char* row : {R"({"cycles":1})", R"({"name":7,"cycles":1})"}) {
+        SCOPED_TRACE(row);
+        err.clear();
+        EXPECT_FALSE(obs::parseReport(
+            std::string(R"({"by_site":[)") + row + "]}", &data, &err));
+        EXPECT_NE(err.find("\"name\""), std::string::npos) << err;
+    }
+
+    // The largest integral double below 2^64 and a field the reader
+    // does not know both load.
+    err.clear();
+    ASSERT_TRUE(obs::parseReport(
+        siteRow(R"("cycles":18446744073709549568,"new_field":1.5)"), &data,
+        &err))
+        << err;
+    EXPECT_EQ(data.totals().cycles, 18446744073709549568ull);
 }
 
 TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
@@ -682,7 +711,8 @@ TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
     // model retires far fewer instructions in the SIMD-converted cost
     // kernels (SAD/SATD/DCT/quant), so the cycle delta must concentrate
     // in the families those kernels map to.
-    auto reportData = [](codec::KernelModel kernels, obs::ReportData* out) {
+    auto reportData = [](codec::KernelModel kernels,
+                         obs::HotspotReport* out) {
         const codec::BuildScope build({}, kernels);
         const AttributedRun run =
             attributedTranscode("medium", "funny", 0.1);
@@ -691,8 +721,8 @@ TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
         std::string err;
         ASSERT_TRUE(obs::parseReport(report.toJson(), out, &err)) << err;
     };
-    obs::ReportData scalar;
-    obs::ReportData vec;
+    obs::HotspotReport scalar;
+    obs::HotspotReport vec;
     reportData(codec::KernelModel::Scalar, &scalar);
     reportData(codec::KernelModel::Vector, &vec);
 
@@ -1090,12 +1120,12 @@ TEST(ArtifactValidation, ChromeTraceFileParses)
     }
 }
 
-/** Same for the hotspot JSON report (VTRANS_HOTSPOT_JSON). */
+/** The attribution report read as plain JSON (VTRANS_UARCH_JSON). */
 TEST(ArtifactValidation, HotspotReportFileParses)
 {
-    const char* path = std::getenv("VTRANS_HOTSPOT_JSON");
+    const char* path = std::getenv("VTRANS_UARCH_JSON");
     if (path == nullptr) {
-        GTEST_SKIP() << "VTRANS_HOTSPOT_JSON not set";
+        GTEST_SKIP() << "VTRANS_UARCH_JSON not set";
     }
     const std::string text = readFileOrEmpty(path);
     ASSERT_FALSE(text.empty()) << "cannot read " << path;
@@ -1112,7 +1142,7 @@ TEST(ArtifactValidation, HotspotReportFileParses)
 }
 
 /** The µarch attribution JSON exported by --uarch-report-out
- *  (VTRANS_UARCH_JSON): must parse as a report with cycle totals. */
+ *  (VTRANS_UARCH_JSON): must load as a report with cycle totals. */
 TEST(ArtifactValidation, UarchReportFileParses)
 {
     const char* path = std::getenv("VTRANS_UARCH_JSON");
@@ -1121,13 +1151,13 @@ TEST(ArtifactValidation, UarchReportFileParses)
     }
     const std::string text = readFileOrEmpty(path);
     ASSERT_FALSE(text.empty()) << "cannot read " << path;
-    obs::ReportData data;
+    obs::HotspotReport data;
     std::string err;
     ASSERT_TRUE(obs::parseReport(text, &data, &err)) << err;
-    EXPECT_GT(data.totals.cycles, 0u);
-    EXPECT_GT(data.totals.instructions, 0u);
-    EXPECT_FALSE(data.by_family.empty());
-    EXPECT_FALSE(data.by_site.empty());
+    EXPECT_GT(data.totals().cycles, 0u);
+    EXPECT_GT(data.totals().instructions, 0u);
+    EXPECT_FALSE(data.byFamily().empty());
+    EXPECT_FALSE(data.bySite().empty());
     // A self-diff of the artifact must align every row and cancel.
     const obs::ReportDiff self = obs::diffReports(data, data);
     EXPECT_EQ(self.totals.deltaCycles(), 0);

@@ -218,8 +218,8 @@ TEST(Trace, SiteTableIsTheLayout)
     EXPECT_GT(plan->segments.size(), 1u);
     std::vector<core::RunResult> chunks;
     for (const chunk::Segment& segment : plan->segments) {
-        chunks.push_back(
-            core::runInstrumentedChunk({&segment.source}, chunk_cfg));
+        chunks.push_back(core::runInstrumentedChunk(
+            {&segment.source}, chunk_cfg, {chunk_cfg.core}).front());
     }
     std::vector<const std::vector<uint8_t>*> outputs;
     for (const core::RunResult& c : chunks) {

@@ -827,30 +827,9 @@ TEST(CoreBatch, BranchHeavyStatsAreBitIdentical)
     // Capacity 3: constant wraparound; 256: the production default.
     for (uint32_t capacity : {3u, 64u, 256u}) {
         const CoreStats batched = run(capacity);
-        EXPECT_EQ(batched.instructions, one.instructions);
-        EXPECT_EQ(batched.cycles, one.cycles);
-        EXPECT_EQ(batched.branches, one.branches);
-        EXPECT_EQ(batched.branch_mispredicts,
-                  one.branch_mispredicts);
-        EXPECT_EQ(batched.l1d_accesses, one.l1d_accesses);
-        EXPECT_EQ(batched.l1d_misses, one.l1d_misses);
-        EXPECT_EQ(batched.l2_misses, one.l2_misses);
-        EXPECT_EQ(batched.l3_misses, one.l3_misses);
-        EXPECT_EQ(batched.l1i_accesses, one.l1i_accesses);
-        EXPECT_EQ(batched.l1i_misses, one.l1i_misses);
-        EXPECT_EQ(batched.itlb_misses, one.itlb_misses);
-        EXPECT_EQ(batched.btb_misses, one.btb_misses);
-        EXPECT_EQ(batched.slots_total, one.slots_total);
-        EXPECT_EQ(batched.slots_retiring, one.slots_retiring);
-        EXPECT_EQ(batched.slots_frontend, one.slots_frontend);
-        EXPECT_EQ(batched.slots_bad_spec, one.slots_bad_spec);
-        EXPECT_EQ(batched.slots_backend_memory,
-                  one.slots_backend_memory);
-        EXPECT_EQ(batched.slots_backend_core,
-                  one.slots_backend_core);
-        EXPECT_EQ(batched.slots_rob_stall, one.slots_rob_stall);
-        EXPECT_EQ(batched.slots_rs_stall, one.slots_rs_stall);
-        EXPECT_EQ(batched.slots_sb_stall, one.slots_sb_stall);
+        for (const Counter<CoreStats>& c : kCoreStatsCounters) {
+            EXPECT_EQ(batched.*c.member, one.*c.member) << c.name;
+        }
     }
 }
 
@@ -1013,57 +992,19 @@ void
 expectSameSite(const SiteUarch& a, const SiteUarch& b,
                const std::string& what)
 {
-    EXPECT_EQ(a.blocks, b.blocks) << what;
-    EXPECT_EQ(a.taken, b.taken) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.load_bytes, b.load_bytes) << what;
-    EXPECT_EQ(a.store_bytes, b.store_bytes) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.slots_retiring, b.slots_retiring) << what;
-    EXPECT_EQ(a.slots_frontend, b.slots_frontend) << what;
-    EXPECT_EQ(a.slots_bad_spec, b.slots_bad_spec) << what;
-    EXPECT_EQ(a.slots_backend_memory, b.slots_backend_memory) << what;
-    EXPECT_EQ(a.slots_backend_core, b.slots_backend_core) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts) << what;
-    EXPECT_EQ(a.l1d_accesses, b.l1d_accesses) << what;
-    EXPECT_EQ(a.l1d_misses, b.l1d_misses) << what;
-    EXPECT_EQ(a.l2_misses, b.l2_misses) << what;
-    EXPECT_EQ(a.l3_misses, b.l3_misses) << what;
-    EXPECT_EQ(a.l1i_accesses, b.l1i_accesses) << what;
-    EXPECT_EQ(a.l1i_misses, b.l1i_misses) << what;
-    EXPECT_EQ(a.itlb_misses, b.itlb_misses) << what;
-    EXPECT_EQ(a.btb_misses, b.btb_misses) << what;
+    for (const Counter<SiteUarch>& c : kSiteUarchCounters) {
+        EXPECT_EQ(a.*c.member, b.*c.member) << what << " " << c.name;
+    }
 }
 
 void
 expectSameRun(const DiffRun& opt, const DiffRun& ref,
               const std::string& what)
 {
-    const CoreStats& a = opt.stats;
-    const CoreStats& b = ref.stats;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts) << what;
-    EXPECT_EQ(a.l1d_accesses, b.l1d_accesses) << what;
-    EXPECT_EQ(a.l1d_misses, b.l1d_misses) << what;
-    EXPECT_EQ(a.l2_misses, b.l2_misses) << what;
-    EXPECT_EQ(a.l3_misses, b.l3_misses) << what;
-    EXPECT_EQ(a.l1i_accesses, b.l1i_accesses) << what;
-    EXPECT_EQ(a.l1i_misses, b.l1i_misses) << what;
-    EXPECT_EQ(a.itlb_misses, b.itlb_misses) << what;
-    EXPECT_EQ(a.btb_misses, b.btb_misses) << what;
-    EXPECT_EQ(a.slots_total, b.slots_total) << what;
-    EXPECT_EQ(a.slots_retiring, b.slots_retiring) << what;
-    EXPECT_EQ(a.slots_frontend, b.slots_frontend) << what;
-    EXPECT_EQ(a.slots_bad_spec, b.slots_bad_spec) << what;
-    EXPECT_EQ(a.slots_backend_memory, b.slots_backend_memory) << what;
-    EXPECT_EQ(a.slots_backend_core, b.slots_backend_core) << what;
-    EXPECT_EQ(a.slots_rob_stall, b.slots_rob_stall) << what;
-    EXPECT_EQ(a.slots_rs_stall, b.slots_rs_stall) << what;
-    EXPECT_EQ(a.slots_sb_stall, b.slots_sb_stall) << what;
+    for (const Counter<CoreStats>& c : kCoreStatsCounters) {
+        EXPECT_EQ(opt.stats.*c.member, ref.stats.*c.member)
+            << what << " " << c.name;
+    }
 
     ASSERT_EQ(opt.sites.size(), ref.sites.size()) << what;
     for (size_t s = 0; s < opt.sites.size(); ++s) {

@@ -81,10 +81,9 @@ TEST_P(ConfigProperty, DeterministicReplay)
     };
     const CoreStats a = run();
     const CoreStats b = run();
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.l1d_misses, b.l1d_misses);
-    EXPECT_EQ(a.branch_mispredicts, b.branch_mispredicts);
-    EXPECT_EQ(a.slots_backend_memory, b.slots_backend_memory);
+    for (const Counter<CoreStats>& c : kCoreStatsCounters) {
+        EXPECT_EQ(a.*c.member, b.*c.member) << c.name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, ConfigProperty,

@@ -5,7 +5,7 @@
 # GOP-chunked job graphs), then rebuild the cross-thread suites under
 # ThreadSanitizer (VTRANS_SANITIZE=thread) and the probe/model/obs
 # suites under AddressSanitizer + UndefinedBehaviorSanitizer
-# (VTRANS_SANITIZE=address,undefined) and rerun them. Any non-zero exit
+# (VTRANS_SANITIZE=address,undefined,float-cast-overflow) and rerun them. Any non-zero exit
 # fails the check.
 #
 #   tools/check.sh [build-dir]
@@ -108,8 +108,7 @@ echo "== chunked transcode smoke (split/stitch + worker invariance) =="
 
 echo "== parallel sweep smoke (+ hotspots + uarch attribution + traces) =="
 "$BUILD_DIR"/bench/fig3_heatmaps --coarse --seconds 0.1 --jobs 4 --quiet \
-    --hotspots --hotspots-out "$OBS_DIR/hotspots.json" \
-    --uarch-report --uarch-report-out "$OBS_DIR/uarch.json" \
+    --hotspots --uarch-report --uarch-report-out "$OBS_DIR/uarch.json" \
     --phase-window 200000 \
     --trace-out "$OBS_DIR/sweep-trace.json" --metrics
 
@@ -117,14 +116,12 @@ echo "== pipelined core model: helper threads vs inline stages =="
 # With --jobs 1 the sweep runs on the calling thread and every core model
 # may start its two stage helper threads. The --jobs 4 run above holds up
 # to four cores in its worker pool, so on a machine with four or fewer
-# cores its models run both stages inline. The attribution and hotspot
-# reports must match byte for byte.
+# cores its models run both stages inline. The attribution reports must
+# match byte for byte.
 "$BUILD_DIR"/bench/fig3_heatmaps --coarse --seconds 0.1 --jobs 1 --quiet \
-    --hotspots --hotspots-out "$OBS_DIR/hotspots-jobs1.json" \
-    --uarch-report --uarch-report-out "$OBS_DIR/uarch-jobs1.json" \
+    --hotspots --uarch-report --uarch-report-out "$OBS_DIR/uarch-jobs1.json" \
     --phase-window 200000
 cmp "$OBS_DIR/uarch.json" "$OBS_DIR/uarch-jobs1.json"
-cmp "$OBS_DIR/hotspots.json" "$OBS_DIR/hotspots-jobs1.json"
 
 echo "== scheduler study smoke (five-class shared passes) =="
 # Every Table III task and the calibration reference run as one pass
@@ -149,10 +146,9 @@ echo "== uarch diff smoke (self-diff cancels) =="
 
 echo "== observability artifacts validate =="
 # The test binary doubles as the JSON validator (no external tooling):
-# parse the exported hotspot report, the µarch attribution report, the
+# parse the µarch attribution report (as JSON and as a report), the
 # phase-counter trace, and both Chrome traces.
-VTRANS_HOTSPOT_JSON="$OBS_DIR/hotspots.json" \
-    VTRANS_UARCH_JSON="$OBS_DIR/uarch.json" \
+VTRANS_UARCH_JSON="$OBS_DIR/uarch.json" \
     VTRANS_PHASE_TRACE_JSON="$OBS_DIR/sweep-trace.json" \
     VTRANS_TRACE_JSON="$OBS_DIR/sweep-trace.json" \
     "$BUILD_DIR"/tests/test_obs --gtest_filter='ArtifactValidation.*'
@@ -238,11 +234,13 @@ fi
 if [[ "${VTRANS_SKIP_ASAN:-0}" != 1 ]]; then
     echo "== address + undefined sanitizers: probe bus + model + obs + codec" \
         "+ cache =="
-    # UBSan findings are fatal here, not just logged. The trellis and
+    # UBSan findings are fatal here, not just logged; GCC's "undefined"
+    # group leaves out float-cast-overflow, so it is named. The trellis and
     # golden suites run here too: the trellis keeps dead states at costs
     # near INT64_MAX / 4 and must never overflow them.
     ASAN_DIR="${BUILD_DIR}-asan"
-    cmake -B "$ASAN_DIR" -S . -DVTRANS_SANITIZE=address,undefined
+    cmake -B "$ASAN_DIR" -S . \
+        -DVTRANS_SANITIZE=address,undefined,float-cast-overflow
     cmake --build "$ASAN_DIR" -j --target test_obs test_uarch test_trace \
         test_farm test_cache test_trellis test_codec_golden
     export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"

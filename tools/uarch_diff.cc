@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential µarch report comparator: loads two HotspotReport JSON
- * exports (`--uarch-report-out` / `--hotspots-out` artifacts) and prints
+ * exports (`--uarch-report-out` artifacts) and prints
  * where the cycles moved — per kernel family, site prefix, and code
  * site — answering "where did the AVX2 kernels / preset change / layout
  * pass win?" in one command.
@@ -36,24 +36,20 @@ main(int argc, char** argv)
     const size_t limit =
         limit_flag <= 0 ? 12 : static_cast<size_t>(limit_flag);
 
-    obs::ReportData baseline;
-    obs::ReportData candidate;
-    std::string error;
-    if (!obs::loadReport(paths[0], &baseline, &error)) {
-        std::fprintf(stderr, "uarch_diff: %s: %s\n", paths[0].c_str(),
-                     error.c_str());
-        return 1;
-    }
-    if (!obs::loadReport(paths[1], &candidate, &error)) {
-        std::fprintf(stderr, "uarch_diff: %s: %s\n", paths[1].c_str(),
-                     error.c_str());
-        return 1;
+    obs::HotspotReport reports[2]; // baseline, candidate
+    for (size_t i = 0; i < 2; ++i) {
+        std::string error;
+        if (!obs::loadReport(paths[i], &reports[i], &error)) {
+            std::fprintf(stderr, "uarch_diff: %s: %s\n", paths[i].c_str(),
+                         error.c_str());
+            return 1;
+        }
     }
 
     std::printf("baseline:  %s\ncandidate: %s\n\n", paths[0].c_str(),
                 paths[1].c_str());
     std::printf("%s\n",
-                obs::diffTable(obs::diffReports(baseline, candidate), limit)
+                obs::diffTable(obs::diffReports(reports[0], reports[1]), limit)
                     .c_str());
     return 0;
 }
