@@ -271,6 +271,28 @@ TEST(RunLog, FingerprintStableAcrossIdenticalRuns)
               fingerprint(first));
 }
 
+/** Run logs of different builds compare by fingerprint, so the hash
+ *  order of the counters (uarch::kCoreStatsCounters) is a format: this
+ *  independent list gives each counter a distinct value and pins the
+ *  digest, so a reordered or missing table row fails here. */
+TEST(RunLog, FingerprintOfFixedCountersIsPinned)
+{
+    core::RunResult r;
+    uarch::CoreStats& c = r.core;
+    uint64_t value = 0;
+    for (uint64_t* field :
+         {&c.instructions, &c.cycles, &c.branches, &c.branch_mispredicts,
+          &c.l1d_accesses, &c.l1d_misses, &c.l2_misses, &c.l3_misses,
+          &c.l1i_accesses, &c.l1i_misses, &c.itlb_misses, &c.btb_misses,
+          &c.slots_total, &c.slots_retiring, &c.slots_frontend,
+          &c.slots_bad_spec, &c.slots_backend_memory, &c.slots_backend_core,
+          &c.slots_rob_stall, &c.slots_rs_stall, &c.slots_sb_stall}) {
+        value += 1000003;
+        *field = value;
+    }
+    EXPECT_EQ(fingerprint(r), 0x2a170f62b1340762ull);
+}
+
 TEST(FaultInjector, DeterministicPerAttemptAndCloseToRate)
 {
     const FaultInjector inject(0.1, 0xabcdeull);
