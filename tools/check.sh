@@ -5,8 +5,8 @@
 # GOP-chunked job graphs), then rebuild the cross-thread suites under
 # ThreadSanitizer (VTRANS_SANITIZE=thread) and the probe/model/obs
 # suites under AddressSanitizer + UndefinedBehaviorSanitizer
-# (VTRANS_SANITIZE=address,undefined,float-cast-overflow) and rerun them. Any non-zero exit
-# fails the check.
+# (VTRANS_SANITIZE=address,undefined,float-cast-overflow) and rerun
+# them. Any non-zero exit fails the check.
 #
 #   tools/check.sh [build-dir]
 #
