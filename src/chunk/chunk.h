@@ -24,11 +24,13 @@
  * cost*, reported as delta-PSNR / delta-bitrate, never hidden.
  *
  * The stitcher is a pure bitstream-level remux: it walks the VX1 frame
- * syntax (see codec/syntax.h) element by element and re-emits it through
- * canonical exp-Golomb, rebasing only each frame's display index. No
- * pixel is touched, so stitching cannot perturb reconstruction; and the
- * remux is associative — stitch(stitch(a,b), c) == stitch(a,b,c) — which
- * is what makes the output independent of segment grouping.
+ * syntax element by element through the syntax template the encoder and
+ * decoder share (codec/syntax.h, instantiated with `SyntaxRemux`) and
+ * re-emits it through canonical exp-Golomb, rebasing only each frame's
+ * display index. No pixel is touched, so stitching cannot perturb
+ * reconstruction; and the remux is associative — stitch(stitch(a,b), c)
+ * == stitch(a,b,c) — which is what makes the output independent of
+ * segment grouping.
  */
 
 #include <cstdint>
@@ -108,8 +110,10 @@ std::vector<uint8_t> stitch(
     const std::vector<const std::vector<uint8_t>*>& streams);
 
 /**
- * Display indices of the I frames of a stream, by syntax walk (no pixel
- * reconstruction) — the IDR set the boundary-determinism checks compare.
+ * Display indices of the I frames of a stream, by syntax walk (the
+ * syntax template with `SyntaxReader`, no pixel reconstruction) — the
+ * IDR set the boundary-determinism checks compare. Fatal on malformed
+ * input.
  */
 std::vector<int> iFrameDisplays(const std::vector<uint8_t>& stream);
 

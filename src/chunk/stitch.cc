@@ -2,189 +2,14 @@
 
 #include <algorithm>
 
-#include "codec/bitstream.h"
 #include "codec/syntax.h"
 #include "common/status.h"
 
 namespace vtrans::chunk {
 
-namespace {
-
 using codec::BitReader;
 using codec::BitWriter;
-using codec::FrameType;
-using codec::MbMode;
-
-/** Parsed VX1 sequence header. */
-struct StreamHeader
-{
-    int mb_w = 0;
-    int mb_h = 0;
-    int fps = 0;
-    int frame_count = 0;
-    uint32_t deblock_flag = 0;
-    int32_t alpha_offset = 0;
-    int32_t beta_offset = 0;
-};
-
-StreamHeader
-readHeader(BitReader& br)
-{
-    StreamHeader h;
-    const uint32_t magic = br.getBits(32);
-    VT_ASSERT(magic == codec::kMagic, "stitch input is not a VX1 stream");
-    h.mb_w = static_cast<int>(br.getUe());
-    h.mb_h = static_cast<int>(br.getUe());
-    h.fps = static_cast<int>(br.getUe());
-    h.frame_count = static_cast<int>(br.getUe());
-    h.deblock_flag = br.getUe();
-    h.alpha_offset = br.getSe();
-    h.beta_offset = br.getSe();
-    VT_ASSERT(h.mb_w > 0 && h.mb_h > 0, "corrupt stream geometry");
-    return h;
-}
-
-/**
- * Element-by-element copy of the VX1 syntax (codec/syntax.h). Every
- * value is re-emitted exactly as read — exp-Golomb is canonical, so the
- * copy is bit-exact — except the frame's display index, which is the
- * one field the remux rebases.
- */
-class SyntaxRemux
-{
-  public:
-    SyntaxRemux(BitReader& br, BitWriter& bw) : br_(br), bw_(bw) {}
-
-    /** Type and original (pre-rebase) display index of a copied frame. */
-    struct CopiedFrame
-    {
-        FrameType type = FrameType::I;
-        int display = 0;
-    };
-
-    /** Copies one coded frame, rebasing its display index. */
-    CopiedFrame
-    copyFrame(int mb_count, int display_offset)
-    {
-        CopiedFrame out;
-        out.type = static_cast<FrameType>(copyUe());
-        out.display = static_cast<int>(br_.getUe());
-        bw_.putUe(static_cast<uint32_t>(out.display + display_offset));
-        copyUe(); // qp_base
-        copyUe(); // num_ref_active
-        for (int mb = 0; mb < mb_count; ++mb) {
-            copyMacroblock(out.type);
-        }
-        return out;
-    }
-
-  private:
-    uint32_t
-    copyUe()
-    {
-        const uint32_t v = br_.getUe();
-        bw_.putUe(v);
-        return v;
-    }
-
-    int32_t
-    copySe()
-    {
-        const int32_t v = br_.getSe();
-        bw_.putSe(v);
-        return v;
-    }
-
-    void
-    copyBlock()
-    {
-        const uint32_t nnz = copyUe();
-        VT_ASSERT(nnz <= 16, "corrupt residual block in stitch input");
-        for (uint32_t i = 0; i < nnz; ++i) {
-            copyUe(); // run_before
-            copySe(); // level
-        }
-    }
-
-    void
-    copyMacroblock(FrameType type)
-    {
-        MbMode mode;
-        if (type == FrameType::I) {
-            // I frames use the two-symbol intra alphabet.
-            mode = copyUe() == 0 ? MbMode::Intra16 : MbMode::Intra4;
-        } else {
-            mode = static_cast<MbMode>(copyUe());
-            if (mode == MbMode::Skip) {
-                return; // Skip carries no payload.
-            }
-        }
-
-        switch (mode) {
-          case MbMode::Inter16: {
-            auto dir = codec::BDir::Fwd;
-            if (type == FrameType::B) {
-                dir = static_cast<codec::BDir>(copyUe());
-            }
-            if (dir == codec::BDir::Fwd || dir == codec::BDir::Bi) {
-                copyUe(); // ref
-                copySe(); // mvdx
-                copySe(); // mvdy
-            }
-            if (type == FrameType::B
-                && (dir == codec::BDir::Bwd || dir == codec::BDir::Bi)) {
-                copySe(); // mvdx (backward)
-                copySe(); // mvdy
-            }
-            break;
-          }
-          case MbMode::Inter8x8: {
-            if (type == FrameType::B) {
-                copyUe(); // dir
-            }
-            for (int p = 0; p < 4; ++p) {
-                copyUe(); // ref
-                copySe(); // mvdx
-                copySe(); // mvdy
-            }
-            break;
-          }
-          case MbMode::Intra16:
-            copyUe(); // prediction mode
-            break;
-          case MbMode::Intra4:
-            for (int b = 0; b < 16; ++b) {
-                copyUe(); // per-block prediction mode
-            }
-            break;
-          case MbMode::Skip:
-            VT_PANIC("unreachable");
-        }
-
-        copySe(); // qp_delta
-        const uint32_t cbp = copyUe();
-        VT_ASSERT(cbp < 64, "corrupt cbp in stitch input");
-        for (int g = 0; g < 4; ++g) {
-            if ((cbp >> g) & 1) {
-                for (int b = 0; b < 4; ++b) {
-                    copyBlock();
-                }
-            }
-        }
-        for (int c = 0; c < 2; ++c) {
-            if ((cbp >> (4 + c)) & 1) {
-                for (int b = 0; b < 4; ++b) {
-                    copyBlock();
-                }
-            }
-        }
-    }
-
-    BitReader& br_;
-    BitWriter& bw_;
-};
-
-} // namespace
+using codec::SequenceHeader;
 
 std::vector<uint8_t>
 stitch(const std::vector<const std::vector<uint8_t>*>& streams)
@@ -192,43 +17,36 @@ stitch(const std::vector<const std::vector<uint8_t>*>& streams)
     VT_ASSERT(!streams.empty(), "nothing to stitch");
 
     // Pass 1: headers must agree on everything but the frame count.
-    std::vector<StreamHeader> headers;
+    std::vector<SequenceHeader> headers;
     int total_frames = 0;
     for (const auto* stream : streams) {
         BitReader br(*stream);
-        headers.push_back(readHeader(br));
-        const StreamHeader& h = headers.back();
-        const StreamHeader& first = headers.front();
-        VT_ASSERT(h.mb_w == first.mb_w && h.mb_h == first.mb_h
-                      && h.fps == first.fps
-                      && h.deblock_flag == first.deblock_flag
-                      && h.alpha_offset == first.alpha_offset
-                      && h.beta_offset == first.beta_offset,
+        codec::SyntaxReader in(br);
+        SequenceHeader& h = headers.emplace_back();
+        codec::syntax::sequenceHeader(in, h);
+        SequenceHeader same = h;
+        same.frame_count = headers.front().frame_count;
+        VT_ASSERT(same == headers.front(),
                   "stitch inputs disagree on stream parameters");
         total_frames += h.frame_count;
     }
 
     // Pass 2: one output header, then every frame of every input in
     // order, displays rebased by the frames of the preceding inputs.
-    const StreamHeader& first = headers.front();
+    SequenceHeader out = headers.front();
+    out.frame_count = total_frames;
     BitWriter bw;
-    bw.putBits(codec::kMagic, 32);
-    bw.putUe(static_cast<uint32_t>(first.mb_w));
-    bw.putUe(static_cast<uint32_t>(first.mb_h));
-    bw.putUe(static_cast<uint32_t>(first.fps));
-    bw.putUe(static_cast<uint32_t>(total_frames));
-    bw.putUe(first.deblock_flag);
-    bw.putSe(first.alpha_offset);
-    bw.putSe(first.beta_offset);
-
-    const int mb_count = first.mb_w * first.mb_h;
+    codec::SyntaxWriter writer(bw);
+    codec::syntax::sequenceHeader(writer, out);
     int display_offset = 0;
     for (size_t s = 0; s < streams.size(); ++s) {
         BitReader br(*streams[s]);
-        readHeader(br); // Skip past the header; validated in pass 1.
-        SyntaxRemux remux(br, bw);
+        codec::SyntaxReader in(br);
+        SequenceHeader validated; // Read past; checked in pass 1.
+        codec::syntax::sequenceHeader(in, validated);
+        codec::SyntaxRemux remux(br, bw, display_offset);
         for (int f = 0; f < headers[s].frame_count; ++f) {
-            remux.copyFrame(mb_count, display_offset);
+            codec::syntax::frame(remux, out.mb_w * out.mb_h);
         }
         display_offset += headers[s].frame_count;
     }
@@ -239,18 +57,15 @@ std::vector<int>
 iFrameDisplays(const std::vector<uint8_t>& stream)
 {
     BitReader br(stream);
-    const StreamHeader h = readHeader(br);
-    const int mb_count = h.mb_w * h.mb_h;
-
-    // Walk the syntax through a throwaway writer (the remux machinery is
-    // the parser); collect display indices of I frames.
+    codec::SyntaxReader in(br);
+    SequenceHeader h;
+    codec::syntax::sequenceHeader(in, h);
     std::vector<int> displays;
-    BitWriter scratch;
-    SyntaxRemux remux(br, scratch);
     for (int f = 0; f < h.frame_count; ++f) {
-        const auto frame = remux.copyFrame(mb_count, 0);
-        if (frame.type == FrameType::I) {
-            displays.push_back(frame.display);
+        const codec::FrameHeader fh =
+            codec::syntax::frame(in, h.mb_w * h.mb_h);
+        if (fh.type == codec::FrameType::I) {
+            displays.push_back(fh.display);
         }
     }
     std::sort(displays.begin(), displays.end());

@@ -26,7 +26,8 @@ struct DecodeResult
 
 /**
  * Decodes a complete VX1 stream.
- * Fatal error on malformed input (magic mismatch, truncated stream).
+ * Fatal error on malformed input: a magic mismatch, a truncated stream
+ * or an element out of range (the checks of codec/syntax.h).
  */
 DecodeResult decode(const std::vector<uint8_t>& bytes);
 

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 namespace vtrans::codec {
 
@@ -67,6 +68,41 @@ medianMv(const Mv& left, const Mv& top, const Mv& topright)
     out.x = static_cast<int16_t>(median3(left.x, top.x, topright.x));
     out.y = static_cast<int16_t>(median3(left.y, top.y, topright.y));
     return out;
+}
+
+/** Motion state of one coded macroblock: what MV prediction reads. */
+struct MbMotion
+{
+    Mv mv0, mv1;
+    bool intra = true;
+};
+
+/**
+ * The median MV predictor of list `list` (0 or 1) for macroblock
+ * (mbx, mby), from the states of the frame's macroblocks coded so far
+ * (`frame`, raster order, `mb_w` per row): left, top and top-right
+ * (top-left at the right edge) neighbours, an intra or missing one
+ * counting as zero. VX1 codes every MV as its difference from this.
+ */
+inline Mv
+predictMv(const std::vector<MbMotion>& frame, int mb_w, int mbx, int mby,
+          int list)
+{
+    auto fetch = [&](int x, int y) -> Mv {
+        if (x < 0 || y < 0 || x >= mb_w) {
+            return Mv{};
+        }
+        const MbMotion& st = frame[y * mb_w + x];
+        if (st.intra) {
+            return Mv{};
+        }
+        return list == 0 ? st.mv0 : st.mv1;
+    };
+    const Mv left = fetch(mbx - 1, mby);
+    const Mv top = fetch(mbx, mby - 1);
+    const Mv topright = (mbx + 1 < mb_w) ? fetch(mbx + 1, mby - 1)
+                                         : fetch(mbx - 1, mby - 1);
+    return medianMv(left, top, topright);
 }
 
 } // namespace vtrans::codec

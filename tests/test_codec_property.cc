@@ -11,9 +11,12 @@
 
 #include <tuple>
 
+#include "chunk/chunk.h"
+#include "codec/bitstream.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "codec/params.h"
+#include "codec/syntax.h"
 #include "common/rng.h"
 #include "video/generate.h"
 #include "video/quality.h"
@@ -21,8 +24,10 @@
 namespace vtrans {
 namespace {
 
+using codec::BitWriter;
 using codec::Encoder;
 using codec::EncoderParams;
+using codec::FrameType;
 using video::Frame;
 using video::VideoSpec;
 
@@ -173,6 +178,119 @@ TEST(DecoderRobustness, RejectsEmptyInput)
 {
     std::vector<uint8_t> empty;
     EXPECT_DEATH(codec::decode(empty), "underrun");
+}
+
+// Malformed 1x1-MB streams, written element by element (codec/syntax.h).
+
+/** The sequence header of a 1x1-MB, 30 fps stream, deblocking off. */
+void
+putSequenceHeader(BitWriter& bw, int frames)
+{
+    bw.putBits(codec::kMagic, 32);
+    for (const int v : {1, 1, 30, frames, 0}) {
+        bw.putUe(static_cast<uint32_t>(v));
+    }
+    bw.putSe(0);
+    bw.putSe(0);
+}
+
+/** A frame header with qp_base 26. */
+void
+putFrameHeader(BitWriter& bw, FrameType type, int display, int refs)
+{
+    for (const int v : {static_cast<int>(type), display, 26, refs}) {
+        bw.putUe(static_cast<uint32_t>(v));
+    }
+}
+
+/** A 1x1-MB stream of an I frame (one Intra16 DC macroblock without
+ *  residual) and then a frame of `type` at display 1 with one reference,
+ *  whose macroblock elements the caller writes. */
+BitWriter
+afterIntraFrame(FrameType type)
+{
+    BitWriter bw;
+    putSequenceHeader(bw, 2);
+    putFrameHeader(bw, FrameType::I, 0, 0);
+    for (const int v : {0, 2, 0, 0}) { // Intra16, DC, qp_delta, cbp
+        bw.putUe(static_cast<uint32_t>(v));
+    }
+    putFrameHeader(bw, type, 1, 1);
+    return bw;
+}
+
+TEST(DecoderRobustness, RejectsSkipWithoutReference)
+{
+    BitWriter bw;
+    putSequenceHeader(bw, 1);
+    putFrameHeader(bw, FrameType::P, 0, 0);
+    bw.putUe(0); // Skip
+    EXPECT_DEATH(codec::decode(bw.finish()),
+                 "mb_mode 0 with num_ref_active 0");
+}
+
+TEST(DecoderRobustness, RejectsRefIndexPastActiveRefs)
+{
+    BitWriter bw = afterIntraFrame(FrameType::P);
+    bw.putUe(1); // Inter16
+    bw.putUe(1); // ref_idx
+    for (int i = 0; i < 3; ++i) {
+        bw.putSe(0); // mvd_x, mvd_y, qp_delta
+    }
+    bw.putUe(0); // cbp
+    EXPECT_DEATH(codec::decode(bw.finish()), "ref_idx 1 \\(limit 1\\)");
+}
+
+TEST(DecoderRobustness, RejectsUnknownMbMode)
+{
+    BitWriter bw = afterIntraFrame(FrameType::P);
+    bw.putUe(5);
+    bw.putSe(0);
+    bw.putUe(0);
+    EXPECT_DEATH(codec::decode(bw.finish()), "mb_mode 5");
+}
+
+TEST(DecoderRobustness, RejectsUnknownBDirection)
+{
+    BitWriter bw = afterIntraFrame(FrameType::B);
+    bw.putUe(1); // Inter16
+    bw.putUe(3); // b_dir
+    bw.putSe(0);
+    bw.putUe(0);
+    EXPECT_DEATH(codec::decode(bw.finish()), "b_dir 3");
+}
+
+TEST(DecoderRobustness, RejectsUnknownIntraModes)
+{
+    BitWriter i16;
+    putSequenceHeader(i16, 1);
+    putFrameHeader(i16, FrameType::I, 0, 0);
+    i16.putUe(0); // Intra16
+    i16.putUe(4);
+    i16.putSe(0);
+    i16.putUe(0);
+    EXPECT_DEATH(codec::decode(i16.finish()), "intra16_mode 4");
+
+    BitWriter i4;
+    putSequenceHeader(i4, 1);
+    putFrameHeader(i4, FrameType::I, 0, 0);
+    i4.putUe(1); // Intra4
+    for (int b = 0; b < 16; ++b) {
+        i4.putUe(b == 0 ? 5 : 0);
+    }
+    i4.putSe(0);
+    i4.putUe(0);
+    EXPECT_DEATH(codec::decode(i4.finish()), "intra4_mode 5");
+}
+
+TEST(DecoderRobustness, StitchRejectsUnknownMbMode)
+{
+    BitWriter bw = afterIntraFrame(FrameType::P);
+    bw.putUe(9);
+    bw.putSe(0);
+    bw.putUe(0);
+    const std::vector<uint8_t> stream = bw.finish();
+    EXPECT_DEATH(chunk::stitch({&stream}), "mb_mode 9");
 }
 
 // ---- Edge-geometry and content edge cases -----------------------------------
