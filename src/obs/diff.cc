@@ -1,7 +1,6 @@
 #include "obs/diff.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -24,9 +23,10 @@ fail(std::string* error, const std::string& message)
 }
 
 /** Reads every counter of kSiteCounters present in `obj` (`where` names
- *  the object in errors). Counters are written as integers, so anything
- *  else — a string, a fraction, a negative or a value past 2^64 — is a
- *  malformed report, not a value to clamp. */
+ *  the object in errors), exactly: counters are written as integer
+ *  literals, so anything else — a string, a fraction, an exponent, a
+ *  negative or a value past 2^64 — is a malformed report, not a value to
+ *  round or clamp. */
 bool
 parseCounters(const JsonValue& obj, const std::string& where,
               SiteCounters* out, std::string* error)
@@ -36,12 +36,10 @@ parseCounters(const JsonValue& obj, const std::string& where,
         if (v == nullptr) {
             continue;
         }
-        const double x = v->isNumber() ? v->number() : -1.0;
-        if (!(x >= 0.0 && x < 0x1p64 && x == std::floor(x))) {
+        if (!v->integer(&(out->*c.member))) {
             return fail(error, where + ": \"" + c.name
                                    + "\" is not an integer in [0, 2^64)");
         }
-        out->*c.member = static_cast<uint64_t>(x);
     }
     return true;
 }

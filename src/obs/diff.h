@@ -24,8 +24,8 @@ namespace vtrans::obs {
  *  `out` recomputes the totals and rollups. A counter absent from a row
  *  (a report written before the field existed) loads as zero. False +
  *  `error` on malformed or wrongly-shaped input, naming the row and
- *  field: a counter that is not an integer in [0, 2^64), or a row whose
- *  name is not a string. */
+ *  field: a counter that is not an integer literal in [0, 2^64), or a
+ *  row whose name is not a string. */
 bool parseReport(const std::string& json, HotspotReport* out,
                  std::string* error);
 

@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "common/status.h"
@@ -19,6 +20,17 @@ JsonValue::number() const
 {
     VT_ASSERT(isNumber(), "JSON value is not a number");
     return number_;
+}
+
+bool
+JsonValue::integer(uint64_t* out) const
+{
+    if (!isNumber()) {
+        return false;
+    }
+    const char* end = string_.data() + string_.size();
+    const auto [ptr, ec] = std::from_chars(string_.data(), end, *out);
+    return ec == std::errc() && ptr == end;
 }
 
 const std::string&
@@ -82,11 +94,12 @@ JsonValue::makeBool(bool b)
 }
 
 JsonValue
-JsonValue::makeNumber(double n)
+JsonValue::makeNumber(double n, std::string literal)
 {
     JsonValue v;
     v.kind_ = Kind::Number;
     v.number_ = n;
+    v.string_ = std::move(literal);
     return v;
 }
 
@@ -232,7 +245,7 @@ class Parser
             pos_ = start;
             return fail("malformed number '" + token + "'");
         }
-        *out = JsonValue::makeNumber(value);
+        *out = JsonValue::makeNumber(value, token);
         return true;
     }
 

@@ -11,7 +11,9 @@
  *
  * Supports the full JSON grammar except `\uXXXX` surrogate pairs (the
  * escape is decoded as a single code point truncated to one byte, which
- * covers everything our own escaper emits). Numbers are doubles.
+ * covers everything our own escaper emits). Numbers read as doubles and
+ * keep their literal text, so an integer past 2^53 still reads exactly
+ * (`integer`).
  */
 
 #include <cstdint>
@@ -43,6 +45,10 @@ class JsonValue
     const std::vector<JsonValue>& array() const;
     const std::map<std::string, JsonValue>& object() const;
 
+    /** True and `*out` set when this is a number written as an integer
+     *  literal in [0, 2^64); false (and `*out` untouched) otherwise. */
+    bool integer(uint64_t* out) const;
+
     /** Object member lookup; nullptr when absent (or not an object). */
     const JsonValue* find(const std::string& key) const;
 
@@ -53,7 +59,7 @@ class JsonValue
 
     static JsonValue makeNull();
     static JsonValue makeBool(bool b);
-    static JsonValue makeNumber(double n);
+    static JsonValue makeNumber(double n, std::string literal);
     static JsonValue makeString(std::string s);
     static JsonValue makeArray(std::vector<JsonValue> items);
     static JsonValue makeObject(std::map<std::string, JsonValue> members);
@@ -62,7 +68,7 @@ class JsonValue
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double number_ = 0.0;
-    std::string string_;
+    std::string string_;  ///< A string's value or a number's literal.
     std::vector<JsonValue> array_;
     std::map<std::string, JsonValue> object_;
 };

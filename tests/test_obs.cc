@@ -695,13 +695,18 @@ TEST(UarchDiff, RejectsMalformedReports)
     }
 
     // The largest integral double below 2^64 and a field the reader
-    // does not know both load.
+    // does not know both load, and so does 2^53 + 1, which no double
+    // holds: counters are read from their digits.
     err.clear();
     ASSERT_TRUE(obs::parseReport(
         siteRow(R"("cycles":18446744073709549568,"new_field":1.5)"), &data,
         &err))
         << err;
     EXPECT_EQ(data.totals().cycles, 18446744073709549568ull);
+    ASSERT_TRUE(
+        obs::parseReport(siteRow(R"("cycles":9007199254740993)"), &data, &err))
+        << err;
+    EXPECT_EQ(data.totals().cycles, 9007199254740993ull);
 }
 
 TEST(UarchDiff, ScalarVsVectorDeltaLandsInVectorizedFamilies)
