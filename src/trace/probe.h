@@ -257,8 +257,8 @@ void setSink(ProbeSink* sink, uint32_t batch_capacity = kDefaultProbeBatch);
  *  (Detaching with setSink(nullptr) flushes implicitly.) */
 void flush();
 
-/** The batch capacity instrumented runs attach with (core::runInstrumented,
- *  uarch::simulate): kDefaultProbeBatch. */
+/** The batch capacity instrumented runs attach with (core::runInstrumented):
+ *  kDefaultProbeBatch. */
 inline constexpr uint32_t
 defaultBatchCapacity()
 {

@@ -569,19 +569,10 @@ void
 TimingState::capturePhase()
 {
     PhaseSample s;
-    s.instructions = stats.instructions;
-    s.cycles = cur_cycle;
-    s.slots_retiring = stats.slots_retiring;
-    s.slots_frontend = stats.slots_frontend;
-    s.slots_bad_spec = stats.slots_bad_spec;
-    s.slots_backend_memory = stats.slots_backend_memory;
-    s.slots_backend_core = stats.slots_backend_core;
-    s.branches = stats.branches;
-    s.branch_mispredicts = stats.branch_mispredicts;
-    s.l1d_misses = stats.l1d_misses;
-    s.l2_misses = stats.l2_misses;
-    s.l3_misses = stats.l3_misses;
-    s.l1i_misses = stats.l1i_misses;
+    for (const PhaseCounter& c : kPhaseSampleCounters) {
+        s.*c.member = stats.*c.source;
+    }
+    s.cycles = cur_cycle; // The one exception (kPhaseSampleCounters).
     phase.push_back(s);
     next_phase += params.phase_window;
 }

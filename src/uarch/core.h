@@ -237,6 +237,43 @@ static_assert(offsetof(CoreStats, width)
                   == std::size(kCoreStatsCounters) * sizeof(uint64_t),
               "every raw CoreStats counter has a kCoreStatsCounters row");
 
+/** A PhaseSample counter and the CoreStats counter it snapshots. */
+struct PhaseCounter
+{
+    const char* name;
+    uint64_t PhaseSample::*member;
+    uint64_t CoreStats::*source;
+};
+
+/** PhaseSample's counters in declaration order. A sample copies each
+ *  from its CoreStats source, except `cycles`: CoreStats::cycles is set
+ *  at finish(), so a sample taken mid-run reads the timing stage's
+ *  current cycle instead. */
+inline constexpr PhaseCounter kPhaseSampleCounters[] = {
+    {"instructions", &PhaseSample::instructions, &CoreStats::instructions},
+    {"cycles", &PhaseSample::cycles, &CoreStats::cycles},
+    {"slots_retiring", &PhaseSample::slots_retiring,
+     &CoreStats::slots_retiring},
+    {"slots_frontend", &PhaseSample::slots_frontend,
+     &CoreStats::slots_frontend},
+    {"slots_bad_spec", &PhaseSample::slots_bad_spec,
+     &CoreStats::slots_bad_spec},
+    {"slots_backend_memory", &PhaseSample::slots_backend_memory,
+     &CoreStats::slots_backend_memory},
+    {"slots_backend_core", &PhaseSample::slots_backend_core,
+     &CoreStats::slots_backend_core},
+    {"branches", &PhaseSample::branches, &CoreStats::branches},
+    {"branch_mispredicts", &PhaseSample::branch_mispredicts,
+     &CoreStats::branch_mispredicts},
+    {"l1d_misses", &PhaseSample::l1d_misses, &CoreStats::l1d_misses},
+    {"l2_misses", &PhaseSample::l2_misses, &CoreStats::l2_misses},
+    {"l3_misses", &PhaseSample::l3_misses, &CoreStats::l3_misses},
+    {"l1i_misses", &PhaseSample::l1i_misses, &CoreStats::l1i_misses},
+};
+static_assert(sizeof(PhaseSample)
+                  == std::size(kPhaseSampleCounters) * sizeof(uint64_t),
+              "every PhaseSample counter has a kPhaseSampleCounters row");
+
 /** SiteUarch's counters in the order the attribution report writes them
  *  (obs::kSiteCounters adds the two fields derived at merge). */
 inline constexpr Counter<SiteUarch> kSiteUarchCounters[] = {
@@ -497,20 +534,6 @@ class CoreModel : public trace::ProbeSink
     std::thread functional_thread_;
     std::thread timing_thread_;
 };
-
-/** Runs a callable under this core model and returns its stats. The model
- *  attaches with the default batch capacity; detaching delivers the
- *  pending batch before finish() reads the state. */
-template <typename Workload>
-CoreStats
-simulate(const CoreParams& params, Workload&& workload)
-{
-    CoreModel model(params);
-    trace::setSink(&model);
-    workload();
-    trace::setSink(nullptr);
-    return model.finish();
-}
 
 } // namespace vtrans::uarch
 

@@ -1016,22 +1016,10 @@ expectSameRun(const DiffRun& opt, const DiffRun& ref,
 
     ASSERT_EQ(opt.phases.size(), ref.phases.size()) << what;
     for (size_t s = 0; s < opt.phases.size(); ++s) {
-        const PhaseSample& p = opt.phases[s];
-        const PhaseSample& q = ref.phases[s];
-        const std::string ctx = what + " phase " + std::to_string(s);
-        EXPECT_EQ(p.instructions, q.instructions) << ctx;
-        EXPECT_EQ(p.cycles, q.cycles) << ctx;
-        EXPECT_EQ(p.slots_retiring, q.slots_retiring) << ctx;
-        EXPECT_EQ(p.slots_frontend, q.slots_frontend) << ctx;
-        EXPECT_EQ(p.slots_bad_spec, q.slots_bad_spec) << ctx;
-        EXPECT_EQ(p.slots_backend_memory, q.slots_backend_memory) << ctx;
-        EXPECT_EQ(p.slots_backend_core, q.slots_backend_core) << ctx;
-        EXPECT_EQ(p.branches, q.branches) << ctx;
-        EXPECT_EQ(p.branch_mispredicts, q.branch_mispredicts) << ctx;
-        EXPECT_EQ(p.l1d_misses, q.l1d_misses) << ctx;
-        EXPECT_EQ(p.l2_misses, q.l2_misses) << ctx;
-        EXPECT_EQ(p.l3_misses, q.l3_misses) << ctx;
-        EXPECT_EQ(p.l1i_misses, q.l1i_misses) << ctx;
+        for (const PhaseCounter& c : kPhaseSampleCounters) {
+            EXPECT_EQ(opt.phases[s].*c.member, ref.phases[s].*c.member)
+                << what << " phase " << s << " " << c.name;
+        }
     }
 }
 
